@@ -6,6 +6,13 @@ prime field F_p with p = 1 mod exponent(G), then lifted to Q(zeta_e) by a
 discrete Fourier transform over the cyclic group generated by each class
 representative. Matrices for an irreducible come from a left ideal of the
 group algebra cut out by a rank-compatible pair (subgroup, linear character).
+
+All elimination goes through linalg.row_reduce: over F_p for the eigenspace
+kernels and the coordinates of class-matrix images in an eigenspace basis,
+and over Q(zeta_e) for the basis of the left ideal (its pivot columns among
+the translates) and the coordinates of the translated basis (one solve whose
+consistency check certifies that the ideal is stable). Only the Hessenberg
+characteristic polynomial over F_p is computed separately.
 """
 
 from __future__ import annotations
@@ -15,9 +22,9 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional, Sequence
 
-from .errors import ResourceError
+from .errors import NonInvertibleError, ResourceError
 from .groups import ConjugacyData, FiniteGroup
-from .linalg import ExactMatrix, solve
+from .linalg import ExactMatrix, echelon_kernel, row_reduce, solve, solve_rows
 from .scalars import (
     Cyclotomic,
     Scalar,
@@ -27,72 +34,7 @@ from .scalars import (
     scalar_is_zero,
 )
 
-# -- prime-field dense helpers (plain int lists, entries reduced mod p) ------
-
-
-def _kernel_fp(a: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the right kernel of a over F_p."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [row[:] for row in a]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][col] % p), -1)
-        if pr < 0:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][col], p - 2, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append((r, col))
-        r += 1
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in range(cols):
-        if free in pivot_cols:
-            continue
-        v = [0] * cols
-        v[free] = 1
-        for ri, col in pivots:
-            v[col] = (-m[ri][free]) % p
-        basis.append(v)
-    return basis
-
-
-def _solve_in_span_fp(
-    basis: list[list[int]], targets: list[list[int]], p: int
-) -> list[list[int]]:
-    """Coordinates of each target in span(basis); result[i][j] = coeff of
-    basis[i] in targets[j]. Asserts the targets do lie in the span."""
-    k = len(basis[0])
-    m = len(basis)
-    t = len(targets)
-    aug = [[basis[i][r] for i in range(m)] + [targets[j][r] for j in range(t)] for r in range(k)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(m):
-        pr = next((i for i in range(r, k) if aug[i][col] % p), -1)
-        assert pr >= 0, "basis vectors are dependent"
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = pow(aug[r][col], p - 2, p)
-        aug[r] = [x * inv % p for x in aug[r]]
-        for i in range(k):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, col))
-        r += 1
-    for i in range(r, k):
-        assert all(x % p == 0 for x in aug[i][m:]), "target not in span"
-    coords = [[0] * t for _ in range(m)]
-    for ri, col in pivots:
-        for j in range(t):
-            coords[col][j] = aug[ri][m + j] % p
-    return coords
+# -- prime-field helpers (plain int lists, entries reduced mod p) -----------
 
 
 def _charpoly_fp(a: list[list[int]], p: int) -> list[int]:
@@ -207,9 +149,6 @@ class CharacterTable:
     def value(self, r: int, element: int) -> Scalar:
         return self.rows[r][self.conjugacy.class_of[element]]
 
-    def num_irreducibles(self) -> int:
-        return len(self.rows)
-
 
 _TABLE_CACHE: dict[tuple, CharacterTable] = {}
 
@@ -260,16 +199,20 @@ def _character_table_uncached(g: FiniteGroup) -> CharacterTable:
             images = []
             for v in basis:
                 images.append([sum(mat[j][l] * v[l] for l in range(k)) % p for j in range(k)])
-            restricted = _solve_in_span_fp(basis, images, p)
+            # restricted[i][j] = coefficient of basis[i] in images[j]
             m = len(basis)
+            restricted = solve_rows(
+                [[b[r] for b in basis] + [im[r] for im in images] for r in range(k)], m, p
+            )
             for lam in _poly_roots_fp(_charpoly_fp(restricted, p), p):
                 shifted = [
-                    [(restricted[i][j] - (lam if i == j else 0)) % p for j in range(m)]
+                    [restricted[i][j] - (lam if i == j else 0) for j in range(m)]
                     for i in range(m)
                 ]
+                pivots, _ = row_reduce(shifted, modulus=p)
                 eig = [
                     [sum(kv[i] * basis[i][r] for i in range(m)) % p for r in range(k)]
-                    for kv in _kernel_fp(shifted, p)
+                    for kv in echelon_kernel(shifted, pivots, m, p)
                 ]
                 assert eig, "charpoly root with empty eigenspace"
                 next_spaces.append(eig)
@@ -439,41 +382,23 @@ def irrep_matrices(g: FiniteGroup, table: Optional[CharacterTable], row: int) ->
     ]
     f = _algebra_mul(g, e_coeffs, support)
 
-    # greedy basis of the left ideal from translates x*f
-    basis: list[list[Scalar]] = []
-    reduced: list[tuple[int, list[Scalar]]] = []  # (pivot coordinate, echelon form)
-    for x in range(n):
-        cand = _left_translate(g, x, f)
-        work = list(cand)
-        for piv, ech in reduced:
-            if not scalar_is_zero(work[piv]):
-                factor = work[piv] / ech[piv]
-                work = [w - factor * z for w, z in zip(work, ech)]
-        piv = next((i for i, w in enumerate(work) if not scalar_is_zero(w)), -1)
-        if piv >= 0:
-            basis.append(cand)
-            reduced.append((piv, work))
-            if len(basis) == d:
-                break
-    assert len(basis) == d, f"left ideal has rank {len(basis)}, expected {d}"
-    pivot_rows = sorted(piv for piv, _ in reduced)
-    bmat_piv = ExactMatrix.from_rows([[basis[j][r] for j in range(d)] for r in pivot_rows])
-
-    mats: list[ExactMatrix] = []
-    for s in range(n):
-        mapped = [_left_translate(g, s, b) for b in basis]
-        target_piv = ExactMatrix.from_rows(
-            [[mapped[j][r] for j in range(d)] for r in pivot_rows]
-        )
-        x = solve(bmat_piv, target_piv)
-        # verify on all coordinates, not only the pivot rows
-        for r in range(n):
-            for j in range(d):
-                acc: Scalar = Fraction(0)
-                for m in range(d):
-                    acc = acc + basis[m][r] * x[m, j]
-                assert scalar_eq(acc, mapped[j][r]), "translate left the ideal"
-        mats.append(x)
+    # the translates x*f span the left ideal; the pivot columns of the matrix
+    # whose columns are the translates pick the greedy basis among them
+    translates = [_left_translate(g, x, f) for x in range(n)]
+    pivots, _ = row_reduce([[t[r] for t in translates] for r in range(n)])
+    if len(pivots) != d:
+        raise NonInvertibleError(f"left ideal has rank {len(pivots)}, expected {d}")
+    # s * (x*f) is the translate (s x)*f; solving on all n coordinates makes
+    # solve's consistency check certify that every one stays in the ideal
+    bmat = ExactMatrix.from_rows([[translates[x][r] for x in pivots] for r in range(n)])
+    targets = ExactMatrix.from_rows(
+        [[translates[g.mul(s, x)][r] for s in range(n) for x in pivots] for r in range(n)]
+    )
+    coords = solve(bmat, targets)
+    mats = [
+        ExactMatrix(d, d, [coords[i, s * d + j] for i in range(d) for j in range(d)])
+        for s in range(n)
+    ]
 
     for z in range(n):
         assert scalar_eq(mats[z].trace(), chi_at(z)), f"trace mismatch at element {z}"

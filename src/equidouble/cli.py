@@ -4,19 +4,13 @@ Reports are JSON by default ("schema": 1, keys sorted, no timestamps), so two
 runs with the same configuration produce byte-identical output. Exit codes:
 0 success, 1 a requested check failed (the report is still written), 2 usage
 or parse errors, 3 a resource budget was exceeded.
-
-The EQUIDOUBLE_THREADS environment variable sets how many verification
-sections of `verify-all` may run concurrently; report assembly is always
-single-threaded and ordered, so the output does not depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -35,7 +29,7 @@ from .dw import (
 from .errors import EquidoubleError, NonInvertibleError, ResourceError, UsageError
 from .groupoids import groupoid_cardinality
 from .groups import extension_to_weak_action
-from .hopf import verify_hopf, verify_quasitriangular, verify_ribbon
+from .hopf import verify_all_axioms
 from .modular import (
     check_equivariant_diagrams,
     s_matrix,
@@ -43,7 +37,7 @@ from .modular import (
     simples_of_double,
     trivial_extension,
 )
-from .orbifold import orbifold_algebra, orbifold_ribbon, psi_check, verify_sector_double
+from .orbifold import PsiReport, orbifold_algebra, orbifold_ribbon, psi_check, verify_sector_double
 from .scalars import Cyclotomic, Scalar, scalar_eq
 
 SCHEMA = 1
@@ -65,15 +59,12 @@ class RunConfig:
     sampled: bool = False
     format: str = "json"
     out: Optional[str] = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.budget_homs <= 0:
             raise UsageError("--budget-homs must be positive")
         if self.budget_dim is not None and self.budget_dim <= 0:
             raise UsageError("--budget-dim must be positive")
-        if self.threads <= 0:
-            raise UsageError("EQUIDOUBLE_THREADS must be positive")
         if self.format == "csv" and self.command not in CSV_COMMANDS:
             raise UsageError(f"csv output is only available for: {', '.join(CSV_COMMANDS)}")
 
@@ -166,10 +157,7 @@ def _cmd_dw(config: RunConfig) -> tuple[dict, bool]:
 def _cmd_double(config: RunConfig) -> tuple[dict, bool]:
     group = load_group(_require(config.group, "--group"))
     d = double_algebra(group)
-    checks = dict(verify_hopf(d.hopf, sampled=config.sampled).checks)
-    rib = d.ribbon_data()
-    checks.update(verify_quasitriangular(rib, sampled=config.sampled).checks)
-    checks.update(verify_ribbon(rib, sampled=config.sampled).checks)
+    checks = dict(verify_all_axioms(d.ribbon_data(), sampled=config.sampled).checks)
     ok = all(checks.values())
     report = {
         "group": config.group,
@@ -201,10 +189,8 @@ def _cmd_orbifold(config: RunConfig) -> tuple[dict, bool]:
     ext = load_extension(_require(config.extension, "--extension"))
     sd = sector_double(ext)
     ohat = orbifold_algebra(sd)
-    checks = dict(verify_hopf(ohat, sampled=config.sampled).checks)
     rib = orbifold_ribbon(sd, ohat)
-    checks.update(verify_quasitriangular(rib, sampled=config.sampled).checks)
-    checks.update(verify_ribbon(rib, sampled=config.sampled).checks)
+    checks = dict(verify_all_axioms(rib, sampled=config.sampled).checks)
     report = {
         "extension": config.extension,
         "dimension": ohat.dim,
@@ -214,16 +200,20 @@ def _cmd_orbifold(config: RunConfig) -> tuple[dict, bool]:
     ok = all(checks.values())
     if config.check_psi:
         psi = psi_check(ext)
-        report["psi"] = {
-            "bijective": psi.bijective,
-            "product": psi.product,
-            "coproduct": psi.coproduct,
-            "rmatrix": psi.rmatrix,
-            "twist": psi.twist,
-        }
+        report["psi"] = _psi_payload(psi)
         ok = ok and psi.all_passed
     report["all_passed"] = ok
     return report, ok
+
+
+def _psi_payload(psi: PsiReport) -> dict:
+    return {
+        "bijective": psi.bijective,
+        "product": psi.product,
+        "coproduct": psi.coproduct,
+        "rmatrix": psi.rmatrix,
+        "twist": psi.twist,
+    }
 
 
 def _smatrix_payload(group_ref: str) -> tuple[dict, bool]:
@@ -299,83 +289,44 @@ def _cmd_simples(config: RunConfig) -> tuple[dict, bool]:
     return report, True
 
 
-def _category_sample(ext, config: RunConfig):
+def _category_payload(ext, config: RunConfig) -> dict:
+    """Diagram suite on the simples within --budget-dim; --sampled keeps the
+    first, middle and last of them."""
     simples = simples_of_double(ext)
     if config.budget_dim is not None:
         simples = [v for v in simples if v.dim <= config.budget_dim]
     if config.sampled and len(simples) > 3:
         picks = sorted({0, len(simples) // 2, len(simples) - 1})
         simples = [simples[i] for i in picks]
-    return simples
+    rep = check_equivariant_diagrams(ext, simples)
+    return {
+        "sample_size": len(simples),
+        "diagram_counts": dict(rep.counts),
+        "failures": [[name, list(labels)] for name, labels in rep.failures],
+        "all_passed": rep.all_passed,
+    }
 
 
 def _cmd_verify_category(config: RunConfig) -> tuple[dict, bool]:
     ext = load_extension(_require(config.extension, "--extension"))
-    sample = _category_sample(ext, config)
-    report_obj = check_equivariant_diagrams(ext, sample)
-    report = {
-        "extension": config.extension,
-        "sample_size": len(sample),
-        "sampled": config.sampled,
-        "diagram_counts": dict(report_obj.counts),
-        "failures": [[name, list(labels)] for name, labels in report_obj.failures],
-        "all_passed": report_obj.all_passed,
-    }
-    return report, report_obj.all_passed
+    report = {"extension": config.extension, "sampled": config.sampled}
+    report.update(_category_payload(ext, config))
+    return report, report["all_passed"]
 
 
 def _cmd_verify_all(config: RunConfig) -> tuple[dict, bool]:
     ext = load_extension(_require(config.extension, "--extension"))
     sd = sector_double(ext)
-
-    def section_double() -> dict:
-        d = double_algebra(ext.H)
-        checks = dict(verify_hopf(d.hopf, sampled=config.sampled).checks)
-        rib = d.ribbon_data()
-        checks.update(verify_quasitriangular(rib, sampled=config.sampled).checks)
-        checks.update(verify_ribbon(rib, sampled=config.sampled).checks)
-        return checks
-
-    def section_sector() -> dict:
-        return dict(verify_sector_double(sd, sampled=config.sampled).checks)
-
-    def section_psi() -> dict:
-        psi = psi_check(ext)
-        return {
-            "bijective": psi.bijective,
-            "product": psi.product,
-            "coproduct": psi.coproduct,
-            "rmatrix": psi.rmatrix,
-            "twist": psi.twist,
-        }
-
-    def section_category() -> dict:
-        sample = _category_sample(ext, config)
-        rep = check_equivariant_diagrams(ext, sample)
-        return {
-            "sample_size": len(sample),
-            "diagram_counts": dict(rep.counts),
-            "failures": [[name, list(labels)] for name, labels in rep.failures],
-            "all_passed": rep.all_passed,
-        }
-
-    def section_modularity() -> dict:
-        invertible = s_matrix(ext.H).is_invertible()
-        return {"orbifold_modular": invertible, "j_modular_claim": invertible}
-
-    sections: list[tuple[str, Callable[[], dict]]] = [
-        ("hopf-axioms", section_double),
-        ("j-hopf-axioms", section_sector),
-        ("psi-identification", section_psi),
-        ("category-diagrams", section_category),
-        ("modularity", section_modularity),
-    ]
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            futures = [(name, pool.submit(thunk)) for name, thunk in sections]
-            results = [(name, future.result()) for name, future in futures]
-    else:
-        results = [(name, thunk()) for name, thunk in sections]
+    sections = {
+        "hopf-axioms": dict(
+            verify_all_axioms(double_algebra(ext.H).ribbon_data(), sampled=config.sampled).checks
+        ),
+        "j-hopf-axioms": dict(verify_sector_double(sd, sampled=config.sampled).checks),
+        "psi-identification": _psi_payload(psi_check(ext)),
+        "category-diagrams": _category_payload(ext, config),
+    }
+    invertible = s_matrix(ext.H).is_invertible()
+    sections["modularity"] = {"orbifold_modular": invertible, "j_modular_claim": invertible}
 
     def section_ok(payload: dict) -> bool:
         if "all_passed" in payload:
@@ -385,8 +336,8 @@ def _cmd_verify_all(config: RunConfig) -> tuple[dict, bool]:
     report = {
         "extension": config.extension,
         "mode": "sampled" if config.sampled else "full",
-        "sections": {name: payload for name, payload in results},
-        "section_passed": {name: section_ok(payload) for name, payload in results},
+        "sections": sections,
+        "section_passed": {name: section_ok(payload) for name, payload in sections.items()},
     }
     ok = all(report["section_passed"].values())
     report["all_passed"] = ok
@@ -518,14 +469,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("EQUIDOUBLE_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"EQUIDOUBLE_THREADS must be an integer, got {raw!r}")
-
-
 def parse_config(argv: Sequence[str]) -> RunConfig:
     parser = _build_parser()
     ns = parser.parse_args(argv)
@@ -541,7 +484,6 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         sampled=getattr(ns, "sampled", False),
         format=getattr(ns, "format", "json"),
         out=getattr(ns, "out", None),
-        threads=_threads_from_env(),
     )
 
 

@@ -38,11 +38,11 @@ class Presentation:
     relations: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.generators < 0:
-            raise UsageError("generator count must be nonnegative")
+        if not isinstance(self.generators, int) or self.generators < 0:
+            raise UsageError("generator count must be a nonnegative integer")
         for rel in self.relations:
             for letter in rel:
-                if letter == 0 or abs(letter) > self.generators:
+                if not isinstance(letter, int) or letter == 0 or abs(letter) > self.generators:
                     raise UsageError(f"relator letter {letter} out of range for {self.generators} generators")
 
 

@@ -205,7 +205,7 @@ class GroupoidSimple:
         )
 
 
-def simple_objects(action: GroupAction, with_matrices: bool = False) -> list[GroupoidSimple]:
+def simple_objects(action: GroupAction) -> list[GroupoidSimple]:
     """All simples: orbits by smallest point, stabilizer irreducibles in table
     order. Their number equals the number of inertia orbits (checked)."""
     out: list[GroupoidSimple] = []
@@ -214,10 +214,7 @@ def simple_objects(action: GroupAction, with_matrices: bool = False) -> list[Gro
         stab_group, embed = action.group.subgroup(stab_elems)
         table = character_table(stab_group)
         for row in range(len(table.rows)):
-            simple = GroupoidSimple(action, orbit, stab_group, embed, table, row)
-            if with_matrices:
-                simple.rep()
-            out.append(simple)
+            out.append(GroupoidSimple(action, orbit, stab_group, embed, table, row))
     inert = inertia(action)
     assert len(out) == len(inert.action.orbits()), "simple count != inertia orbit count"
     total = sum(s.total_dim ** 2 for s in out)

@@ -25,12 +25,14 @@ class FiniteGroup:
         name: str = "",
     ):
         n = len(table)
-        assert n >= 1, "empty table"
+        if n < 1:
+            raise UsageError("group table is empty")
         self.order = n
         self.table = tuple(tuple(row) for row in table)
         self.name = name
-        for row in self.table:
-            assert len(row) == n, "table not square"
+        for i, row in enumerate(self.table):
+            if len(row) != n:
+                raise UsageError(f"group table is not square: row {i} has {len(row)} entries, not {n}")
         # identity at index 0
         for x in range(n):
             if self.table[0][x] != x or self.table[x][0] != x:
@@ -220,9 +222,6 @@ class GroupHom:
     def is_surjective(self) -> bool:
         return len(set(self.images)) == self.target.order
 
-    def is_automorphism(self) -> bool:
-        return self.source is self.target and self.is_injective()
-
     def compose(self, inner: "GroupHom") -> "GroupHom":
         """self after inner."""
         assert inner.target is self.source or inner.target.table == self.source.table
@@ -259,7 +258,8 @@ class GroupExtension:
         self.incl, self.proj = incl, proj
         self.section = tuple(section)
         self.name = name
-        assert len(self.section) == J.order
+        if len(self.section) != J.order:
+            raise UsageError(f"section has {len(self.section)} values for {J.order} cosets")
         if self.section[0] != 0:
             raise UsageError("section not normalized (s(1) != 1)")
         for j in range(J.order):

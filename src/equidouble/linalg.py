@@ -1,17 +1,23 @@
-"""Dense exact matrices over Fraction/Cyclotomic scalars.
+"""Dense exact matrices over Fraction/Cyclotomic scalars, and the one
+row-reduction kernel behind every rank, determinant, kernel and solve.
 
-Rank, determinant, and kernel come from fraction-free (Bareiss-style)
-forward elimination: every division is by a previous pivot and is exact,
-which bounds coefficient growth without floating point.
+row_reduce is Gauss-Jordan elimination on plain row lists over a field given
+as a parameter: exact rationals and cyclotomics, or F_p for a prime modulus.
+Each pivot costs one field inverse; every other step is a multiply and a
+subtract. The rank, the pivot columns, the kernel basis normalized by
+v[free] = 1, det = +-(product of pivots) and a unique solution do not depend
+on the elimination order, so callers over Q, Q(zeta_n) and F_p (the character
+tables, the irreducible representations, S-matrix invertibility and algebra
+inverses) all share this path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Optional, Sequence
 
 from .errors import NonInvertibleError, UsageError
-from .scalars import Scalar, scalar_is_zero
+from .scalars import Cyclotomic, Scalar, scalar_is_zero
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -57,9 +63,6 @@ class ExactMatrix:
     def __setitem__(self, key: tuple[int, int], value: Scalar) -> None:
         i, j = key
         self.data[i * self.cols + j] = value
-
-    def row(self, i: int) -> list[Scalar]:
-        return self.data[i * self.cols : (i + 1) * self.cols]
 
     def copy(self) -> "ExactMatrix":
         return ExactMatrix(self.rows, self.cols, list(self.data))
@@ -126,9 +129,6 @@ class ExactMatrix:
             t = t + self.data[i * self.cols + i]
         return t
 
-    def map(self, f: Callable[[Scalar], Scalar]) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, [f(a) for a in self.data])
-
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
@@ -152,124 +152,124 @@ class RankDetKernel:
         return self._det
 
 
-def _bareiss_forward(m: ExactMatrix) -> tuple[ExactMatrix, list[tuple[int, int]], int]:
-    """Fraction-free forward elimination; returns echelon copy, pivots, swap sign."""
-    a = m.copy()
-    pivots: list[tuple[int, int]] = []
-    sign = 1
-    prev: Scalar = ONE
-    r = 0
-    for col in range(a.cols):
-        pivot_row = -1
-        for i in range(r, a.rows):
-            if not scalar_is_zero(a[i, col]):
-                pivot_row = i
-                break
-        if pivot_row < 0:
+def row_reduce(
+    rows: list[list], ncols: Optional[int] = None, modulus: Optional[int] = None
+) -> tuple[list[int], Scalar]:
+    """Reduce rows in place to reduced row echelon form (Gauss-Jordan).
+
+    Pivots are taken left to right among the first ncols columns (all of them
+    by default); row operations act on whole rows, so trailing columns carry
+    right-hand sides along. Entries are exact scalars, or integers taken
+    modulo the prime modulus when one is given.
+
+    Returns (pivot columns, det factor). Afterwards row k < len(pivots) is 1
+    at pivots[k] and 0 at every other pivot column, and the rows from
+    len(pivots) on vanish in the first ncols columns. The det factor is the
+    product of the pivots, negated once per row swap: the determinant when
+    the matrix is square and of full rank.
+    """
+    if modulus is not None:
+        rows[:] = [[x % modulus for x in row] for row in rows]
+    ncols = (len(rows[0]) if rows else 0) if ncols is None else ncols
+    det: Scalar = ONE if modulus is None else 1
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if not scalar_is_zero(rows[i][col])), -1)
+        if pr < 0:
             continue
-        if pivot_row != r:
-            for j in range(a.cols):
-                a[r, j], a[pivot_row, j] = a[pivot_row, j], a[r, j]
-            sign = -sign
-        p = a[r, col]
-        for i in range(r + 1, a.rows):
-            head = a[i, col]
-            for j in range(col, a.cols):
-                # one-step Bareiss update; division by prev is exact
-                num = p * a[i, j] - head * a[r, j]
-                a[i, j] = num / prev
-            a[i, col] = ZERO
-        pivots.append((r, col))
-        prev = p
-        r += 1
-        if r == a.rows:
-            break
-    return a, pivots, sign
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            det = -det
+        piv = rows[r]
+        p = piv[col]
+        if modulus is None:
+            inv = p.inverse() if isinstance(p, Cyclotomic) else ONE / p
+            piv[col:] = [x * inv for x in piv[col:]]
+            det = det * p
+        else:
+            inv = pow(p, -1, modulus)
+            piv[col:] = [x * inv % modulus for x in piv[col:]]
+            det = det * p % modulus
+        tail = piv[col:]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i == r or scalar_is_zero(f):
+                continue
+            if modulus is None:
+                row[col:] = [x - f * y for x, y in zip(row[col:], tail)]
+            else:
+                row[col:] = [(x - f * y) % modulus for x, y in zip(row[col:], tail)]
+        pivots.append(col)
+    return pivots, det
+
+
+def echelon_kernel(
+    rows: list[list], pivots: Sequence[int], ncols: int, modulus: Optional[int] = None
+) -> list[list]:
+    """Right-kernel basis of a matrix that row_reduce has brought to reduced
+    echelon form: one vector per free column f, 1 at f and 0 at the other
+    free columns."""
+    zero, one = (ZERO, ONE) if modulus is None else (0, 1)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [zero] * ncols
+        v[free] = one
+        for k, col in enumerate(pivots):
+            v[col] = -rows[k][free] if modulus is None else -rows[k][free] % modulus
+        basis.append(v)
+    return basis
+
+
+def solve_rows(aug: list[list], ncols: int, modulus: Optional[int] = None) -> list[list]:
+    """Solve A x = B from the augmented rows [A | B], A having ncols columns;
+    aug is reduced in place and the rows of x are returned.
+
+    Raises NonInvertibleError when the system is inconsistent (witness: the
+    first row whose right-hand side survives) or singular (witness: the
+    columns without a pivot).
+    """
+    pivots, _ = row_reduce(aug, ncols, modulus)
+    for i in range(len(pivots), len(aug)):
+        if any(not scalar_is_zero(x) for x in aug[i][ncols:]):
+            raise NonInvertibleError(f"inconsistent system at row {i}")
+    if len(pivots) < ncols:
+        missing = [c for c in range(ncols) if c not in pivots]
+        raise NonInvertibleError(f"singular system: no pivot in columns {missing}")
+    return [row[ncols:] for row in aug[:ncols]]
+
+
+def _row_lists(m: ExactMatrix) -> list[list[Scalar]]:
+    return [m.data[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)]
 
 
 def mat_rank_det_kernel(m: ExactMatrix) -> RankDetKernel:
     """Exact rank, determinant (square case), and kernel basis of m."""
-    ech, pivots, sign = _bareiss_forward(m)
+    rows = _row_lists(m)
+    pivots, factor = row_reduce(rows)
     rank = len(pivots)
     det_value: Scalar | None = None
     if m.rows == m.cols:
-        if rank < m.rows:
-            det_value = ZERO
-        else:
-            p = ech[pivots[-1][0], pivots[-1][1]] if pivots else ONE
-            det_value = p if sign > 0 else -p
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(m.cols) if c not in pivot_cols]
-    kernel: list[list[Scalar]] = []
-    for f in free_cols:
-        v: list[Scalar] = [ZERO] * m.cols
-        v[f] = ONE
-        for k in range(rank - 1, -1, -1):
-            row_idx, col = pivots[k]
-            s: Scalar = ZERO
-            for j in range(col + 1, m.cols):
-                x = ech[row_idx, j]
-                if not scalar_is_zero(x) and not scalar_is_zero(v[j]):
-                    s = s + x * v[j]
-            v[col] = (-s) / ech[row_idx, col]
-        kernel.append(v)
-    return RankDetKernel(rank, det_value, kernel)
+        det_value = factor if rank == m.rows else ZERO
+    return RankDetKernel(rank, det_value, echelon_kernel(rows, pivots, m.cols))
 
 
 def solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """Solve a @ x = b exactly (b may have several columns).
 
     Raises NonInvertibleError when the system is singular/inconsistent,
-    with the failing pivot column as witness.
+    with the failing row or pivot columns as witness.
     """
     if a.rows != b.rows:
         raise UsageError(f"solve dimension mismatch: {a.rows} vs {b.rows}")
-    n, m = a.rows, a.cols
-    aug = ExactMatrix.zeros(n, m + b.cols)
-    for i in range(n):
-        for j in range(m):
-            aug[i, j] = a[i, j]
-        for j in range(b.cols):
-            aug[i, m + j] = b[i, j]
-    # ordinary exact Gauss-Jordan (entries are field elements)
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(m):
-        pr = -1
-        for i in range(r, n):
-            if not scalar_is_zero(aug[i, col]):
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            for j in range(m + b.cols):
-                aug[r, j], aug[pr, j] = aug[pr, j], aug[r, j]
-        inv = aug[r, col]
-        for j in range(col, m + b.cols):
-            aug[r, j] = aug[r, j] / inv
-        for i in range(n):
-            if i != r and not scalar_is_zero(aug[i, col]):
-                f = aug[i, col]
-                for j in range(col, m + b.cols):
-                    aug[i, j] = aug[i, j] - f * aug[r, j]
-        pivots.append((r, col))
-        r += 1
-    # consistency of dropped rows
-    for i in range(r, n):
-        for j in range(b.cols):
-            if not scalar_is_zero(aug[i, m + j]):
-                raise NonInvertibleError(f"inconsistent system at row {i}")
-    if len(pivots) < m:
-        missing = [c for c in range(m) if c not in [c0 for _, c0 in pivots]]
-        raise NonInvertibleError(f"singular system: no pivot in columns {missing}")
-    x = ExactMatrix.zeros(m, b.cols)
-    for (ri, col) in pivots:
-        for j in range(b.cols):
-            x[col, j] = aug[ri, m + j]
-    return x
+    aug = [ra + rb for ra, rb in zip(_row_lists(a), _row_lists(b))]
+    x = solve_rows(aug, a.cols)
+    return ExactMatrix(a.cols, b.cols, [v for row in x for v in row])
 
 
 def inverse(a: ExactMatrix) -> ExactMatrix:
-    assert a.rows == a.cols
+    if a.rows != a.cols:
+        raise UsageError(f"inverse of a non-square {a.rows}x{a.cols} matrix")
     return solve(a, ExactMatrix.identity(a.rows))

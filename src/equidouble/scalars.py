@@ -1,4 +1,4 @@
-"""Exact scalars: rationals, cyclotomic integers of a fixed conductor, GF(p).
+"""Exact scalars: rationals and cyclotomic numbers of a fixed conductor.
 
 Rational is the stdlib Fraction (always reduced, positive denominator).
 Cyclotomic values live in Q(zeta_n) with coordinates in the power basis
@@ -356,49 +356,6 @@ def scalar_eq(x: Scalar, y: Scalar) -> bool:
     if isinstance(x, Cyclotomic) or isinstance(y, Cyclotomic):
         return as_cyclotomic(x) == (y if isinstance(y, Cyclotomic) else Fraction(y))
     return Fraction(x) == Fraction(y)
-
-
-# -- GF(p) helpers for the character-table backend ----------------------
-
-
-class PrimeFieldElement:
-    """Value in GF(p); construction sites needing e-th roots enforce p = 1 mod e."""
-
-    __slots__ = ("p", "value")
-
-    def __init__(self, p: int, value: int):
-        assert p >= 2 and is_prime(p), f"{p} not prime"
-        self.p = p
-        self.value = value % p
-
-    def __add__(self, other: "PrimeFieldElement") -> "PrimeFieldElement":
-        assert self.p == other.p
-        return PrimeFieldElement(self.p, self.value + other.value)
-
-    def __sub__(self, other: "PrimeFieldElement") -> "PrimeFieldElement":
-        assert self.p == other.p
-        return PrimeFieldElement(self.p, self.value - other.value)
-
-    def __mul__(self, other: "PrimeFieldElement") -> "PrimeFieldElement":
-        assert self.p == other.p
-        return PrimeFieldElement(self.p, self.value * other.value)
-
-    def inverse(self) -> "PrimeFieldElement":
-        assert self.value != 0
-        return PrimeFieldElement(self.p, pow(self.value, self.p - 2, self.p))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PrimeFieldElement)
-            and self.p == other.p
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.value))
-
-    def __repr__(self) -> str:
-        return f"PrimeFieldElement({self.p}, {self.value})"
 
 
 def is_prime(n: int) -> bool:

@@ -1,8 +1,11 @@
 """Character tables and irreducible matrices, cross-checked against
 independently known small tables and representation-theoretic identities."""
 
+import hashlib
+import json
 from fractions import Fraction
 
+from equidouble.catalogue import catalogue_list, group_by_name
 from equidouble.chartable import (
     CharacterTable,
     _charpoly_fp,
@@ -18,6 +21,7 @@ from equidouble.groups import (
     quaternion_group,
     symmetric_group,
 )
+from equidouble.cli import encode_scalar
 from equidouble.linalg import ExactMatrix, mat_rank_det_kernel
 from equidouble.scalars import Cyclotomic, cyclotomic_conjugate, scalar_eq
 
@@ -190,3 +194,26 @@ def test_table_is_cached():
     s3 = symmetric_group(3)
     assert character_table(s3) is character_table(s3)
     assert isinstance(character_table(s3), CharacterTable)
+
+
+# sha256 over the JSON encoding of every character table and every irreducible
+# matrix of the 16 catalogue groups, as produced by the separate Bareiss,
+# Gauss-Jordan, F_p and echelon routines that row_reduce replaced. The
+# encoding names each cyclotomic's conductor, so a changed value or a changed
+# scalar type both show.
+CATALOGUE_TABLES_AND_IRREPS_SHA256 = "a9b0eed4fb272a4c7f142e2210581cbe8f5c5cb508c1eebfca5a0417bd422767"
+
+
+def test_catalogue_tables_and_irreps_match_recorded_digest():
+    digest = hashlib.sha256()
+    for name in catalogue_list()["groups"]:
+        g = group_by_name(name)
+        table = character_table(g)
+        irreps = [irrep_matrices(g, table, r).mats for r in range(len(table.rows))]
+        payload = {
+            "group": name,
+            "table": [[encode_scalar(x) for x in row] for row in table.rows],
+            "irreps": [[[encode_scalar(x) for x in m.data] for m in mats] for mats in irreps],
+        }
+        digest.update(json.dumps(payload, sort_keys=True).encode())
+    assert digest.hexdigest() == CATALOGUE_TABLES_AND_IRREPS_SHA256

@@ -33,8 +33,6 @@ def test_config_validation():
     with pytest.raises(UsageError):
         cli.RunConfig(command="dw", budget_dim=-1)
     with pytest.raises(UsageError):
-        cli.RunConfig(command="dw", threads=0)
-    with pytest.raises(UsageError):
         cli.RunConfig(command="verify-all", format="csv")
 
 
@@ -89,14 +87,6 @@ def test_budget_exceeded_exits_with_resource_code(capsys):
 
 def test_csv_rejected_for_non_tabular_commands(capsys):
     assert cli.main(["verify-all", "--extension", "Z2-Z4", "--format", "csv"]) == 2
-    capsys.readouterr()
-
-
-def test_bad_thread_env_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("EQUIDOUBLE_THREADS", "soon")
-    assert cli.main(["catalogue"]) == 2
-    monkeypatch.setenv("EQUIDOUBLE_THREADS", "0")
-    assert cli.main(["catalogue"]) == 2
     capsys.readouterr()
 
 
@@ -187,6 +177,27 @@ def test_json_file_inputs(tmp_path, capsys):
     assert report["orbit_count"] == 2
 
 
+@pytest.mark.parametrize(
+    "flag, payload",
+    [
+        ("--group", {"order": 0, "table": []}),
+        ("--group", {"order": 2, "table": [[0, 1], [1]]}),
+        ("--extension", {"h": "Z4", "kernel": [0, 2], "section": [0]}),
+        ("--presentation", {"generators": 1, "relations": [["a"]]}),
+    ],
+)
+def test_malformed_json_inputs_exit_with_usage_code(tmp_path, capsys, flag, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    argv = {
+        "--group": ["simples", "--group", str(path)],
+        "--extension": ["sectors", "--extension", str(path)],
+        "--presentation": ["dw", "--presentation", str(path), "--group", "Z2"],
+    }[flag]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_out_file_reports_are_byte_identical(tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
@@ -194,13 +205,9 @@ def test_out_file_reports_are_byte_identical(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
-    base = tmp_path / "one.json"
-    threaded = tmp_path / "four.json"
+def test_verify_all_runs_every_section(tmp_path):
+    base = tmp_path / "report.json"
     assert cli.main(["verify-all", "--extension", "Z2-Z4", "--out", str(base)]) == 0
-    monkeypatch.setenv("EQUIDOUBLE_THREADS", "4")
-    assert cli.main(["verify-all", "--extension", "Z2-Z4", "--out", str(threaded)]) == 0
-    assert base.read_bytes() == threaded.read_bytes()
     report = json.loads(base.read_text())
     assert sorted(report["sections"]) == [
         "category-diagrams",

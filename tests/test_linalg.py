@@ -1,12 +1,25 @@
 """Exact dense matrices: rank / det / kernel / solve with oracle cross-checks."""
 
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import equidouble
 from equidouble.errors import NonInvertibleError, UsageError
-from equidouble.linalg import ExactMatrix, inverse, mat_rank_det_kernel, solve
+from equidouble.linalg import (
+    ExactMatrix,
+    echelon_kernel,
+    inverse,
+    mat_rank_det_kernel,
+    row_reduce,
+    solve,
+    solve_rows,
+)
 from equidouble.scalars import Cyclotomic, scalar_eq, scalar_is_zero
 
 
@@ -121,3 +134,143 @@ def test_trace_and_transpose():
     assert a.transpose() == ExactMatrix.from_rows(
         [[Fraction(1), Fraction(3)], [Fraction(2), Fraction(4)]]
     )
+
+
+# -- the row-reduction kernel against independent oracles ---------------------
+
+
+def leibniz_det(rows, one=Fraction(1)):
+    """Determinant as the signed sum over permutations (no elimination)."""
+    n = len(rows)
+    total = 0 * one
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = one
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def rand_rational(rng):
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+
+
+def rand_zeta3(rng):
+    return Cyclotomic(3, [rng.randint(-2, 2), rng.randint(-2, 2)])
+
+
+def rand_rank_deficient(rng, entry, n, cols):
+    """An n x cols product of random n x r and r x cols factors, r < n."""
+    r = rng.randrange(n)
+    left = [[entry(rng) for _ in range(r)] for _ in range(n)]
+    right = [[entry(rng) for _ in range(cols)] for _ in range(r)]
+    return [[sum((left[i][k] * right[k][j] for k in range(r)), Fraction(0)) for j in range(cols)] for i in range(n)]
+
+
+@pytest.mark.parametrize("entry", [rand_rational, rand_zeta3], ids=["Q", "Q(zeta3)"])
+def test_kernel_against_leibniz_and_round_trips(entry):
+    rng = random.Random(2024)
+    for n in range(1, 6):
+        for low_rank in (False, True):
+            rows = rand_rank_deficient(rng, entry, n, n) if low_rank else [
+                [entry(rng) for _ in range(n)] for _ in range(n)
+            ]
+            a = ExactMatrix.from_rows(rows)
+            res = mat_rank_det_kernel(a)
+            assert scalar_eq(res.det, leibniz_det(rows))
+            assert res.rank + len(res.kernel_basis) == n
+            if low_rank:
+                assert res.rank < n
+            for v in res.kernel_basis:
+                assert (a @ ExactMatrix.from_rows([[x] for x in v])).is_zero()
+            b = ExactMatrix.from_rows([[entry(rng), entry(rng)] for _ in range(n)])
+            if scalar_is_zero(res.det):
+                with pytest.raises(NonInvertibleError):
+                    solve(a, b)
+            else:
+                assert all(scalar_eq(x, y) for x, y in zip((a @ solve(a, b)).data, b.data))
+                assert all(
+                    scalar_eq(x, y) for x, y in zip((a @ inverse(a)).data, ExactMatrix.identity(n).data)
+                )
+
+
+@pytest.mark.parametrize("entry", [rand_rational, rand_zeta3], ids=["Q", "Q(zeta3)"])
+def test_rectangular_kernels_annihilate(entry):
+    rng = random.Random(7)
+    for rows_n, cols in [(2, 5), (3, 4), (5, 3), (4, 4)]:
+        rows = rand_rank_deficient(rng, entry, rows_n, cols)
+        a = ExactMatrix.from_rows(rows)
+        res = mat_rank_det_kernel(a)
+        assert res.rank + len(res.kernel_basis) == cols
+        for v in res.kernel_basis:
+            assert (a @ ExactMatrix.from_rows([[x] for x in v])).is_zero()
+
+
+def test_kernel_over_prime_field():
+    p = 13
+    rng = random.Random(11)
+    for rows_n, cols in [(3, 5), (4, 4), (5, 3), (6, 6)]:
+        for _ in range(5):
+            a = [[rng.randrange(-20, 20) for _ in range(cols)] for _ in range(rows_n)]
+            # force a dependent last row
+            a[-1] = [(2 * x + 5 * y) for x, y in zip(a[0], a[1 % rows_n])]
+            work = [row[:] for row in a]
+            pivots, factor = row_reduce(work, modulus=p)
+            basis = echelon_kernel(work, pivots, cols, p)
+            assert len(pivots) + len(basis) == cols
+            free = [c for c in range(cols) if c not in pivots]
+            for f, v in zip(free, basis):
+                assert [v[c] for c in free] == [1 if c == f else 0 for c in free]
+                assert all(0 <= x < p for x in v)
+                assert all(sum(x * y for x, y in zip(row, v)) % p == 0 for row in a)
+            if rows_n == cols:
+                want = leibniz_det(a, 1) % p
+                assert (factor if len(pivots) == cols else 0) == want
+
+
+def test_prime_field_solve_rejects_target_outside_span():
+    p = 7
+    basis = [[1, 0, 2], [0, 1, 3]]  # columns of the 3 x 2 system
+    inside = [3 * x + 4 * y for x, y in zip(basis[0], basis[1])]
+    aug = [[basis[0][r], basis[1][r], inside[r]] for r in range(3)]
+    assert solve_rows(aug, 2, p) == [[3], [4]]
+    outside = [0, 0, 1]
+    aug = [[basis[0][r], basis[1][r], outside[r]] for r in range(3)]
+    with pytest.raises(NonInvertibleError, match="inconsistent"):
+        solve_rows(aug, 2, p)
+    dependent = [[1, 2, 1], [0, 0, 0], [2, 4, 2]]
+    with pytest.raises(NonInvertibleError, match="singular"):
+        solve_rows(dependent, 2, p)
+
+
+def test_solve_errors_do_not_depend_on_assert():
+    """Under python -O every assert is stripped; the kernel's callers must
+    still reject an out-of-span target and an inconsistent exact system."""
+    script = """
+from fractions import Fraction
+from equidouble.errors import NonInvertibleError
+from equidouble.linalg import ExactMatrix, solve, solve_rows
+cases = [
+    lambda: solve_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2, 7),
+    lambda: solve(
+        ExactMatrix.from_rows([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]),
+        ExactMatrix.from_rows([[Fraction(1)], [Fraction(3)]]),
+    ),
+]
+for case in cases:
+    try:
+        case()
+    except NonInvertibleError as exc:
+        print("raised:", exc)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(equidouble.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "raised: inconsistent system at row 2",
+        "raised: inconsistent system at row 1",
+    ]

@@ -7,7 +7,6 @@ import pytest
 
 from equidouble.scalars import (
     Cyclotomic,
-    PrimeFieldElement,
     as_cyclotomic,
     cyclotomic_conjugate,
     cyclotomic_polynomial,
@@ -139,18 +138,6 @@ def test_sort_key_is_total_order_on_equal_conductor():
     xs = [rand_cyclotomic(rng, 8) for _ in range(10)]
     keys = [x.sort_key() for x in xs]
     assert sorted(keys) == sorted(keys, key=lambda k: k)  # comparable tuples
-
-
-def test_prime_field():
-    p = 37
-    a = PrimeFieldElement(p, 5)
-    b = PrimeFieldElement(p, 30)
-    assert (a + b).value == 35
-    assert (a * b).value == (150 % 37)
-    assert (a - b).value == (5 - 30) % 37
-    assert (a * a.inverse()).value == 1
-    with pytest.raises(Exception):
-        PrimeFieldElement(p, 0).inverse()
 
 
 def test_is_prime():
