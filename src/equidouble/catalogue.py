@@ -154,9 +154,13 @@ def group_from_json(obj: object) -> FiniteGroup:
         table = obj["table"]
     except KeyError as missing:
         raise UsageError(f"group JSON lacks required key {missing}")
+    if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+        raise UsageError("group JSON table must be a list of rows")
     if not isinstance(order, int) or len(table) != order:
         raise UsageError("group JSON order must match the table size")
     labels = obj.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise UsageError("group JSON labels must be a list")
     name = obj.get("name", "")
     return FiniteGroup(table, labels=labels, name=name)
 
@@ -170,6 +174,8 @@ def presentation_from_json(obj: object) -> Presentation:
     except KeyError as missing:
         raise UsageError(f"presentation JSON lacks required key {missing}")
     relations = obj.get("relations", [])
+    if not isinstance(relations, list) or not all(isinstance(word, list) for word in relations):
+        raise UsageError("presentation JSON relations must be a list of letter lists")
     return Presentation(generators, tuple(tuple(word) for word in relations))
 
 
@@ -182,8 +188,11 @@ def extension_from_json(obj: object) -> GroupExtension:
         kernel = obj["kernel"]
     except KeyError as missing:
         raise UsageError(f"extension JSON lacks required key {missing}")
+    section = obj.get("section")
+    if not isinstance(kernel, list) or not (section is None or isinstance(section, list)):
+        raise UsageError("extension JSON kernel and section must be lists of element indices")
     h = group_by_name(h_ref) if isinstance(h_ref, str) else group_from_json(h_ref)
-    return extension_from_subgroup(h, kernel, section=obj.get("section"), name=obj.get("name", ""))
+    return extension_from_subgroup(h, kernel, section=section, name=obj.get("name", ""))
 
 
 def _load_json(path: str) -> object:

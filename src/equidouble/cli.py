@@ -37,7 +37,7 @@ from .modular import (
     simples_of_double,
     trivial_extension,
 )
-from .orbifold import PsiReport, orbifold_algebra, orbifold_ribbon, psi_check, verify_sector_double
+from .orbifold import orbifold_algebra, orbifold_ribbon, psi_check, verify_sector_double
 from .scalars import Cyclotomic, Scalar, scalar_eq
 
 SCHEMA = 1
@@ -157,16 +157,15 @@ def _cmd_dw(config: RunConfig) -> tuple[dict, bool]:
 def _cmd_double(config: RunConfig) -> tuple[dict, bool]:
     group = load_group(_require(config.group, "--group"))
     d = double_algebra(group)
-    checks = dict(verify_all_axioms(d.ribbon_data(), sampled=config.sampled).checks)
-    ok = all(checks.values())
+    rep = verify_all_axioms(d.ribbon_data(), sampled=config.sampled)
     report = {
         "group": config.group,
         "dimension": d.hopf.dim,
-        "mode": "sampled" if config.sampled else "full",
-        "checks": checks,
-        "all_passed": ok,
+        "mode": rep.mode,
+        "checks": dict(rep.checks),
+        "all_passed": rep.all_passed,
     }
-    return report, ok
+    return report, rep.all_passed
 
 
 def _cmd_jdouble(config: RunConfig) -> tuple[dict, bool]:
@@ -180,9 +179,9 @@ def _cmd_jdouble(config: RunConfig) -> tuple[dict, bool]:
         "sector_dimensions": [len(ext.fiber(j)) * ext.G.order for j in range(ext.J.order)],
         "mode": rep.mode,
         "checks": dict(rep.checks),
-        "all_passed": rep.all_passed(),
+        "all_passed": rep.all_passed,
     }
-    return report, rep.all_passed()
+    return report, rep.all_passed
 
 
 def _cmd_orbifold(config: RunConfig) -> tuple[dict, bool]:
@@ -190,30 +189,20 @@ def _cmd_orbifold(config: RunConfig) -> tuple[dict, bool]:
     sd = sector_double(ext)
     ohat = orbifold_algebra(sd)
     rib = orbifold_ribbon(sd, ohat)
-    checks = dict(verify_all_axioms(rib, sampled=config.sampled).checks)
+    rep = verify_all_axioms(rib, sampled=config.sampled)
     report = {
         "extension": config.extension,
         "dimension": ohat.dim,
-        "mode": "sampled" if config.sampled else "full",
-        "checks": checks,
+        "mode": rep.mode,
+        "checks": dict(rep.checks),
     }
-    ok = all(checks.values())
+    ok = rep.all_passed
     if config.check_psi:
         psi = psi_check(ext)
-        report["psi"] = _psi_payload(psi)
+        report["psi"] = dict(psi.checks)
         ok = ok and psi.all_passed
     report["all_passed"] = ok
     return report, ok
-
-
-def _psi_payload(psi: PsiReport) -> dict:
-    return {
-        "bijective": psi.bijective,
-        "product": psi.product,
-        "coproduct": psi.coproduct,
-        "rmatrix": psi.rmatrix,
-        "twist": psi.twist,
-    }
 
 
 def _smatrix_payload(group_ref: str) -> tuple[dict, bool]:
@@ -322,7 +311,7 @@ def _cmd_verify_all(config: RunConfig) -> tuple[dict, bool]:
             verify_all_axioms(double_algebra(ext.H).ribbon_data(), sampled=config.sampled).checks
         ),
         "j-hopf-axioms": dict(verify_sector_double(sd, sampled=config.sampled).checks),
-        "psi-identification": _psi_payload(psi_check(ext)),
+        "psi-identification": dict(psi_check(ext).checks),
         "category-diagrams": _category_payload(ext, config),
     }
     invertible = s_matrix(ext.H).is_invertible()

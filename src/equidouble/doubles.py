@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UsageError
+from .errors import NonInvertibleError, UsageError
 from .groups import FiniteGroup, GroupExtension, extension_from_subgroup
 from .groupoids import GroupAction, action_via_hom
-from .hopf import RibbonData, SparseTen, SparseVec, TableHopf, t_eq, v_eq
+from .hopf import RibbonData, SparseTen, SparseVec, TableHopf, outer, sparse_eq
 
 ONE = Fraction(1)
 
@@ -197,22 +197,20 @@ def sector_double(ext: GroupExtension, name: str = "") -> SectorDouble:
     )
 
     # structural sanity: inverses really invert, sector-wise
+    units = [sd.sector_unit(j) for j in range(nj)]
     for j in range(nj):
-        unit_j = sd.sector_unit(j)
-        assert v_eq(hopf.mul_vec(theta[j], theta_inv[j]), unit_j), f"theta_{j} inverse"
-        assert v_eq(hopf.mul_vec(theta_inv[j], theta[j]), unit_j), f"theta_{j} inverse"
+        if not (
+            sparse_eq(hopf.mul_vec(theta[j], theta_inv[j]), units[j])
+            and sparse_eq(hopf.mul_vec(theta_inv[j], theta[j]), units[j])
+        ):
+            raise NonInvertibleError(f"theta_{j} inverse")
     for i in range(nj):
         for j in range(nj):
-            unit_ij = {
-                (a, b): ONE
-                for a in (idx(h, 0) for h in fibers[i])
-                for b in (idx(h, 0) for h in fibers[j])
-            }
             prod = hopf.ten_mul(r_sector[(i, j)], r_sector_inv[(i, j)])
-            assert t_eq(prod, unit_ij), f"R_({i},{j}) inverse"
-            assert v_eq(
-                hopf.mul_vec(coherence[(i, j)], coherence_inv[(i, j)]), unit
-            ), f"c_({i},{j}) inverse"
+            if not sparse_eq(prod, outer(units[i], units[j])):
+                raise NonInvertibleError(f"R_({i},{j}) inverse")
+            if not sparse_eq(hopf.mul_vec(coherence[(i, j)], coherence_inv[(i, j)]), unit):
+                raise NonInvertibleError(f"c_({i},{j}) inverse")
     return sd
 
 

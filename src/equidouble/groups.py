@@ -15,6 +15,10 @@ from typing import Optional, Sequence
 from .errors import UsageError
 
 
+def _is_index(x: object, n: int) -> bool:
+    return isinstance(x, int) and 0 <= x < n
+
+
 class FiniteGroup:
     """Group law as a full order x order table; verified at construction."""
 
@@ -33,6 +37,8 @@ class FiniteGroup:
         for i, row in enumerate(self.table):
             if len(row) != n:
                 raise UsageError(f"group table is not square: row {i} has {len(row)} entries, not {n}")
+            if not all(_is_index(x, n) for x in row):
+                raise UsageError(f"group table row {i} has an entry that is not an element index 0..{n - 1}")
         # identity at index 0
         for x in range(n):
             if self.table[0][x] != x or self.table[x][0] != x:
@@ -61,7 +67,8 @@ class FiniteGroup:
                     break
         self.inv = tuple(inv)
         self.labels = tuple(labels) if labels else tuple(str(i) for i in range(n))
-        assert len(self.labels) == n
+        if len(self.labels) != n:
+            raise UsageError(f"{len(self.labels)} labels for a group of order {n}")
         self._conjugacy: Optional[ConjugacyData] = None
 
     # -- element arithmetic -------------------------------------------
@@ -260,6 +267,8 @@ class GroupExtension:
         self.name = name
         if len(self.section) != J.order:
             raise UsageError(f"section has {len(self.section)} values for {J.order} cosets")
+        if not all(_is_index(h, H.order) for h in self.section):
+            raise UsageError(f"section values must be element indices 0..{H.order - 1}")
         if self.section[0] != 0:
             raise UsageError("section not normalized (s(1) != 1)")
         for j in range(J.order):
@@ -291,6 +300,9 @@ def extension_from_subgroup(
     J is the quotient (cosets ordered by smallest member); the default section
     picks the smallest element of each coset, which is automatically normalized.
     """
+    kernel_elements = tuple(kernel_elements)
+    if not all(_is_index(k, H.order) for k in kernel_elements):
+        raise UsageError(f"kernel elements must be element indices 0..{H.order - 1}")
     kernel_set = tuple(sorted(set(kernel_elements)))
     if not H.is_normal(kernel_set):
         raise UsageError("kernel is not a normal subgroup")

@@ -9,13 +9,17 @@ elements are assembled from the sector pieces, and the label permutation
     (delta_m (x) g) (x) j  |->  delta_m (x) (incl(g) * s(j))
 
 identifies the whole package with the ordinary double of H. `psi_check`
-verifies that identification exhaustively.
+verifies that identification exhaustively and `verify_sector_double` runs
+the axiom suite of a graded double; both return a `hopf.VerifyReport`
+(checks, the `all_passed` property, and the first failing tuple of each
+failed check in `witnesses`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import product
 from typing import Optional, Sequence
 
 from .doubles import SectorDouble, double_algebra, sector_double
@@ -27,15 +31,16 @@ from .hopf import (
     SparseVec,
     TableHopf,
     VerifyReport,
-    t_eq,
-    v_add,
-    v_eq,
+    clean,
+    outer,
+    sparse_add,
+    sparse_eq,
     verify_hopf,
     verify_quasitriangular,
     verify_ribbon,
 )
 from .linalg import ExactMatrix, solve
-from .scalars import Scalar, scalar_eq, scalar_is_zero
+from .scalars import Scalar
 
 ONE = Fraction(1)
 
@@ -99,8 +104,10 @@ def _permute(vec: SparseVec, perm: Sequence[int]) -> SparseVec:
 def algebra_inverse(hopf: TableHopf, x: SparseVec) -> SparseVec:
     """Two-sided inverse of x in the table algebra, by exact linear solve.
 
-    Raises NonInvertibleError when no left inverse exists; a left inverse in
-    a finite-dimensional algebra is automatically two-sided.
+    Solves x y = 1 and certifies y x = 1 by multiplication; raises
+    NonInvertibleError when either fails. (In a finite-dimensional algebra a
+    one-sided inverse is two-sided, so the second failure means the table is
+    not an associative unital algebra.)
     """
     n = hopf.dim
     lmul = ExactMatrix.zeros(n, n)
@@ -112,9 +119,9 @@ def algebra_inverse(hopf: TableHopf, x: SparseVec) -> SparseVec:
     for r, c in hopf.unit.items():
         rhs[r, 0] = c
     sol = solve(lmul, rhs)
-    inv = {k: sol[k, 0] for k in range(n)}
-    inv = {k: c for k, c in inv.items() if not scalar_is_zero(c)}
-    assert v_eq(hopf.mul_vec(inv, x), hopf.unit)
+    inv = clean({k: sol[k, 0] for k in range(n)})
+    if not sparse_eq(hopf.mul_vec(inv, x), hopf.unit):
+        raise NonInvertibleError("right inverse is not a left inverse")
     return inv
 
 
@@ -130,7 +137,8 @@ def orbifold_ribbon(sd: SectorDouble, ohat: Optional[TableHopf] = None) -> Ribbo
     through (1_A (x) i^{-1})^{-1}; the inverse twist collects the sector
     inverse twists the same way, through (1_A (x) j^{-1})^{-1}. The carrier
     index always matches the index inside s(.^{-1}) of the sector piece.
-    Inverses are certified by multiplication.
+    Inverses are certified by multiplication; NonInvertibleError says which
+    one failed.
     """
     if ohat is None:
         ohat = orbifold_algebra(sd)
@@ -148,7 +156,7 @@ def orbifold_ribbon(sd: SectorDouble, ohat: Optional[TableHopf] = None) -> Ribbo
             for r, cr in right.items():
                 key = (left, r)
                 rhat[key] = rhat.get(key, Fraction(0)) + c * cr
-    rhat = {k: c for k, c in rhat.items() if not scalar_is_zero(c)}
+    rhat = clean(rhat)
 
     # the inverse braiding of the big double, written in crossed-product
     # labels: (delta_a (x) 1) (x) (delta_b (x) g_of(a^{-1} s(j)^{-1}) (x) j)
@@ -163,34 +171,17 @@ def orbifold_ribbon(sd: SectorDouble, ohat: Optional[TableHopf] = None) -> Ribbo
         for b in range(H.order):
             right = sd.index(b, g) * n_j + j
             rhat_inv[(left, right)] = ONE
-    unit_ten = {(x, y): cx * cy for x, cx in ohat.unit.items() for y, cy in ohat.unit.items()}
-    assert t_eq(ohat.ten_mul(rhat, rhat_inv), unit_ten)
-    assert t_eq(ohat.ten_mul(rhat_inv, rhat), unit_ten)
+    unit_ten = outer(ohat.unit, ohat.unit)
+    if not (
+        sparse_eq(ohat.ten_mul(rhat, rhat_inv), unit_ten)
+        and sparse_eq(ohat.ten_mul(rhat_inv, rhat), unit_ten)
+    ):
+        raise NonInvertibleError("the assembled R-matrix is not inverted by the inverse braiding of the double")
 
-    twist: SparseVec = {}
-    for j in range(n_j):
-        piece = ohat.mul_vec(inv_of_grouplike[j], _shift(sd.theta_inv[j], 0, n_j))
-        for k, c in piece.items():
-            twist[k] = twist.get(k, Fraction(0)) + c
-    twist = {k: c for k, c in twist.items() if not scalar_is_zero(c)}
+    pieces = (ohat.mul_vec(inv_of_grouplike[j], _shift(sd.theta_inv[j], 0, n_j)) for j in range(n_j))
+    twist: SparseVec = reduce(sparse_add, pieces, {})
     ribbon = algebra_inverse(ohat, twist)
     return RibbonData(hopf=ohat, r_matrix=rhat, r_inverse=rhat_inv, ribbon=ribbon, ribbon_inverse=twist)
-
-
-@dataclass
-class PsiReport:
-    """Outcome of comparing the crossed product with the double of H."""
-
-    bijective: bool
-    product: bool
-    coproduct: bool
-    rmatrix: bool
-    twist: bool
-    witnesses: dict[str, tuple] = field(default_factory=dict)
-
-    @property
-    def all_passed(self) -> bool:
-        return self.bijective and self.product and self.coproduct and self.rmatrix and self.twist
 
 
 def psi_permutation(sd: SectorDouble, section: Optional[Sequence[int]] = None) -> list[int]:
@@ -209,28 +200,25 @@ def psi_permutation(sd: SectorDouble, section: Optional[Sequence[int]] = None) -
     return perm
 
 
-def psi_check(ext: GroupExtension, section: Optional[Sequence[int]] = None) -> PsiReport:
+def psi_check(ext: GroupExtension, section: Optional[Sequence[int]] = None) -> VerifyReport:
     """Exhaustive comparison of the crossed product of the graded double
     with the ordinary double of H under the basis relabeling.
 
-    Checks bijectivity, multiplicativity on every basis pair, the coproduct
-    and counit on every basis element, and that the assembled braiding and
-    inverse twist land on their counterparts in the double of H. A non-left-
-    normalized section is accepted for negative controls; failures carry a
-    witness basis pair.
+    The report's checks are `bijective` (witness: the two dimensions),
+    `product` on every basis pair (witness: the first pair (x, y) whose
+    relabeled product differs), `coproduct` with the counit on every basis
+    element (witness: (x,)), and `rmatrix` and `twist`, which compare the
+    assembled braiding and inverse twist with their counterparts in the
+    double of H (witness: ()). A non-left-normalized section is accepted
+    for negative controls.
     """
     sd = sector_double(ext)
     dh = double_algebra(ext.H)
+    big = dh.hopf
     ohat = orbifold_algebra(sd)
     rib = orbifold_ribbon(sd, ohat)
     perm = psi_permutation(sd, section)
-    dim = ohat.dim
-
-    report = PsiReport(True, True, True, True, True)
-    if sorted(perm) != list(range(dh.hopf.dim)) or dim != dh.hopf.dim:
-        report.bijective = False
-        report.witnesses["bijective"] = (dim, dh.hopf.dim)
-        return report
+    basis = range(ohat.dim)
 
     def map_vec(vec: SparseVec) -> SparseVec:
         return {perm[k]: c for k, c in vec.items()}
@@ -238,29 +226,23 @@ def psi_check(ext: GroupExtension, section: Optional[Sequence[int]] = None) -> P
     def map_ten(ten: SparseTen) -> SparseTen:
         return {(perm[x], perm[y]): c for (x, y), c in ten.items()}
 
-    for x in range(dim):
-        if report.product:
-            for y in range(dim):
-                got = map_vec(ohat.mul_basis(x, y))
-                want = dh.hopf.mul_basis(perm[x], perm[y])
-                if not v_eq(got, want):
-                    report.product = False
-                    report.witnesses["product"] = (x, y)
-                    break
-        if report.coproduct:
-            got_t = map_ten(ohat.comul_basis(x))
-            want_t = dh.hopf.comul_basis(perm[x])
-            if not t_eq(got_t, want_t) or ohat.counit_basis(x) != dh.hopf.counit_basis(perm[x]):
-                report.coproduct = False
-                report.witnesses["coproduct"] = (x,)
+    def coproduct(x: int) -> bool:
+        return (
+            sparse_eq(map_ten(ohat.comul_basis(x)), big.comul_basis(perm[x]))
+            and ohat.counit_basis(x) == big.counit_basis(perm[x])
+        )
 
-    if not t_eq(map_ten(rib.r_matrix), dh.r_sector[(0, 0)]):
-        report.rmatrix = False
-        report.witnesses["rmatrix"] = ()
-    if not v_eq(map_vec(rib.ribbon_inverse), dh.theta_inv[0]):
-        report.twist = False
-        report.witnesses["twist"] = ()
-    return report
+    rep = VerifyReport(mode="full")
+    rep.check("bijective", [(ohat.dim, big.dim)], lambda n, m: n == m and sorted(perm) == list(range(m)))
+    rep.check(
+        "product",
+        product(basis, basis),
+        lambda x, y: sparse_eq(map_vec(ohat.mul_basis(x, y)), big.mul_basis(perm[x], perm[y])),
+    )
+    rep.check("coproduct", product(basis), coproduct)
+    rep.check("rmatrix", [()], lambda: sparse_eq(map_ten(rib.r_matrix), dh.r_sector[(0, 0)]))
+    rep.check("twist", [()], lambda: sparse_eq(map_vec(rib.ribbon_inverse), dh.theta_inv[0]))
+    return rep
 
 
 def verify_sector_double(sd: SectorDouble, sampled: bool = False, samples: int = 400, seed: int = 0) -> VerifyReport:
@@ -270,137 +252,125 @@ def verify_sector_double(sd: SectorDouble, sampled: bool = False, samples: int =
     invertibility of the sector braiding and twist, and the quasitriangular
     plus ribbon axioms of the crossed product they assemble into.
 
-    A failure anywhere (including an inconsistency that aborts the crossed
-    product construction) is reported as a failed check, never an exception.
+    Each check runs over basis or sector index tuples and is witnessed by the
+    first tuple it fails on; a check made of several identities runs them in
+    turn and stops at the first failing one. A failure that aborts the
+    crossed product construction (UsageError, NonInvertibleError, KeyError)
+    fails each `orbifold-*` check not yet decided, with the error message as
+    its witness, instead of raising.
     """
     hopf = sd.hopf
-    ext = sd.ext
-    J = ext.J
-    nj = J.order
-    report = VerifyReport(mode="sampled" if sampled else "full")
-    checks = report.checks
-
-    checks["hopf-axioms"] = verify_hopf(hopf, sampled=sampled, samples=samples, seed=seed).all_passed()
-
+    J = sd.ext.J
+    basis = range(hopf.dim)
+    js = range(J.order)
     sector = sd.sector_of
-    ideals = True
-    for a in range(hopf.dim):
-        for b in range(hopf.dim):
-            prod = hopf.mul_basis(a, b)
-            if sector(a) != sector(b):
-                ideals = ideals and not prod
-            else:
-                ideals = ideals and all(sector(k) == sector(a) for k in prod)
-    units = [sd.sector_unit(j) for j in range(nj)]
-    ideals = ideals and v_eq(hopf.unit, _vec_sum(units))
-    for i in range(nj):
-        for j in range(nj):
-            want = units[i] if i == j else {}
-            ideals = ideals and v_eq(hopf.mul_vec(units[i], units[j]), want)
-    checks["sector-ideals"] = ideals
+    phi = sd.phi
+    units = [sd.sector_unit(j) for j in js]
+    suite = dict(sampled=sampled, samples=samples, seed=seed)
+    rep = VerifyReport(mode="sampled" if sampled else "full")
 
-    checks["coproduct-grading"] = all(
-        J.mul(sector(x), sector(y)) == sector(a)
-        for a in range(hopf.dim)
-        for (x, y) in hopf.comul_basis(a)
-    )
-    checks["counit-sector"] = all(
-        sector(a) == 0 or scalar_is_zero(hopf.counit_basis(a)) for a in range(hopf.dim)
-    )
-    checks["antipode-grading"] = all(
-        sector(k) == J.inv[sector(a)]
-        for a in range(hopf.dim)
-        for k in hopf.antipode_basis(a)
+    rep.include("hopf-axioms", verify_hopf(hopf, **suite))
+
+    def ideal_pair(a: int, b: int) -> bool:
+        prod = hopf.mul_basis(a, b)
+        if sector(a) != sector(b):
+            return not prod
+        return all(sector(k) == sector(a) for k in prod)
+
+    rep.check("sector-ideals", product(basis, basis), ideal_pair)
+    rep.check("sector-ideals", [()], lambda: sparse_eq(hopf.unit, reduce(sparse_add, units, {})))
+    rep.check(
+        "sector-ideals",
+        product(js, js),
+        lambda i, j: sparse_eq(hopf.mul_vec(units[i], units[j]), units[i] if i == j else {}),
     )
 
-    checks["phi-identity"] = sd.phi[0] == tuple(range(hopf.dim))
-    checks["phi-grading"] = all(
-        sector(sd.phi[j][a]) == J.conj(j, sector(a))
-        for j in range(nj)
-        for a in range(hopf.dim)
+    rep.check(
+        "coproduct-grading",
+        ((a, x, y) for a in basis for (x, y) in hopf.comul_basis(a)),
+        lambda a, x, y: J.mul(sector(x), sector(y)) == sector(a),
+    )
+    rep.check("counit-sector", product(basis), lambda a: sector(a) == 0 or not hopf.counit_basis(a))
+    rep.check(
+        "antipode-grading",
+        ((a, k) for a in basis for k in hopf.antipode_basis(a)),
+        lambda a, k: sector(k) == J.inv[sector(a)],
     )
 
-    phi_hopf = True
-    for j in range(nj):
-        perm = sd.phi[j]
-        phi_hopf = phi_hopf and v_eq(_permute(hopf.unit, perm), hopf.unit)
-        for a in range(hopf.dim):
-            phi_hopf = phi_hopf and scalar_eq(hopf.counit_basis(perm[a]), hopf.counit_basis(a))
-            phi_hopf = phi_hopf and v_eq(
-                _permute(hopf.antipode_basis(a), perm), hopf.antipode_basis(perm[a])
-            )
-            moved = {(perm[x], perm[y]): c for (x, y), c in hopf.comul_basis(a).items()}
-            phi_hopf = phi_hopf and t_eq(moved, hopf.comul_basis(perm[a]))
-            for b in range(hopf.dim):
-                phi_hopf = phi_hopf and v_eq(
-                    _permute(hopf.mul_basis(a, b), perm), hopf.mul_basis(perm[a], perm[b])
-                )
-    checks["phi-hopf-map"] = phi_hopf
+    rep.check("phi-identity", [()], lambda: phi[0] == tuple(basis))
+    rep.check("phi-grading", product(js, basis), lambda j, a: sector(phi[j][a]) == J.conj(j, sector(a)))
 
-    comp = True
-    for i in range(nj):
-        for j in range(nj):
-            ij = J.mul(i, j)
-            c_ij = sd.coherence[(i, j)]
-            c_ij_inv = sd.coherence_inv[(i, j)]
-            comp = comp and v_eq(hopf.mul_vec(c_ij, c_ij_inv), hopf.unit)
-            comp = comp and v_eq(hopf.mul_vec(c_ij_inv, c_ij), hopf.unit)
-            for a in range(hopf.dim):
-                lhs = {sd.phi[i][sd.phi[j][a]]: ONE}
-                rhs = hopf.mul_vec(hopf.mul_vec(c_ij, {sd.phi[ij][a]: ONE}), c_ij_inv)
-                comp = comp and v_eq(lhs, rhs)
-    checks["phi-composition"] = comp
-
-    checks["coherence-normalized"] = all(
-        v_eq(sd.coherence[(0, j)], hopf.unit) and v_eq(sd.coherence[(j, 0)], hopf.unit)
-        for j in range(nj)
-    )
-    checks["coherence-cocycle"] = all(
-        v_eq(
-            hopf.mul_vec(sd.coherence[(i, j)], sd.coherence[(J.mul(i, j), k)]),
-            hopf.mul_vec(_permute(sd.coherence[(j, k)], sd.phi[i]), sd.coherence[(i, J.mul(j, k))]),
+    def phi_on_element(j: int, a: int) -> bool:
+        perm = phi[j]
+        moved = {(perm[x], perm[y]): c for (x, y), c in hopf.comul_basis(a).items()}
+        return (
+            hopf.counit_basis(perm[a]) == hopf.counit_basis(a)
+            and sparse_eq(_permute(hopf.antipode_basis(a), perm), hopf.antipode_basis(perm[a]))
+            and sparse_eq(moved, hopf.comul_basis(perm[a]))
         )
-        for i in range(nj)
-        for j in range(nj)
-        for k in range(nj)
+
+    rep.check("phi-hopf-map", product(js), lambda j: sparse_eq(_permute(hopf.unit, phi[j]), hopf.unit))
+    rep.check("phi-hopf-map", product(js, basis), phi_on_element)
+    rep.check(
+        "phi-hopf-map",
+        product(js, basis, basis),
+        lambda j, a, b: sparse_eq(_permute(hopf.mul_basis(a, b), phi[j]), hopf.mul_basis(phi[j][a], phi[j][b])),
     )
 
-    r_ok = True
-    t_ok = True
-    for i in range(nj):
-        for j in range(nj):
-            r = sd.r_sector[(i, j)]
-            rinv = sd.r_sector_inv[(i, j)]
-            r_ok = r_ok and all(sector(a) == i and sector(b) == j for (a, b) in r)
-            r_ok = r_ok and all(sector(a) == i and sector(b) == j for (a, b) in rinv)
-            unit_ij = {(a, b): ONE * ca * cb for a, ca in units[i].items() for b, cb in units[j].items()}
-            r_ok = r_ok and t_eq(hopf.ten_mul(r, rinv), unit_ij)
-            r_ok = r_ok and t_eq(hopf.ten_mul(rinv, r), unit_ij)
-    for j in range(nj):
-        t_ok = t_ok and all(sector(a) == j for a in sd.theta[j])
-        t_ok = t_ok and all(sector(a) == j for a in sd.theta_inv[j])
-        t_ok = t_ok and v_eq(hopf.mul_vec(sd.theta[j], sd.theta_inv[j]), units[j])
-        t_ok = t_ok and v_eq(hopf.mul_vec(sd.theta_inv[j], sd.theta[j]), units[j])
-    checks["rmatrix-sectors"] = r_ok
-    checks["twist-sectors"] = t_ok
+    def coherence_inverse(i: int, j: int) -> bool:
+        c, c_inv = sd.coherence[(i, j)], sd.coherence_inv[(i, j)]
+        return sparse_eq(hopf.mul_vec(c, c_inv), hopf.unit) and sparse_eq(hopf.mul_vec(c_inv, c), hopf.unit)
+
+    def composition(i: int, j: int, a: int) -> bool:
+        twisted = hopf.mul_vec(sd.coherence[(i, j)], {phi[J.mul(i, j)][a]: ONE})
+        return sparse_eq({phi[i][phi[j][a]]: ONE}, hopf.mul_vec(twisted, sd.coherence_inv[(i, j)]))
+
+    rep.check("phi-composition", product(js, js), coherence_inverse)
+    rep.check("phi-composition", product(js, js, basis), composition)
+
+    rep.check(
+        "coherence-normalized",
+        product(js),
+        lambda j: sparse_eq(sd.coherence[(0, j)], hopf.unit) and sparse_eq(sd.coherence[(j, 0)], hopf.unit),
+    )
+    rep.check(
+        "coherence-cocycle",
+        product(js, js, js),
+        lambda i, j, k: sparse_eq(
+            hopf.mul_vec(sd.coherence[(i, j)], sd.coherence[(J.mul(i, j), k)]),
+            hopf.mul_vec(_permute(sd.coherence[(j, k)], phi[i]), sd.coherence[(i, J.mul(j, k))]),
+        ),
+    )
+
+    def r_sector(i: int, j: int) -> bool:
+        r, r_inv = sd.r_sector[(i, j)], sd.r_sector_inv[(i, j)]
+        unit_ij = outer(units[i], units[j])
+        return (
+            all(sector(a) == i and sector(b) == j for t in (r, r_inv) for (a, b) in t)
+            and sparse_eq(hopf.ten_mul(r, r_inv), unit_ij)
+            and sparse_eq(hopf.ten_mul(r_inv, r), unit_ij)
+        )
+
+    def twist_sector(j: int) -> bool:
+        t, t_inv = sd.theta[j], sd.theta_inv[j]
+        return (
+            all(sector(a) == j for v in (t, t_inv) for a in v)
+            and sparse_eq(hopf.mul_vec(t, t_inv), units[j])
+            and sparse_eq(hopf.mul_vec(t_inv, t), units[j])
+        )
+
+    rep.check("rmatrix-sectors", product(js, js), r_sector)
+    rep.check("twist-sectors", product(js), twist_sector)
 
     try:
         ohat = orbifold_algebra(sd)
-        checks["orbifold-hopf"] = verify_hopf(ohat, sampled=sampled, samples=samples, seed=seed).all_passed()
+        rep.include("orbifold-hopf", verify_hopf(ohat, **suite))
         rib = orbifold_ribbon(sd, ohat)
-        checks["orbifold-quasitriangular"] = verify_quasitriangular(
-            rib, sampled=sampled, samples=samples, seed=seed
-        ).all_passed()
-        checks["orbifold-ribbon"] = verify_ribbon(rib, sampled=sampled, samples=samples, seed=seed).all_passed()
-    except (AssertionError, UsageError, NonInvertibleError, KeyError):
-        checks["orbifold-hopf"] = checks.get("orbifold-hopf", False)
-        checks["orbifold-quasitriangular"] = False
-        checks["orbifold-ribbon"] = False
-    return report
-
-
-def _vec_sum(vecs: Sequence[SparseVec]) -> SparseVec:
-    total: SparseVec = {}
-    for v in vecs:
-        total = v_add(total, v)
-    return total
+        rep.include("orbifold-quasitriangular", verify_quasitriangular(rib, **suite))
+        rep.include("orbifold-ribbon", verify_ribbon(rib, **suite))
+    except (UsageError, NonInvertibleError, KeyError) as exc:
+        for name in ("orbifold-hopf", "orbifold-quasitriangular", "orbifold-ribbon"):
+            if name not in rep.checks:
+                rep.checks[name] = False
+                rep.witnesses[name] = (str(exc),)
+    return rep

@@ -81,36 +81,44 @@ def test_criterion_2_hopf_axiom_suites_and_corruption_detection():
     start = time.monotonic()
     for name in ("Z2", "Z4", "S3", "D4", "Q8"):
         d = double_algebra(group_by_name(name))
-        assert verify_hopf(d.hopf).all_passed(), name
+        assert verify_hopf(d.hopf).all_passed, name
         rib = d.ribbon_data()
-        assert verify_quasitriangular(rib).all_passed(), name
-        assert verify_ribbon(rib).all_passed(), name
+        assert verify_quasitriangular(rib).all_passed, name
+        assert verify_ribbon(rib).all_passed, name
     for name in ("A3-S3", "Z2-Z4", "Z4-D4"):
         report = verify_sector_double(sector_double(extension_by_name(name)))
-        assert report.all_passed(), (name, report.failing())
+        assert report.all_passed, (name, report.failing())
 
     # single corrupted structure constants must be caught
     d = double_algebra(group_by_name("Z2"))
     pair = next(k for k, v in d.hopf._mul.items() if v)
     target = next(iter(d.hopf._mul[pair]))
     d.hopf._mul[pair][target] = Fraction(5)
-    assert not verify_hopf(d.hopf).all_passed()
+    report = verify_hopf(d.hopf)
+    assert not report.all_passed
+    assert set(report.witnesses) == set(report.failing())
 
     d = double_algebra(group_by_name("Z4"))
     rib = d.ribbon_data()
     key = next(iter(rib.ribbon))
     rib.ribbon[key] = -rib.ribbon[key]
-    assert not verify_ribbon(rib).all_passed()
+    report = verify_ribbon(rib)
+    assert not report.all_passed
+    assert set(report.witnesses) == set(report.failing())
 
     sd = sector_double(extension_by_name("Z2-Z4"))
     key = next(iter(sd.r_sector[(1, 1)]))
     sd.r_sector[(1, 1)][key] = Fraction(2)
-    assert "rmatrix-sectors" in verify_sector_double(sd).failing()
+    report = verify_sector_double(sd)
+    assert "rmatrix-sectors" in report.failing()
+    assert report.witnesses["rmatrix-sectors"] == (1, 1)
 
     sd = sector_double(extension_by_name("A3-S3"))
     entry = next(iter(sd.theta[1]))
     sd.theta[1][entry] = -sd.theta[1][entry]
-    assert "twist-sectors" in verify_sector_double(sd).failing()
+    report = verify_sector_double(sd)
+    assert "twist-sectors" in report.failing()
+    assert report.witnesses["twist-sectors"] == (1,)
     _finish(2, "Hopf axiom suites with corruption controls", start, 60.0)
 
 
@@ -118,11 +126,11 @@ def test_criterion_3_crossed_product_identification():
     start = time.monotonic()
     for name in ("A3-S3", "Z2-Z4"):
         psi = psi_check(extension_by_name(name))
-        assert psi.bijective, name
-        assert psi.product, name
-        assert psi.coproduct, name
-        assert psi.rmatrix, name
-        assert psi.twist, name
+        assert psi.checks["bijective"], name
+        assert psi.checks["product"], name
+        assert psi.checks["coproduct"], name
+        assert psi.checks["rmatrix"], name
+        assert psi.checks["twist"], name
         assert psi.all_passed
     _finish(3, "crossed product identified with plain double", start, 30.0)
 

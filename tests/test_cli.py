@@ -184,6 +184,13 @@ def test_json_file_inputs(tmp_path, capsys):
         ("--group", {"order": 2, "table": [[0, 1], [1]]}),
         ("--extension", {"h": "Z4", "kernel": [0, 2], "section": [0]}),
         ("--presentation", {"generators": 1, "relations": [["a"]]}),
+        ("--group", {"order": 2, "table": 5}),
+        ("--group", {"order": 2, "table": [[0, 1], [1, "x"]]}),
+        ("--group", {"order": 2, "table": [[0, 1], [1, 0]], "labels": ["a"]}),
+        ("--extension", {"h": "Z4", "kernel": [0, 9]}),
+        ("--extension", {"h": "Z4", "kernel": "ab"}),
+        ("--extension", {"h": "Z4", "kernel": [0, 2], "section": [0, 7]}),
+        ("--presentation", {"generators": 2, "relations": [1, 2]}),
     ],
 )
 def test_malformed_json_inputs_exit_with_usage_code(tmp_path, capsys, flag, payload):

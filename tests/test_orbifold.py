@@ -1,14 +1,18 @@
 """Crossed product of the graded double and its comparison with D(H)."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import equidouble
 from equidouble.doubles import double_algebra, sector_double
 from equidouble.errors import NonInvertibleError
 from equidouble.hopf import (
-    t_eq,
-    v_eq,
+    hopf_checks,
+    sparse_eq,
     verify_hopf,
     verify_quasitriangular,
     verify_ribbon,
@@ -63,17 +67,17 @@ def test_orbifold_of_trivial_sector_group_is_the_double_itself():
     assert ohat.dim == sd.hopf.dim
     for x in range(ohat.dim):
         for y in range(ohat.dim):
-            assert v_eq(ohat.mul_basis(x, y), sd.hopf.mul_basis(x, y))
-        assert t_eq(ohat.comul_basis(x), sd.hopf.comul_basis(x))
+            assert sparse_eq(ohat.mul_basis(x, y), sd.hopf.mul_basis(x, y))
+        assert sparse_eq(ohat.comul_basis(x), sd.hopf.comul_basis(x))
         assert ohat.counit_basis(x) == sd.hopf.counit_basis(x)
-        assert v_eq(ohat.antipode_basis(x), sd.hopf.antipode_basis(x))
+        assert sparse_eq(ohat.antipode_basis(x), sd.hopf.antipode_basis(x))
 
 
 def test_strict_coherence_gives_smash_product():
     ext = a3_in_s3()
     sd = sector_double(ext)
     for key, coh in sd.coherence.items():
-        assert v_eq(coh, sd.hopf.unit), f"section of {ext.name} is not a complement at {key}"
+        assert sparse_eq(coh, sd.hopf.unit), f"section of {ext.name} is not a complement at {key}"
     ohat = orbifold_algebra(sd)
     n_j = ext.J.order
     for a in range(sd.hopf.dim):
@@ -84,7 +88,7 @@ def test_strict_coherence_gives_smash_product():
                     plain = sd.hopf.mul_basis(a, sd.phi[i][b])
                     ij = ext.J.mul(i, j)
                     want = {k * n_j + ij: c for k, c in plain.items()}
-                    assert v_eq(got, want)
+                    assert sparse_eq(got, want)
 
 
 def test_first_tensor_factor_is_a_hopf_subalgebra():
@@ -95,10 +99,10 @@ def test_first_tensor_factor_is_a_hopf_subalgebra():
         for b in range(sd.hopf.dim):
             got = ohat.mul_basis(a * n_j, b * n_j)
             want = {k * n_j: c for k, c in sd.hopf.mul_basis(a, b).items()}
-            assert v_eq(got, want)
+            assert sparse_eq(got, want)
         got_t = ohat.comul_basis(a * n_j)
         want_t = {(x * n_j, y * n_j): c for (x, y), c in sd.hopf.comul_basis(a).items()}
-        assert t_eq(got_t, want_t)
+        assert sparse_eq(got_t, want_t)
 
 
 def test_counit_weighted_quotient_onto_sector_group_algebra():
@@ -130,7 +134,7 @@ def test_algebra_inverse_certifies_and_rejects():
     sd = double_algebra(cyclic_group(2))
     hopf = sd.hopf
     inv = algebra_inverse(hopf, dict(hopf.unit))
-    assert v_eq(inv, hopf.unit)
+    assert sparse_eq(inv, hopf.unit)
     with pytest.raises(NonInvertibleError):
         algebra_inverse(hopf, {0: ONE})
 
@@ -148,11 +152,11 @@ def test_orbifold_ribbon_passes_quasitriangular_and_ribbon_axioms():
 def test_psi_check_passes_for_catalogue_extensions():
     for ext in (a3_in_s3(), z2_in_z4()):
         report = psi_check(ext)
-        assert report.bijective
-        assert report.product
-        assert report.coproduct
-        assert report.rmatrix
-        assert report.twist
+        assert report.checks["bijective"]
+        assert report.checks["product"]
+        assert report.checks["coproduct"]
+        assert report.checks["rmatrix"]
+        assert report.checks["twist"]
         assert report.all_passed and report.witnesses == {}
 
 
@@ -167,9 +171,15 @@ def test_psi_negative_control_bad_section_fails_product_with_witness():
     ext = z2_in_z4()
     bad_section = (2, 1)
     report = psi_check(ext, section=bad_section)
-    assert report.bijective
-    assert not report.product
+    assert report.checks["bijective"]
+    assert not report.checks["product"]
     assert "product" in report.witnesses
+    # the witness pair alone shows the relabeled products differ
+    x, y = report.witnesses["product"]
+    sd = sector_double(ext)
+    perm = psi_permutation(sd, bad_section)
+    got = {perm[k]: c for k, c in orbifold_algebra(sd).mul_basis(x, y).items()}
+    assert not sparse_eq(got, double_algebra(ext.H).hopf.mul_basis(perm[x], perm[y]))
 
 
 def test_module_converter_round_trip_on_regular_module():
@@ -214,38 +224,78 @@ def test_sector_axiom_suite_passes_for_catalogue_extensions():
     for build in (a3_in_s3, z2_in_z4, z4_in_d4):
         sd = sector_double(build())
         report = verify_sector_double(sd)
-        assert report.all_passed(), (build.__name__, report.failing())
+        assert report.all_passed, (build.__name__, report.failing())
+        assert report.witnesses == {}
         assert report.mode == "full"
 
 
 def test_sector_axiom_suite_detects_single_entry_corruptions():
+    def witnessed(report):
+        assert report.failing() and set(report.witnesses) == set(report.failing())
+        return report
+
     sd = sector_double(z2_in_z4())
     key = next(iter(sd.r_sector[(1, 1)]))
     sd.r_sector[(1, 1)][key] = Fraction(2)
-    report = verify_sector_double(sd)
+    report = witnessed(verify_sector_double(sd))
     assert "rmatrix-sectors" in report.failing()
+    assert report.witnesses["rmatrix-sectors"] == (1, 1)
+    assert report.checks["orbifold-hopf"]
+    for name in ("orbifold-quasitriangular", "orbifold-ribbon"):
+        (message,) = report.witnesses[name]
+        assert "R-matrix" in message
 
     sd = sector_double(a3_in_s3())
     swapped = [sd.phi[1][1], sd.phi[1][0]] + list(sd.phi[1][2:])
     sd.phi = (sd.phi[0], tuple(swapped))
-    report = verify_sector_double(sd)
+    report = witnessed(verify_sector_double(sd))
     assert "phi-hopf-map" in report.failing()
 
     sd = sector_double(a3_in_s3())
     entry = next(iter(sd.theta[1]))
     sd.theta[1][entry] = -sd.theta[1][entry]
-    report = verify_sector_double(sd)
+    report = witnessed(verify_sector_double(sd))
     assert "twist-sectors" in report.failing()
+    assert report.witnesses["twist-sectors"] == (1,)
 
     sd = sector_double(z2_in_z4())
     entry = next(iter(sd.coherence[(1, 1)]))
     sd.coherence[(1, 1)][entry] = Fraction(3)
-    report = verify_sector_double(sd)
-    assert not report.all_passed()
+    report = witnessed(verify_sector_double(sd))
+    assert not report.all_passed
 
     sd = sector_double(z2_in_z4())
     pair = next(k for k, v in sd.hopf._mul.items() if v)
     target = next(iter(sd.hopf._mul[pair]))
     sd.hopf._mul[pair][target] = Fraction(5)
-    report = verify_sector_double(sd)
+    report = witnessed(verify_sector_double(sd))
     assert "hopf-axioms" in report.failing()
+    failed_check = report.witnesses["hopf-axioms"][0]
+    assert failed_check in hopf_checks(sd.hopf)
+
+
+def test_orbifold_ribbon_certification_does_not_depend_on_assert():
+    """Under python -O every assert is stripped; a corrupted sector braiding
+    must still make orbifold_ribbon raise NonInvertibleError."""
+    script = """
+from fractions import Fraction
+from equidouble.catalogue import extension_by_name
+from equidouble.doubles import sector_double
+from equidouble.errors import NonInvertibleError
+from equidouble.orbifold import orbifold_ribbon
+sd = sector_double(extension_by_name("Z2-Z4"))
+key = next(iter(sd.r_sector[(1, 1)]))
+sd.r_sector[(1, 1)][key] = Fraction(2)
+try:
+    orbifold_ribbon(sd)
+    print("returned")
+except NonInvertibleError as exc:
+    print("raised:", exc)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(equidouble.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: "), out.stdout
