@@ -283,17 +283,18 @@ def _character_table_uncached(g: FiniteGroup) -> CharacterTable:
     rows = [rows[i] for i in perm]
     degrees = [degrees[i] for i in perm]
 
-    assert sum(d * d for d in degrees) == n, "degrees fail sum-of-squares"
+    if sum(d * d for d in degrees) != n:
+        raise NonInvertibleError("degrees fail sum-of-squares")
     for r in range(k):
         for s in range(r, k):
             acc: Scalar = Fraction(0)
             for l in range(k):
                 acc = acc + Fraction(h_sizes[l]) * rows[r][l] * cyclotomic_conjugate(rows[s][l])
             want = Fraction(n) if r == s else Fraction(0)
-            assert scalar_eq(acc, want), f"row orthogonality fails at ({r},{s})"
-    assert scalar_eq(rows[0][0], 1) and all(scalar_eq(x, 1) for x in rows[0]), (
-        "first row is not the trivial character"
-    )
+            if not scalar_eq(acc, want):
+                raise NonInvertibleError(f"row orthogonality fails at ({r},{s})")
+    if not all(scalar_eq(x, 1) for x in rows[0]):
+        raise NonInvertibleError("first row is not the trivial character")
 
     return CharacterTable(g, cd, tuple(rows), tuple(degrees), e)
 
@@ -401,10 +402,12 @@ def irrep_matrices(g: FiniteGroup, table: Optional[CharacterTable], row: int) ->
     ]
 
     for z in range(n):
-        assert scalar_eq(mats[z].trace(), chi_at(z)), f"trace mismatch at element {z}"
+        if not scalar_eq(mats[z].trace(), chi_at(z)):
+            raise NonInvertibleError(f"trace mismatch at element {z}")
     for a in g.generating_set():
         for b in range(n):
-            assert mats[a] @ mats[b] == mats[g.mul(a, b)], "not multiplicative"
+            if mats[a] @ mats[b] != mats[g.mul(a, b)]:
+                raise NonInvertibleError(f"not multiplicative at ({a},{b})")
     return IrreducibleRep(g, d, tuple(mats))
 
 

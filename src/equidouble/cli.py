@@ -38,7 +38,7 @@ from .modular import (
     trivial_extension,
 )
 from .orbifold import orbifold_algebra, orbifold_ribbon, psi_check, verify_sector_double
-from .scalars import Cyclotomic, Scalar, scalar_eq
+from .scalars import Cyclotomic, Scalar
 
 SCHEMA = 1
 CSV_COMMANDS = ("smatrix", "simples", "sectors", "catalogue")
@@ -198,7 +198,7 @@ def _cmd_orbifold(config: RunConfig) -> tuple[dict, bool]:
     }
     ok = rep.all_passed
     if config.check_psi:
-        psi = psi_check(ext)
+        psi = psi_check(sd, rib, double_algebra(ext.H))
         report["psi"] = dict(psi.checks)
         ok = ok and psi.all_passed
     report["all_passed"] = ok
@@ -209,11 +209,7 @@ def _smatrix_payload(group_ref: str) -> tuple[dict, bool]:
     group = load_group(group_ref)
     traced = s_matrix(group)
     counted = s_matrix_character_formula(group)
-    agrees = all(
-        scalar_eq(traced.matrix[r, c], counted.matrix[r, c])
-        for r in range(traced.matrix.rows)
-        for c in range(traced.matrix.cols)
-    )
+    agrees = traced.matrix == counted.matrix
     labels = [f"[{h}]x{row}" for (h, row) in traced.labels]
     invertible = traced.is_invertible()
     symmetric = traced.is_symmetric()
@@ -306,12 +302,11 @@ def _cmd_verify_category(config: RunConfig) -> tuple[dict, bool]:
 def _cmd_verify_all(config: RunConfig) -> tuple[dict, bool]:
     ext = load_extension(_require(config.extension, "--extension"))
     sd = sector_double(ext)
+    dh = double_algebra(ext.H)
     sections = {
-        "hopf-axioms": dict(
-            verify_all_axioms(double_algebra(ext.H).ribbon_data(), sampled=config.sampled).checks
-        ),
+        "hopf-axioms": dict(verify_all_axioms(dh.ribbon_data(), sampled=config.sampled).checks),
         "j-hopf-axioms": dict(verify_sector_double(sd, sampled=config.sampled).checks),
-        "psi-identification": dict(psi_check(ext).checks),
+        "psi-identification": dict(psi_check(sd, orbifold_ribbon(sd), dh).checks),
         "category-diagrams": _category_payload(ext, config),
     }
     invertible = s_matrix(ext.H).is_invertible()

@@ -1,6 +1,12 @@
 """Dense exact matrices over Fraction/Cyclotomic scalars, and the one
 row-reduction kernel behind every rank, determinant, kernel and solve.
 
+ExactMatrix is the one place that multiplies, tensors (Kronecker product),
+walks (nonzero entries) and compares exact matrices. Zero tests and equality
+use the scalars' own bool() and ==; products and Kronecker products multiply
+only pairs of nonzero entries, so an entry no nonzero pair reaches stays the
+rational zero whatever the field of the others.
+
 row_reduce is Gauss-Jordan elimination on plain row lists over a field given
 as a parameter: exact rationals and cyclotomics, or F_p for a prime modulus.
 Each pivot costs one field inverse; every other step is a multiply and a
@@ -14,10 +20,10 @@ inverses) all share this path.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import NonInvertibleError, UsageError
-from .scalars import Cyclotomic, Scalar, scalar_is_zero
+from .scalars import Cyclotomic, Scalar
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -29,8 +35,8 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Scalar]):
-        assert rows >= 0 and cols >= 0
-        assert len(data) == rows * cols, "entries.length must equal rows*cols"
+        if rows < 0 or cols < 0 or len(data) != rows * cols:
+            raise UsageError(f"a {rows}x{cols} matrix needs rows*cols entries, got {len(data)}")
         self.rows = rows
         self.cols = cols
         self.data = list(data)
@@ -39,11 +45,9 @@ class ExactMatrix:
     def from_rows(rows: Sequence[Sequence[Scalar]]) -> "ExactMatrix":
         r = len(rows)
         c = len(rows[0]) if r else 0
-        flat: list[Scalar] = []
-        for row in rows:
-            assert len(row) == c
-            flat.extend(row)
-        return ExactMatrix(r, c, flat)
+        if any(len(row) != c for row in rows):
+            raise UsageError(f"ragged rows: expected {c} entries in each")
+        return ExactMatrix(r, c, [x for row in rows for x in row])
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
@@ -74,18 +78,6 @@ class ExactMatrix:
                 out.data[j * self.rows + i] = self.data[i * self.cols + j]
         return out
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return ExactMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self.data, other.data)]
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return ExactMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self.data, other.data)]
-        )
-
     def scale(self, s: Scalar) -> "ExactMatrix":
         return ExactMatrix(self.rows, self.cols, [s * a for a in self.data])
 
@@ -100,30 +92,47 @@ class ExactMatrix:
             base = i * self.cols
             for k in range(self.cols):
                 a = self.data[base + k]
-                if scalar_is_zero(a):
+                if not a:
                     continue
                 obase = k * oc
                 tbase = i * oc
                 for j in range(oc):
                     b = other.data[obase + j]
-                    if not scalar_is_zero(b):
+                    if b:
                         out.data[tbase + j] = out.data[tbase + j] + a * b
         return out
+
+    def kron(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Kronecker product: entry (i*other.rows + k, j*other.cols + l) is
+        self[i, j] * other[k, l]. Only pairs of nonzero entries are multiplied;
+        every other entry is the rational zero."""
+        out = ExactMatrix.zeros(self.rows * other.rows, self.cols * other.cols)
+        right = list(other.nonzeros())
+        for i, j, a in self.nonzeros():
+            for k, l, b in right:
+                out.data[(i * other.rows + k) * out.cols + j * other.cols + l] = a * b
+        return out
+
+    def nonzeros(self) -> Iterator[tuple[int, int, Scalar]]:
+        """(row, column, entry) for every nonzero entry, in row-major order."""
+        for pos, x in enumerate(self.data):
+            if x:
+                r, c = divmod(pos, self.cols)
+                yield r, c, x
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        return all(a == b for a, b in zip(self.data, other.data))
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
 
     __hash__ = None
 
     def is_zero(self) -> bool:
-        return all(scalar_is_zero(a) for a in self.data)
+        return not any(self.data)
 
     def trace(self) -> Scalar:
-        assert self.rows == self.cols
+        if self.rows != self.cols:
+            raise UsageError(f"trace of a non-square {self.rows}x{self.cols} matrix")
         t: Scalar = ZERO
         for i in range(self.rows):
             t = t + self.data[i * self.cols + i]
@@ -175,7 +184,7 @@ def row_reduce(
     pivots: list[int] = []
     for col in range(ncols):
         r = len(pivots)
-        pr = next((i for i in range(r, len(rows)) if not scalar_is_zero(rows[i][col])), -1)
+        pr = next((i for i in range(r, len(rows)) if rows[i][col]), -1)
         if pr < 0:
             continue
         if pr != r:
@@ -194,7 +203,7 @@ def row_reduce(
         tail = piv[col:]
         for i, row in enumerate(rows):
             f = row[col]
-            if i == r or scalar_is_zero(f):
+            if i == r or not f:
                 continue
             if modulus is None:
                 row[col:] = [x - f * y for x, y in zip(row[col:], tail)]
@@ -233,7 +242,7 @@ def solve_rows(aug: list[list], ncols: int, modulus: Optional[int] = None) -> li
     """
     pivots, _ = row_reduce(aug, ncols, modulus)
     for i in range(len(pivots), len(aug)):
-        if any(not scalar_is_zero(x) for x in aug[i][ncols:]):
+        if any(aug[i][ncols:]):
             raise NonInvertibleError(f"inconsistent system at row {i}")
     if len(pivots) < ncols:
         missing = [c for c in range(ncols) if c not in pivots]

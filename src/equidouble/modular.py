@@ -18,36 +18,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .doubles import SectorDouble, sector_double
+from .doubles import SectorDouble, double_algebra, sector_double
 from .errors import ResourceError, UsageError
 from .groupoids import GroupoidSimple, simple_objects
 from .groups import FiniteGroup, GroupExtension, extension_from_subgroup
 from .linalg import ExactMatrix, mat_rank_det_kernel
-from .scalars import Scalar, scalar_eq, scalar_is_zero
+from .scalars import Scalar
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def _kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    out = ExactMatrix.zeros(a.rows * b.rows, a.cols * b.cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            c = a[i, j]
-            if scalar_is_zero(c):
-                continue
-            for k in range(b.rows):
-                for l in range(b.cols):
-                    out[i * b.rows + k, j * b.cols + l] = c * b[k, l]
-    return out
-
-
-def _mats_equal(a: ExactMatrix, b: ExactMatrix) -> bool:
-    if a.rows != b.rows or a.cols != b.cols:
-        return False
-    if a.data == b.data:
-        return True
-    return all(scalar_eq(x, y) for x, y in zip(a.data, b.data))
 
 
 class GradedModule:
@@ -67,22 +45,15 @@ class GradedModule:
         self.name = name
         if len(self.matrices) != ext.G.order:
             raise UsageError("one matrix per G-element required")
-        ident = self.matrices[0]
-        for r in range(self.dim):
-            for c in range(self.dim):
-                expect = ONE if r == c else ZERO
-                if not scalar_eq(ident[r, c], expect):
-                    raise UsageError("identity of G must act as the identity matrix")
+        if self.matrices[0] != ExactMatrix.identity(self.dim):
+            raise UsageError("identity of G must act as the identity matrix")
         H = ext.H
-        for g in range(ext.G.order):
-            mat = self.matrices[g]
+        for g, mat in enumerate(self.matrices):
             if mat.rows != self.dim or mat.cols != self.dim:
                 raise UsageError("action matrices must be square of the module dimension")
             hg = ext.incl(g)
-            for r in range(self.dim):
-                for c in range(self.dim):
-                    if not scalar_is_zero(mat[r, c]) and self.grades[r] != H.conj(hg, self.grades[c]):
-                        raise UsageError(f"action of g={g} violates the grade-conjugation block condition")
+            if any(self.grades[r] != H.conj(hg, self.grades[c]) for r, c, _ in mat.nonzeros()):
+                raise UsageError(f"action of g={g} violates the grade-conjugation block condition")
 
     def act(self, g: int) -> ExactMatrix:
         return self.matrices[g]
@@ -101,7 +72,7 @@ class GradedModule:
         G = self.ext.G
         for g in range(G.order):
             for g2 in range(G.order):
-                if not _mats_equal(self.matrices[g] @ self.matrices[g2], self.matrices[G.mul(g, g2)]):
+                if self.matrices[g] @ self.matrices[g2] != self.matrices[G.mul(g, g2)]:
                     return False
         return True
 
@@ -111,7 +82,7 @@ class GradedModule:
         return (
             self.ext is other.ext
             and self.grades == other.grades
-            and all(_mats_equal(a, b) for a, b in zip(self.matrices, other.matrices))
+            and self.matrices == other.matrices
         )
 
     def __repr__(self) -> str:
@@ -130,10 +101,8 @@ class ModuleMap:
             raise UsageError("module map requires a common extension")
         if matrix.rows != target.dim or matrix.cols != source.dim:
             raise UsageError("module map matrix has wrong shape")
-        for r in range(matrix.rows):
-            for c in range(matrix.cols):
-                if not scalar_is_zero(matrix[r, c]) and target.grades[r] != source.grades[c]:
-                    raise UsageError("module map does not preserve the grading")
+        if any(target.grades[r] != source.grades[c] for r, c, _ in matrix.nonzeros()):
+            raise UsageError("module map does not preserve the grading")
         self.source = source
         self.target = target
         self.matrix = matrix
@@ -146,20 +115,20 @@ class ModuleMap:
 
     def intertwines(self) -> bool:
         for g in range(self.source.ext.G.order):
-            if not _mats_equal(self.matrix @ self.source.act(g), self.target.act(g) @ self.matrix):
+            if self.matrix @ self.source.act(g) != self.target.act(g) @ self.matrix:
                 return False
         return True
 
     def is_invertible(self) -> bool:
         if self.matrix.rows != self.matrix.cols:
             return False
-        return not scalar_is_zero(mat_rank_det_kernel(self.matrix).det)
+        return bool(mat_rank_det_kernel(self.matrix).det)
 
     def equals(self, other: "ModuleMap") -> bool:
         return (
             self.source == other.source
             and self.target == other.target
-            and _mats_equal(self.matrix, other.matrix)
+            and self.matrix == other.matrix
         )
 
 
@@ -168,7 +137,7 @@ def identity_map(v: GradedModule) -> ModuleMap:
 
 
 def tensor_map(f: ModuleMap, g: ModuleMap) -> ModuleMap:
-    return ModuleMap(fuse(f.source, g.source), fuse(f.target, g.target), _kron(f.matrix, g.matrix))
+    return ModuleMap(fuse(f.source, g.source), fuse(f.target, g.target), f.matrix.kron(g.matrix))
 
 
 def fuse(v: GradedModule, w: GradedModule) -> GradedModule:
@@ -177,7 +146,7 @@ def fuse(v: GradedModule, w: GradedModule) -> GradedModule:
         raise UsageError("fusion requires a common extension")
     H = v.ext.H
     grades = tuple(H.mul(a, b) for a in v.grades for b in w.grades)
-    mats = tuple(_kron(v.act(g), w.act(g)) for g in range(v.ext.G.order))
+    mats = tuple(v.act(g).kron(w.act(g)) for g in range(v.ext.G.order))
     return GradedModule(v.ext, grades, mats, name=f"({v.name})*({w.name})")
 
 
@@ -220,13 +189,13 @@ def degree_split(v: GradedModule) -> dict[int, tuple[GradedModule, tuple[int, ..
     out: dict[int, tuple[GradedModule, tuple[int, ...]]] = {}
     for j, idxs in sorted(buckets.items()):
         grades = tuple(v.grades[k] for k in idxs)
+        pos = {k: i for i, k in enumerate(idxs)}
         mats = []
         for g in range(ext.G.order):
-            big = v.act(g)
             sub = ExactMatrix.zeros(len(idxs), len(idxs))
-            for r, kr in enumerate(idxs):
-                for c, kc in enumerate(idxs):
-                    sub[r, c] = big[kr, kc]
+            for kr, kc, x in v.act(g).nonzeros():
+                if kr in pos and kc in pos:
+                    sub[pos[kr], pos[kc]] = x
             mats.append(sub)
         out[j] = (GradedModule(ext, grades, tuple(mats), name=f"{v.name}|{j}"), tuple(idxs))
     return out
@@ -251,12 +220,8 @@ def braid(v: GradedModule, w: GradedModule) -> ModuleMap:
     mat = ExactMatrix.zeros(target.dim, source.dim)
     for r in range(v.dim):
         u = ext.g_of(H.mul(s, v.grades[r]))
-        act = w.act(u)
-        for s_out in range(w.dim):
-            for s_in in range(w.dim):
-                c = act[s_out, s_in]
-                if not scalar_is_zero(c):
-                    mat[s_out * v.dim + r, r * w.dim + s_in] = c
+        for s_out, s_in, c in w.act(u).nonzeros():
+            mat[s_out * v.dim + r, r * w.dim + s_in] = c
     return ModuleMap(source, target, mat)
 
 
@@ -269,12 +234,11 @@ def twist(v: GradedModule) -> ModuleMap:
     s = ext.section[ext.J.inv[j]]
     target = j_act(j, v)
     mat = ExactMatrix.zeros(v.dim, v.dim)
-    for c in range(v.dim):
-        u = ext.g_of(H.mul(s, v.grades[c]))
-        act = v.act(u)
-        for r in range(v.dim):
-            if not scalar_is_zero(act[r, c]):
-                mat[r, c] = act[r, c]
+    acting = [ext.g_of(H.mul(s, h)) for h in v.grades]
+    for u in sorted(set(acting)):
+        for r, c, x in v.act(u).nonzeros():
+            if acting[c] == u:
+                mat[r, c] = x
     return ModuleMap(v, target, mat)
 
 
@@ -291,44 +255,30 @@ def compositor(i: int, j: int, v: GradedModule) -> ModuleMap:
     return ModuleMap(source, target, v.act(g))
 
 
-def double_action(sd: SectorDouble, v: GradedModule, idx: int) -> ExactMatrix:
-    """Action of the double's basis element delta_h (x) g: apply g, keep the
-    rows graded by h."""
-    h, g = sd.label_of(idx)
-    mat = v.act(g)
-    out = ExactMatrix.zeros(v.dim, v.dim)
-    for r in range(v.dim):
-        if v.grades[r] != h:
-            continue
-        for c in range(v.dim):
-            out[r, c] = mat[r, c]
-    return out
-
-
 def r_action_map(sd: SectorDouble, v: GradedModule, w: GradedModule) -> ModuleMap:
     """Flip composed with the action of the graded R-matrix on V (x) W; by
-    construction a map V (x) W -> (j.W) (x) V for V homogeneous of sector j."""
+    construction a map V (x) W -> (j.W) (x) V for V homogeneous of sector j.
+
+    The double's basis element delta_h (x) g acts on a module by g followed
+    by the projection onto the rows graded by h, so each leg of a term walks
+    the nonzero entries of the action of g whose row grade is h."""
     j = _require_homogeneous(v, "R-matrix action")
     source = fuse(v, w)
     target = fuse(j_act(j, w), v)
     mat = ExactMatrix.zeros(target.dim, source.dim)
+
+    def leg(mod: GradedModule, idx: int) -> list[tuple[int, int, Scalar]]:
+        h, g = sd.label_of(idx)
+        return [(r, c, x) for r, c, x in mod.act(g).nonzeros() if mod.grades[r] == h]
+
     for ten in sd.r_sector.values():
         for (a1, a2), coef in ten.items():
-            m1 = double_action(sd, v, a1)
-            m2 = double_action(sd, w, a2)
-            for r_out in range(v.dim):
-                for r_in in range(v.dim):
-                    c1 = m1[r_out, r_in]
-                    if scalar_is_zero(c1):
-                        continue
-                    for s_out in range(w.dim):
-                        for s_in in range(w.dim):
-                            c2 = m2[s_out, s_in]
-                            if scalar_is_zero(c2):
-                                continue
-                            row = s_out * v.dim + r_out
-                            col = r_in * w.dim + s_in
-                            mat[row, col] = mat[row, col] + coef * c1 * c2
+            right = leg(w, a2)
+            for r_out, r_in, c1 in leg(v, a1):
+                for s_out, s_in, c2 in right:
+                    row = s_out * v.dim + r_out
+                    col = r_in * w.dim + s_in
+                    mat[row, col] = mat[row, col] + coef * c1 * c2
     return ModuleMap(source, target, mat)
 
 
@@ -375,10 +325,10 @@ class SMatrix:
     group_order: int
 
     def is_invertible(self) -> bool:
-        return not scalar_is_zero(mat_rank_det_kernel(self.matrix).det)
+        return bool(mat_rank_det_kernel(self.matrix).det)
 
     def is_symmetric(self) -> bool:
-        return _mats_equal(self.matrix, self.matrix.transpose())
+        return self.matrix == self.matrix.transpose()
 
 
 S_MATRIX_ORDER_BOUND = 24
@@ -390,7 +340,9 @@ def trivial_extension(h_group: FiniteGroup) -> GroupExtension:
 
 def s_matrix(h_group: FiniteGroup) -> SMatrix:
     """Traces of double braidings between all simples of the double of the
-    group, computed from the explicit braiding maps."""
+    group, computed from the explicit braiding maps: tr(B F) is the sum of
+    B[i, j] F[j, i] over the pairs where both entries are nonzero, without
+    forming B F."""
     if h_group.order > S_MATRIX_ORDER_BOUND:
         raise ResourceError(f"group order {h_group.order} exceeds the S-matrix bound {S_MATRIX_ORDER_BOUND}")
     ext = trivial_extension(h_group)
@@ -401,9 +353,9 @@ def s_matrix(h_group: FiniteGroup) -> SMatrix:
     mat = ExactMatrix.zeros(n, n)
     for a in range(n):
         for b in range(n):
-            forward = braid(modules[a], modules[b])
-            backward = braid(modules[b], modules[a])
-            mat[a, b] = (backward.matrix @ forward.matrix).trace()
+            forward = braid(modules[a], modules[b]).matrix
+            backward = braid(modules[b], modules[a]).matrix
+            mat[a, b] = sum((x * y for i, j, x in backward.nonzeros() if (y := forward[j, i])), ZERO)
     return SMatrix(labels, mat, h_group.order)
 
 
@@ -441,10 +393,11 @@ class ModularityVerdict:
 
 
 def modularity_verdict(ext: GroupExtension) -> ModularityVerdict:
-    from .orbifold import psi_check
+    from .orbifold import orbifold_ribbon, psi_check
 
     invertible = s_matrix(ext.H).is_invertible()
-    identified = psi_check(ext).all_passed
+    sd = sector_double(ext)
+    identified = psi_check(sd, orbifold_ribbon(sd), double_algebra(ext.H)).all_passed
     return ModularityVerdict(
         orbifold_modular=invertible,
         j_modular_claim=invertible,
@@ -479,7 +432,7 @@ def hexagon_one_holds(u: GradedModule, v: GradedModule, w: GradedModule) -> bool
     rhs = tensor_map(braid(u, v), identity_map(w)).then(
         tensor_map(identity_map(j_act(i, v)), braid(u, w))
     )
-    return _mats_equal(lhs.matrix, rhs.matrix)
+    return lhs.matrix == rhs.matrix
 
 
 def hexagon_two_holds(u: GradedModule, v: GradedModule, w: GradedModule) -> bool:
@@ -492,7 +445,7 @@ def hexagon_two_holds(u: GradedModule, v: GradedModule, w: GradedModule) -> bool
         .then(tensor_map(braid(u, j_act(j, w)), identity_map(v)))
         .then(tensor_map(compositor(i, j, w), identity_map(fuse(u, v))))
     )
-    return _mats_equal(lhs.matrix, rhs.matrix)
+    return lhs.matrix == rhs.matrix
 
 
 def action_braiding_holds(i: int, u: GradedModule, v: GradedModule) -> bool:

@@ -22,9 +22,8 @@ from functools import reduce
 from itertools import product
 from typing import Optional, Sequence
 
-from .doubles import SectorDouble, double_algebra, sector_double
+from .doubles import SectorDouble
 from .errors import NonInvertibleError, UsageError
-from .groups import GroupExtension
 from .hopf import (
     RibbonData,
     SparseTen,
@@ -200,9 +199,12 @@ def psi_permutation(sd: SectorDouble, section: Optional[Sequence[int]] = None) -
     return perm
 
 
-def psi_check(ext: GroupExtension, section: Optional[Sequence[int]] = None) -> VerifyReport:
-    """Exhaustive comparison of the crossed product of the graded double
-    with the ordinary double of H under the basis relabeling.
+def psi_check(
+    sd: SectorDouble, rib: RibbonData, dh: SectorDouble, section: Optional[Sequence[int]] = None
+) -> VerifyReport:
+    """Exhaustive comparison of the crossed product of the graded double sd,
+    with its braiding and ribbon elements rib (from orbifold_ribbon), and the
+    ordinary double dh of H (from double_algebra) under the basis relabeling.
 
     The report's checks are `bijective` (witness: the two dimensions),
     `product` on every basis pair (witness: the first pair (x, y) whose
@@ -212,11 +214,8 @@ def psi_check(ext: GroupExtension, section: Optional[Sequence[int]] = None) -> V
     double of H (witness: ()). A non-left-normalized section is accepted
     for negative controls.
     """
-    sd = sector_double(ext)
-    dh = double_algebra(ext.H)
     big = dh.hopf
-    ohat = orbifold_algebra(sd)
-    rib = orbifold_ribbon(sd, ohat)
+    ohat = rib.hopf
     perm = psi_permutation(sd, section)
     basis = range(ohat.dim)
 

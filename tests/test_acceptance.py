@@ -52,7 +52,7 @@ from equidouble.modular import (
     simples_of_double,
     trivial_extension,
 )
-from equidouble.orbifold import psi_check, verify_sector_double
+from equidouble.orbifold import orbifold_ribbon, psi_check, verify_sector_double
 from equidouble.scalars import scalar_eq
 
 
@@ -125,7 +125,9 @@ def test_criterion_2_hopf_axiom_suites_and_corruption_detection():
 def test_criterion_3_crossed_product_identification():
     start = time.monotonic()
     for name in ("A3-S3", "Z2-Z4"):
-        psi = psi_check(extension_by_name(name))
+        ext = extension_by_name(name)
+        sd = sector_double(ext)
+        psi = psi_check(sd, orbifold_ribbon(sd), double_algebra(ext.H))
         assert psi.checks["bijective"], name
         assert psi.checks["product"], name
         assert psi.checks["coproduct"], name

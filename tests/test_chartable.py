@@ -3,8 +3,12 @@ independently known small tables and representation-theoretic identities."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import equidouble
 from equidouble.catalogue import catalogue_list, group_by_name
 from equidouble.chartable import (
     CharacterTable,
@@ -217,3 +221,53 @@ def test_catalogue_tables_and_irreps_match_recorded_digest():
         }
         digest.update(json.dumps(payload, sort_keys=True).encode())
     assert digest.hexdigest() == CATALOGUE_TABLES_AND_IRREPS_SHA256
+
+
+def test_table_and_irrep_certification_does_not_depend_on_assert():
+    """Under python -O every assert is stripped; a corrupted irrep solve and a
+    corrupted conjugation must still raise NonInvertibleError."""
+    script = """
+import equidouble.chartable as ct
+from equidouble.errors import NonInvertibleError
+from equidouble.groups import cyclic_group, symmetric_group
+
+s3 = symmetric_group(3)
+table = ct.character_table(s3)
+real_solve = ct.solve
+
+def corrupted_solve(a, b):
+    x = real_solve(a, b)
+    x[0, 0] = -x[0, 0]
+    return x
+
+def irrep():
+    ct.solve = corrupted_solve
+    try:
+        ct.irrep_matrices(s3, table, table.degrees.index(2))
+    finally:
+        ct.solve = real_solve
+
+def table_without_conjugation():
+    real_conjugate = ct.cyclotomic_conjugate
+    ct.cyclotomic_conjugate = lambda x: x
+    try:
+        ct.character_table(cyclic_group(3))
+    finally:
+        ct.cyclotomic_conjugate = real_conjugate
+
+for case in (table_without_conjugation, irrep):
+    try:
+        case()
+    except NonInvertibleError as exc:
+        print("raised:", exc)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(equidouble.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "raised: row orthogonality fails at (1,1)",
+        "raised: trace mismatch at element 0",
+    ]

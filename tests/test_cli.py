@@ -1,11 +1,13 @@
 """Command-line interface: parsing, exit codes, rendering, file inputs."""
 
+import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from equidouble import cli
+from equidouble import cli, doubles, orbifold
 from equidouble.catalogue import catalogue_list
 from equidouble.errors import UsageError
 from equidouble.scalars import Cyclotomic
@@ -235,3 +237,59 @@ def test_failing_checks_exit_one_but_still_write(tmp_path, monkeypatch):
     argv = ["dw", "--presentation", "T3", "--group", "S3", "--out", str(path)]
     assert cli.main(argv) == 1
     assert json.loads(path.read_text())["all_passed"] is False
+
+
+# sha256 of the `smatrix --group G --out FILE` report bytes, recorded from the
+# code that formed the dense product B F and took its trace. A zero entry is
+# encoded with its scalar type ("0/1" or a conductor-n cyclotomic zero), so a
+# change in which products are summed shows here even when the values agree.
+SMATRIX_REPORT_SHA256 = {
+    "Z4": "7bf5fd01ea03534c266a0e260725fb6a74a1bdaa5a2b09f335391abd79fb59d2",
+    "S3": "0c206a204d65b7eb713a8515f203b65c372cc3b0098445fc41ed7f4f83718333",
+    "D4": "6a1c16e659c16a7c1bee0f5172d1eecda040a4606c341f94195bc3a0c2fcff95",
+    "Q8": "cc98f8c0e5a8e4490e69425924db13d3add6d0e18cf0ba6b06ae0da3087f58d8",
+    "A4": "be7f9e9b4bac9a4443bd764036c0f452e1c162e6992d813943c3e2c3d34a1e29",
+}
+
+
+def test_smatrix_reports_match_recorded_digests(tmp_path):
+    got = {}
+    for name in SMATRIX_REPORT_SHA256:
+        path = tmp_path / f"{name}.json"
+        assert cli.main(["smatrix", "--group", name, "--out", str(path)]) == 0
+        got[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == SMATRIX_REPORT_SHA256
+
+
+def _count_builds(monkeypatch):
+    """Count calls of the four structure builders, wherever they are looked up."""
+    counts = {}
+    for name, owner in (
+        ("sector_double", doubles),
+        ("double_algebra", doubles),
+        ("orbifold_algebra", orbifold),
+        ("orbifold_ribbon", orbifold),
+    ):
+        original = getattr(owner, name)
+        counts[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("equidouble") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_crossed_product_is_built_once_per_command(tmp_path, monkeypatch):
+    counts = _count_builds(monkeypatch)
+    argv = ["orbifold", "--extension", "Z2-Z4", "--check-psi", "--out", str(tmp_path / "o.json")]
+    assert cli.main(argv) == 0
+    # one sector double for the command, one inside double_algebra
+    assert counts == {"sector_double": 2, "double_algebra": 1, "orbifold_algebra": 1, "orbifold_ribbon": 1}
+    for name in counts:
+        counts[name] = 0
+    assert cli.main(["verify-all", "--extension", "Z2-Z4", "--out", str(tmp_path / "v.json")]) == 0
+    assert counts["double_algebra"] == 1

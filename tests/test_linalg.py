@@ -1,5 +1,6 @@
 """Exact dense matrices: rank / det / kernel / solve with oracle cross-checks."""
 
+import ast
 import itertools
 import os
 import random
@@ -205,6 +206,70 @@ def test_rectangular_kernels_annihilate(entry):
         assert res.rank + len(res.kernel_basis) == cols
         for v in res.kernel_basis:
             assert (a @ ExactMatrix.from_rows([[x] for x in v])).is_zero()
+
+
+def rand_sparse(rng, entry, rows, cols):
+    """Random matrix with about half its entries zero; over Q(zeta3) some of
+    the zeros are cyclotomic zeros."""
+    def pick():
+        roll = rng.random()
+        if roll < 0.3:
+            return Fraction(0)
+        if roll < 0.5:
+            return entry(rng) * 0
+        return entry(rng)
+
+    return ExactMatrix.from_rows([[pick() for _ in range(cols)] for _ in range(rows)])
+
+
+@pytest.mark.parametrize("entry", [rand_rational, rand_zeta3], ids=["Q", "Q(zeta3)"])
+def test_kron_matches_its_definition_and_the_mixed_product_law(entry):
+    rng = random.Random(5)
+    for _ in range(6):
+        ra, ca, rb, cb, cc = (rng.randint(1, 3) for _ in range(5))
+        a, b = rand_sparse(rng, entry, ra, ca), rand_sparse(rng, entry, rb, cb)
+        k = a.kron(b)
+        assert (k.rows, k.cols) == (ra * rb, ca * cb)
+        for i, j, p, q in itertools.product(range(ra), range(ca), range(rb), range(cb)):
+            assert k[i * rb + p, j * cb + q] == a[i, j] * b[p, q]
+        c, d = rand_sparse(rng, entry, ca, cc), rand_sparse(rng, entry, cb, cc)
+        assert a.kron(b) @ c.kron(d) == (a @ c).kron(b @ d)
+
+
+def test_kron_leaves_unreached_entries_rational():
+    z = Cyclotomic.zeta(3)
+    a = ExactMatrix.from_rows([[z, Fraction(0)], [z * 0, Fraction(2)]])
+    k = a.kron(ExactMatrix.identity(2))
+    assert k == ExactMatrix.from_rows(
+        [[z, 0, 0, 0], [0, z, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
+    )
+    assert [type(x) for x in k.data].count(Fraction) == 14
+
+
+def test_nonzeros_walk_row_major():
+    z = Cyclotomic.zeta(3)
+    a = ExactMatrix.from_rows([[Fraction(0), z], [z * 0, Fraction(-1)], [Fraction(3), Fraction(0)]])
+    assert list(a.nonzeros()) == [(0, 1, z), (1, 1, Fraction(-1)), (2, 0, Fraction(3))]
+    assert list(ExactMatrix.zeros(2, 3).nonzeros()) == []
+
+
+def test_malformed_shapes_are_usage_errors():
+    with pytest.raises(UsageError):
+        ExactMatrix(2, 2, [Fraction(1)] * 3)
+    with pytest.raises(UsageError):
+        ExactMatrix.from_rows([[Fraction(1), Fraction(2)], [Fraction(3)]])
+    with pytest.raises(UsageError):
+        ExactMatrix.zeros(2, 3).trace()
+
+
+def test_matrix_and_module_layers_have_no_assert():
+    """Certification must survive python -O, which strips every assert."""
+    root = os.path.dirname(os.path.abspath(equidouble.__file__))
+    for name in ("linalg.py", "modular.py"):
+        with open(os.path.join(root, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], (name, lines)
 
 
 def test_kernel_over_prime_field():

@@ -151,7 +151,8 @@ def test_orbifold_ribbon_passes_quasitriangular_and_ribbon_axioms():
 
 def test_psi_check_passes_for_catalogue_extensions():
     for ext in (a3_in_s3(), z2_in_z4()):
-        report = psi_check(ext)
+        sd = sector_double(ext)
+        report = psi_check(sd, orbifold_ribbon(sd), double_algebra(ext.H))
         assert report.checks["bijective"]
         assert report.checks["product"]
         assert report.checks["coproduct"]
@@ -170,13 +171,13 @@ def test_psi_permutation_is_a_bijection_onto_big_double_labels():
 def test_psi_negative_control_bad_section_fails_product_with_witness():
     ext = z2_in_z4()
     bad_section = (2, 1)
-    report = psi_check(ext, section=bad_section)
+    sd = sector_double(ext)
+    report = psi_check(sd, orbifold_ribbon(sd), double_algebra(ext.H), section=bad_section)
     assert report.checks["bijective"]
     assert not report.checks["product"]
     assert "product" in report.witnesses
     # the witness pair alone shows the relabeled products differ
     x, y = report.witnesses["product"]
-    sd = sector_double(ext)
     perm = psi_permutation(sd, bad_section)
     got = {perm[k]: c for k, c in orbifold_algebra(sd).mul_basis(x, y).items()}
     assert not sparse_eq(got, double_algebra(ext.H).hopf.mul_basis(perm[x], perm[y]))
