@@ -303,10 +303,13 @@ def _cmd_verify_all(config: RunConfig) -> tuple[dict, bool]:
     ext = load_extension(_require(config.extension, "--extension"))
     sd = sector_double(ext)
     dh = double_algebra(ext.H)
+    sector = verify_sector_double(sd, sampled=config.sampled)
+    # if the sector suite could not build the crossed product, this raises its error
+    rib = sector.built or orbifold_ribbon(sd)
     sections = {
         "hopf-axioms": dict(verify_all_axioms(dh.ribbon_data(), sampled=config.sampled).checks),
-        "j-hopf-axioms": dict(verify_sector_double(sd, sampled=config.sampled).checks),
-        "psi-identification": dict(psi_check(sd, orbifold_ribbon(sd), dh).checks),
+        "j-hopf-axioms": dict(sector.checks),
+        "psi-identification": dict(psi_check(sd, rib, dh).checks),
         "category-diagrams": _category_payload(ext, config),
     }
     invertible = s_matrix(ext.H).is_invertible()

@@ -180,12 +180,15 @@ class VerifyReport:
     checks maps each check name to its verdict. witnesses maps each failed
     check to the first tuple it failed on: basis indices, sector indices, a
     failed sub-suite's check name followed by its witness, or the message of
-    the error that stopped a construction under test.
+    the error that stopped a construction under test. built is ribbon data
+    a suite constructed, for its caller to reuse: verify_sector_double sets
+    it to the crossed product once that has been built and checked.
     """
 
     mode: str
     checks: dict[str, bool] = field(default_factory=dict)
     witnesses: dict[str, tuple] = field(default_factory=dict)
+    built: Optional[RibbonData] = None
 
     @property
     def all_passed(self) -> bool:

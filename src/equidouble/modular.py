@@ -43,6 +43,7 @@ class GradedModule:
         self.matrices = tuple(matrices)
         self.dim = len(self.grades)
         self.name = name
+        self._shifted: dict[int, GradedModule] = {}
         if len(self.matrices) != ext.G.order:
             raise UsageError("one matrix per G-element required")
         if self.matrices[0] != ExactMatrix.identity(self.dim):
@@ -152,14 +153,16 @@ def fuse(v: GradedModule, w: GradedModule) -> GradedModule:
 
 def j_act(x: int, v: GradedModule) -> GradedModule:
     """Sector shift: grades conjugate by s(x^{-1})^{-1}, the G-action twists
-    by conjugation with s(x^{-1})."""
-    ext = v.ext
-    H, J = ext.H, ext.J
-    s = ext.section[J.inv[x]]
-    s_inv = H.inv[s]
-    grades = tuple(H.conj(s_inv, h) for h in v.grades)
-    mats = tuple(v.act(ext.g_of(H.conj(s, ext.incl(g)))) for g in range(ext.G.order))
-    return GradedModule(ext, grades, mats, name=f"{J.labels[x]}.({v.name})")
+    by conjugation with s(x^{-1}). Built once per sector and kept by v."""
+    if x not in v._shifted:
+        ext = v.ext
+        H, J = ext.H, ext.J
+        s = ext.section[J.inv[x]]
+        s_inv = H.inv[s]
+        grades = tuple(H.conj(s_inv, h) for h in v.grades)
+        mats = tuple(v.act(ext.g_of(H.conj(s, ext.incl(g)))) for g in range(ext.G.order))
+        v._shifted[x] = GradedModule(ext, grades, mats, name=f"{J.labels[x]}.({v.name})")
+    return v._shifted[x]
 
 
 def j_act_map(x: int, f: ModuleMap) -> ModuleMap:
@@ -208,21 +211,24 @@ def _require_homogeneous(v: GradedModule, what: str) -> int:
     return j
 
 
-def braid(v: GradedModule, w: GradedModule) -> ModuleMap:
-    """Braiding V (x) W -> (j.W) (x) V for V homogeneous of sector j:
-    v (x) w maps to (s(j^{-1})h).w (x) v on v of grade h."""
-    j = _require_homogeneous(v, "braiding")
+def _braid_matrix(j: int, v: GradedModule, w: GradedModule) -> ExactMatrix:
+    """Matrix of the braiding V (x) W -> (j.W) (x) V, V homogeneous of sector
+    j: v (x) w maps to (s(j^{-1})h).w (x) v on v of grade h."""
     ext = v.ext
     H = ext.H
     s = ext.section[ext.J.inv[j]]
-    source = fuse(v, w)
-    target = fuse(j_act(j, w), v)
-    mat = ExactMatrix.zeros(target.dim, source.dim)
+    mat = ExactMatrix.zeros(w.dim * v.dim, v.dim * w.dim)
     for r in range(v.dim):
         u = ext.g_of(H.mul(s, v.grades[r]))
         for s_out, s_in, c in w.act(u).nonzeros():
             mat[s_out * v.dim + r, r * w.dim + s_in] = c
-    return ModuleMap(source, target, mat)
+    return mat
+
+
+def braid(v: GradedModule, w: GradedModule) -> ModuleMap:
+    """Braiding V (x) W -> (j.W) (x) V for V homogeneous of sector j."""
+    j = _require_homogeneous(v, "braiding")
+    return ModuleMap(fuse(v, w), fuse(j_act(j, w), v), _braid_matrix(j, v, w))
 
 
 def twist(v: GradedModule) -> ModuleMap:
@@ -263,9 +269,7 @@ def r_action_map(sd: SectorDouble, v: GradedModule, w: GradedModule) -> ModuleMa
     by the projection onto the rows graded by h, so each leg of a term walks
     the nonzero entries of the action of g whose row grade is h."""
     j = _require_homogeneous(v, "R-matrix action")
-    source = fuse(v, w)
-    target = fuse(j_act(j, w), v)
-    mat = ExactMatrix.zeros(target.dim, source.dim)
+    mat = ExactMatrix.zeros(w.dim * v.dim, v.dim * w.dim)
 
     def leg(mod: GradedModule, idx: int) -> list[tuple[int, int, Scalar]]:
         h, g = sd.label_of(idx)
@@ -279,7 +283,7 @@ def r_action_map(sd: SectorDouble, v: GradedModule, w: GradedModule) -> ModuleMa
                     row = s_out * v.dim + r_out
                     col = r_in * w.dim + s_in
                     mat[row, col] = mat[row, col] + coef * c1 * c2
-    return ModuleMap(source, target, mat)
+    return ModuleMap(fuse(v, w), fuse(j_act(j, w), v), mat)
 
 
 def simples_of_double(ext: GroupExtension) -> list[GradedModule]:
@@ -338,23 +342,55 @@ def trivial_extension(h_group: FiniteGroup) -> GroupExtension:
     return extension_from_subgroup(h_group, list(range(h_group.order)), name=f"{h_group.order}-triv")
 
 
+def _check_unfused_braid(j: int, v: GradedModule, w: GradedModule, mat: ExactMatrix) -> None:
+    """Run on indices the checks braid(v, w) runs on its fused modules
+    v (x) w and (j.w) (x) v and its ModuleMap, forming no Kronecker product.
+
+    fuse(x, y) grades vector (i, k) by ab (a = x.grades[i], b = y.grades[k]);
+    g acts by the Kronecker product, whose entry ((i, k), (i', k')) is
+    x.act(g)[i, i'] * y.act(g)[k, k'], nonzero exactly when both factors are
+    (the scalars form a field). So ab == g(a'b')g^-1 (a' = x.grades[i'],
+    b' = y.grades[k']) on pairs of nonzero factor entries, once per distinct
+    pair of grade pairs, is exactly GradedModule's block condition on the
+    product; by g(a'b')g^-1 = (ga'g^-1)(gb'g^-1) it holds when both factors
+    satisfy theirs. Identity and shape follow from the factors'. The grading
+    of mat is tested against the grades fuse would give, from H.mul.
+    """
+    ext = v.ext
+    H = ext.H
+    jw = j_act(j, w)
+    for x, y in ((v, w), (jw, v)):
+        for g in range(ext.G.order):
+            hg = ext.incl(g)
+            left = {(x.grades[r], x.grades[c]) for r, c, _ in x.act(g).nonzeros()}
+            right = {(y.grades[r], y.grades[c]) for r, c, _ in y.act(g).nonzeros()}
+            if any(H.mul(a, b) != H.conj(hg, H.mul(a2, b2)) for a, a2 in left for b, b2 in right):
+                raise UsageError(f"action of g={g} violates the grade-conjugation block condition")
+    source = [H.mul(a, b) for a in v.grades for b in w.grades]
+    target = [H.mul(a, b) for a in jw.grades for b in v.grades]
+    if any(target[r] != source[c] for r, c, _ in mat.nonzeros()):
+        raise UsageError("module map does not preserve the grading")
+
+
 def s_matrix(h_group: FiniteGroup) -> SMatrix:
     """Traces of double braidings between all simples of the double of the
-    group, computed from the explicit braiding maps: tr(B F) is the sum of
-    B[i, j] F[j, i] over the pairs where both entries are nonzero, without
-    forming B F."""
+    group, computed from the explicit braiding matrices: tr(B F) is the sum
+    of B[i, j] F[j, i] over the pairs where both entries are nonzero, without
+    forming B F. Each braiding is checked once, on indices."""
     if h_group.order > S_MATRIX_ORDER_BOUND:
         raise ResourceError(f"group order {h_group.order} exceeds the S-matrix bound {S_MATRIX_ORDER_BOUND}")
     ext = trivial_extension(h_group)
     gsimples = simple_objects(_conj_groupoid(ext))
     modules = [_module_from_groupoid_simple(ext, s) for s in gsimples]
+    degrees = [_require_homogeneous(m, "braiding") for m in modules]
     labels = tuple((s.orbit[0], s.row) for s in gsimples)
     n = len(modules)
     mat = ExactMatrix.zeros(n, n)
-    for a in range(n):
-        for b in range(n):
-            forward = braid(modules[a], modules[b]).matrix
-            backward = braid(modules[b], modules[a]).matrix
+    for a, v in enumerate(modules):
+        for b, w in enumerate(modules):
+            forward = _braid_matrix(degrees[a], v, w)
+            _check_unfused_braid(degrees[a], v, w, forward)
+            backward = _braid_matrix(degrees[b], w, v)
             mat[a, b] = sum((x * y for i, j, x in backward.nonzeros() if (y := forward[j, i])), ZERO)
     return SMatrix(labels, mat, h_group.order)
 

@@ -367,6 +367,7 @@ def verify_sector_double(sd: SectorDouble, sampled: bool = False, samples: int =
         rib = orbifold_ribbon(sd, ohat)
         rep.include("orbifold-quasitriangular", verify_quasitriangular(rib, **suite))
         rep.include("orbifold-ribbon", verify_ribbon(rib, **suite))
+        rep.built = rib
     except (UsageError, NonInvertibleError, KeyError) as exc:
         for name in ("orbifold-hopf", "orbifold-quasitriangular", "orbifold-ribbon"):
             if name not in rep.checks:

@@ -1,38 +1,32 @@
-"""Exact scalars: rationals and cyclotomic numbers of a fixed conductor.
+"""Exact scalars: rationals (stdlib Fractions) and cyclotomic numbers.
 
-Rational is the stdlib Fraction (always reduced, positive denominator).
-Cyclotomic values live in Q(zeta_n) with coordinates in the power basis
-1, z, ..., z^(phi(n)-1) reduced modulo the n-th cyclotomic polynomial.
-Equality across conductors is decided by promotion to the lcm.
+A Cyclotomic in Q(zeta_n) is (num[0] + num[1] z + ... + num[d-1] z^(d-1)) / den
+for z = zeta_n and d = phi(n): integer numerators over one denominator
+den > 0, in lowest terms, so a value has one representation at its conductor.
+Phi_n is monic with integer coefficients, so every operation stays in the
+integers: a product is an integer convolution reduced by Phi_n, a sum
+cross-multiplies the denominators, promotion and the Galois maps substitute
+integer rows of the power table, and the inverse is the product of the other
+Galois conjugates over the norm. coeffs reads the coordinates as reduced
+Fractions, which reports encode. Values of different conductors meet at the
+lcm; a value keeps the conductor it was computed at, which reports show.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Sequence, Union
 
-Rational = Fraction
+from .errors import NonInvertibleError, UsageError
 
 Scalar = Union[int, Fraction, "Cyclotomic"]
 
 
 def euler_phi(n: int) -> int:
-    """Euler totient by trial factorization (n is small here)."""
-    assert n >= 1
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    """Euler's totient phi(n), the degree of Phi_n."""
+    return len(cyclotomic_polynomial(n)) - 1
 
 
 def _poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
@@ -41,18 +35,21 @@ def _poly_divmod_exact(num: list[int], den: list[int]) -> list[int]:
     q = [0] * (len(num) - len(den) + 1)
     for k in range(len(q) - 1, -1, -1):
         c = num[k + len(den) - 1]
-        assert c % den[-1] == 0
+        if c % den[-1]:
+            raise NonInvertibleError(f"leading coefficient {den[-1]} does not divide {c}")
         q[k] = c // den[-1]
         for i, d in enumerate(den):
             num[k + i] -= q[k] * d
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise NonInvertibleError(f"inexact polynomial division: remainder {num}")
     return q
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending, computed by exact division of x^n - 1."""
-    assert n >= 1
+    if n < 1:
+        raise UsageError(f"a conductor must be at least 1, got {n}")
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
@@ -61,135 +58,130 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Row e-phi(n) expresses z^e (e in [phi(n), 2*phi(n)-2]) in the power basis."""
-    d = euler_phi(n)
+def _modulus(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(n) and the nonzero lower terms (i, c) of Phi_n, so that
+    z^phi(n) = -(sum of c z^i)."""
     phi = cyclotomic_polynomial(n)
-    # z^d = -(phi[0] + phi[1] z + ... + phi[d-1] z^(d-1)) since phi[d] = 1
-    rows: list[tuple[Fraction, ...]] = []
-    top = [Fraction(-phi[i]) for i in range(d)]
-    rows.append(tuple(top))
-    for _ in range(d - 2):
-        prev = rows[-1]
-        nxt = [Fraction(0)] + [prev[i] for i in range(d - 1)]
-        lead = prev[d - 1]
-        if lead:
-            nxt = [nxt[i] + lead * top[i] for i in range(d)]
-        rows.append(tuple(nxt))
-    return tuple(rows)
+    d = len(phi) - 1
+    return d, tuple((i, c) for i, c in enumerate(phi[:d]) if c)
+
+
+def _reduce(n: int, poly: list[int]) -> list[int]:
+    """The coordinates of an integer polynomial in z (ascending, reduced in
+    place) modulo Phi_n."""
+    d, tail = _modulus(n)
+    for e in range(len(poly) - 1, d - 1, -1):
+        c = poly[e]
+        if c:
+            base = e - d
+            for i, t in tail:
+                poly[base + i] -= c * t
+    return poly[:d] + [0] * (d - len(poly))
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
+def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     """z^e in the power basis for every e in [0, n)."""
-    d = euler_phi(n)
-    rows = _reduction_rows(n)
-    out: list[tuple[Fraction, ...]] = []
-    for e in range(n):
-        if e < d:
-            vec = [Fraction(0)] * d
-            vec[e] = Fraction(1)
-            out.append(tuple(vec))
-        elif e < 2 * d - 1:
-            out.append(rows[e - d])
-        else:
-            prev = out[e - 1]
-            vec = [Fraction(0)] + [prev[i] for i in range(d - 1)]
-            lead = prev[d - 1]
-            if lead:
-                top = rows[0]
-                vec = [vec[i] + lead * top[i] for i in range(d)]
-            out.append(tuple(vec))
-    return tuple(out)
+    return tuple(tuple(_reduce(n, [0] * e + [1])) for e in range(n))
 
 
-def _reduce_product(n: int, conv: list[Fraction]) -> tuple[Fraction, ...]:
-    d = euler_phi(n)
-    if len(conv) <= d:
-        return tuple(conv + [Fraction(0)] * (d - len(conv)))
-    rows = _reduction_rows(n)
-    out = conv[:d]
-    for e in range(d, len(conv)):
-        c = conv[e]
-        if c:
-            row = rows[e - d]
-            for i in range(d):
-                out[i] += c * row[i]
-    return tuple(out)
+def _make(n: int, num: Sequence[int], den: int) -> "Cyclotomic":
+    """The value num/den of conductor n (den > 0), brought to lowest terms."""
+    g = gcd(den, *num)
+    x = object.__new__(Cyclotomic)
+    x.n = n
+    x.num = tuple(num) if g == 1 else tuple(c // g for c in num)
+    x.den = den // g
+    return x
 
 
 class Cyclotomic:
-    """Element of Q(zeta_n) in the power basis, reduced mod Phi_n."""
+    """Element of Q(zeta_n): integer power-basis numerators over one positive
+    denominator, reduced mod Phi_n and in lowest terms."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs: Sequence[Fraction | int]):
         d = euler_phi(n)
-        assert len(coeffs) == d, f"need {d} coordinates for conductor {n}"
+        if len(coeffs) != d:
+            raise UsageError(f"need {d} coordinates for conductor {n}, got {len(coeffs)}")
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fracs))
         self.n = n
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.num = tuple(f.numerator * (den // f.denominator) for f in fracs)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as reduced Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_rational(q: Fraction | int, n: int = 1) -> "Cyclotomic":
-        d = euler_phi(n)
-        vec = [Fraction(0)] * d
-        vec[0] = Fraction(q)
-        return Cyclotomic(n, vec)
+        return _make(n, [q.numerator] + [0] * (euler_phi(n) - 1), q.denominator)
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyclotomic":
         """zeta_n^k."""
-        return Cyclotomic(n, _power_table(n)[k % n])
+        return _make(n, _power_table(n)[k % n], 1)
 
     # -- conductor handling -------------------------------------------
+
+    def _substitute(self, m: int, step: int) -> "Cyclotomic":
+        """The value with z = zeta_n replaced by zeta_m^step."""
+        table = _power_table(m)
+        vec = [0] * len(table[0])
+        for e, c in enumerate(self.num):
+            if c:
+                for i, t in enumerate(table[e * step % m]):
+                    if t:
+                        vec[i] += c * t
+        return _make(m, vec, self.den)
 
     def promote(self, m: int) -> "Cyclotomic":
         """Rewrite in Q(zeta_m); m must be a multiple of the conductor."""
         if m == self.n:
             return self
-        assert m % self.n == 0, f"{m} not a multiple of conductor {self.n}"
-        step = m // self.n
-        table = _power_table(m)
-        d = euler_phi(m)
-        vec = [Fraction(0)] * d
-        for e, c in enumerate(self.coeffs):
-            if c:
-                row = table[(e * step) % m]
-                for i in range(d):
-                    vec[i] += c * row[i]
-        return Cyclotomic(m, vec)
+        if m % self.n:
+            raise UsageError(f"{m} not a multiple of conductor {self.n}")
+        return self._substitute(m, m // self.n)
 
     @staticmethod
     def _pair(a: "Cyclotomic", b: Scalar) -> tuple["Cyclotomic", "Cyclotomic"]:
         if isinstance(b, (int, Fraction)):
             return a, Cyclotomic.from_rational(b, a.n)
+        if a.n == b.n:
+            return a, b
         n = a.n * b.n // gcd(a.n, b.n)
         return a.promote(n), b.promote(n)
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
-        assert self.is_rational(), f"not rational: {self}"
-        return self.coeffs[0]
+        if not self.is_rational():
+            raise UsageError(f"not rational: {self}")
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: Scalar) -> "Cyclotomic":
         a, b = Cyclotomic._pair(self, other)
-        return Cyclotomic(a.n, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        if a.den == b.den:
+            return _make(a.n, [x + y for x, y in zip(a.num, b.num)], a.den)
+        return _make(a.n, [x * b.den + y * a.den for x, y in zip(a.num, b.num)], a.den * b.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.n, [-c for c in self.coeffs])
+        return _make(self.n, [-c for c in self.num], self.den)
 
     def __sub__(self, other: Scalar) -> "Cyclotomic":
         return self + (-other)
@@ -199,67 +191,45 @@ class Cyclotomic:
 
     def __mul__(self, other: Scalar) -> "Cyclotomic":
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.n, [c * other for c in self.coeffs])
+            return _make(self.n, [c * other.numerator for c in self.num], self.den * other.denominator)
         a, b = Cyclotomic._pair(self, other)
-        d = len(a.coeffs)
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a.coeffs):
+        conv = [0] * (2 * len(a.num) - 1)
+        for i, x in enumerate(a.num):
             if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        conv[i + j] += x * y
-        return Cyclotomic(a.n, _reduce_product(a.n, conv))
+                for j, y in enumerate(b.num, i):
+                    conv[j] += x * y
+        return _make(a.n, _reduce(a.n, conv), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via extended Euclid against Phi_n over Q."""
+        """Multiplicative inverse: the product P of the Galois conjugates
+        zeta_n -> zeta_n^k (1 < k < n, k coprime to n), divided by the norm
+        N = self * P.
+
+        N is the resultant of Phi_n and the element's polynomial: it vanishes
+        exactly when the two are not coprime, and it is rational exactly when
+        the result r = P / N satisfies r * self = 1. Both are checked, and
+        either failure raises NonInvertibleError.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
         if self.is_rational():
-            return Cyclotomic.from_rational(1 / self.coeffs[0], self.n)
-        # extended gcd of a(x) and Phi_n(x): gcd is a nonzero constant
-        a = list(self.coeffs)
-        b = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-        s0, s1 = [Fraction(1)], [Fraction(0)]
-
-        def strip(p: list[Fraction]) -> list[Fraction]:
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        a, b = strip(a), strip(b)
-        while b:
-            # divide a by b
-            q = [Fraction(0)] * (len(a) - len(b) + 1) if len(a) >= len(b) else []
-            r = list(a)
-            for k in range(len(q) - 1, -1, -1):
-                q[k] = r[k + len(b) - 1] / b[-1]
-                if q[k]:
-                    for i, d in enumerate(b):
-                        r[k + i] -= q[k] * d
-            r = strip(r)
-            # s update: s_new = s0 - q*s1
-            qs1 = [Fraction(0)] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(s1):
-                        qs1[i + j] += x * y
-            s_new = [
-                (s0[i] if i < len(s0) else Fraction(0)) - (qs1[i] if i < len(qs1) else Fraction(0))
-                for i in range(max(len(s0), len(qs1)) or 1)
-            ]
-            a, b = b, r
-            s0, s1 = s1, strip(s_new) or [Fraction(0)]
-        assert len(a) == 1 and a[0] != 0, "element and Phi_n not coprime"
-        inv_poly = [c / a[0] for c in s0]
-        result = Cyclotomic(self.n, _reduce_product(self.n, inv_poly))
-        assert (result * self) == 1
-        return result
+            return Cyclotomic.from_rational(Fraction(self.den, self.num[0]), self.n)
+        conjugates = Cyclotomic.from_rational(1, self.n)
+        for k in range(2, self.n):
+            if gcd(k, self.n) == 1:
+                conjugates = conjugates * self.galois(k)
+        norm = self * conjugates
+        if not norm.is_rational():
+            raise NonInvertibleError(f"inverse self-check failed: norm {norm} of {self} is not rational")
+        if norm.is_zero():
+            raise NonInvertibleError(f"{self} and Phi_{self.n} are not coprime")
+        return conjugates / norm.rational_value()
 
     def __truediv__(self, other: Scalar) -> "Cyclotomic":
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.n, [c / other for c in self.coeffs])
+            return self * (1 / Fraction(other))
         a, b = Cyclotomic._pair(self, other)
         return a * b.inverse()
 
@@ -280,29 +250,22 @@ class Cyclotomic:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.is_rational() and self.num[0] * other.denominator == other.numerator * self.den
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         a, b = Cyclotomic._pair(self, other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     __hash__ = None  # mixed-conductor values have no cheap canonical hash
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.num)
 
     def galois(self, k: int) -> "Cyclotomic":
         """Apply zeta_n -> zeta_n^k (k coprime to n)."""
-        assert gcd(k, self.n) == 1
-        table = _power_table(self.n)
-        d = len(self.coeffs)
-        vec = [Fraction(0)] * d
-        for e, c in enumerate(self.coeffs):
-            if c:
-                row = table[(e * k) % self.n]
-                for i in range(d):
-                    vec[i] += c * row[i]
-        return Cyclotomic(self.n, vec)
+        if gcd(k, self.n) != 1:
+            raise UsageError(f"galois exponent {k} is not coprime to the conductor {self.n}")
+        return self._substitute(self.n, k)
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation zeta_n -> zeta_n^(-1)."""
@@ -331,14 +294,6 @@ class Cyclotomic:
         return " + ".join(parts) if parts else "0"
 
 
-def as_cyclotomic(x: Scalar, n: int = 1) -> Cyclotomic:
-    """Coerce int/Fraction/Cyclotomic into Q(zeta_m), m = lcm of n and x's conductor."""
-    if isinstance(x, Cyclotomic):
-        m = n * x.n // gcd(n, x.n)
-        return x if m == x.n else x.promote(m)
-    return Cyclotomic.from_rational(x, n)
-
-
 def cyclotomic_conjugate(x: Scalar) -> Scalar:
     """Conjugation as the Galois map z -> z^(-1); fixes rationals."""
     if isinstance(x, Cyclotomic):
@@ -347,15 +302,13 @@ def cyclotomic_conjugate(x: Scalar) -> Scalar:
 
 
 def scalar_is_zero(x: Scalar) -> bool:
-    if isinstance(x, Cyclotomic):
-        return x.is_zero()
-    return x == 0
+    return not x
 
 
 def scalar_eq(x: Scalar, y: Scalar) -> bool:
-    if isinstance(x, Cyclotomic) or isinstance(y, Cyclotomic):
-        return as_cyclotomic(x) == (y if isinstance(y, Cyclotomic) else Fraction(y))
-    return Fraction(x) == Fraction(y)
+    """Equality across scalar types: a Cyclotomic compares with rationals and
+    with other conductors itself."""
+    return x == y
 
 
 def is_prime(n: int) -> bool:

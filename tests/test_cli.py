@@ -249,6 +249,7 @@ SMATRIX_REPORT_SHA256 = {
     "D4": "6a1c16e659c16a7c1bee0f5172d1eecda040a4606c341f94195bc3a0c2fcff95",
     "Q8": "cc98f8c0e5a8e4490e69425924db13d3add6d0e18cf0ba6b06ae0da3087f58d8",
     "A4": "be7f9e9b4bac9a4443bd764036c0f452e1c162e6992d813943c3e2c3d34a1e29",
+    "S4": "979a76730dee33e2880c0ba9cb683ea2b68680e13e4c886f750a88b35aa1c471",
 }
 
 
@@ -293,3 +294,6 @@ def test_crossed_product_is_built_once_per_command(tmp_path, monkeypatch):
         counts[name] = 0
     assert cli.main(["verify-all", "--extension", "Z2-Z4", "--out", str(tmp_path / "v.json")]) == 0
     assert counts["double_algebra"] == 1
+    # the psi section checks the crossed product the sector suite built
+    assert counts["orbifold_algebra"] == 1
+    assert counts["orbifold_ribbon"] == 1

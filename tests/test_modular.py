@@ -15,6 +15,8 @@ from equidouble.linalg import ExactMatrix
 from equidouble.modular import (
     GradedModule,
     ModuleMap,
+    _braid_matrix,
+    _check_unfused_braid,
     action_braiding_holds,
     braid,
     check_equivariant_diagrams,
@@ -267,7 +269,7 @@ def test_s_matrix_of_z2_double_matches_the_hand_computed_table():
 
 
 def test_s_matrix_trace_equals_the_character_formula():
-    for group in (cyclic_group(2), cyclic_group(3), symmetric_group(3)):
+    for group in (cyclic_group(2), cyclic_group(3), symmetric_group(3), symmetric_group(4)):
         traced = s_matrix(group)
         counted = s_matrix_character_formula(group)
         assert traced.labels == counted.labels
@@ -275,6 +277,33 @@ def test_s_matrix_trace_equals_the_character_formula():
         for r in range(traced.matrix.rows):
             for c in range(traced.matrix.cols):
                 assert scalar_eq(traced.matrix[r, c], counted.matrix[r, c])
+
+
+def test_unfused_braid_checks_fail_where_the_fused_modules_do():
+    """s_matrix checks its braidings on indices instead of building the fused
+    modules. With the grades of a simple replaced after construction (the
+    first replacement still satisfies the block condition, the others do
+    not), both paths raise the same error on the same pairs."""
+
+    def outcome(check):
+        try:
+            check()
+        except UsageError as exc:
+            return str(exc)
+        return None
+
+    ext = trivial_extension(symmetric_group(3))
+    other = simples_of_double(ext)[6]
+    seen = set()
+    for k, grades in ((2, (3, 4)), (3, (1, 5, 2)), (5, (3, 3))):
+        modules = simples_of_double(ext)
+        modules[k].grades = grades
+        for v, w in ((modules[k], other), (other, modules[k]), (modules[k], modules[k])):
+            fused = outcome(lambda: braid(v, w))
+            unfused = outcome(lambda: _check_unfused_braid(0, v, w, _braid_matrix(0, v, w)))
+            assert fused == unfused
+            seen.add(fused is None)
+    assert seen == {True, False}
 
 
 def test_s_matrices_of_small_doubles_are_invertible():
