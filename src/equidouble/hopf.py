@@ -7,7 +7,18 @@ verdict, the `all_passed` property is their conjunction, and `witnesses`
 holds the first tuple on which each failed check fails. A suite is a table
 of named predicates on basis tuples (`hopf_checks`, `quasitriangular_checks`,
 `ribbon_checks`); `run_checks` runs each on every basis tuple or on a seeded
-random sample, and the report says which mode ran.
+random sample, and the report says which mode ran. A sampled check with no
+more basis tuples than samples runs on every tuple.
+
+Most tables here are monomial: every product of basis elements is a basis
+element or zero, and every coproduct of one a sum of distinct basis pairs,
+all with coefficient exactly 1. When `verify_hopf` runs associativity and
+comultiplication_multiplicative on every tuple and `monomial_view` finds the
+product and coproduct tables monomial, those two checks run as scans over
+integer rows built from the live tables at check time; they report the same
+verdicts and the same first witnesses as the predicates. Any other table,
+such as one with a rational coefficient or a stored zero, runs the sparse
+predicates, which remain each axiom's definition.
 """
 
 from __future__ import annotations
@@ -15,9 +26,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import product
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
+from .errors import UsageError
 from .scalars import Scalar
 
 SparseVec = dict[int, Scalar]
@@ -68,7 +82,11 @@ class TableHopf:
         antipode_table: dict[int, SparseVec],
         name: str = "",
     ):
-        assert len(labels) == dim and len(counit_table) == dim
+        if len(labels) != dim or len(counit_table) != dim:
+            raise UsageError(
+                f"a Hopf table of dimension {dim} needs {dim} labels and counit values, "
+                f"got {len(labels)} and {len(counit_table)}"
+            )
         self.dim = dim
         self.labels = tuple(labels)
         self.unit = clean(unit)
@@ -203,7 +221,10 @@ class VerifyReport:
         later parts are skipped."""
         if name in self.witnesses:
             return
-        witness = first_failure(tuples, holds)
+        self.record(name, first_failure(tuples, holds))
+
+    def record(self, name: str, witness: Optional[tuple]) -> None:
+        """Record a check decided elsewhere: failed on witness, or passed if None."""
         self.checks[name] = witness is None
         if witness is not None:
             self.witnesses[name] = witness
@@ -218,26 +239,46 @@ class VerifyReport:
 
 # name -> (arity, predicate on a basis tuple of that arity); arity 0 is one identity
 Checks = dict[str, tuple[int, Callable[..., bool]]]
+# name -> a procedure returning the first basis tuple, in itertools.product
+# order, on which the check of that name fails, or None
+Scans = dict[str, Callable[[], Optional[tuple]]]
+
+
+def _exhaustive(dim: int, arity: int, sampled: bool, samples: int) -> bool:
+    return not sampled or samples >= dim ** arity
 
 
 def _tuples(dim: int, arity: int, sampled: bool, samples: int, seed: int) -> Iterable[tuple]:
-    if not sampled:
+    """Every basis tuple of the arity in full mode; in sampled mode, `samples`
+    tuples drawn with seed, unless that is at least dim ** arity, the number
+    of tuples there are. Every drawn tuple lies in the full product, so any
+    failure a draw could find is found there too: running the full product
+    instead can only make a verdict stricter, and it costs no more tuples."""
+    if _exhaustive(dim, arity, sampled, samples):
         return product(range(dim), repeat=arity)
     rng = random.Random(seed)
     return [tuple(rng.randrange(dim) for _ in range(arity)) for _ in range(samples)]
 
 
-def run_checks(checks: Checks, dim: int, *, sampled: bool, samples: int, seed: int) -> VerifyReport:
+def run_checks(
+    checks: Checks, dim: int, *, sampled: bool, samples: int, seed: int, scans: Optional[Scans] = None
+) -> VerifyReport:
     """Run each check on every basis tuple of its arity, or on `samples`
     random ones; the k-th check of positive arity (k = 0, 1, ...) draws its
-    sample from seed + k."""
+    sample from seed + k. A check that runs on every tuple and has a scan of
+    its name in `scans` is decided by the scan, which finds the same first
+    failing tuple as the predicate loop."""
     rep = VerifyReport(mode="sampled" if sampled else "full")
+    scans = scans or {}
     offset = 0
     for name, (arity, holds) in checks.items():
         if arity == 0:
             rep.check(name, [()], holds)
             continue
-        rep.check(name, _tuples(dim, arity, sampled, samples, seed + offset), holds)
+        if name in scans and _exhaustive(dim, arity, sampled, samples):
+            rep.record(name, scans[name]())
+        else:
+            rep.check(name, _tuples(dim, arity, sampled, samples, seed + offset), holds)
         offset += 1
     return rep
 
@@ -303,11 +344,101 @@ def hopf_checks(h: TableHopf) -> Checks:
     }
 
 
+# -- integer view of a monomial table: scans for the two largest checks
+
+
+@dataclass(frozen=True)
+class MonomialView:
+    """The product and coproduct tables of a monomial TableHopf as integers.
+
+    rows[i][j] is k when e_i e_j = e_k and -1 when e_i e_j = 0. Every row ends
+    in -1 and the last row is all -1, so rows[rows[x][s]][y] and
+    rows[x][rows[s][y]] read zero through a zero product without a branch.
+    pairs[k] is the sorted list of pairs (x, y) with
+    Delta(e_k) = sum of e_x (x) e_y, and pairs[-1] is empty.
+    """
+
+    rows: list[tuple[int, ...]]
+    pairs: list[list[tuple[int, int]]]
+
+
+def monomial_view(h: TableHopf) -> Optional[MonomialView]:
+    """The integer view of h's product and coproduct tables as they are now,
+    or None unless every stored entry is one basis element, resp. pair, of
+    h with coefficient exactly 1. A stored zero or a sum of several terms
+    makes a table not monomial."""
+    basis = range(h.dim)
+    rows = [[-1] * (h.dim + 1) for _ in range(h.dim + 1)]
+    for (i, j), vec in h._mul.items():
+        if not vec:
+            continue
+        if len(vec) != 1 or i not in basis or j not in basis:
+            return None
+        ((k, c),) = vec.items()
+        if c != 1 or k not in basis:
+            return None
+        rows[i][j] = k
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(h.dim + 1)]
+    for i, ten in h._comul.items():
+        if i not in basis or any(c != 1 or x not in basis or y not in basis for (x, y), c in ten.items()):
+            return None
+        pairs[i] = sorted(ten)
+    return MonomialView([tuple(row) for row in rows], pairs)
+
+
+def _associativity_scan(view: MonomialView) -> Optional[tuple]:
+    """The first (x, s, y) with (e_x e_s) e_y != e_x (e_s e_y), or None. Both
+    sides are a basis element or zero, so they agree exactly when
+    rows[rows[x][s]][y] == rows[x][rows[s][y]]; for each (x, s) that compares
+    the row of e_x e_s with row x read at the entries of row s."""
+    rows = view.rows
+    read = [itemgetter(*row) for row in rows[:-1]]
+    for x, row in enumerate(rows[:-1]):
+        for s, xs in enumerate(row[:-1]):
+            lhs, rhs = rows[xs], read[s](row)
+            if lhs != rhs:
+                return (x, s, next(y for y, (a, b) in enumerate(zip(lhs, rhs)) if a != b))
+    return None
+
+
+def _comultiplicativity_scan(view: MonomialView) -> Optional[tuple]:
+    """The first (a, b) with Delta(e_a e_b) != Delta(e_a) Delta(e_b), or
+    None. The left side is the tensor whose terms are pairs[rows[a][b]], each
+    with coefficient 1. The right side is a sum of terms e_(xx') (x) e_(yy')
+    with coefficient 1, one for each pair (x, y) of a and (x', y') of b whose
+    two products are nonzero; its coefficient on a key is the number of times
+    the key occurs. So the sides are equal exactly when those keys, sorted,
+    are pairs[rows[a][b]]."""
+    rows, pairs = view.rows, view.pairs
+    for a, row in enumerate(rows[:-1]):
+        for b, ab in enumerate(row[:-1]):
+            rhs = sorted(
+                (p, q)
+                for x, y in pairs[a]
+                for x2, y2 in pairs[b]
+                if (p := rows[x][x2]) >= 0 and (q := rows[y][y2]) >= 0
+            )
+            if rhs != pairs[ab]:
+                return (a, b)
+    return None
+
+
 def verify_hopf(
     h: TableHopf, *, sampled: bool = False, samples: int = 4000, seed: int = 0
 ) -> VerifyReport:
-    """Bialgebra + antipode axioms, on all basis tuples or a seeded sample."""
-    return run_checks(hopf_checks(h), h.dim, sampled=sampled, samples=samples, seed=seed)
+    """Bialgebra + antipode axioms, on all basis tuples or a seeded sample.
+    On a monomial table, associativity and comultiplication_multiplicative
+    are scanned when they run on every tuple. A sample too small to cover
+    the pairs of basis elements, the smaller of their two tuple sets,
+    builds no view."""
+    view = monomial_view(h) if _exhaustive(h.dim, 2, sampled, samples) else None
+    scans: Scans = {}
+    if view is not None:
+        scans = {
+            "associativity": partial(_associativity_scan, view),
+            "comultiplication_multiplicative": partial(_comultiplicativity_scan, view),
+        }
+    return run_checks(hopf_checks(h), h.dim, sampled=sampled, samples=samples, seed=seed, scans=scans)
 
 
 def _hexagon_rhs(h: TableHopf, r: SparseTen, pair: str) -> SparseTen3:

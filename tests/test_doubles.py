@@ -9,6 +9,7 @@ from equidouble.errors import UsageError
 from equidouble.groupoids import simple_objects
 from equidouble.groups import cyclic_group, extension_from_subgroup, symmetric_group
 from equidouble.hopf import (
+    TableHopf,
     sparse_eq,
     verify_hopf,
     verify_quasitriangular,
@@ -55,6 +56,14 @@ def test_double_s3_full_axioms():
     rd = d.ribbon_data()
     assert verify_quasitriangular(rd).all_passed
     assert verify_ribbon(rd).all_passed
+
+
+def test_hopf_table_rejects_label_and_counit_lengths():
+    one = Fraction(1)
+    with pytest.raises(UsageError):
+        TableHopf(2, ["a"], {0: one}, {(0, 0): {0: one}}, {}, [one, one], {})
+    with pytest.raises(UsageError):
+        TableHopf(2, ["a", "b"], {0: one}, {(0, 0): {0: one}}, {}, [one], {})
 
 
 def test_double_antipode_is_involutive():

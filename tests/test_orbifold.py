@@ -4,14 +4,18 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import equidouble
+from equidouble.catalogue import extension_by_name
 from equidouble.doubles import double_algebra, sector_double
 from equidouble.errors import NonInvertibleError
 from equidouble.hopf import (
+    first_failure,
     hopf_checks,
+    monomial_view,
     sparse_eq,
     verify_hopf,
     verify_quasitriangular,
@@ -275,6 +279,27 @@ def test_sector_axiom_suite_detects_single_entry_corruptions():
     assert failed_check in hopf_checks(sd.hopf)
 
 
+def test_redirected_product_in_the_z2_q8_crossed_product_is_witnessed():
+    """A corruption that keeps the table monomial runs on the integer scans;
+    each witness is the first failing tuple of the sparse predicate loop."""
+    hopf = orbifold_algebra(sector_double(extension_by_name("Z2-Q8")))
+    assert hopf.dim == 64
+    nonzero = sorted(k for k, v in hopf._mul.items() if v)
+    key = nonzero[len(nonzero) // 2]
+    (old,) = hopf._mul[key]
+    hopf._mul[key] = {(old + 1) % hopf.dim: ONE}
+    assert monomial_view(hopf) is not None
+    report = verify_hopf(hopf)
+    assert not report.checks["associativity"]
+    assert not report.checks["comultiplication_multiplicative"]
+    assert set(report.witnesses) == set(report.failing())
+    checks = hopf_checks(hopf)
+    for name, witness in report.witnesses.items():
+        arity, holds = checks[name]
+        assert not holds(*witness), (name, witness)
+        assert witness == first_failure(product(range(hopf.dim), repeat=arity), holds), name
+
+
 def test_orbifold_ribbon_certification_does_not_depend_on_assert():
     """Under python -O every assert is stripped; a corrupted sector braiding
     must still make orbifold_ribbon raise NonInvertibleError."""
@@ -282,6 +307,7 @@ def test_orbifold_ribbon_certification_does_not_depend_on_assert():
 from fractions import Fraction
 from equidouble.catalogue import extension_by_name
 from equidouble.doubles import sector_double
+from equidouble.catalogue import extension_by_name
 from equidouble.errors import NonInvertibleError
 from equidouble.orbifold import orbifold_ribbon
 sd = sector_double(extension_by_name("Z2-Z4"))

@@ -1,30 +1,41 @@
 """Axiom-suite witnesses: a failed check names the first tuple it fails on,
 and that tuple alone reproduces the failure."""
 
+from fractions import Fraction
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equidouble.catalogue import group_by_name
-from equidouble.doubles import double_algebra
+from equidouble.catalogue import extension_by_name, group_by_name
+from equidouble.doubles import double_algebra, sector_double
 from equidouble.hopf import (
     VerifyReport,
     first_failure,
     hopf_checks,
+    monomial_view,
     ribbon_checks,
+    run_checks,
     verify_hopf,
     verify_quasitriangular,
     verify_ribbon,
 )
+from equidouble.orbifold import orbifold_algebra
 
 TABLES = ("_mul", "_comul", "_antipode")
+ONE = Fraction(1)
+
+
+def small_double(draw):
+    return double_algebra(group_by_name(draw(st.sampled_from(("Z2", "Z3", "S3"))))).hopf
 
 
 @st.composite
-def corrupted_doubles(draw):
+def constant_corruptions(draw):
     """D(G) for G in Z2, Z3, S3 with one structure constant of its product,
     coproduct or antipode table replaced by a different value."""
-    hopf = double_algebra(group_by_name(draw(st.sampled_from(("Z2", "Z3", "S3"))))).hopf
+    hopf = small_double(draw)
     table = getattr(hopf, draw(st.sampled_from(TABLES)))
     key = draw(st.sampled_from(sorted(k for k, v in table.items() if v)))
     entry = draw(st.sampled_from(sorted(table[key])))
@@ -34,9 +45,35 @@ def corrupted_doubles(draw):
     return hopf
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(corrupted_doubles())
+@st.composite
+def monomial_corruptions(draw):
+    """D(G) for G in Z2, Z3, S3 with its product and coproduct tables kept
+    monomial: one product redirected to another basis element, one product
+    deleted, or one coproduct pair redirected to a pair not yet present."""
+    hopf = small_double(draw)
+    kind = draw(st.sampled_from(("redirect-product", "delete-product", "redirect-coproduct")))
+    if kind == "redirect-coproduct":
+        key = draw(st.sampled_from(sorted(k for k, v in hopf._comul.items() if v)))
+        pairs = hopf._comul[key]
+        fresh = [p for p in product(range(hopf.dim), repeat=2) if p not in pairs]
+        del pairs[draw(st.sampled_from(sorted(pairs)))]
+        pairs[draw(st.sampled_from(fresh))] = ONE
+    else:
+        key = draw(st.sampled_from(sorted(k for k, v in hopf._mul.items() if v)))
+        (old,) = hopf._mul[key]
+        if kind == "delete-product":
+            del hopf._mul[key]
+        else:
+            hopf._mul[key] = {draw(st.sampled_from([k for k in range(hopf.dim) if k != old])): ONE}
+    assert monomial_view(hopf) is not None
+    return hopf
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(constant_corruptions(), monomial_corruptions()))
 def test_corrupted_double_fails_and_each_witness_reproduces_the_failure(hopf):
+    """Each witness fails its sparse predicate and is the first failing tuple
+    of the exhaustive predicate loop, on the scans as on the sparse path."""
     report = verify_hopf(hopf)
     assert not report.all_passed
     assert set(report.witnesses) == set(report.failing())
@@ -45,6 +82,33 @@ def test_corrupted_double_fails_and_each_witness_reproduces_the_failure(hopf):
         arity, holds = checks[name]
         assert len(witness) == arity
         assert not holds(*witness), (name, witness)
+        assert witness == first_failure(product(range(hopf.dim), repeat=arity), holds), name
+
+
+def test_scans_agree_with_the_sparse_oracle_on_valid_tables():
+    sd = sector_double(extension_by_name("A3-S3"))
+    crossed = orbifold_algebra(sd)
+    assert crossed.dim == 36
+    for hopf in (double_algebra(group_by_name("S3")).hopf, sd.hopf, crossed):
+        assert monomial_view(hopf) is not None
+        scanned = verify_hopf(hopf)
+        oracle = run_checks(hopf_checks(hopf), hopf.dim, sampled=False, samples=0, seed=0)
+        assert scanned.all_passed
+        assert (scanned.checks, scanned.witnesses) == (oracle.checks, oracle.witnesses)
+
+
+@pytest.mark.parametrize("corrupt", ["constant", "redirect"])
+def test_sampled_check_with_no_more_tuples_than_samples_runs_exhaustively(corrupt):
+    """D(Z2) has 4 ** 3 basis triples, fewer than the 4000 default samples,
+    so every sampled check runs on every tuple and finds the full witness."""
+    hopf = double_algebra(group_by_name("Z2")).hopf
+    (old,) = hopf._mul[(0, 1)]
+    hopf._mul[(0, 1)] = {old: Fraction(5)} if corrupt == "constant" else {(old + 1) % hopf.dim: ONE}
+    full = verify_hopf(hopf)
+    sampled = verify_hopf(hopf, sampled=True)
+    assert not full.all_passed
+    assert (sampled.mode, full.mode) == ("sampled", "full")
+    assert (sampled.checks, sampled.witnesses) == (full.checks, full.witnesses)
 
 
 @pytest.mark.parametrize("name", ["Z2", "Z3", "S3"])
