@@ -331,15 +331,22 @@ def _cmd_verify_all(config: RunConfig) -> tuple[dict, bool]:
     return report, ok
 
 
-def _cmd_cech(config: RunConfig) -> tuple[dict, bool]:
+def _circle_sectors(config: RunConfig):
+    """The extension and the twisted-bundle groupoid of the circle at the
+    requested monodromy j (the sector groupoid H_j//G), with its points."""
     ext = load_extension(_require(config.extension, "--extension"))
     if not 0 <= config.monodromy < ext.J.order:
         raise UsageError(f"monodromy must be a sector index in 0..{ext.J.order - 1}")
+    twist_hom = TwistHom(presentation_by_name("circle"), ext.J, (config.monodromy,))
+    action, points = twisted_bundle_groupoid(twist_hom, ext, budget=config.budget_homs)
+    return ext, action, points
+
+
+def _cmd_cech(config: RunConfig) -> tuple[dict, bool]:
+    ext, action, _points = _circle_sectors(config)
     wa = extension_to_weak_action(ext)
     nerve = circle_nerve(ext.J, config.monodromy)
     classes = twisted_cech_h1(nerve, wa, budget=config.budget_homs)
-    twist_hom = TwistHom(presentation_by_name("circle"), ext.J, (config.monodromy,))
-    action, _points = twisted_bundle_groupoid(twist_hom, ext, budget=config.budget_homs)
     orbit_count = len(action.orbits())
     matches = classes.count == orbit_count
     report = {
@@ -355,11 +362,7 @@ def _cmd_cech(config: RunConfig) -> tuple[dict, bool]:
 
 
 def _cmd_sectors(config: RunConfig) -> tuple[dict, bool]:
-    ext = load_extension(_require(config.extension, "--extension"))
-    if not 0 <= config.monodromy < ext.J.order:
-        raise UsageError(f"monodromy must be a sector index in 0..{ext.J.order - 1}")
-    twist_hom = TwistHom(presentation_by_name("circle"), ext.J, (config.monodromy,))
-    action, points = twisted_bundle_groupoid(twist_hom, ext, budget=config.budget_homs)
+    _ext, action, points = _circle_sectors(config)
     orbits = action.orbits()
     entries = []
     for orbit in orbits:

@@ -256,7 +256,8 @@ class CoverNerve:
                 raise UsageError(f"J-labels do not compose on triangle ({a},{b},{c})")
 
     def edge_index(self, a: int, b: int) -> int:
-        assert a < b
+        if (a, b) not in self.edges:
+            raise UsageError(f"({a},{b}) is not an edge of the nerve")
         return self.edges.index((a, b))
 
     def jlabel(self, a: int, b: int) -> int:
@@ -336,7 +337,8 @@ def twisted_cech_h1(nerve: CoverNerve, wa: WeakAction, budget: int = DEFAULT_BUD
             cur = stack.pop()
             for k in itertools.product(range(group.order), repeat=nerve.vertices):
                 nxt = coboundary(k, cur)
-                assert nxt in cocycle_set
+                if nxt not in cocycle_set:
+                    raise UsageError(f"the coboundary of {k} moves the cocycle {cur} off the cocycles")
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)

@@ -7,16 +7,21 @@ inclusion of G into H) is the defining block condition. Simple modules come
 from the conjugation groupoid H//G: one for each G-orbit in H and each
 irreducible of the orbit's stabilizer.
 
-All structural identifications (associativity of the fused basis, compatibility
-of the sector action with fusion, duals of shifted modules) are identities on
-the chosen bases, so diagrams are compared as plain matrix composites.
+A fused module keeps its factors, the modules given by matrices that it is
+the fusion of, and its grades; its action at g is the Kronecker product of the
+factors' actions at g, formed the first time a check reads it. Fusion and the
+sector action are strict on bases: fuse(fuse(u, v), w) and fuse(u, fuse(v, w))
+have the same factors, j.(V (x) W) is (j.V) (x) (j.W), and duals of shifted
+modules are shifted duals. So diagrams are compared as plain matrix
+composites, and the S-matrix and the diagram suite take their braidings from
+the one function braid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .doubles import SectorDouble, double_algebra, sector_double
 from .errors import ResourceError, UsageError
@@ -29,7 +34,10 @@ ZERO = Fraction(0)
 
 
 class GradedModule:
-    """An H-graded G-module attached to an extension 1 -> G -> H -> J -> 1."""
+    """An H-graded G-module attached to an extension 1 -> G -> H -> J -> 1.
+
+    A module given by matrices is its own one factor; fuse builds modules
+    whose factors are several such modules."""
 
     def __init__(
         self,
@@ -38,26 +46,47 @@ class GradedModule:
         matrices: Sequence[ExactMatrix],
         name: str = "",
     ):
-        self.ext = ext
-        self.grades = tuple(grades)
-        self.matrices = tuple(matrices)
-        self.dim = len(self.grades)
-        self.name = name
-        self._shifted: dict[int, GradedModule] = {}
-        if len(self.matrices) != ext.G.order:
+        self._attach(ext, tuple(grades), name, (self,), list(matrices))
+        if len(self._acts) != ext.G.order:
             raise UsageError("one matrix per G-element required")
-        if self.matrices[0] != ExactMatrix.identity(self.dim):
+        if self._acts[0] != ExactMatrix.identity(self.dim):
             raise UsageError("identity of G must act as the identity matrix")
         H = ext.H
-        for g, mat in enumerate(self.matrices):
+        for g, mat in enumerate(self._acts):
             if mat.rows != self.dim or mat.cols != self.dim:
                 raise UsageError("action matrices must be square of the module dimension")
             hg = ext.incl(g)
             if any(self.grades[r] != H.conj(hg, self.grades[c]) for r, c, _ in mat.nonzeros()):
                 raise UsageError(f"action of g={g} violates the grade-conjugation block condition")
 
+    def _attach(self, ext: GroupExtension, grades: tuple[int, ...], name: str, factors: tuple, acts: list) -> None:
+        self.ext = ext
+        self.grades = grades
+        self.dim = len(grades)
+        self.name = name
+        self.factors: tuple[GradedModule, ...] = factors
+        self._acts: list[Optional[ExactMatrix]] = acts
+        self._shifted: dict[int, GradedModule] = {}
+
+    @classmethod
+    def _fused(cls, ext: GroupExtension, factors: tuple, grades: tuple[int, ...], name: str) -> "GradedModule":
+        """The fusion of the factors, with no action matrix formed yet."""
+        mod = cls.__new__(cls)
+        mod._attach(ext, grades, name, factors, [None] * ext.G.order)
+        return mod
+
     def act(self, g: int) -> ExactMatrix:
-        return self.matrices[g]
+        mat = self._acts[g]
+        if mat is None:
+            mat = self.factors[0].act(g)
+            for f in self.factors[1:]:
+                mat = mat.kron(f.act(g))
+            self._acts[g] = mat
+        return mat
+
+    @property
+    def matrices(self) -> tuple[ExactMatrix, ...]:
+        return tuple(self.act(g) for g in range(self.ext.G.order))
 
     def degree(self) -> Optional[int]:
         """The common sector of all grades, or None when mixed."""
@@ -73,18 +102,20 @@ class GradedModule:
         G = self.ext.G
         for g in range(G.order):
             for g2 in range(G.order):
-                if self.matrices[g] @ self.matrices[g2] != self.matrices[G.mul(g, g2)]:
+                if self.act(g) @ self.act(g2) != self.act(G.mul(g, g2)):
                     return False
         return True
 
     def __eq__(self, other: object) -> bool:
+        """Same extension and grades, then equal factors or else equal
+        action matrices (so fuse(unit, v) == v)."""
         if not isinstance(other, GradedModule):
             return NotImplemented
-        return (
-            self.ext is other.ext
-            and self.grades == other.grades
-            and self.matrices == other.matrices
-        )
+        if self.ext is not other.ext or self.grades != other.grades:
+            return False
+        if len(self.factors) > 1 and self.factors == other.factors:
+            return True
+        return self.matrices == other.matrices
 
     def __repr__(self) -> str:
         return f"GradedModule({self.name or self.dim}, grades={self.grades})"
@@ -142,26 +173,43 @@ def tensor_map(f: ModuleMap, g: ModuleMap) -> ModuleMap:
 
 
 def fuse(v: GradedModule, w: GradedModule) -> GradedModule:
-    """Tensor product: grades multiply in H, G acts diagonally."""
+    """Tensor product: grades multiply in H, G acts diagonally. The factors
+    are those of v followed by those of w, so nested fusions flatten, and
+    each action matrix is formed when it is first read.
+
+    No block condition is checked: it follows from the factors'. The vector
+    (i, k) has grade ab (a = v.grades[i], b = w.grades[k]), and the entry
+    ((i, k), (i', k')) of the Kronecker product of the actions of g is
+    v.act(g)[i, i'] * w.act(g)[k, k'], nonzero exactly when both factors are
+    (the scalars form a field). There a = g a' g^-1 and b = g b' g^-1
+    (a' = v.grades[i'], b' = w.grades[k']) by the factors' conditions, so
+    ab = g(a'b')g^-1. Identity at the identity of G, and shape, follow from
+    the factors' as well."""
     if v.ext is not w.ext:
         raise UsageError("fusion requires a common extension")
     H = v.ext.H
     grades = tuple(H.mul(a, b) for a in v.grades for b in w.grades)
-    mats = tuple(v.act(g).kron(w.act(g)) for g in range(v.ext.G.order))
-    return GradedModule(v.ext, grades, mats, name=f"({v.name})*({w.name})")
+    return GradedModule._fused(v.ext, v.factors + w.factors, grades, f"({v.name})*({w.name})")
 
 
 def j_act(x: int, v: GradedModule) -> GradedModule:
     """Sector shift: grades conjugate by s(x^{-1})^{-1}, the G-action twists
-    by conjugation with s(x^{-1}). Built once per sector and kept by v."""
+    by conjugation with s(x^{-1}). The shift of a fused module is the fusion
+    of its shifted factors, an identity on bases. Built once per sector and
+    kept by v."""
     if x not in v._shifted:
         ext = v.ext
         H, J = ext.H, ext.J
         s = ext.section[J.inv[x]]
         s_inv = H.inv[s]
         grades = tuple(H.conj(s_inv, h) for h in v.grades)
-        mats = tuple(v.act(ext.g_of(H.conj(s, ext.incl(g)))) for g in range(ext.G.order))
-        v._shifted[x] = GradedModule(ext, grades, mats, name=f"{J.labels[x]}.({v.name})")
+        name = f"{J.labels[x]}.({v.name})"
+        if len(v.factors) > 1:
+            shifted = GradedModule._fused(ext, tuple(j_act(x, f) for f in v.factors), grades, name)
+        else:
+            mats = tuple(v.act(ext.g_of(H.conj(s, ext.incl(g)))) for g in range(ext.G.order))
+            shifted = GradedModule(ext, grades, mats, name=name)
+        v._shifted[x] = shifted
     return v._shifted[x]
 
 
@@ -182,38 +230,17 @@ def dual_map(f: ModuleMap) -> ModuleMap:
     return ModuleMap(dual_module(f.target), dual_module(f.source), f.matrix.transpose())
 
 
-def degree_split(v: GradedModule) -> dict[int, tuple[GradedModule, tuple[int, ...]]]:
-    """Decompose along sectors: for each occurring sector j, the submodule
-    spanned by the basis vectors graded in H_j, with their original indices."""
-    ext = v.ext
-    buckets: dict[int, list[int]] = {}
-    for k, h in enumerate(v.grades):
-        buckets.setdefault(ext.proj(h), []).append(k)
-    out: dict[int, tuple[GradedModule, tuple[int, ...]]] = {}
-    for j, idxs in sorted(buckets.items()):
-        grades = tuple(v.grades[k] for k in idxs)
-        pos = {k: i for i, k in enumerate(idxs)}
-        mats = []
-        for g in range(ext.G.order):
-            sub = ExactMatrix.zeros(len(idxs), len(idxs))
-            for kr, kc, x in v.act(g).nonzeros():
-                if kr in pos and kc in pos:
-                    sub[pos[kr], pos[kc]] = x
-            mats.append(sub)
-        out[j] = (GradedModule(ext, grades, tuple(mats), name=f"{v.name}|{j}"), tuple(idxs))
-    return out
-
-
 def _require_homogeneous(v: GradedModule, what: str) -> int:
     j = v.degree()
     if j is None:
-        raise UsageError(f"{what} requires a homogeneous module; split by degree first")
+        raise UsageError(f"{what} requires a homogeneous module")
     return j
 
 
-def _braid_matrix(j: int, v: GradedModule, w: GradedModule) -> ExactMatrix:
-    """Matrix of the braiding V (x) W -> (j.W) (x) V, V homogeneous of sector
-    j: v (x) w maps to (s(j^{-1})h).w (x) v on v of grade h."""
+def braid(v: GradedModule, w: GradedModule) -> ModuleMap:
+    """Braiding V (x) W -> (j.W) (x) V for V homogeneous of sector j:
+    v (x) w maps to (s(j^{-1})h).w (x) v on v of grade h."""
+    j = _require_homogeneous(v, "braiding")
     ext = v.ext
     H = ext.H
     s = ext.section[ext.J.inv[j]]
@@ -222,13 +249,7 @@ def _braid_matrix(j: int, v: GradedModule, w: GradedModule) -> ExactMatrix:
         u = ext.g_of(H.mul(s, v.grades[r]))
         for s_out, s_in, c in w.act(u).nonzeros():
             mat[s_out * v.dim + r, r * w.dim + s_in] = c
-    return mat
-
-
-def braid(v: GradedModule, w: GradedModule) -> ModuleMap:
-    """Braiding V (x) W -> (j.W) (x) V for V homogeneous of sector j."""
-    j = _require_homogeneous(v, "braiding")
-    return ModuleMap(fuse(v, w), fuse(j_act(j, w), v), _braid_matrix(j, v, w))
+    return ModuleMap(fuse(v, w), fuse(j_act(j, w), v), mat)
 
 
 def twist(v: GradedModule) -> ModuleMap:
@@ -342,55 +363,23 @@ def trivial_extension(h_group: FiniteGroup) -> GroupExtension:
     return extension_from_subgroup(h_group, list(range(h_group.order)), name=f"{h_group.order}-triv")
 
 
-def _check_unfused_braid(j: int, v: GradedModule, w: GradedModule, mat: ExactMatrix) -> None:
-    """Run on indices the checks braid(v, w) runs on its fused modules
-    v (x) w and (j.w) (x) v and its ModuleMap, forming no Kronecker product.
-
-    fuse(x, y) grades vector (i, k) by ab (a = x.grades[i], b = y.grades[k]);
-    g acts by the Kronecker product, whose entry ((i, k), (i', k')) is
-    x.act(g)[i, i'] * y.act(g)[k, k'], nonzero exactly when both factors are
-    (the scalars form a field). So ab == g(a'b')g^-1 (a' = x.grades[i'],
-    b' = y.grades[k']) on pairs of nonzero factor entries, once per distinct
-    pair of grade pairs, is exactly GradedModule's block condition on the
-    product; by g(a'b')g^-1 = (ga'g^-1)(gb'g^-1) it holds when both factors
-    satisfy theirs. Identity and shape follow from the factors'. The grading
-    of mat is tested against the grades fuse would give, from H.mul.
-    """
-    ext = v.ext
-    H = ext.H
-    jw = j_act(j, w)
-    for x, y in ((v, w), (jw, v)):
-        for g in range(ext.G.order):
-            hg = ext.incl(g)
-            left = {(x.grades[r], x.grades[c]) for r, c, _ in x.act(g).nonzeros()}
-            right = {(y.grades[r], y.grades[c]) for r, c, _ in y.act(g).nonzeros()}
-            if any(H.mul(a, b) != H.conj(hg, H.mul(a2, b2)) for a, a2 in left for b, b2 in right):
-                raise UsageError(f"action of g={g} violates the grade-conjugation block condition")
-    source = [H.mul(a, b) for a in v.grades for b in w.grades]
-    target = [H.mul(a, b) for a in jw.grades for b in v.grades]
-    if any(target[r] != source[c] for r, c, _ in mat.nonzeros()):
-        raise UsageError("module map does not preserve the grading")
-
-
 def s_matrix(h_group: FiniteGroup) -> SMatrix:
     """Traces of double braidings between all simples of the double of the
     group, computed from the explicit braiding matrices: tr(B F) is the sum
     of B[i, j] F[j, i] over the pairs where both entries are nonzero, without
-    forming B F. Each braiding is checked once, on indices."""
+    forming B F."""
     if h_group.order > S_MATRIX_ORDER_BOUND:
         raise ResourceError(f"group order {h_group.order} exceeds the S-matrix bound {S_MATRIX_ORDER_BOUND}")
     ext = trivial_extension(h_group)
     gsimples = simple_objects(_conj_groupoid(ext))
     modules = [_module_from_groupoid_simple(ext, s) for s in gsimples]
-    degrees = [_require_homogeneous(m, "braiding") for m in modules]
     labels = tuple((s.orbit[0], s.row) for s in gsimples)
     n = len(modules)
     mat = ExactMatrix.zeros(n, n)
     for a, v in enumerate(modules):
         for b, w in enumerate(modules):
-            forward = _braid_matrix(degrees[a], v, w)
-            _check_unfused_braid(degrees[a], v, w, forward)
-            backward = _braid_matrix(degrees[b], w, v)
+            forward = braid(v, w).matrix
+            backward = braid(w, v).matrix
             mat[a, b] = sum((x * y for i, j, x in backward.nonzeros() if (y := forward[j, i])), ZERO)
     return SMatrix(labels, mat, h_group.order)
 

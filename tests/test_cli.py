@@ -262,6 +262,28 @@ def test_smatrix_reports_match_recorded_digests(tmp_path):
     assert got == SMATRIX_REPORT_SHA256
 
 
+# sha256 of the `verify-category --extension E --out FILE` report bytes
+# (--sampled where marked), recorded from the code whose fused modules
+# formed every Kronecker product through the validating constructor.
+CATEGORY_REPORT_SHA256 = {
+    ("A3-S3", False): "36376529671f7010f7b551675abb88b57afb04589b8c4808169c21850856aeef",
+    ("Z2-Z4", False): "481f2e1295ae6182e8a3d5bb898b31231510e28cc3e22b61473c9bfc433e9b48",
+    ("Z3-Z6", False): "878c9e8441533c6e86c4ede8c17c00009db1b77bd5b8473aaedf4c291d732c4c",
+    ("V4-A4", True): "8f798f55aa5e83ff929243c787852128576e1db970c9c6cf572aa7eb4ca5333a",
+    ("Z4-D4", True): "92a3b701fb384e409a45b4ed7c64b05e40790ec3fd805bc72af3b4c8bce99965",
+}
+
+
+def test_verify_category_reports_match_recorded_digests(tmp_path):
+    got = {}
+    for name, sampled in CATEGORY_REPORT_SHA256:
+        path = tmp_path / f"{name}.json"
+        argv = ["verify-category", "--extension", name, "--out", str(path)] + ["--sampled"] * sampled
+        assert cli.main(argv) == 0
+        got[name, sampled] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == CATEGORY_REPORT_SHA256
+
+
 def _count_builds(monkeypatch):
     """Count calls of the four structure builders, wherever they are looked up."""
     counts = {}

@@ -222,6 +222,27 @@ def test_cover_nerve_validation():
         CoverNerve(z2, 2, ((0, 1),), (3,))
 
 
+def test_malformed_nerves_raise_usage_errors():
+    z2 = cyclic_group(2)
+    nerve = circle_nerve(z2, 1)
+    with pytest.raises(UsageError, match="not an edge"):
+        nerve.edge_index(2, 1)
+    with pytest.raises(UsageError, match="not an edge"):
+        CoverNerve(z2, 3, ((0, 1), (0, 2)), (0, 0), ((0, 1, 2),))
+
+
+def test_incoherent_weak_action_fails_the_coboundary_closure():
+    """A coherence element that is not central, set after the weak action was
+    validated, lets a coboundary move a cocycle off the cocycle set."""
+    s3 = symmetric_group(3)
+    ext = extension_from_subgroup(s3, list(range(6)), name="S3-S3")
+    wa = extension_to_weak_action(ext)
+    wa.c = ((1,),)
+    nerve = CoverNerve(ext.J, 3, ((0, 1), (1, 2), (0, 2)), (0, 0, 0), ((0, 1, 2),))
+    with pytest.raises(UsageError, match="coboundary"):
+        twisted_cech_h1(nerve, wa)
+
+
 def test_circle_nerve_has_no_triangles():
     z2 = cyclic_group(2)
     nerve = circle_nerve(z2, 1)

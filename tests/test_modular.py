@@ -15,13 +15,10 @@ from equidouble.linalg import ExactMatrix
 from equidouble.modular import (
     GradedModule,
     ModuleMap,
-    _braid_matrix,
-    _check_unfused_braid,
     action_braiding_holds,
     braid,
     check_equivariant_diagrams,
     compositor,
-    degree_split,
     dual_map,
     dual_module,
     fuse,
@@ -93,6 +90,48 @@ def test_fusion_is_strictly_unital_and_associative():
     assert fuse(u, v).validate_action()
 
 
+def eager_fuse(x, y):
+    """The fusion formed at once through the validating constructor."""
+    H = x.ext.H
+    grades = [H.mul(a, b) for a in x.grades for b in y.grades]
+    return GradedModule(x.ext, grades, [x.act(g).kron(y.act(g)) for g in range(x.ext.G.order)])
+
+
+def test_fused_actions_are_the_nested_kronecker_products_of_the_factors():
+    """fuse checks no block condition; on pairs and triples of simples and
+    their shifts, in both bracketings, its grades and actions must equal the
+    eager fusion's, and the validating constructor must accept them."""
+    ext = a3_in_s3()
+    base = simples_of_double(ext)[2:5]
+    mods = base + [j_act(1, v) for v in base]
+    cases = [((u, v), fuse(u, v), eager_fuse(u, v)) for u in mods for v in mods]
+    for u in mods:
+        for v in mods:
+            for w in mods:
+                cases.append(((u, v, w), fuse(fuse(u, v), w), eager_fuse(eager_fuse(u, v), w)))
+                cases.append(((u, v, w), fuse(u, fuse(v, w)), eager_fuse(u, eager_fuse(v, w))))
+    for factors, fused, eager in cases:
+        assert fused.factors == factors
+        assert fused.grades == eager.grades
+        assert all(fused.act(g) == eager.act(g) for g in range(ext.G.order))
+        rebuilt = GradedModule(ext, fused.grades, fused.matrices)
+        assert rebuilt == fused and fused == rebuilt and eager == fused
+
+
+def test_fuse_forms_each_action_once_when_it_is_read(monkeypatch):
+    ext = a3_in_s3()
+    u, v, w = simples_of_double(ext)[2:5]
+    calls = []
+    kron = ExactMatrix.kron
+    monkeypatch.setattr(ExactMatrix, "kron", lambda a, b: calls.append(1) or kron(a, b))
+    fused = fuse(fuse(u, v), w)
+    shifted = j_act(1, fused)
+    assert calls == []
+    assert shifted.factors == tuple(j_act(1, f) for f in (u, v, w))
+    assert fused.act(1) is fused.act(1)
+    assert len(calls) == 2
+
+
 def test_sector_action_is_strict_on_fusion_and_trivial_at_identity():
     ext = a3_in_s3()
     simples = simples_of_double(ext)
@@ -115,7 +154,7 @@ def test_sector_action_permutes_conjugate_simples():
     assert j_act(1, moved) == v
 
 
-def test_degree_split_recovers_block_summands():
+def test_mixed_degree_module_has_no_twist():
     ext = a3_in_s3()
     simples = simples_of_double(ext)
     a = next(v for v in simples if v.degree() == 0 and v.dim == 1)
@@ -135,10 +174,6 @@ def test_degree_split_recovers_block_summands():
     assert mixed.degree() is None
     with pytest.raises(UsageError):
         twist(mixed)
-    parts = degree_split(mixed)
-    assert set(parts) == {0, 1}
-    assert parts[0][0] == a and parts[0][1] == tuple(range(a.dim))
-    assert parts[1][0] == b and parts[1][1] == tuple(range(a.dim, a.dim + b.dim))
 
 
 def test_module_constructors_reject_bad_data():
@@ -279,31 +314,29 @@ def test_s_matrix_trace_equals_the_character_formula():
                 assert scalar_eq(traced.matrix[r, c], counted.matrix[r, c])
 
 
-def test_unfused_braid_checks_fail_where_the_fused_modules_do():
-    """s_matrix checks its braidings on indices instead of building the fused
-    modules. With the grades of a simple replaced after construction (the
-    first replacement still satisfies the block condition, the others do
-    not), both paths raise the same error on the same pairs."""
-
-    def outcome(check):
-        try:
-            check()
-        except UsageError as exc:
-            return str(exc)
-        return None
-
-    ext = trivial_extension(symmetric_group(3))
-    other = simples_of_double(ext)[6]
-    seen = set()
-    for k, grades in ((2, (3, 4)), (3, (1, 5, 2)), (5, (3, 3))):
-        modules = simples_of_double(ext)
-        modules[k].grades = grades
-        for v, w in ((modules[k], other), (other, modules[k]), (modules[k], modules[k])):
-            fused = outcome(lambda: braid(v, w))
-            unfused = outcome(lambda: _check_unfused_braid(0, v, w, _braid_matrix(0, v, w)))
-            assert fused == unfused
-            seen.add(fused is None)
-    assert seen == {True, False}
+def test_negative_control_sign_flipped_action_entry_fails_two_diagrams():
+    """One negated entry of one action matrix of the three-dimensional simple
+    keeps the block condition, so the constructor accepts it; the diagram
+    suite must name exactly these seven failures."""
+    ext = a3_in_s3()
+    simples = simples_of_double(ext)
+    v = next(s for s in simples if s.dim >= 2)
+    for g in (1, 2):
+        mats = [m.copy() for m in v.matrices]
+        r, c, x = next(mats[g].nonzeros())
+        mats[g][r, c] = -x
+        bad = GradedModule(ext, v.grades, mats, name="bad")
+        report = check_equivariant_diagrams(ext, [simples[0], bad, simples[-1]])
+        last = simples[-1].name
+        assert report.failures == [
+            ("hexagon-two", ("bad", "bad", "bad")),
+            ("hexagon-two", ("bad", last, "bad")),
+            ("hexagon-two", (last, "bad", "bad")),
+            ("hexagon-two", (last, last, "bad")),
+            ("twist-product", ("bad", "bad")),
+            ("twist-product", ("bad", last)),
+            ("twist-product", (last, "bad")),
+        ]
 
 
 def test_s_matrices_of_small_doubles_are_invertible():
