@@ -290,6 +290,12 @@ def twisted_cech_h1(nerve: CoverNerve, wa: WeakAction, budget: int = DEFAULT_BUD
     and quotient by the twisted coboundary action of G-valued 0-cochains k,
 
         g_ab  ->  k_a * g_ab * rho_{j_ab}(k_b)^{-1}.
+
+    This is an action of G^vertices, as each rho_j is a homomorphism (GroupHom
+    certifies it): (k.(k'.z))_ab = k_a k'_a z_ab rho_j(k'_b)^{-1} rho_j(k_b)^{-1}
+    = ((kk').z)_ab. So one sweep of the |G|^vertices gauges from a class's first
+    cocycle in product order reaches the whole class and, as k.(k'.z) = (kk').z,
+    checks its closure. The budget bounds |G|^edges and the gauge moves made.
     """
     if wa.J.table != nerve.j_group.table:
         raise UsageError("nerve J-labels must live in the weak action's J")
@@ -331,17 +337,16 @@ def twisted_cech_h1(nerve: CoverNerve, wa: WeakAction, budget: int = DEFAULT_BUD
         if z in seen:
             continue
         reps.append(z)
-        stack = [z]
-        seen.add(z)
-        while stack:
-            cur = stack.pop()
-            for k in itertools.product(range(group.order), repeat=nerve.vertices):
-                nxt = coboundary(k, cur)
-                if nxt not in cocycle_set:
-                    raise UsageError(f"the coboundary of {k} moves the cocycle {cur} off the cocycles")
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
+        moves = len(reps) * group.order ** nerve.vertices
+        if moves > budget:
+            raise ResourceError(
+                f"gauge sweeps {len(reps)} x {group.order}^{nerve.vertices} = {moves} exceed budget {budget}"
+            )
+        for k in itertools.product(range(group.order), repeat=nerve.vertices):
+            moved = coboundary(k, z)
+            if moved not in cocycle_set:
+                raise UsageError(f"the coboundary of {k} moves the cocycle {z} off the cocycles")
+            seen.add(moved)
     return CechClasses(len(reps), tuple(reps))
 
 

@@ -10,20 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .chartable import CharacterTable, IrreducibleRep, character_table, irrep_matrices
-from .errors import UsageError
+from .errors import NonInvertibleError, UsageError
 from .groups import FiniteGroup
 from .linalg import ExactMatrix
-from .scalars import Scalar, scalar_eq
+from .scalars import Scalar
 
 
 class GroupAction:
     """Left action of a finite group on points {0..num_points-1}."""
 
     def __init__(self, group: FiniteGroup, num_points: int, act: Sequence[Sequence[int]]):
-        assert num_points >= 0
         self.group = group
         self.num_points = num_points
         self.act = tuple(tuple(row) for row in act)
@@ -79,8 +78,7 @@ def trivial_action(group: FiniteGroup, num_points: int = 1) -> GroupAction:
 
 
 def conjugation_action(group: FiniteGroup) -> GroupAction:
-    act = [[group.conj(g, m) for m in range(group.order)] for g in range(group.order)]
-    return GroupAction(group, group.order, act)
+    return action_via_hom(group, group, range(group.order))
 
 
 def action_via_hom(
@@ -97,10 +95,9 @@ def action_via_hom(
 
 def groupoid_cardinality(action: GroupAction) -> Fraction:
     """Sum of 1/|stabilizer| over orbit representatives; equals |M|/|G|."""
-    total = Fraction(0)
-    for orb in action.orbits():
-        total += Fraction(1, len(action.stabilizer(orb[0])))
-    assert total == Fraction(action.num_points, action.group.order)
+    total = sum((Fraction(1, len(action.stabilizer(orb[0]))) for orb in action.orbits()), Fraction(0))
+    if total != Fraction(action.num_points, action.group.order):
+        raise NonInvertibleError(f"groupoid cardinality {total} != |M|/|G|")
     return total
 
 
@@ -168,12 +165,14 @@ class GroupoidSimple:
         grp = self.action.group
         m2 = self.action.act[g][m]
         s = grp.mul(grp.inv[self.transversal[m2]], grp.mul(g, self.transversal[m]))
-        assert s in self._stab_index, "transversal conjugate left the stabilizer"
+        if s not in self._stab_index:
+            raise NonInvertibleError(f"transversal conjugate left the stabilizer at (m, g) = ({m}, {g})")
         return self._stab_index[s]
 
     def character_at(self, m: int, g: int) -> Scalar:
         """Trace of the morphism (m, g) on its block; requires g.m = m."""
-        assert self.action.act[g][m] == m, "character only defined on inertia pairs"
+        if self.action.act[g][m] != m:
+            raise UsageError(f"character only defined on inertia pairs, not ({m}, {g})")
         if m not in self.transversal:
             return Fraction(0)
         return self.stab_table.rows[self.row][
@@ -215,10 +214,10 @@ def simple_objects(action: GroupAction) -> list[GroupoidSimple]:
         table = character_table(stab_group)
         for row in range(len(table.rows)):
             out.append(GroupoidSimple(action, orbit, stab_group, embed, table, row))
-    inert = inertia(action)
-    assert len(out) == len(inert.action.orbits()), "simple count != inertia orbit count"
-    total = sum(s.total_dim ** 2 for s in out)
-    assert total == action.num_points * action.group.order, "sum of squared dims"
+    if len(out) != len(inertia(action).action.orbits()):
+        raise NonInvertibleError("simple count != inertia orbit count")
+    if sum(s.total_dim ** 2 for s in out) != action.num_points * action.group.order:
+        raise NonInvertibleError("sum of squared dims != |M| |G|")
     return out
 
 
@@ -254,5 +253,6 @@ def decompose_character(
     for s, mult in out:
         vec = s.character_vector(inert)
         recon = [r + mult * v for r, v in zip(recon, vec)]
-    assert all(scalar_eq(a, b) for a, b in zip(recon, values)), "decomposition mismatch"
+    if not all(a == b for a, b in zip(recon, values)):
+        raise NonInvertibleError("decomposition mismatch")
     return out

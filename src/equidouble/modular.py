@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .doubles import SectorDouble, double_algebra, sector_double
 from .errors import ResourceError, UsageError
-from .groupoids import GroupoidSimple, simple_objects
+from .groupoids import GroupoidSimple, action_via_hom, simple_objects
 from .groups import FiniteGroup, GroupExtension, extension_from_subgroup
 from .linalg import ExactMatrix, mat_rank_det_kernel
 from .scalars import Scalar
@@ -311,22 +311,7 @@ def simples_of_double(ext: GroupExtension) -> list[GradedModule]:
     """Complete list of simple graded modules: one per G-orbit in H and
     stabilizer irreducible, ordered by smallest orbit element then character
     row. Basis: orbit points ascending, each carrying the irreducible's slots."""
-    simples = simple_objects(_conj_groupoid(ext))
-    out = []
-    for s in simples:
-        out.append(_module_from_groupoid_simple(ext, s))
-    return out
-
-
-def _conj_groupoid(ext: GroupExtension):
-    from .groupoids import GroupAction
-
-    H, G = ext.H, ext.G
-    rows = []
-    for g in range(G.order):
-        hg = ext.incl(g)
-        rows.append([H.conj(hg, m) for m in range(H.order)])
-    return GroupAction(G, H.order, rows)
+    return [_module_from_groupoid_simple(ext, s) for s in simple_objects(action_via_hom(ext.H, ext.G, ext.incl.images))]
 
 
 def _module_from_groupoid_simple(ext: GroupExtension, s: GroupoidSimple) -> GradedModule:
@@ -363,35 +348,43 @@ def trivial_extension(h_group: FiniteGroup) -> GroupExtension:
     return extension_from_subgroup(h_group, list(range(h_group.order)), name=f"{h_group.order}-triv")
 
 
+def _trivial_double_simples(h_group: FiniteGroup) -> tuple[GroupExtension, list[GroupoidSimple], tuple]:
+    """The trivial extension of the group, the simples of its conjugation
+    groupoid and their (orbit label, character row) labels."""
+    if h_group.order > S_MATRIX_ORDER_BOUND:
+        raise ResourceError(f"group order {h_group.order} exceeds the S-matrix bound {S_MATRIX_ORDER_BOUND}")
+    ext = trivial_extension(h_group)
+    gsimples = simple_objects(action_via_hom(ext.H, ext.G, ext.incl.images))
+    return ext, gsimples, tuple((s.orbit[0], s.row) for s in gsimples)
+
+
 def s_matrix(h_group: FiniteGroup) -> SMatrix:
     """Traces of double braidings between all simples of the double of the
     group, computed from the explicit braiding matrices: tr(B F) is the sum
     of B[i, j] F[j, i] over the pairs where both entries are nonzero, without
-    forming B F."""
-    if h_group.order > S_MATRIX_ORDER_BOUND:
-        raise ResourceError(f"group order {h_group.order} exceeds the S-matrix bound {S_MATRIX_ORDER_BOUND}")
-    ext = trivial_extension(h_group)
-    gsimples = simple_objects(_conj_groupoid(ext))
+    forming B F. Each braiding is built once: the backward braiding of
+    (a, b) is the forward one of (b, a)."""
+    ext, gsimples, labels = _trivial_double_simples(h_group)
     modules = [_module_from_groupoid_simple(ext, s) for s in gsimples]
-    labels = tuple((s.orbit[0], s.row) for s in gsimples)
     n = len(modules)
     mat = ExactMatrix.zeros(n, n)
+
+    def trace(backward: ExactMatrix, forward: ExactMatrix) -> Scalar:
+        return sum((x * y for i, j, x in backward.nonzeros() if (y := forward[j, i])), ZERO)
+
     for a, v in enumerate(modules):
-        for b, w in enumerate(modules):
+        for b, w in enumerate(modules[a:], start=a):
             forward = braid(v, w).matrix
-            backward = braid(w, v).matrix
-            mat[a, b] = sum((x * y for i, j, x in backward.nonzeros() if (y := forward[j, i])), ZERO)
+            backward = braid(w, v).matrix if b > a else forward
+            mat[a, b] = trace(backward, forward)
+            mat[b, a] = trace(forward, backward)
     return SMatrix(labels, mat, h_group.order)
 
 
 def s_matrix_character_formula(h_group: FiniteGroup) -> SMatrix:
     """Independent S-matrix from conjugacy data alone: sum the two groupoid
     characters over commuting pairs drawn from the two orbits."""
-    if h_group.order > S_MATRIX_ORDER_BOUND:
-        raise ResourceError(f"group order {h_group.order} exceeds the S-matrix bound {S_MATRIX_ORDER_BOUND}")
-    ext = trivial_extension(h_group)
-    gsimples = simple_objects(_conj_groupoid(ext))
-    labels = tuple((s.orbit[0], s.row) for s in gsimples)
+    ext, gsimples, labels = _trivial_double_simples(h_group)
     n = len(gsimples)
     mat = ExactMatrix.zeros(n, n)
     for a in range(n):

@@ -284,6 +284,40 @@ def test_verify_category_reports_match_recorded_digests(tmp_path):
     assert got == CATEGORY_REPORT_SHA256
 
 
+# sha256 of the `cech` and `sectors --extension E --monodromy j --out FILE`
+# report bytes, recorded from the code that found each Cech class by a
+# search re-sweeping every gauge from every cocycle it reached.
+CIRCLE_REPORT_SHA256 = {
+    ("cech", "A3-S3", 0): "bc87491957a075679989f7e2a4ab16200f662d066766f3d69c5e0764c03b9e1e",
+    ("cech", "A3-S3", 1): "4c742c6e2bb422a8abb035332bb288c3a6fc92ca8430cac119c48ff1da4d812e",
+    ("cech", "Z2-Q8", 0): "c478dde7ee9bac32c6ae8c80399bb142ff86f50d2e64a022274a9331425bc09b",
+    ("cech", "Z2-Q8", 1): "1b22de44315cfd755368dbb3b1c8e76adf9ed5a0e70ae5a19687a8f48c50ad09",
+    ("cech", "Z2-Q8", 2): "153d9724644b63eeb422dc33b8b4e4af36201eb3d408fc97b16c2a15c501793a",
+    ("cech", "Z2-Q8", 3): "b62748d887336c67c647a5d0c2e81698acfaf680f5f5ba3f495a7cca92e4e03d",
+    ("cech", "V4-A4", 0): "aa7d96eb5a731fd464bbc1ff38ba972d7536b033ab9fb27f3f5112ee9c69a014",
+    ("cech", "V4-A4", 1): "76a02e2565a8c0a9e63edc990d878f7bc2beb1efbce41d053127e381309694f3",
+    ("cech", "V4-A4", 2): "d1802cedee7ac242407babbc648e2fa53d174ec73ee34710322772d0851019fd",
+    ("cech", "A4-S4", 0): "96a5b4d051bfb6cea17b0c4aa2d5d25b6f04d3843396522426935add4951333b",
+    ("cech", "A4-S4", 1): "af77357111abf34017410e72025d55712f46b1ef637da6dd0aab57b4f19082bc",
+    ("sectors", "A3-S3", 0): "f329d2343bef01b1c3a32cf175fd53de19a4ae80b3006458de79d01b24538833",
+    ("sectors", "A3-S3", 1): "29602653b365639e51bb7ad694047b178185e8f02766d98734064061bb5f0a5b",
+    ("sectors", "V4-A4", 0): "031b5ddcca7e7bef250d94c414553a9d07bbc86674bd5f7fcfff140b7715263c",
+    ("sectors", "V4-A4", 1): "cfd68c05eee2d8c54f36c24929fee759a4cc802b21eff51214376b7b29ea4647",
+    ("sectors", "A4-S4", 0): "bca83df93f7bbf61e06268cd11a932d02640212db775b49e68c19d9791f25063",
+    ("sectors", "A4-S4", 1): "4dd4da5743391701bd094cb950df7bb2f627ecd7270b842116ba2f4ca9217a77",
+}
+
+
+def test_cech_and_sectors_reports_match_recorded_digests(tmp_path):
+    got = {}
+    for command, name, j in CIRCLE_REPORT_SHA256:
+        path = tmp_path / f"{command}-{name}-{j}.json"
+        argv = [command, "--extension", name, "--monodromy", str(j), "--out", str(path)]
+        assert cli.main(argv) == 0
+        got[command, name, j] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == CIRCLE_REPORT_SHA256
+
+
 def _count_builds(monkeypatch):
     """Count calls of the four structure builders, wherever they are looked up."""
     counts = {}

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from equidouble.catalogue import catalogue_list, load_extension
 from equidouble.dw import (
     CechClasses,
     CoverNerve,
@@ -294,6 +295,86 @@ def test_cech_budget_error():
     nerve = circle_nerve(ext.J, 0)
     with pytest.raises(ResourceError, match=r"3\^3 = 27"):
         twisted_cech_h1(nerve, wa, budget=10)
+
+
+def test_cech_budget_counts_the_gauge_sweeps():
+    """A nerve without edges has one cochain, so only the 12^5 gauge moves of
+    its one sweep can exceed the budget."""
+    wa = extension_to_weak_action(load_extension("A4-S4"))
+    nerve = CoverNerve(wa.J, 5, (), ())
+    with pytest.raises(ResourceError, match=r"gauge sweeps 1 x 12\^5 = 248832 exceed budget 10"):
+        twisted_cech_h1(nerve, wa, budget=10)
+    assert twisted_cech_h1(nerve, wa, budget=12**5) == CechClasses(1, ((),))
+    # the untwisted A3-S3 circle has 3 classes of 3^3 gauge moves each
+    wa = extension_to_weak_action(a3_in_s3())
+    nerve = circle_nerve(wa.J, 0)
+    assert twisted_cech_h1(nerve, wa, budget=81).count == 3
+    with pytest.raises(ResourceError, match=r"gauge sweeps 3 x 3\^3 = 81 exceed budget 80"):
+        twisted_cech_h1(nerve, wa, budget=80)
+
+
+def bfs_cech_h1(nerve, wa):
+    """The search the one-sweep-per-class enumeration replaced: re-sweep all
+    gauges from every cocycle reached, until no new cocycle appears."""
+    group = wa.G
+    eidx = {edge: i for i, edge in enumerate(nerve.edges)}
+
+    def is_cocycle(z):
+        for a, b, c in nerve.triangles:
+            jab, jbc = nerve.jlabel(a, b), nerve.jlabel(b, c)
+            lhs = group.mul(group.mul(z[eidx[a, b]], wa.rho[jab](z[eidx[b, c]])), wa.c[jab][jbc])
+            if lhs != z[eidx[a, c]]:
+                return False
+        return True
+
+    def coboundary(k, z):
+        return tuple(
+            group.mul(group.mul(k[a], z[i]), group.inv[wa.rho[j](k[b])])
+            for i, ((a, b), j) in enumerate(zip(nerve.edges, nerve.jlabels))
+        )
+
+    cocycles = [z for z in itertools.product(range(group.order), repeat=len(nerve.edges)) if is_cocycle(z)]
+    cocycle_set = set(cocycles)
+    reps, seen = [], set()
+    for z in cocycles:
+        if z in seen:
+            continue
+        reps.append(z)
+        stack = [z]
+        seen.add(z)
+        while stack:
+            cur = stack.pop()
+            for k in itertools.product(range(group.order), repeat=nerve.vertices):
+                nxt = coboundary(k, cur)
+                if nxt not in cocycle_set:
+                    raise UsageError(f"the coboundary of {k} moves the cocycle {cur} off the cocycles")
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return CechClasses(len(reps), tuple(reps))
+
+
+def test_one_sweep_per_class_matches_the_bfs():
+    """A4-S4 is left out: the BFS makes about 3M gauge moves there."""
+    names = [name for name in catalogue_list()["extensions"] if name != "A4-S4"]
+    assert len(names) == 7
+    for name in names:
+        wa = extension_to_weak_action(load_extension(name))
+        for j in range(wa.J.order):
+            nerve = circle_nerve(wa.J, j)
+            assert twisted_cech_h1(nerve, wa) == bfs_cech_h1(nerve, wa), (name, j)
+    s3 = symmetric_group(3)
+    wa = extension_to_weak_action(extension_from_subgroup(s3, list(range(6)), name="S3-S3"))
+    triangle = CoverNerve(wa.J, 3, ((0, 1), (1, 2), (0, 2)), (0, 0, 0), ((0, 1, 2),))
+    single = CoverNerve(wa.J, 1, (), ())
+    for nerve in (triangle, single):
+        assert twisted_cech_h1(nerve, wa) == bfs_cech_h1(nerve, wa)
+    wa.c = ((1,),)
+    with pytest.raises(UsageError) as swept:
+        twisted_cech_h1(triangle, wa)
+    with pytest.raises(UsageError) as searched:
+        bfs_cech_h1(triangle, wa)
+    assert str(swept.value) == str(searched.value)
 
 
 def test_named_presentations():

@@ -1,9 +1,13 @@
 """Action groupoids: cardinality, inertia, simples, character identities."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import equidouble
 from equidouble.errors import UsageError
 from equidouble.groupoids import (
     GroupAction,
@@ -159,3 +163,47 @@ def test_cyclic_conjugation_is_trivial():
     c = conjugation_action(z4)
     assert groupoid_cardinality(c) == Fraction(1)  # 4 orbits, each stab = Z4
     assert len(simple_objects(c)) == 16  # 4 points x 4 characters
+
+
+def test_bad_arguments_raise_usage_errors():
+    s3 = symmetric_group(3)
+    with pytest.raises(UsageError, match="not a permutation"):
+        GroupAction(s3, -1, [[]] * 6)
+    simples = simple_objects(natural_s3_action())
+    moving = next(g for g in range(6) if natural_s3_action().apply(g, 0) != 0)
+    with pytest.raises(UsageError, match="inertia pairs"):
+        simples[0].character_at(0, moving)
+
+
+def test_certification_does_not_depend_on_assert():
+    """Under python -O every assert is stripped; a character read off an
+    inertia pair must still raise UsageError, and a decomposition whose
+    multiplicities do not reproduce the character NonInvertibleError."""
+    script = """
+import equidouble.groupoids as gp
+from fractions import Fraction
+from equidouble.errors import NonInvertibleError, UsageError
+from equidouble.groups import symmetric_group
+
+c = gp.conjugation_action(symmetric_group(3))
+simples = gp.simple_objects(c)
+moving = next(g for g in range(6) if c.apply(g, 1) != 1)
+try:
+    simples[0].character_at(1, moving)
+except UsageError as exc:
+    print("raised:", exc)
+gp.character_pairing = lambda inert, f, f2: Fraction(0)
+try:
+    gp.decompose_character(c, gp.regular_character(gp.inertia(c)))
+except NonInvertibleError as exc:
+    print("raised:", exc)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(equidouble.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("raised: character only defined on inertia pairs")
+    assert lines[1] == "raised: decomposition mismatch"

@@ -265,7 +265,7 @@ def test_malformed_shapes_are_usage_errors():
 def test_matrix_and_module_layers_have_no_assert():
     """Certification must survive python -O, which strips every assert."""
     root = os.path.dirname(os.path.abspath(equidouble.__file__))
-    for name in ("scalars.py", "linalg.py", "modular.py", "hopf.py", "orbifold.py", "doubles.py", "dw.py"):
+    for name in ("scalars.py", "linalg.py", "modular.py", "hopf.py", "orbifold.py", "doubles.py", "dw.py", "groupoids.py"):
         with open(os.path.join(root, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=name)
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
