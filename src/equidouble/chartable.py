@@ -7,12 +7,13 @@ discrete Fourier transform over the cyclic group generated by each class
 representative. Matrices for an irreducible come from a left ideal of the
 group algebra cut out by a rank-compatible pair (subgroup, linear character).
 
-All elimination goes through linalg.row_reduce: over F_p for the eigenspace
-kernels and the coordinates of class-matrix images in an eigenspace basis,
-and over Q(zeta_e) for the basis of the left ideal (its pivot columns among
-the translates) and the coordinates of the translated basis (one solve whose
-consistency check certifies that the ideal is stable). Only the Hessenberg
-characteristic polynomial over F_p is computed separately.
+Every elimination goes through linalg.row_reduce. Over F_p it finds the
+eigenvalues of a class matrix on a multi-dimensional eigenspace (lam is one
+exactly when the shifted restriction loses rank), each eigenspace (the kernel
+of that same reduction) and the coordinates of class-matrix images in an
+eigenspace basis. Over Q(zeta_e) it finds the basis of the left ideal (its
+pivot columns among the translates) and the coordinates of the translated
+basis (one solve whose consistency check certifies that the ideal is stable).
 """
 
 from __future__ import annotations
@@ -22,78 +23,12 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional, Sequence
 
-from .errors import NonInvertibleError, ResourceError
+from .errors import NonInvertibleError, ResourceError, UsageError
 from .groups import ConjugacyData, FiniteGroup
 from .linalg import ExactMatrix, echelon_kernel, row_reduce, solve, solve_rows
-from .scalars import (
-    Cyclotomic,
-    Scalar,
-    cyclotomic_conjugate,
-    is_prime,
-    scalar_eq,
-    scalar_is_zero,
-)
+from .scalars import Cyclotomic, Scalar, cyclotomic_conjugate, is_prime
 
-# -- prime-field helpers (plain int lists, entries reduced mod p) -----------
-
-
-def _charpoly_fp(a: list[list[int]], p: int) -> list[int]:
-    """Characteristic polynomial det(xI - a) over F_p, ascending coefficients.
-
-    Similarity-reduces to upper Hessenberg form, then uses the leading-minor
-    recurrence; only divides by field elements, so any p works.
-    """
-    n = len(a)
-    h = [[x % p for x in row] for row in a]
-    for j in range(n - 2):
-        pr = next((r for r in range(j + 1, n) if h[r][j]), -1)
-        if pr < 0:
-            continue
-        if pr != j + 1:
-            h[j + 1], h[pr] = h[pr], h[j + 1]
-            for row in h:
-                row[j + 1], row[pr] = row[pr], row[j + 1]
-        inv = pow(h[j + 1][j], p - 2, p)
-        for r in range(j + 2, n):
-            f = h[r][j] * inv % p
-            if f:
-                hj1 = h[j + 1]
-                h[r] = [(x - f * y) % p for x, y in zip(h[r], hj1)]
-                for rr in range(n):
-                    h[rr][j + 1] = (h[rr][j + 1] + f * h[rr][r]) % p
-    polys: list[list[int]] = [[1]]
-    for k in range(1, n + 1):
-        d = h[k - 1][k - 1]
-        prev = polys[k - 1]
-        # (x - d) * prev
-        cur = [0] * (len(prev) + 1)
-        for i, c in enumerate(prev):
-            cur[i + 1] = (cur[i + 1] + c) % p
-            cur[i] = (cur[i] - d * c) % p
-        run = 1
-        for i in range(k - 2, -1, -1):
-            run = run * h[i + 1][i] % p
-            if run == 0:
-                break
-            coeff = h[i][k - 1] * run % p
-            if coeff:
-                pi = polys[i]
-                for m, c in enumerate(pi):
-                    cur[m] = (cur[m] - coeff * c) % p
-        polys.append(cur)
-    return polys[n]
-
-
-def _poly_roots_fp(coeffs: list[int], p: int) -> list[int]:
-    """All roots in F_p by direct scan (p stays small for our group sizes)."""
-    roots = []
-    for lam in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * lam + c) % p
-        if acc == 0:
-            roots.append(lam)
-    return roots
+# -- prime-field helpers -------------------------------------------------------
 
 
 def _find_dixon_prime(group_order: int, exponent: int) -> int:
@@ -104,12 +39,14 @@ def _find_dixon_prime(group_order: int, exponent: int) -> int:
         if p > bound and is_prime(p) and group_order % p != 0:
             return p
         p += exponent
-        assert p < 10 ** 9, "prime search runaway"
+        if p >= 10 ** 9:
+            raise ResourceError(f"no Dixon prime below 10^9 for |G| = {group_order}, exponent {exponent}")
 
 
 def _root_of_unity_fp(p: int, e: int) -> int:
     """An element of exact multiplicative order e in F_p (requires e | p-1)."""
-    assert (p - 1) % e == 0
+    if (p - 1) % e:
+        raise NonInvertibleError(f"exponent {e} does not divide p - 1 for the prime p = {p}")
     n = p - 1
     factors = []
     m = n
@@ -125,7 +62,7 @@ def _root_of_unity_fp(p: int, e: int) -> int:
     for g in range(2, p):
         if all(pow(g, n // q, p) != 1 for q in factors):
             return pow(g, n // e, p)
-    raise AssertionError("no generator found")
+    raise NonInvertibleError(f"no generator of F_{p}* found")
 
 
 # -- the table ---------------------------------------------------------------
@@ -204,21 +141,24 @@ def _character_table_uncached(g: FiniteGroup) -> CharacterTable:
             restricted = solve_rows(
                 [[b[r] for b in basis] + [im[r] for im in images] for r in range(k)], m, p
             )
-            for lam in _poly_roots_fp(_charpoly_fp(restricted, p), p):
+            # lam is an eigenvalue exactly when restricted - lam*I is singular
+            for lam in range(p):
                 shifted = [
                     [restricted[i][j] - (lam if i == j else 0) for j in range(m)]
                     for i in range(m)
                 ]
                 pivots, _ = row_reduce(shifted, modulus=p)
-                eig = [
+                if len(pivots) == m:
+                    continue
+                next_spaces.append([
                     [sum(kv[i] * basis[i][r] for i in range(m)) % p for r in range(k)]
                     for kv in echelon_kernel(shifted, pivots, m, p)
-                ]
-                assert eig, "charpoly root with empty eigenspace"
-                next_spaces.append(eig)
+                ])
         spaces = next_spaces
-    assert all(len(b) == 1 for b in spaces), "class matrices failed to split"
-    assert len(spaces) == k, f"expected {k} eigenlines, got {len(spaces)}"
+    if any(len(b) != 1 for b in spaces):
+        raise NonInvertibleError("class matrices failed to split into eigenlines")
+    if len(spaces) != k:
+        raise NonInvertibleError(f"expected {k} eigenlines, got {len(spaces)}")
 
     h_sizes = [len(c) for c in cd.classes]
     inv_class = [cd.class_of[g.inv[cd.representatives[l]]] for l in range(k)]
@@ -227,11 +167,13 @@ def _character_table_uncached(g: FiniteGroup) -> CharacterTable:
     degrees: list[int] = []
     seen_lines = set()
     for (v,) in spaces:
-        assert v[0] % p != 0, "eigenvector vanishes on the identity class"
+        if v[0] % p == 0:
+            raise NonInvertibleError("eigenvector vanishes on the identity class")
         scale = pow(v[0], p - 2, p)
         v = [x * scale % p for x in v]
         line = tuple(v)
-        assert line not in seen_lines, "duplicate eigenline"
+        if line in seen_lines:
+            raise NonInvertibleError("duplicate eigenline")
         seen_lines.add(line)
         s = 0
         for l in range(k):
@@ -240,7 +182,8 @@ def _character_table_uncached(g: FiniteGroup) -> CharacterTable:
         degree = next(
             (d for d in range(1, isqrt(n) + 1) if d * d % p == d_sq), None
         )
-        assert degree is not None, "no integer degree matches mod p"
+        if degree is None:
+            raise NonInvertibleError(f"no integer degree has square {d_sq} mod {p}")
         chi_fp = [degree * v[l] * pow(h_sizes[l], p - 2, p) % p for l in range(k)]
 
         row: list[Scalar] = []
@@ -263,8 +206,12 @@ def _character_table_uncached(g: FiniteGroup) -> CharacterTable:
                     acc = (acc + powers[s_idx] * ws) % p
                     ws = ws * step % p
                 mults.append(acc * e_inv % p)
-            assert all(m <= degree for m in mults), "eigenvalue multiplicity too large"
-            assert sum(mults) == degree, "multiplicities do not sum to the degree"
+            # each multiplicity is a residue in [0, p), so an exact sum of
+            # degree also bounds every one of them by the degree
+            if sum(mults) != degree:
+                raise NonInvertibleError(
+                    f"eigenvalue multiplicities {mults} at class {l} do not sum to the degree {degree}"
+                )
             val: Scalar = Fraction(0)
             for t, m_t in enumerate(mults):
                 if m_t:
@@ -275,7 +222,7 @@ def _character_table_uncached(g: FiniteGroup) -> CharacterTable:
 
     order_key = []
     for r, row in enumerate(rows):
-        not_trivial = 0 if all(scalar_eq(x, 1) for x in row) else 1
+        not_trivial = 0 if all(x == 1 for x in row) else 1
         entry_keys = tuple(_scalar_key(x) for x in row)
         order_key.append((degrees[r], not_trivial, entry_keys, r))
     order_key.sort(key=lambda t: (t[0], t[1], t[2]))
@@ -291,9 +238,9 @@ def _character_table_uncached(g: FiniteGroup) -> CharacterTable:
             for l in range(k):
                 acc = acc + Fraction(h_sizes[l]) * rows[r][l] * cyclotomic_conjugate(rows[s][l])
             want = Fraction(n) if r == s else Fraction(0)
-            if not scalar_eq(acc, want):
+            if acc != want:
                 raise NonInvertibleError(f"row orthogonality fails at ({r},{s})")
-    if not all(scalar_eq(x, 1) for x in rows[0]):
+    if not all(x == 1 for x in rows[0]):
         raise NonInvertibleError("first row is not the trivial character")
 
     return CharacterTable(g, cd, tuple(rows), tuple(degrees), e)
@@ -331,7 +278,7 @@ def _algebra_mul(
     """Group algebra product a * b where b is given by its sparse support."""
     out: list[Scalar] = [Fraction(0)] * g.order
     for x, ax in enumerate(a):
-        if scalar_is_zero(ax):
+        if not ax:
             continue
         for y, by in b_support:
             z = g.mul(x, y)
@@ -342,7 +289,7 @@ def _algebra_mul(
 def _left_translate(g: FiniteGroup, s: int, vec: list[Scalar]) -> list[Scalar]:
     out: list[Scalar] = [Fraction(0)] * g.order
     for x, cx in enumerate(vec):
-        if not scalar_is_zero(cx):
+        if cx:
             out[g.mul(s, x)] = cx
     return out
 
@@ -356,7 +303,8 @@ def irrep_matrices(g: FiniteGroup, table: Optional[CharacterTable], row: int) ->
     """
     if table is None:
         table = character_table(g)
-    assert table.group is g or table.group.table == g.table
+    if table.group is not g and table.group.table != g.table:
+        raise UsageError("the character table is of a group with another multiplication table")
     cd = table.conjugacy
     chi = table.rows[row]
     d = table.degrees[row]
@@ -402,7 +350,7 @@ def irrep_matrices(g: FiniteGroup, table: Optional[CharacterTable], row: int) ->
     ]
 
     for z in range(n):
-        if not scalar_eq(mats[z].trace(), chi_at(z)):
+        if mats[z].trace() != chi_at(z):
             raise NonInvertibleError(f"trace mismatch at element {z}")
     for a in g.generating_set():
         for b in range(n):
@@ -446,7 +394,7 @@ def _multiplicity_one_pair(
                 # psi(t^{-1}) read off the subgroup table exactly
                 psi_inv = sub_table.rows[r][sub_cd.class_of[sub.inv[i]]]
                 acc = acc + chi[cd.class_of[t_elem]] * psi_inv
-            if scalar_eq(acc, Fraction(len(elems))):
+            if acc == len(elems):
                 psi_vals = [
                     sub_table.rows[r][sub_cd.class_of[sub.inv[i]]] for i in range(sub.order)
                 ]

@@ -426,7 +426,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, *, group=False, extension=False, presentation=False, monodromy=False, psi=False):
+    def add(
+        name: str, help_text: str, *, group=False, extension=False, presentation=False, monodromy=False, psi=False,
+        budget_homs=False, budget_dim=False, sampled=False,
+    ):
         p = sub.add_parser(name, help=help_text)
         if group:
             p.add_argument("--group", help="catalogue group name or JSON file path")
@@ -438,23 +441,26 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--monodromy", type=int, default=0, help="sector index (default 0)")
         if psi:
             p.add_argument("--check-psi", action="store_true", help="also verify the identification with the plain double")
-        p.add_argument("--budget-homs", type=int, default=DEFAULT_BUDGET, help="cap on enumeration search spaces")
-        p.add_argument("--budget-dim", type=int, default=None, help="skip sample modules above this dimension")
-        p.add_argument("--sampled", action="store_true", help="randomized spot checks instead of exhaustive loops")
+        if budget_homs:
+            p.add_argument("--budget-homs", type=int, default=DEFAULT_BUDGET, help="cap on enumeration search spaces")
+        if budget_dim:
+            p.add_argument("--budget-dim", type=int, default=None, help="skip sample modules above this dimension")
+        if sampled:
+            p.add_argument("--sampled", action="store_true", help="randomized spot checks instead of exhaustive loops")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--out", default=None, help="write the report to this path instead of stdout")
         return p
 
-    add("dw", "count flat bundles and the normalized invariant", group=True, presentation=True)
-    add("double", "axiom suite for the double of a group", group=True)
-    add("jdouble", "axiom suite for the graded double of an extension", extension=True)
-    add("orbifold", "axiom suite for the crossed product", extension=True, psi=True)
+    add("dw", "count flat bundles and the normalized invariant", group=True, presentation=True, budget_homs=True)
+    add("double", "axiom suite for the double of a group", group=True, sampled=True)
+    add("jdouble", "axiom suite for the graded double of an extension", extension=True, sampled=True)
+    add("orbifold", "axiom suite for the crossed product", extension=True, psi=True, sampled=True)
     add("smatrix", "S-matrix of the double of a group", group=True)
     add("simples", "simple modules of the (graded) double", group=True, extension=True)
-    add("verify-category", "braiding/twist coherence diagrams on simples", extension=True)
-    add("verify-all", "every verification suite for one extension", extension=True)
-    add("cech", "cocycle classes over the three-arc circle nerve", extension=True, monodromy=True)
-    add("sectors", "twisted-bundle groupoid of the circle", extension=True, monodromy=True)
+    add("verify-category", "braiding/twist coherence diagrams on simples", extension=True, budget_dim=True, sampled=True)
+    add("verify-all", "every verification suite for one extension", extension=True, budget_dim=True, sampled=True)
+    add("cech", "cocycle classes over the three-arc circle nerve", extension=True, monodromy=True, budget_homs=True)
+    add("sectors", "twisted-bundle groupoid of the circle", extension=True, monodromy=True, budget_homs=True)
     add("catalogue", "list built-in groups, extensions, presentations, nerves")
     return parser
 
@@ -469,7 +475,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         presentation=getattr(ns, "presentation", None),
         monodromy=getattr(ns, "monodromy", 0),
         check_psi=getattr(ns, "check_psi", False),
-        budget_homs=ns.budget_homs if getattr(ns, "budget_homs", None) is not None else DEFAULT_BUDGET,
+        budget_homs=getattr(ns, "budget_homs", DEFAULT_BUDGET),
         budget_dim=getattr(ns, "budget_dim", None),
         sampled=getattr(ns, "sampled", False),
         format=getattr(ns, "format", "json"),

@@ -22,7 +22,6 @@ from .errors import ResourceError, UsageError
 from .groupoids import GroupAction
 from .groups import FiniteGroup, GroupExtension, WeakAction
 
-GENERATOR_BOUND = 4
 DEFAULT_BUDGET = 1_000_000
 
 
@@ -67,11 +66,10 @@ def _relations_by_depth(pres: Presentation) -> list[list[tuple[int, ...]]]:
 
 def _require_budget(pres: Presentation, fiber_size: int, budget: int) -> None:
     size = fiber_size ** pres.generators
-    if pres.generators <= GENERATOR_BOUND or size <= budget:
-        return
-    raise ResourceError(
-        f"homomorphism search space {fiber_size}^{pres.generators} = {size} exceeds budget {budget}"
-    )
+    if size > budget:
+        raise ResourceError(
+            f"homomorphism search space {fiber_size}^{pres.generators} = {size} exceeds budget {budget}"
+        )
 
 
 def _iter_assignments(

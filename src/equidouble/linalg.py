@@ -12,9 +12,10 @@ as a parameter: exact rationals and cyclotomics, or F_p for a prime modulus.
 Each pivot costs one field inverse; every other step is a multiply and a
 subtract. The rank, the pivot columns, the kernel basis normalized by
 v[free] = 1, det = +-(product of pivots) and a unique solution do not depend
-on the elimination order, so callers over Q, Q(zeta_n) and F_p (the character
-tables, the irreducible representations, S-matrix invertibility and algebra
-inverses) all share this path.
+on the elimination order, so every elimination in the package goes through
+it: over Q, Q(zeta_n) and F_p alike (the eigenvalues, eigenspaces and span
+coordinates of the character tables, the irreducible representations,
+S-matrix invertibility and algebra inverses).
 """
 
 from __future__ import annotations

@@ -301,16 +301,6 @@ def cyclotomic_conjugate(x: Scalar) -> Scalar:
     return x
 
 
-def scalar_is_zero(x: Scalar) -> bool:
-    return not x
-
-
-def scalar_eq(x: Scalar, y: Scalar) -> bool:
-    """Equality across scalar types: a Cyclotomic compares with rationals and
-    with other conductors itself."""
-    return x == y
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

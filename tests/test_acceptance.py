@@ -53,7 +53,6 @@ from equidouble.modular import (
     trivial_extension,
 )
 from equidouble.orbifold import orbifold_ribbon, psi_check, verify_sector_double
-from equidouble.scalars import scalar_eq
 
 
 def _finish(num: int, name: str, start: float, budget: float) -> None:
@@ -152,7 +151,7 @@ def test_criterion_4_s_matrices_and_modularity():
         assert a.labels == b.labels
         for r in range(a.matrix.rows):
             for c in range(a.matrix.cols):
-                assert scalar_eq(a.matrix[r, c], b.matrix[r, c]), (name, r, c)
+                assert a.matrix[r, c] == b.matrix[r, c], (name, r, c)
     verdict = modularity_verdict(extension_by_name("A3-S3"))
     assert verdict.orbifold_modular
     assert verdict.j_modular_claim
@@ -212,7 +211,7 @@ def test_criterion_6_groupoid_character_theory():
         for i, vi in enumerate(vecs):
             for j in range(i, len(vecs)):
                 want = Fraction(1 if i == j else 0)
-                assert scalar_eq(character_pairing(inert, vi, vecs[j]), want), label
+                assert character_pairing(inert, vi, vecs[j]) == want, label
 
         for i, (m, g) in enumerate(inert.pairs):
             for (n, h) in inert.pairs:
@@ -225,7 +224,7 @@ def test_criterion_6_groupoid_character_theory():
                     for z in range(grp.order)
                     if action.act[z][m] == n and grp.conj(z, g) == h
                 )
-                assert scalar_eq(acc, count), (label, (m, g), (n, h))
+                assert acc == count, (label, (m, g), (n, h))
 
         assert sum(s.total_dim ** 2 for s in simples) == action.num_points * grp.order, label
 
@@ -235,10 +234,10 @@ def test_criterion_6_groupoid_character_theory():
             for s, v in zip(simples, vecs):
                 total = total + Fraction(s.total_dim) * v[idx]
             want = Fraction(grp.order if g == 0 else 0)
-            assert scalar_eq(total, want), label
-            assert scalar_eq(reg[idx], want), label
+            assert total == want, label
+            assert reg[idx] == want, label
         for s, mult in decompose_character(action, reg):
-            assert scalar_eq(mult, s.total_dim), label
+            assert mult == s.total_dim, label
 
         assert len(simples) == len(inert.action.orbits()), label
     _finish(6, "character theory on ten action groupoids", start, 30.0)

@@ -8,15 +8,12 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 import equidouble
+import equidouble.chartable as ct
 from equidouble.catalogue import catalogue_list, group_by_name
-from equidouble.chartable import (
-    CharacterTable,
-    _charpoly_fp,
-    _poly_roots_fp,
-    character_table,
-    irrep_matrices,
-)
+from equidouble.chartable import CharacterTable, character_table, irrep_matrices
 from equidouble.groups import (
     alternating_group,
     cyclic_group,
@@ -26,17 +23,9 @@ from equidouble.groups import (
     symmetric_group,
 )
 from equidouble.cli import encode_scalar
+from equidouble.errors import ResourceError, UsageError
 from equidouble.linalg import ExactMatrix, mat_rank_det_kernel
-from equidouble.scalars import Cyclotomic, cyclotomic_conjugate, scalar_eq
-
-
-def test_charpoly_fp_pinned():
-    # det(xI - A) = (x-1)^3 - 2 for this A; coefficients ascending mod 7
-    a = [[1, 2, 0], [0, 1, 1], [1, 0, 1]]
-    assert _charpoly_fp(a, 7) == [4, 3, 4, 1]
-    assert _poly_roots_fp([4, 3, 4, 1], 7) == []  # 2 is not a cube mod 7
-    # diagonal matrix: roots are the diagonal
-    assert sorted(_poly_roots_fp(_charpoly_fp([[2, 0], [0, 5]], 11), 11)) == [2, 5]
+from equidouble.scalars import Cyclotomic, cyclotomic_conjugate
 
 
 def test_trivial_and_z2():
@@ -45,8 +34,8 @@ def test_trivial_and_z2():
     t2 = character_table(cyclic_group(2))
     assert t2.degrees == (1, 1)
     rows = [[t2.value(r, x) for x in range(2)] for r in range(2)]
-    assert all(scalar_eq(v, 1) for v in rows[0])
-    assert scalar_eq(rows[1][0], 1) and scalar_eq(rows[1][1], -1)
+    assert all(v == 1 for v in rows[0])
+    assert rows[1][0] == 1 and rows[1][1] == -1
 
 
 def test_cyclic_tables_match_fourier_oracle():
@@ -59,7 +48,7 @@ def test_cyclic_tables_match_fourier_oracle():
             match = [
                 r
                 for r in range(n)
-                if all(scalar_eq(t.value(r, k), Cyclotomic.zeta(n, (j * k) % n)) for k in range(n))
+                if all(t.value(r, k) == Cyclotomic.zeta(n, (j * k) % n) for k in range(n))
             ]
             assert len(match) == 1
             used.add(match[0])
@@ -75,12 +64,12 @@ def test_s3_table_pinned():
     sizes = [len(c) for c in cd.classes]
     assert sizes == [1, 3, 2]
     assert [t.rows[0][l] for l in range(3)] == [1, 1, 1] or all(
-        scalar_eq(t.rows[0][l], 1) for l in range(3)
+        t.rows[0][l] == 1 for l in range(3)
     )
-    assert scalar_eq(t.rows[1][1], -1) and scalar_eq(t.rows[1][2], 1)
-    assert scalar_eq(t.rows[2][0], 2)
-    assert scalar_eq(t.rows[2][1], 0)
-    assert scalar_eq(t.rows[2][2], -1)
+    assert t.rows[1][1] == -1 and t.rows[1][2] == 1
+    assert t.rows[2][0] == 2
+    assert t.rows[2][1] == 0
+    assert t.rows[2][2] == -1
 
 
 def test_degree_patterns():
@@ -101,7 +90,7 @@ def test_regular_character_decomposition():
             for r in range(len(t.rows)):
                 acc = acc + Fraction(t.degrees[r]) * t.value(r, x)
             want = Fraction(g.order) if x == 0 else Fraction(0)
-            assert scalar_eq(acc, want), (g.name, x)
+            assert acc == want, (g.name, x)
 
 
 def test_column_orthogonality():
@@ -115,14 +104,14 @@ def test_column_orthogonality():
                 for r in range(k):
                     acc = acc + t.rows[r][i] * cyclotomic_conjugate(t.rows[r][j])
                 want = Fraction(len(cd.centralizers[i])) if i == j else Fraction(0)
-                assert scalar_eq(acc, want)
+                assert acc == want
 
 
 def test_a4_has_cube_root_entries():
     t = character_table(alternating_group(4))
     z3 = Cyclotomic.zeta(3)
     found = any(
-        scalar_eq(t.rows[r][l], z3) or scalar_eq(t.rows[r][l], z3 * z3)
+        t.rows[r][l] == z3 or t.rows[r][l] == z3 * z3
         for r in range(4)
         for l in range(4)
     )
@@ -184,20 +173,31 @@ def test_irrep_matrices_linear_case():
     reps = [irrep_matrices(z4, t, r) for r in range(4)]
     for r, rep in enumerate(reps):
         for x in range(4):
-            assert scalar_eq(rep.matrix(x)[0, 0], t.value(r, x))
+            assert rep.matrix(x)[0, 0] == t.value(r, x)
 
 
 def test_character_method_round_trip():
     s3 = symmetric_group(3)
     t = character_table(s3)
     rep = irrep_matrices(s3, t, 2)
-    assert all(scalar_eq(a, b) for a, b in zip(rep.character(), t.rows[2]))
+    assert all(a == b for a, b in zip(rep.character(), t.rows[2]))
 
 
 def test_table_is_cached():
     s3 = symmetric_group(3)
     assert character_table(s3) is character_table(s3)
     assert isinstance(character_table(s3), CharacterTable)
+
+
+def test_irrep_of_another_groups_table_is_a_usage_error():
+    with pytest.raises(UsageError, match="another multiplication table"):
+        irrep_matrices(cyclic_group(6), character_table(symmetric_group(3)), 0)
+
+
+def test_dixon_prime_search_is_bounded(monkeypatch):
+    monkeypatch.setattr(ct, "is_prime", lambda n: False)
+    with pytest.raises(ResourceError, match="no Dixon prime below 10\\^9"):
+        ct._find_dixon_prime(6, 10 ** 8)
 
 
 # sha256 over the JSON encoding of every character table and every irreducible
@@ -223,9 +223,33 @@ def test_catalogue_tables_and_irreps_match_recorded_digest():
     assert digest.hexdigest() == CATALOGUE_TABLES_AND_IRREPS_SHA256
 
 
+# sha256 over the JSON encoding of the character tables of five groups outside
+# the catalogue, as computed when each multi-dimensional eigenspace was split
+# at the roots of a Hessenberg characteristic polynomial. They reach the Dixon
+# primes 61 (S5), 31 (A5), 37 (S4xZ2, Q8xS3) and 13 (D12), and Q8xS3 splits
+# 15 classes.
+NON_CATALOGUE_TABLES_SHA256 = "a419a7020814b84df08cfb73e6f747ad6af49aebcbbbdc416458b90fd883cd10"
+
+
+def test_non_catalogue_tables_match_recorded_digest():
+    groups = [
+        symmetric_group(5),
+        alternating_group(5),
+        direct_product(symmetric_group(4), cyclic_group(2)),
+        dihedral_group(12),
+        direct_product(quaternion_group(), symmetric_group(3)),
+    ]
+    digest = hashlib.sha256()
+    for g in groups:
+        payload = {"group": g.name, "table": [[encode_scalar(x) for x in row] for row in character_table(g).rows]}
+        digest.update(json.dumps(payload, sort_keys=True).encode())
+    assert digest.hexdigest() == NON_CATALOGUE_TABLES_SHA256
+
+
 def test_table_and_irrep_certification_does_not_depend_on_assert():
-    """Under python -O every assert is stripped; a corrupted irrep solve and a
-    corrupted conjugation must still raise NonInvertibleError."""
+    """Under python -O every assert is stripped; a corrupted irrep solve, a
+    corrupted conjugation and a Dixon prime that is not 1 mod the exponent must
+    still raise NonInvertibleError, each naming what failed."""
     script = """
 import equidouble.chartable as ct
 from equidouble.errors import NonInvertibleError
@@ -255,7 +279,16 @@ def table_without_conjugation():
     finally:
         ct.cyclotomic_conjugate = real_conjugate
 
-for case in (table_without_conjugation, irrep):
+def table_with_wrong_prime():
+    # 11 - 1 = 10 is not a multiple of exponent(S3) = 6
+    real_prime = ct._find_dixon_prime
+    ct._find_dixon_prime = lambda order, exponent: 11
+    try:
+        ct._character_table_uncached(s3)
+    finally:
+        ct._find_dixon_prime = real_prime
+
+for case in (table_without_conjugation, irrep, table_with_wrong_prime):
     try:
         case()
     except NonInvertibleError as exc:
@@ -270,4 +303,5 @@ for case in (table_without_conjugation, irrep):
     assert out.stdout.splitlines() == [
         "raised: row orthogonality fails at (1,1)",
         "raised: trace mismatch at element 0",
+        "raised: exponent 6 does not divide p - 1 for the prime p = 11",
     ]

@@ -81,6 +81,24 @@ def test_argparse_rejects_unknown_subcommand():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["smatrix", "--group", "Z2", "--sampled"],
+        ["simples", "--group", "Z2", "--budget-homs", "5"],
+        ["cech", "--extension", "Z2-Z4", "--budget-dim", "3"],
+        ["double", "--group", "Z2", "--budget-dim", "3"],
+        ["dw", "--presentation", "Sigma_1", "--group", "Z2", "--sampled"],
+        ["verify-all", "--extension", "Z2-Z4", "--budget-homs", "5"],
+    ],
+)
+def test_subcommands_reject_flags_their_handler_ignores(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    capsys.readouterr()
+
+
 def test_budget_exceeded_exits_with_resource_code(capsys):
     argv = ["dw", "--presentation", "Sigma_3", "--group", "S4", "--budget-homs", "2"]
     assert cli.main(argv) == 3

@@ -7,6 +7,7 @@ import pytest
 
 from equidouble.catalogue import catalogue_list, load_extension
 from equidouble.dw import (
+    DEFAULT_BUDGET,
     CechClasses,
     CoverNerve,
     Presentation,
@@ -146,7 +147,12 @@ def test_budget_errors_name_the_search_space():
     s3 = symmetric_group(3)
     with pytest.raises(ResourceError, match=r"6\^5 = 7776"):
         count_homs(Presentation(5, ()), s3, budget=1000)
-    assert count_homs(Presentation(4, ()), cyclic_group(2), budget=1) == 16
+    with pytest.raises(ResourceError, match=r"2\^4 = 16"):
+        count_homs(Presentation(4, ()), cyclic_group(2), budget=1)
+    assert count_homs(Presentation(4, ()), cyclic_group(2), budget=16) == 16
+    # genus 2 has four generators; 100^4 = 10^8 exceeds the default 10^6
+    with pytest.raises(ResourceError, match=r"100\^4 = 100000000"):
+        count_homs(surface_presentation(2), cyclic_group(100), budget=DEFAULT_BUDGET)
 
 
 def test_twist_hom_validation():

@@ -21,7 +21,6 @@ from equidouble.groupoids import (
     trivial_action,
 )
 from equidouble.groups import cyclic_group, symmetric_group
-from equidouble.scalars import scalar_eq
 
 
 def natural_s3_action():
@@ -103,7 +102,7 @@ def test_characters_orthonormal():
     for i, vi in enumerate(vecs):
         for j, vj in enumerate(vecs):
             want = Fraction(1) if i == j else Fraction(0)
-            assert scalar_eq(character_pairing(inert, vi, vj), want), (i, j)
+            assert character_pairing(inert, vi, vj) == want, (i, j)
 
 
 def test_regular_character_decomposes_by_dimension():
@@ -111,7 +110,7 @@ def test_regular_character_decomposes_by_dimension():
     reg = regular_character(inertia(c))
     parts = decompose_character(c, reg)
     for s, mult in parts:
-        assert scalar_eq(mult, s.total_dim)
+        assert mult == s.total_dim
 
 
 def test_second_orthogonality():
@@ -132,7 +131,7 @@ def test_second_orthogonality():
                 for z in range(grp.order)
                 if c.act[z][m] == n and grp.conj(z, g) == h
             )
-            assert scalar_eq(acc, count), ((m, g), (n, h))
+            assert acc == count, ((m, g), (n, h))
 
 
 def test_total_matrices_multiplicative_and_match_character():
@@ -155,7 +154,7 @@ def test_total_matrices_multiplicative_and_match_character():
         tr = Fraction(0)
         for i in range(d):
             tr = tr + blk[pos[m] * d + i, pos[m] * d + i]
-        assert scalar_eq(tr, big.character_at(m, g))
+        assert tr == big.character_at(m, g)
 
 
 def test_cyclic_conjugation_is_trivial():

@@ -21,7 +21,7 @@ from equidouble.linalg import (
     solve,
     solve_rows,
 )
-from equidouble.scalars import Cyclotomic, scalar_eq, scalar_is_zero
+from equidouble.scalars import Cyclotomic
 
 
 def rand_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -34,7 +34,7 @@ def test_identity_and_zeros_pinned():
     r = mat_rank_det_kernel(ExactMatrix.identity(2))
     assert r.rank == 2 and r.det == 1 and r.kernel_basis == []
     r = mat_rank_det_kernel(ExactMatrix.zeros(2, 2))
-    assert r.rank == 0 and scalar_is_zero(r.det) and len(r.kernel_basis) == 2
+    assert r.rank == 0 and not r.det and len(r.kernel_basis) == 2
 
 
 def test_det_requested_on_rectangular_raises():
@@ -52,7 +52,7 @@ def test_det_multiplicative_random():
             da = mat_rank_det_kernel(a).det
             db = mat_rank_det_kernel(b).det
             dab = mat_rank_det_kernel(a @ b).det
-            assert scalar_eq(dab, da * db)
+            assert dab == da * db
 
 
 def test_det_pinned_3x3():
@@ -118,7 +118,7 @@ def test_cyclotomic_entries():
     a = ExactMatrix.from_rows([[z, Fraction(1)], [Fraction(-1), z]])
     # det = z^2 + 1 = 0, so rank 1
     res = mat_rank_det_kernel(a)
-    assert scalar_is_zero(res.det)
+    assert not res.det
     assert res.rank == 1
     for v in res.kernel_basis:
         assert (a @ ExactMatrix.from_rows([[x] for x in v])).is_zero()
@@ -179,20 +179,20 @@ def test_kernel_against_leibniz_and_round_trips(entry):
             ]
             a = ExactMatrix.from_rows(rows)
             res = mat_rank_det_kernel(a)
-            assert scalar_eq(res.det, leibniz_det(rows))
+            assert res.det == leibniz_det(rows)
             assert res.rank + len(res.kernel_basis) == n
             if low_rank:
                 assert res.rank < n
             for v in res.kernel_basis:
                 assert (a @ ExactMatrix.from_rows([[x] for x in v])).is_zero()
             b = ExactMatrix.from_rows([[entry(rng), entry(rng)] for _ in range(n)])
-            if scalar_is_zero(res.det):
+            if not res.det:
                 with pytest.raises(NonInvertibleError):
                     solve(a, b)
             else:
-                assert all(scalar_eq(x, y) for x, y in zip((a @ solve(a, b)).data, b.data))
+                assert all(x == y for x, y in zip((a @ solve(a, b)).data, b.data))
                 assert all(
-                    scalar_eq(x, y) for x, y in zip((a @ inverse(a)).data, ExactMatrix.identity(n).data)
+                    x == y for x, y in zip((a @ inverse(a)).data, ExactMatrix.identity(n).data)
                 )
 
 
@@ -265,7 +265,11 @@ def test_malformed_shapes_are_usage_errors():
 def test_matrix_and_module_layers_have_no_assert():
     """Certification must survive python -O, which strips every assert."""
     root = os.path.dirname(os.path.abspath(equidouble.__file__))
-    for name in ("scalars.py", "linalg.py", "modular.py", "hopf.py", "orbifold.py", "doubles.py", "dw.py", "groupoids.py"):
+    names = (
+        "scalars.py", "linalg.py", "modular.py", "hopf.py", "orbifold.py", "doubles.py", "dw.py", "groupoids.py",
+        "chartable.py",
+    )
+    for name in names:
         with open(os.path.join(root, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=name)
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]

@@ -40,7 +40,7 @@ from equidouble.modular import (
     twist_product_holds,
     unit_module,
 )
-from equidouble.scalars import Cyclotomic, scalar_eq
+from equidouble.scalars import Cyclotomic
 
 ONE = Fraction(1)
 
@@ -256,7 +256,7 @@ def test_negative_control_inverted_grade_braiding_fails_r_comparison():
         for s in simples
         if s.dim == 1
         and H.element_order(s.grades[0]) == 3
-        and not scalar_eq(twist(s).matrix[0, 0], ONE)
+        and twist(s).matrix[0, 0] != ONE
     ]
     v = w = cycles[0]
     source = fuse(v, w)
@@ -282,9 +282,9 @@ def test_twist_scalars_on_the_double_of_z4_are_fourth_roots():
     simples = simples_of_double(ext)
     assert len(simples) == 16
     zeta = Cyclotomic.zeta(4)
-    v = next(s for s in simples if s.grades[0] == 1 and scalar_eq(twist(s).matrix[0, 0], zeta))
-    assert scalar_eq(twist(fuse(v, v)).matrix[0, 0], ONE)
-    assert scalar_eq(twist(fuse(v, fuse(v, v))).matrix[0, 0], zeta)
+    v = next(s for s in simples if s.grades[0] == 1 and twist(s).matrix[0, 0] == zeta)
+    assert twist(fuse(v, v)).matrix[0, 0] == ONE
+    assert twist(fuse(v, fuse(v, v))).matrix[0, 0] == zeta
 
 
 def test_s_matrix_of_z2_double_matches_the_hand_computed_table():
@@ -311,7 +311,7 @@ def test_s_matrix_trace_equals_the_character_formula():
         assert traced.matrix.rows == counted.matrix.rows
         for r in range(traced.matrix.rows):
             for c in range(traced.matrix.cols):
-                assert scalar_eq(traced.matrix[r, c], counted.matrix[r, c])
+                assert traced.matrix[r, c] == counted.matrix[r, c]
 
 
 def test_negative_control_sign_flipped_action_entry_fails_two_diagrams():
