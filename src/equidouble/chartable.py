@@ -18,7 +18,7 @@ basis (one solve whose consistency check certifies that the ideal is stable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
 from typing import Optional, Sequence
@@ -91,12 +91,15 @@ _TABLE_CACHE: dict[tuple, CharacterTable] = {}
 
 
 def character_table(g: FiniteGroup) -> CharacterTable:
-    key = g.table
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
-    out = _character_table_uncached(g)
-    _TABLE_CACHE[key] = out
-    return out
+    """The character table of g, bound to g. Groups with equal multiplication
+    tables share one cached computation, bound to the last group asked for."""
+    table = _TABLE_CACHE.get(g.table)
+    if table is None:
+        table = _character_table_uncached(g)
+    elif table.group is not g:
+        table = replace(table, group=g)
+    _TABLE_CACHE[g.table] = table
+    return table
 
 
 def _character_table_uncached(g: FiniteGroup) -> CharacterTable:

@@ -46,7 +46,9 @@ CSV_COMMANDS = ("smatrix", "simples", "sectors", "catalogue")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully parsed invocation; building one validates budgets and flags."""
+    """A fully parsed invocation; building one validates budgets and flags.
+    Its field defaults are the command line's defaults: the parser passes
+    only the flags that were given."""
 
     command: str
     group: Optional[str] = None
@@ -430,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
         name: str, help_text: str, *, group=False, extension=False, presentation=False, monodromy=False, psi=False,
         budget_homs=False, budget_dim=False, sampled=False,
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         if group:
             p.add_argument("--group", help="catalogue group name or JSON file path")
         if extension:
@@ -438,17 +440,17 @@ def _build_parser() -> argparse.ArgumentParser:
         if presentation:
             p.add_argument("--presentation", required=True, help="catalogue presentation name or JSON file path")
         if monodromy:
-            p.add_argument("--monodromy", type=int, default=0, help="sector index (default 0)")
+            p.add_argument("--monodromy", type=int, help="sector index (default 0)")
         if psi:
             p.add_argument("--check-psi", action="store_true", help="also verify the identification with the plain double")
         if budget_homs:
-            p.add_argument("--budget-homs", type=int, default=DEFAULT_BUDGET, help="cap on enumeration search spaces")
+            p.add_argument("--budget-homs", type=int, help="cap on enumeration search spaces")
         if budget_dim:
-            p.add_argument("--budget-dim", type=int, default=None, help="skip sample modules above this dimension")
+            p.add_argument("--budget-dim", type=int, help="skip sample modules above this dimension")
         if sampled:
             p.add_argument("--sampled", action="store_true", help="randomized spot checks instead of exhaustive loops")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--out", default=None, help="write the report to this path instead of stdout")
+        p.add_argument("--format", choices=("json", "csv", "text"))
+        p.add_argument("--out", help="write the report to this path instead of stdout")
         return p
 
     add("dw", "count flat bundles and the normalized invariant", group=True, presentation=True, budget_homs=True)
@@ -466,21 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv: Sequence[str]) -> RunConfig:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    return RunConfig(
-        command=ns.command,
-        group=getattr(ns, "group", None),
-        extension=getattr(ns, "extension", None),
-        presentation=getattr(ns, "presentation", None),
-        monodromy=getattr(ns, "monodromy", 0),
-        check_psi=getattr(ns, "check_psi", False),
-        budget_homs=getattr(ns, "budget_homs", DEFAULT_BUDGET),
-        budget_dim=getattr(ns, "budget_dim", None),
-        sampled=getattr(ns, "sampled", False),
-        format=getattr(ns, "format", "json"),
-        out=getattr(ns, "out", None),
-    )
+    return RunConfig(**vars(_build_parser().parse_args(argv)))
 
 
 def run(config: RunConfig) -> int:

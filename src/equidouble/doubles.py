@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import NonInvertibleError, UsageError
 from .groups import FiniteGroup, GroupExtension, extension_from_subgroup
 from .groupoids import GroupAction, action_via_hom
-from .hopf import RibbonData, SparseTen, SparseVec, TableHopf, outer, sparse_eq
+from .hopf import RibbonData, SparseTen, SparseVec, TableHopf, inverts, outer
 
 ONE = Fraction(1)
 
@@ -199,17 +199,13 @@ def sector_double(ext: GroupExtension, name: str = "") -> SectorDouble:
     # structural sanity: inverses really invert, sector-wise
     units = [sd.sector_unit(j) for j in range(nj)]
     for j in range(nj):
-        if not (
-            sparse_eq(hopf.mul_vec(theta[j], theta_inv[j]), units[j])
-            and sparse_eq(hopf.mul_vec(theta_inv[j], theta[j]), units[j])
-        ):
+        if not inverts(hopf.mul_vec, theta[j], theta_inv[j], units[j]):
             raise NonInvertibleError(f"theta_{j} inverse")
     for i in range(nj):
         for j in range(nj):
-            prod = hopf.ten_mul(r_sector[(i, j)], r_sector_inv[(i, j)])
-            if not sparse_eq(prod, outer(units[i], units[j])):
+            if not inverts(hopf.ten_mul, r_sector[(i, j)], r_sector_inv[(i, j)], outer(units[i], units[j])):
                 raise NonInvertibleError(f"R_({i},{j}) inverse")
-            if not sparse_eq(hopf.mul_vec(coherence[(i, j)], coherence_inv[(i, j)]), unit):
+            if not inverts(hopf.mul_vec, coherence[(i, j)], coherence_inv[(i, j)], unit):
                 raise NonInvertibleError(f"c_({i},{j}) inverse")
     return sd
 

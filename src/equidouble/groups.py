@@ -12,7 +12,7 @@ from functools import reduce
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
-from .errors import UsageError
+from .errors import NonInvertibleError, UsageError
 
 
 def _is_index(x: object, n: int) -> bool:
@@ -136,14 +136,18 @@ class FiniteGroup:
     def subgroup(self, elements: Sequence[int]) -> tuple["FiniteGroup", tuple[int, ...]]:
         """Subgroup on the given (closed) elements; returns (group, embedding)."""
         elems = tuple(sorted(set(elements)))
-        assert elems[0] == 0, "subgroup must contain the identity"
+        if not elems or elems[0] != 0:
+            raise UsageError("a subgroup must contain the identity 0")
+        if not all(_is_index(e, self.order) for e in elems):
+            raise UsageError(f"subgroup elements must be element indices 0..{self.order - 1}")
         pos = {e: i for i, e in enumerate(elems)}
         table = []
         for a in elems:
             row = []
             for b in elems:
                 ab = self.table[a][b]
-                assert ab in pos, f"element set not closed under product ({a},{b})"
+                if ab not in pos:
+                    raise UsageError(f"element set not closed under product ({a},{b})")
                 row.append(pos[ab])
             table.append(row)
         sub = FiniteGroup(table, labels=[self.labels[e] for e in elems])
@@ -195,7 +199,8 @@ def conjugacy_data(g: FiniteGroup) -> ConjugacyData:
     reps = tuple(cls[0] for cls in classes)
     cents = tuple(g.centralizer(r) for r in reps)
     for cls, cent in zip(classes, cents):
-        assert len(cls) * len(cent) == g.order
+        if len(cls) * len(cent) != g.order:
+            raise NonInvertibleError(f"class equation fails at {cls[0]}: {len(cls)} * {len(cent)} != {g.order}")
     return ConjugacyData(tuple(classes), tuple(class_of), reps, cents)
 
 
@@ -203,7 +208,8 @@ class GroupHom:
     """Homomorphism as an image list; verified at construction."""
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, images: Sequence[int]):
-        assert len(images) == source.order
+        if len(images) != source.order:
+            raise UsageError(f"a homomorphism from a group of order {source.order} needs {source.order} images")
         self.source = source
         self.target = target
         self.images = tuple(images)
@@ -220,19 +226,11 @@ class GroupHom:
     def kernel(self) -> tuple[int, ...]:
         return tuple(a for a in range(self.source.order) if self.images[a] == 0)
 
-    def image(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.images)))
-
     def is_injective(self) -> bool:
         return len(set(self.images)) == self.source.order
 
     def is_surjective(self) -> bool:
         return len(set(self.images)) == self.target.order
-
-    def compose(self, inner: "GroupHom") -> "GroupHom":
-        """self after inner."""
-        assert inner.target is self.source or inner.target.table == self.source.table
-        return GroupHom(inner.source, self.target, [self.images[x] for x in inner.images])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GroupHom) and self.images == other.images
@@ -253,8 +251,10 @@ class GroupExtension:
         section: Sequence[int],
         name: str = "",
     ):
-        assert incl.source is G and incl.target is H
-        assert proj.source is H and proj.target is J
+        if not (incl.source is G and incl.target is H):
+            raise UsageError("the inclusion must be a homomorphism from G to H")
+        if not (proj.source is H and proj.target is J):
+            raise UsageError("the projection must be a homomorphism from H to J")
         if not incl.is_injective():
             raise UsageError("inclusion not injective")
         if not proj.is_surjective():
@@ -278,8 +278,10 @@ class GroupExtension:
 
     def g_of(self, h: int) -> int:
         """Preimage in G of an H-element lying in the kernel fiber."""
-        assert h in self._g_of_h, f"H-element {h} not in the image of G"
-        return self._g_of_h[h]
+        try:
+            return self._g_of_h[h]
+        except KeyError:
+            raise UsageError(f"H-element {h} not in the image of G") from None
 
     def fiber(self, j: int) -> tuple[int, ...]:
         """H_j = all H-elements projecting to j, ascending."""
@@ -344,7 +346,8 @@ class WeakAction:
         self.J, self.G = J, G
         self.rho = tuple(rho)
         self.c = tuple(tuple(row) for row in c)
-        assert len(self.rho) == J.order and len(self.c) == J.order
+        if len(self.rho) != J.order or len(self.c) != J.order:
+            raise UsageError(f"a weak action of J needs {J.order} automorphisms and coherence rows")
         for r in self.rho:
             if not (r.source is G and r.target is G and r.is_injective()):
                 raise UsageError("rho_j is not an automorphism of G")
@@ -490,7 +493,8 @@ def group_from_permutations(perms: Sequence[tuple[int, ...]], name: str = "") ->
     generators applied in order, then sorted lexicographically as permutations
     with the identity forced to index 0.
     """
-    assert perms
+    if not perms:
+        raise UsageError("a group generated by permutations needs at least one permutation")
     deg = len(perms[0])
     ident = tuple(range(deg))
 
@@ -514,7 +518,8 @@ def group_from_permutations(perms: Sequence[tuple[int, ...]], name: str = "") ->
 
 
 def symmetric_group(n: int, name: str = "") -> FiniteGroup:
-    assert 1 <= n <= 5
+    if not 1 <= n <= 5:
+        raise UsageError(f"symmetric groups are built for degrees 1..5, not {n}")
     gens: list[tuple[int, ...]] = []
     if n >= 2:
         gens.append(tuple([1, 0] + list(range(2, n))))
@@ -526,7 +531,8 @@ def symmetric_group(n: int, name: str = "") -> FiniteGroup:
 
 
 def alternating_group(n: int, name: str = "") -> FiniteGroup:
-    assert 3 <= n <= 5
+    if not 3 <= n <= 5:
+        raise UsageError(f"alternating groups are built for degrees 3..5, not {n}")
     three_cycles = []
     for i in range(n - 2):
         p = list(range(n))
@@ -537,7 +543,8 @@ def alternating_group(n: int, name: str = "") -> FiniteGroup:
 
 def dihedral_group(n: int, name: str = "") -> FiniteGroup:
     """Symmetries of the regular n-gon, order 2n, as vertex permutations."""
-    assert n >= 2
+    if n < 2:
+        raise UsageError(f"dihedral groups are built for n >= 2, not {n}")
     rot = tuple((i + 1) % n for i in range(n))
     flip = tuple((n - i) % n for i in range(n))
     return group_from_permutations([rot, flip], name=name or f"D{n}")

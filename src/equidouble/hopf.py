@@ -68,6 +68,12 @@ def outer(a: SparseVec, b: SparseVec) -> SparseTen:
     return clean({(i, j): ci * cj for i, ci in a.items() for j, cj in b.items()})
 
 
+def inverts(mul: Callable[[dict, dict], dict], x: dict, y: dict, one: dict) -> bool:
+    """Whether y is a two-sided inverse of x for the product mul with unit
+    one: mul(x, y) == one and mul(y, x) == one."""
+    return sparse_eq(mul(x, y), one) and sparse_eq(mul(y, x), one)
+
+
 class TableHopf:
     """Hopf algebra defined by explicit sparse structure tables."""
 
@@ -473,16 +479,12 @@ def quasitriangular_checks(rd: RibbonData) -> Checks:
     h = rd.hopf
     r, rinv = rd.r_matrix, rd.r_inverse
 
-    def r_invertible():
-        unit_ten = outer(h.unit, h.unit)
-        return sparse_eq(h.ten_mul(r, rinv), unit_ten) and sparse_eq(h.ten_mul(rinv, r), unit_ten)
-
     def r_intertwines_coproducts(i):
         delta = h.comul_basis(i)
         return sparse_eq(h.ten_mul(r, delta), h.ten_mul(h.flip_ten(delta), r))
 
     return {
-        "r_invertible": (0, r_invertible),
+        "r_invertible": (0, lambda: inverts(h.ten_mul, r, rinv, outer(h.unit, h.unit))),
         "r_intertwines_coproducts": (1, r_intertwines_coproducts),
         "hexagon_coproduct_left": (0, lambda: sparse_eq(_coproduct_on_leg(h, r, 0), _hexagon_rhs(h, r, "23"))),
         "hexagon_coproduct_right": (0, lambda: sparse_eq(_coproduct_on_leg(h, r, 1), _hexagon_rhs(h, r, "12"))),
@@ -500,9 +502,6 @@ def ribbon_checks(rd: RibbonData) -> Checks:
     h = rd.hopf
     nu, nu_inv = rd.ribbon, rd.ribbon_inverse
 
-    def ribbon_invertible():
-        return sparse_eq(h.mul_vec(nu, nu_inv), h.unit) and sparse_eq(h.mul_vec(nu_inv, nu), h.unit)
-
     def ribbon_central(i):
         e = {i: ONE}
         return sparse_eq(h.mul_vec(nu, e), h.mul_vec(e, nu))
@@ -513,7 +512,7 @@ def ribbon_checks(rd: RibbonData) -> Checks:
         return sparse_eq(h.ten_mul(h.comul_vec(nu), r21r), outer(nu, nu))
 
     return {
-        "ribbon_invertible": (0, ribbon_invertible),
+        "ribbon_invertible": (0, lambda: inverts(h.mul_vec, nu, nu_inv, h.unit)),
         "ribbon_central": (1, ribbon_central),
         "ribbon_antipode_fixed": (0, lambda: sparse_eq(h.antipode_vec(nu), nu)),
         "ribbon_counit_one": (0, lambda: h.counit_vec(nu) == 1),

@@ -8,11 +8,13 @@ elements are assembled from the sector pieces, and the label permutation
 
     (delta_m (x) g) (x) j  |->  delta_m (x) (incl(g) * s(j))
 
-identifies the whole package with the ordinary double of H. `psi_check`
-verifies that identification exhaustively and `verify_sector_double` runs
-the axiom suite of a graded double; both return a `hopf.VerifyReport`
-(checks, the `all_passed` property, and the first failing tuple of each
-failed check in `witnesses`).
+identifies the whole package with the ordinary double of H. The inverses
+that assembly needs have closed forms, proved in `orbifold_ribbon`'s
+docstring, so no linear system is solved; each is certified on both sides
+with `hopf.inverts`. `psi_check` verifies that identification exhaustively
+and `verify_sector_double` runs the axiom suite of a graded double; both
+return a `hopf.VerifyReport` (checks, the `all_passed` property, and the
+first failing tuple of each failed check in `witnesses`).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .hopf import (
     TableHopf,
     VerifyReport,
     clean,
+    inverts,
     outer,
     sparse_add,
     sparse_eq,
@@ -38,7 +41,6 @@ from .hopf import (
     verify_quasitriangular,
     verify_ribbon,
 )
-from .linalg import ExactMatrix, solve
 from .scalars import Scalar
 
 ONE = Fraction(1)
@@ -100,33 +102,19 @@ def _permute(vec: SparseVec, perm: Sequence[int]) -> SparseVec:
     return {perm[a]: c for a, c in vec.items()}
 
 
-def algebra_inverse(hopf: TableHopf, x: SparseVec) -> SparseVec:
-    """Two-sided inverse of x in the table algebra, by exact linear solve.
-
-    Solves x y = 1 and certifies y x = 1 by multiplication; raises
-    NonInvertibleError when either fails. (In a finite-dimensional algebra a
-    one-sided inverse is two-sided, so the second failure means the table is
-    not an associative unital algebra.)
-    """
-    n = hopf.dim
-    lmul = ExactMatrix.zeros(n, n)
-    for k in range(n):
-        col = hopf.mul_vec(x, {k: ONE})
-        for r, c in col.items():
-            lmul[r, k] = c
-    rhs = ExactMatrix.zeros(n, 1)
-    for r, c in hopf.unit.items():
-        rhs[r, 0] = c
-    sol = solve(lmul, rhs)
-    inv = clean({k: sol[k, 0] for k in range(n)})
-    if not sparse_eq(hopf.mul_vec(inv, x), hopf.unit):
-        raise NonInvertibleError("right inverse is not a left inverse")
-    return inv
-
-
 def _grouplike(sd: SectorDouble, j: int) -> SparseVec:
     """1_A (x) j inside the crossed product."""
     return _shift(sd.hopf.unit, j, sd.ext.J.order)
+
+
+def _grouplike_inverse(sd: SectorDouble, ohat: TableHopf, j: int) -> SparseVec:
+    """(1_A (x) j)^{-1}, which is the antipode of the grouplike 1_A (x) j
+    (orbifold_ribbon has the proof); certified by multiplication."""
+    g = _grouplike(sd, j)
+    inv = ohat.antipode_vec(g)
+    if not inverts(ohat.mul_vec, g, inv, ohat.unit):
+        raise NonInvertibleError(f"the antipode of the grouplike 1 (x) {sd.ext.J.labels[j]} does not invert it")
+    return inv
 
 
 def orbifold_ribbon(sd: SectorDouble, ohat: Optional[TableHopf] = None) -> RibbonData:
@@ -134,17 +122,39 @@ def orbifold_ribbon(sd: SectorDouble, ohat: Optional[TableHopf] = None) -> Ribbo
 
     R-hat collects every sector piece R_{i,j}, with the second leg pushed
     through (1_A (x) i^{-1})^{-1}; the inverse twist collects the sector
-    inverse twists the same way, through (1_A (x) j^{-1})^{-1}. The carrier
-    index always matches the index inside s(.^{-1}) of the sector piece.
-    Inverses are certified by multiplication; NonInvertibleError says which
-    one failed.
+    inverse twists the same way,
+
+        nu^{-1} = sum_j (1_A (x) j^{-1})^{-1} (theta_j^{-1} (x) 1).
+
+    The carrier index always matches the index inside s(.^{-1}) of the
+    sector piece. Every inverse this needs has a closed form:
+
+    - Grouplikes. For g = 1_A (x) j, Delta(g) = g (x) g and eps(g) = 1, so
+      the antipode axiom reads S(g) g = g S(g) = eps(g) 1 = 1: the inverse
+      of g is S(g).
+    - The ribbon element is nu = sum_j (theta_j (x) 1) g_j with
+      g_j = 1_A (x) j^{-1}. Write u_j for the unit of sector j, embedded as
+      u_j (x) 1. The sectors are orthogonal ideals, so
+      theta_j^{-1} theta_k = delta_jk u_j and u_j u_k = delta_jk u_j;
+      conjugation by 1_A (x) i acts as phi_i, which maps sector k to sector
+      i k i^{-1}, so g_j commutes with u_j; and sum_j u_j = 1. Hence
+          nu^{-1} nu = sum_{j,k} g_j^{-1} theta_j^{-1} theta_k g_k
+                     = sum_j g_j^{-1} u_j g_j = sum_j u_j = 1,
+      and, writing theta_j = theta_j u_j and theta_k^{-1} = u_k theta_k^{-1},
+          nu nu^{-1} = sum_{j,k} theta_j g_j u_j u_k g_k^{-1} theta_k^{-1}
+                     = sum_j theta_j theta_j^{-1} = sum_j u_j = 1.
+
+    The proof uses the sector axioms that verify_sector_double checks, so
+    every closed form, and R-hat against the inverse braiding of the double,
+    is still certified on both sides by multiplication; NonInvertibleError
+    names the element that failed.
     """
     if ohat is None:
         ohat = orbifold_algebra(sd)
     ext = sd.ext
     J = ext.J
     n_j = J.order
-    inv_of_grouplike = {j: algebra_inverse(ohat, _grouplike(sd, J.inv[j])) for j in range(n_j)}
+    inv_of_grouplike = {j: _grouplike_inverse(sd, ohat, J.inv[j]) for j in range(n_j)}
 
     rhat: SparseTen = {}
     for (i, j), ten in sd.r_sector.items():
@@ -170,16 +180,18 @@ def orbifold_ribbon(sd: SectorDouble, ohat: Optional[TableHopf] = None) -> Ribbo
         for b in range(H.order):
             right = sd.index(b, g) * n_j + j
             rhat_inv[(left, right)] = ONE
-    unit_ten = outer(ohat.unit, ohat.unit)
-    if not (
-        sparse_eq(ohat.ten_mul(rhat, rhat_inv), unit_ten)
-        and sparse_eq(ohat.ten_mul(rhat_inv, rhat), unit_ten)
-    ):
+    if not inverts(ohat.ten_mul, rhat, rhat_inv, outer(ohat.unit, ohat.unit)):
         raise NonInvertibleError("the assembled R-matrix is not inverted by the inverse braiding of the double")
 
-    pieces = (ohat.mul_vec(inv_of_grouplike[j], _shift(sd.theta_inv[j], 0, n_j)) for j in range(n_j))
-    twist: SparseVec = reduce(sparse_add, pieces, {})
-    ribbon = algebra_inverse(ohat, twist)
+    js = range(n_j)
+    twist_pieces = (ohat.mul_vec(inv_of_grouplike[j], _shift(sd.theta_inv[j], 0, n_j)) for j in js)
+    twist: SparseVec = reduce(sparse_add, twist_pieces, {})
+    ribbon_pieces = (ohat.mul_vec(_shift(sd.theta[j], 0, n_j), _grouplike(sd, J.inv[j])) for j in js)
+    ribbon: SparseVec = reduce(sparse_add, ribbon_pieces, {})
+    if not inverts(ohat.mul_vec, ribbon, twist, ohat.unit):
+        raise NonInvertibleError(
+            "the ribbon element sum_j (theta_j (x) 1)(1 (x) j^{-1}) does not invert the assembled twist"
+        )
     return RibbonData(hopf=ohat, r_matrix=rhat, r_inverse=rhat_inv, ribbon=ribbon, ribbon_inverse=twist)
 
 
@@ -317,8 +329,7 @@ def verify_sector_double(sd: SectorDouble, sampled: bool = False, samples: int =
     )
 
     def coherence_inverse(i: int, j: int) -> bool:
-        c, c_inv = sd.coherence[(i, j)], sd.coherence_inv[(i, j)]
-        return sparse_eq(hopf.mul_vec(c, c_inv), hopf.unit) and sparse_eq(hopf.mul_vec(c_inv, c), hopf.unit)
+        return inverts(hopf.mul_vec, sd.coherence[(i, j)], sd.coherence_inv[(i, j)], hopf.unit)
 
     def composition(i: int, j: int, a: int) -> bool:
         twisted = hopf.mul_vec(sd.coherence[(i, j)], {phi[J.mul(i, j)][a]: ONE})
@@ -343,20 +354,13 @@ def verify_sector_double(sd: SectorDouble, sampled: bool = False, samples: int =
 
     def r_sector(i: int, j: int) -> bool:
         r, r_inv = sd.r_sector[(i, j)], sd.r_sector_inv[(i, j)]
-        unit_ij = outer(units[i], units[j])
-        return (
-            all(sector(a) == i and sector(b) == j for t in (r, r_inv) for (a, b) in t)
-            and sparse_eq(hopf.ten_mul(r, r_inv), unit_ij)
-            and sparse_eq(hopf.ten_mul(r_inv, r), unit_ij)
+        return all(sector(a) == i and sector(b) == j for t in (r, r_inv) for (a, b) in t) and inverts(
+            hopf.ten_mul, r, r_inv, outer(units[i], units[j])
         )
 
     def twist_sector(j: int) -> bool:
         t, t_inv = sd.theta[j], sd.theta_inv[j]
-        return (
-            all(sector(a) == j for v in (t, t_inv) for a in v)
-            and sparse_eq(hopf.mul_vec(t, t_inv), units[j])
-            and sparse_eq(hopf.mul_vec(t_inv, t), units[j])
-        )
+        return all(sector(a) == j for v in (t, t_inv) for a in v) and inverts(hopf.mul_vec, t, t_inv, units[j])
 
     rep.check("rmatrix-sectors", product(js, js), r_sector)
     rep.check("twist-sectors", product(js), twist_sector)

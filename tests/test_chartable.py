@@ -15,6 +15,7 @@ import equidouble.chartable as ct
 from equidouble.catalogue import catalogue_list, group_by_name
 from equidouble.chartable import CharacterTable, character_table, irrep_matrices
 from equidouble.groups import (
+    FiniteGroup,
     alternating_group,
     cyclic_group,
     dihedral_group,
@@ -187,6 +188,15 @@ def test_table_is_cached():
     s3 = symmetric_group(3)
     assert character_table(s3) is character_table(s3)
     assert isinstance(character_table(s3), CharacterTable)
+
+
+def test_cached_table_is_bound_to_the_group_asked_for():
+    first = symmetric_group(3, name="first")
+    second = FiniteGroup(first.table, labels=first.labels, name="second")
+    for g in (first, second, first):
+        table = character_table(g)
+        assert table.group is g
+        assert table.rows == character_table(second).rows
 
 
 def test_irrep_of_another_groups_table_is_a_usage_error():

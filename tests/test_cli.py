@@ -38,6 +38,12 @@ def test_config_validation():
         cli.RunConfig(command="verify-all", format="csv")
 
 
+def test_config_defaults_live_in_run_config():
+    assert cli.parse_config(["cech", "--extension", "A3-S3"]) == cli.RunConfig(command="cech", extension="A3-S3")
+    got = cli.parse_config(["dw", "--presentation", "T3", "--group", "S3", "--budget-homs", "7", "--format", "text"])
+    assert got == cli.RunConfig(command="dw", presentation="T3", group="S3", budget_homs=7, format="text")
+
+
 def test_scalar_encoding_forms():
     assert cli.encode_scalar(Fraction(3, 2)) == "3/2"
     assert cli.encode_scalar(Fraction(4)) == "4/1"
@@ -334,6 +340,28 @@ def test_cech_and_sectors_reports_match_recorded_digests(tmp_path):
         assert cli.main(argv) == 0
         got[command, name, j] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == CIRCLE_REPORT_SHA256
+
+
+# sha256 of the verifier reports `ARGV --out FILE`, recorded from the code
+# that inverted the crossed product's grouplikes and assembled twist by dense
+# linear solves. Each argv is written as one string.
+VERIFIER_REPORT_SHA256 = {
+    "double --group Q8": "dd892a5abd34a9820a288586ce9078fcfd51fd887a1640e6b74c350d96566dff",
+    "jdouble --extension Z4-D4": "b338b53dc86683b54c5308c38124139bb04c5a6f65c98532032ac24bc1052e9b",
+    "jdouble --extension V4-A4 --sampled": "cbb5e68ac36f174b7b78cf2a8d40b4661ddb10aca20ec3774cdbc60338bdd51a",
+    "orbifold --extension Z2-Q8 --check-psi": "d6c42c91747926bceac0e5a70bbf50068ec7d96f2e08f77fbf9bf3a172082861",
+    "orbifold --extension V4-A4 --sampled": "3803d83a93063d1eed744d0e12b6ab7f2208c7371260954406009e4d6fd90ae4",
+    "verify-all --extension A3-S3": "e97fa63c9b0895fb341daa8f7b3d1ab83bffed3d32cf2a11c96df47142e57165",
+}
+
+
+def test_verifier_reports_match_recorded_digests(tmp_path):
+    got = {}
+    for argv in VERIFIER_REPORT_SHA256:
+        path = tmp_path / "report.json"
+        assert cli.main(argv.split() + ["--out", str(path)]) == 0
+        got[argv] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == VERIFIER_REPORT_SHA256
 
 
 def _count_builds(monkeypatch):

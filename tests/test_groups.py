@@ -2,10 +2,11 @@
 
 import pytest
 
-from equidouble.errors import UsageError
+from equidouble.errors import NonInvertibleError, UsageError
 from equidouble.groups import (
     ConjugacyData,
     FiniteGroup,
+    GroupExtension,
     GroupHom,
     WeakAction,
     WeakActionIso,
@@ -16,6 +17,7 @@ from equidouble.groups import (
     extension_from_subgroup,
     extension_to_weak_action,
     find_isomorphism,
+    group_from_permutations,
     quaternion_group,
     symmetric_group,
     weak_action_to_extension,
@@ -231,3 +233,44 @@ def test_normality_check():
     assert not s3.is_normal(s3.closure([t]))
     with pytest.raises(UsageError):
         extension_from_subgroup(s3, s3.closure([t]))
+
+
+def _swapped_maps_extension():
+    ext = extension_from_subgroup(cyclic_group(4), [0, 2])
+    return GroupExtension(ext.G, ext.H, ext.J, ext.proj, ext.incl, ext.section)
+
+
+def _short_weak_action():
+    wa = extension_to_weak_action(extension_from_subgroup(cyclic_group(4), [0, 2]))
+    return WeakAction(wa.J, wa.G, wa.rho[:1], wa.c)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: symmetric_group(3).subgroup([1]), "identity"),
+        (lambda: symmetric_group(3).subgroup([]), "identity"),
+        (lambda: symmetric_group(3).subgroup([0, 6]), "element indices"),
+        (lambda: symmetric_group(3).subgroup([0, 1, 2]), "not closed"),
+        (lambda: GroupHom(cyclic_group(2), cyclic_group(4), [0]), "needs 2 images"),
+        (_swapped_maps_extension, "inclusion"),
+        (lambda: extension_from_subgroup(cyclic_group(4), [0, 2]).g_of(1), "not in the image"),
+        (_short_weak_action, "automorphisms and coherence rows"),
+        (lambda: group_from_permutations([]), "at least one permutation"),
+        (lambda: symmetric_group(6), "degrees 1..5"),
+        (lambda: symmetric_group(0), "degrees 1..5"),
+        (lambda: alternating_group(2), "degrees 3..5"),
+        (lambda: alternating_group(6), "degrees 3..5"),
+        (lambda: dihedral_group(1), "n >= 2"),
+    ],
+)
+def test_malformed_group_arguments_are_usage_errors(build, message):
+    with pytest.raises(UsageError, match=message):
+        build()
+
+
+def test_failed_class_equation_is_a_certification_error():
+    s3 = symmetric_group(3)
+    s3.centralizer = lambda a: (0,)
+    with pytest.raises(NonInvertibleError, match="class equation"):
+        s3.conjugacy()

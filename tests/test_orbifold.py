@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 
 import equidouble
-from equidouble.catalogue import extension_by_name
+from equidouble.catalogue import extension_by_name, extension_names
 from equidouble.doubles import double_algebra, sector_double
 from equidouble.errors import NonInvertibleError
 from equidouble.hopf import (
@@ -27,10 +27,11 @@ from equidouble.groups import (
     extension_from_subgroup,
     symmetric_group,
 )
-from equidouble.linalg import ExactMatrix, inverse
+from equidouble.linalg import ExactMatrix, inverse, solve
 from equidouble.orbifold import (
+    _grouplike,
+    _grouplike_inverse,
     verify_sector_double,
-    algebra_inverse,
     orbifold_algebra,
     orbifold_ribbon,
     psi_check,
@@ -134,13 +135,51 @@ def test_counit_weighted_quotient_onto_sector_group_algebra():
     assert unit_image[0] == 1 and all(c == 0 for c in unit_image[1:])
 
 
-def test_algebra_inverse_certifies_and_rejects():
-    sd = double_algebra(cyclic_group(2))
-    hopf = sd.hopf
-    inv = algebra_inverse(hopf, dict(hopf.unit))
-    assert sparse_eq(inv, hopf.unit)
-    with pytest.raises(NonInvertibleError):
-        algebra_inverse(hopf, {0: ONE})
+def solved_inverse(hopf, x):
+    """The inverse of x in the table algebra by an exact linear solve of
+    x y = 1: the oracle for the closed forms of orbifold_ribbon."""
+    n = hopf.dim
+    lmul = ExactMatrix.zeros(n, n)
+    for k in range(n):
+        for r, c in hopf.mul_vec(x, {k: ONE}).items():
+            lmul[r, k] = c
+    rhs = ExactMatrix.zeros(n, 1)
+    for r, c in hopf.unit.items():
+        rhs[r, 0] = c
+    sol = solve(lmul, rhs)
+    return {k: sol[k, 0] for k in range(n) if sol[k, 0]}
+
+
+# the catalogue extensions whose crossed product, of dimension |H|^2, has
+# dimension at most 144
+SOLVABLE_EXTENSIONS = [name for name in extension_names() if extension_by_name(name).H.order ** 2 <= 144]
+
+
+@pytest.mark.parametrize("name", SOLVABLE_EXTENSIONS)
+def test_closed_form_inverses_match_the_linear_solve(name):
+    ext = extension_by_name(name)
+    sd = sector_double(ext)
+    ohat = orbifold_algebra(sd)
+    for j in range(ext.J.order):
+        assert _grouplike_inverse(sd, ohat, j) == solved_inverse(ohat, _grouplike(sd, j)), j
+    rib = orbifold_ribbon(sd, ohat)
+    assert rib.ribbon == solved_inverse(ohat, rib.ribbon_inverse)
+
+
+def test_corrupted_closed_form_inputs_raise():
+    sd = sector_double(extension_by_name("A3-S3"))
+    entry = next(iter(sd.theta[1]))
+    sd.theta[1][entry] = -sd.theta[1][entry]
+    with pytest.raises(NonInvertibleError, match="ribbon element"):
+        orbifold_ribbon(sd)
+
+    sd = sector_double(extension_by_name("A3-S3"))
+    ohat = orbifold_algebra(sd)
+    k = min(_grouplike(sd, 1))
+    (old,) = ohat._antipode[k]
+    ohat._antipode[k] = {(old + 1) % ohat.dim: ONE}
+    with pytest.raises(NonInvertibleError, match="grouplike"):
+        orbifold_ribbon(sd, ohat)
 
 
 def test_orbifold_ribbon_passes_quasitriangular_and_ribbon_axioms():
@@ -262,6 +301,9 @@ def test_sector_axiom_suite_detects_single_entry_corruptions():
     report = witnessed(verify_sector_double(sd))
     assert "twist-sectors" in report.failing()
     assert report.witnesses["twist-sectors"] == (1,)
+    for name in ("orbifold-quasitriangular", "orbifold-ribbon"):
+        (message,) = report.witnesses[name]
+        assert "ribbon element" in message
 
     sd = sector_double(z2_in_z4())
     entry = next(iter(sd.coherence[(1, 1)]))
