@@ -364,6 +364,148 @@ def test_verifier_reports_match_recorded_digests(tmp_path):
     assert got == VERIFIER_REPORT_SHA256
 
 
+# sha256 of the `dw --presentation P --group G --out FILE` report bytes,
+# recorded from the code that counted every homomorphism by the leaf search.
+# Each named presentation is paired with every catalogue group on which that
+# code finished under the default budget (Sigma_3 over A4, D6 and S4 did not).
+DW_REPORT_SHA256 = {
+    ("S3sphere", "A4"): "f3c344d6b37cec3a6f2d3e1c473f634b83efe41343d9028de62258b37e65d581",
+    ("S3sphere", "D4"): "5be58c693eac3656486137fb330e68ded934c47786c53cc264ca88fbfb88a8d4",
+    ("S3sphere", "D5"): "fdae281fc8405e7a1f78737e07fa0d61bbe1663d861bf9ea68c0112666e7bd5e",
+    ("S3sphere", "D6"): "4c78360254c514cb3342484e7d028e0fa5edab4272297317fa21f6c388de37cd",
+    ("S3sphere", "Q8"): "cf4b5d292b3a3a3f2848f22f2bf4fd42005a328659ed8e82506b058d204f915a",
+    ("S3sphere", "S3"): "83d463ba5bf9a0b2f8391e7765044a22f89f8bad22378b652761172d98356508",
+    ("S3sphere", "S4"): "15ecc908b6a85416ced745f71c0b2ae5c178aabd54a5b20f47351ce97a4f31b1",
+    ("S3sphere", "V4"): "9f7a36ff197a41d101d34c25cc81372e1f839e826a9fc786ace24fcd32eb1d85",
+    ("S3sphere", "Z1"): "4879aef8da4ba579090c20188eef6505a52741125a00b1d1616289dd26d757e7",
+    ("S3sphere", "Z2"): "c9e009437828fa519b960b1faef359392c40bbf1adcdc77e26b9a7467272d296",
+    ("S3sphere", "Z2xZ2"): "f7b2b0a44c6d4de6606d9a3f99945ff397898bf6562eacae3d9bcdbda216e831",
+    ("S3sphere", "Z3"): "dfdfa974d44bd1149139a871b52c717194ef06e34798970f6aa79b77fd361db1",
+    ("S3sphere", "Z4"): "03a59137edf5bee0e91502b1318b6aa9fd0109fbe8e6c09cda90ee584340ea96",
+    ("S3sphere", "Z5"): "068e32e11ea2b5428b1b032addfe0689d2cb3dba663a870e609348eec264a693",
+    ("S3sphere", "Z6"): "3800aa701f2e53a46c128ba0e49244622c44b62b3c0f60b82f6d375729f1eea6",
+    ("S3sphere", "Z8"): "e80573df53e770a1db8e2f6afa7749e0622a5c65553ea4e0b0d5b3b31d1fc8de",
+    ("S2xS1", "A4"): "967efd965c44dbd729f1ad507d7ed8df538b104d58f10b0b69f0a2f65036a73c",
+    ("S2xS1", "D4"): "bdbc2efe622fa9b90875b6d7cd25c262a5719594b4fd6ce016fe2e2a3d11864c",
+    ("S2xS1", "D5"): "ac65d70caf6e94decaa29ff2c6f44413f7074514ab4bc4168585158a43a00f09",
+    ("S2xS1", "D6"): "71d88632fdb623b57dbcd1197a7a6f585129eea2a370288331203bb7b708e417",
+    ("S2xS1", "Q8"): "06bad2c1db0074b7888c258e391b1262ab682422d97fb601a39118fff6b8f144",
+    ("S2xS1", "S3"): "a602a444e37ddb787eca65d257f61f444a2440e7b64d1818853b4da4b77667bf",
+    ("S2xS1", "S4"): "c0d3d56c76fdb1588fc01cbac57f72d6a951f1c51d2aefcbb2bf243c0dcc5c12",
+    ("S2xS1", "V4"): "86fa352c4b1483e561b12fd69e89226b736a808e4ee737bfe3411657aff1b71c",
+    ("S2xS1", "Z1"): "ba4fe2651fd3b950150baaf4f58a30a0df55d5447067665534144c66ba63d9d9",
+    ("S2xS1", "Z2"): "7dcf377e9cfd7acf9be7bd2adb47b289a7279f43d9c1324f760a5e71f37804eb",
+    ("S2xS1", "Z2xZ2"): "8f6bb40d952322a0ab82935e89a0a7fcb2f272009e1b65a7a23410f41d7e6baa",
+    ("S2xS1", "Z3"): "eb0c742bc961a899a06efbd78ea34274f383e382e8537d859bc17ef55782e085",
+    ("S2xS1", "Z4"): "c0c0e466812c5339844c162ed42624d4a776d537fb0f2e788c600d83c7d9d880",
+    ("S2xS1", "Z5"): "3a4efe4eee011520679b8617b2d6bab45524414e84703e5f3020001623c9a122",
+    ("S2xS1", "Z6"): "bca864f8f6710ca6a7e7866b92eee43e0b4bb715a1bfeb007cc59898a803ef5d",
+    ("S2xS1", "Z8"): "26628513dfcc9e80460b2954dee28289d63d44983e173e7b0c0cf1364cfd1240",
+    ("circle", "A4"): "f51b5c76ddb05539e431471cbce78c57dda4771b8cea947c637411a8aa6c21a3",
+    ("circle", "D4"): "92d333b737d8f9ccb2d8e12590001d59a94af54b69613cd1cfc35675f45fec98",
+    ("circle", "D5"): "1e4e2867363934b1f52a28893922c0e631c2defa2c489f9e29f4663065875ecb",
+    ("circle", "D6"): "ac24861ac4894cb347e04eb210cd121da47839ff1708cfbf4722d5c213602423",
+    ("circle", "Q8"): "facaaa46c0fea050a6368e03ff3ac039e1164f7305947cf885abc032b8e6bfec",
+    ("circle", "S3"): "a670bd74fefd45a621d5a4277108db294a8d425b98beb3d8b86f0542e9d705d0",
+    ("circle", "S4"): "0f3983f9b0b7199cc40b91d6a55ad3e83b144361ea03aa9e81667eb10ed01d4e",
+    ("circle", "V4"): "185de9a4f35a0a874c98bf50a18e4459e10c3a61f6f2a28c2d322fac4fa3e466",
+    ("circle", "Z1"): "7134a352676e3ed3d3937d229a5a2f583249c12d857cc76340634bf343a24cd6",
+    ("circle", "Z2"): "7f906fa5b182f8d482505700237940112d292828b852d45390ad7d04c40f8f1e",
+    ("circle", "Z2xZ2"): "789c80118748fe4b298a3d8d90cf9b0fa7e79834524a811432bb12c13db5b9d8",
+    ("circle", "Z3"): "3fe6de232bfc57e579a32af4a7e029809839d8f3a48c32ebe71dc8756f318cb7",
+    ("circle", "Z4"): "b4e89a53136b9f81841b973fd032982bcc070aadc9e269af053c667f7d77cd27",
+    ("circle", "Z5"): "fa1dfda18e04a91277c957fb3f255a4ec20f573bf6399cf5ab785afea36d7691",
+    ("circle", "Z6"): "cdb9731ce6711df2aa1d94a3a86f9a1d89b0f92ee57e961f94b92c985ef69852",
+    ("circle", "Z8"): "02876f10f1e2ed96ff436c8c170019f32d0a2198f9dac3f30ff7f460ab67fb04",
+    ("T2", "A4"): "21e65f56bb4ab38bed55911bee8926ea4b1ed6f3aa5aaae91c89b8e09e529cab",
+    ("T2", "D4"): "666fa6441420c6114bab0d218c62078bd76ea97d468df60b3b68a39ac15a54f8",
+    ("T2", "D5"): "3c3072de2a8ada2645ba7d586a02e4f973cc4a633c35531d2e0623c270f3dc55",
+    ("T2", "D6"): "436490b986d78ff86d0f77b28d39dcc9dbbf8094ca84f30d9e9cc12d2129ecc5",
+    ("T2", "Q8"): "b7ee4ba7b07278cb7ab4c2919fd8fa8821827327da67ed04a2dc06c371d8f906",
+    ("T2", "S3"): "48801838d4db33843cb0dbc365e36cb82aced8d7955cdb66979b3a2fa5780b83",
+    ("T2", "S4"): "0213dedcac3b77f32773b0b5b4a599dcbd24bbae853eee1b6194aec4b904c38d",
+    ("T2", "V4"): "c98996c82c8590ca4ee4335e62f130b8b926a92533f65815032215f671242205",
+    ("T2", "Z1"): "fd462cf0f5352088d162f83e6412cb083a2b16cc8a2afc0d86754141111b3524",
+    ("T2", "Z2"): "0f96b7e2420ca2a43cfe37074f1ba88e8a9cb43c6f21cb224de24cd96b50edeb",
+    ("T2", "Z2xZ2"): "a99e1c2b90ddfeb56a4a0ddf4682fff662d6205fedd5654369b51ce18951ee5f",
+    ("T2", "Z3"): "ad29512f2c820fdef7a460cac9f76c5df79b029e336c349519e962e557d274f5",
+    ("T2", "Z4"): "7f5d0e58c07e0760f1510cb0e299bd17c7da819b8dc24a2eaacbbace2e83ba9c",
+    ("T2", "Z5"): "c7be834cbb2aeb42744e4bb97539188b0e55908686e42c393f511a0787567da4",
+    ("T2", "Z6"): "c27b7212a1c7d4a311cdffe4c42fdbf972f8387275a2f1eec4c583e85461dc1e",
+    ("T2", "Z8"): "8674afa93ea47faea1b259cc1be72f09341e6c5123889ac2ff6c04f60be1a9f9",
+    ("T3", "A4"): "e4694e5cd9a418482e7b7211b3a630508614b44045cd8227adc1a1ed5f8ba17c",
+    ("T3", "D4"): "2c8704aaa59e8a95130ded714858ece6354e66ba99b139675171d80ef2302015",
+    ("T3", "D5"): "f126162571cfb684c3e53118eac9ce933c71d53bc0760c4396de01c269d3684a",
+    ("T3", "D6"): "3edbe8d123453a419e3a1a97735cc5a2b2d0728ac7c43dc964d8484c50d6b488",
+    ("T3", "Q8"): "4eab517d06a5bde96576d470c87c3f9d28e5e27149c7df9a9d3de813d198f4c3",
+    ("T3", "S3"): "7e33a6c27e40b5ef942141d519b303aead75640378d039c450829a703dedccde",
+    ("T3", "S4"): "06983136d94c6735ed42b0bc0df96471215c96312bdb00c1ecb831d5724bc33f",
+    ("T3", "V4"): "4d297c59062ad82e5f07eada2fcd0c3bc5cfe0ac4b534e1764e13ba965776f61",
+    ("T3", "Z1"): "b092b4c2dde2be0362144971900be55d30f598b96348cce60a705de5ac76e8c6",
+    ("T3", "Z2"): "f4190c3e7a172738d558875e5021caa319fa7dc6170dd84901cc535bdb4a8f27",
+    ("T3", "Z2xZ2"): "6323cd3d170f7f3d1e9b08c8a51155c525f2a1a9723a7ce88f255f7eb65dee30",
+    ("T3", "Z3"): "756e4bbd0ddb0073c27c2d19b64854fc52e816fa5f0d9d48c39e0421311a873e",
+    ("T3", "Z4"): "ad43d1b78af79ec7827999cc415efbe135298678391eec56015ebd2857503403",
+    ("T3", "Z5"): "dd23b02c243aa6f26d56bf20f86dcaff0352d668e7b1f98cf38b9a9dbfb0e10a",
+    ("T3", "Z6"): "93aa05a3f76c2df905d38e7d1a5a6d3854189fc34d575587368debde771f5f87",
+    ("T3", "Z8"): "a5b3a3158a09865fbcfc69d7821ddfed01e774efda479c37a5bf76aa36fc7600",
+    ("Sigma_1", "A4"): "089bb6b739377e7bae1bd7c6e127d6594a04eccc4b58dac80765c78ffc5af75a",
+    ("Sigma_1", "D4"): "4935c2862535d451f668834b366dcb2aaf423ce2d44ec39a2990cc53c97cbed6",
+    ("Sigma_1", "D5"): "c389363c770e154143692850f06ee9f3cf654c40b48c9e46a71e6170146b99cc",
+    ("Sigma_1", "D6"): "9b15b350c766ac5c1cb0a49206e3e7ea9e04bd96e12fa626e1eff4514b91f10a",
+    ("Sigma_1", "Q8"): "2f336b73d3c15b01496f50cda1885e423d6fb7ce3e660d73945adffc5a4370a5",
+    ("Sigma_1", "S3"): "398e82fb1c7c2e3370aef8a99a7c878ca7b595deadf4e969ec7f234d9323db4d",
+    ("Sigma_1", "S4"): "1737c2b899fb3aba10327ed721a685fd027f866d79bdc602fa9f82a962d45515",
+    ("Sigma_1", "V4"): "80519cb1c939785eedf75985da63b8c00aaf02784d35e3ed26595d05811ff104",
+    ("Sigma_1", "Z1"): "32da9b60221bc894ca62bba52fdd488c396af95a254a7d8dbb1886325df10367",
+    ("Sigma_1", "Z2"): "9a3d9a69b9108f0d6b8ed8c9c8feadc751fa4fbf611f5d63d40efe81a93e5d53",
+    ("Sigma_1", "Z2xZ2"): "e47ad66cf3697c77a311887f6b9d757c5ab9522b9cdbefdf49730ffe82e1d283",
+    ("Sigma_1", "Z3"): "923188f055a5344ba85812a75c4ded32bdc238fca03a1da389aed13f2eca41fe",
+    ("Sigma_1", "Z4"): "79455ae77bc1f7f2a48fe5b1d89be7c097fe88f23f0200bbc797a029cdd4150c",
+    ("Sigma_1", "Z5"): "11962edbd7834e4707671905e901d18469de5fbf1cbc5164b62b8053d9cc629b",
+    ("Sigma_1", "Z6"): "53edb59016f6263787b798fb86b9a743daf6f182773370f3902100ebbeaaa2aa",
+    ("Sigma_1", "Z8"): "b10515b85af18af3a2a8292cfb9a297eaf0da4f278a00ecdfad90c71a1b4dc8a",
+    ("Sigma_2", "A4"): "fb93723e74a90271e8705c652e90deda404a8120251fd878e23e324b6b6d6111",
+    ("Sigma_2", "D4"): "6fca11f2973200efcc8b671b3ac5ca7ade745c61ecb369fab9638a568c2fa63f",
+    ("Sigma_2", "D5"): "a049dcc68ffc17043ab1b52016f23aeec2234f232c9b62acafeeb0628682035f",
+    ("Sigma_2", "D6"): "87283ad7e18d27cb47a759a5cb4d53a9bbba4c7b9e8800d65da4f6f8c5a8333e",
+    ("Sigma_2", "Q8"): "b593019dd34e40cc4430da61002a2788c6bee9eb51586a74225ae71dbcd999b6",
+    ("Sigma_2", "S3"): "9059fd14c8235085d02ae1b4174f88b284789f319e7f5c654dffa4f3fe3005ee",
+    ("Sigma_2", "S4"): "8b8982aed2cca1e1cb3e1935e7e20334486d5d9f974e8adfd5d332c415475194",
+    ("Sigma_2", "V4"): "866bc6f0acd1ed1acc654cd79e4ec9e44fcdbc06bc6bf4ea84a3a0a04db0cf44",
+    ("Sigma_2", "Z1"): "5ca9fd81a5ba4ad3523c3cfab9130dd21b78b5c9cd3906025c5bec1aa0e5c2f5",
+    ("Sigma_2", "Z2"): "f80e6fe238a5293eea3459c4a9566a64f41fd186b50fd650cb10b885154d13c9",
+    ("Sigma_2", "Z2xZ2"): "ed9362ab0290bb7a7baef97eee8347c15cb53b4046f31047ae743d6aef3b0113",
+    ("Sigma_2", "Z3"): "9e4537e31f53c27a2a9e8f1e7ec009d70710540a8f571a481c70860c73546cf1",
+    ("Sigma_2", "Z4"): "8ac73f1c86d5d6aad663490b702d48ecc4487fb61694dac10483c6dcb8eedcd0",
+    ("Sigma_2", "Z5"): "15976086bfd7363329cdd2264eeb48c25ddb289068f1ab556b3d7aadae41cdfa",
+    ("Sigma_2", "Z6"): "2335a9d3fa34ee2ab4e91cbac51d33661e8a80c8c7f124bef4f2934c3672d201",
+    ("Sigma_2", "Z8"): "d3008f224e6faa15cdda7b6ad003468910682a3f0fb8dbafe98e32ac35e468bd",
+    ("Sigma_3", "D4"): "734638e3f1b8c3678a60501d24335fd096aac740c1a7dc361f96500307106f21",
+    ("Sigma_3", "D5"): "4b79bcc042c5b954bffdd57a9e6d2bf775af1495a642fb6ee38fb640c238108b",
+    ("Sigma_3", "Q8"): "3040aa195e0cddf38a6e759d6ad340508af5f6341c94c3352383447c1fbc52e4",
+    ("Sigma_3", "S3"): "5514ebbaaf6f4beaeed08b37496468e50fc24904cb137d9e7ededbb36d063449",
+    ("Sigma_3", "V4"): "93a60697a68507e07511702ea31e2cff9593771c1853a14dd27fd9fe162eb210",
+    ("Sigma_3", "Z1"): "eb5156067e592b682b87f527487f5f0420fa380a7dd0ca782bc9be443df826c3",
+    ("Sigma_3", "Z2"): "ac4768a80bc2e0724a914c50ae823c40aa9e595771a7ce355a9434850d1189a0",
+    ("Sigma_3", "Z2xZ2"): "2041beac63cf4078f30731726ef437df3addabd1b697630b52637efba2dee069",
+    ("Sigma_3", "Z3"): "c3d52110b5da7fd3263e39562d69724da92d572480170544d6bdb6e2b40c3a39",
+    ("Sigma_3", "Z4"): "6720b863b99dad5cd60a6eeddf06e779a8b9cce7b1b7c00330e8761fe35b530e",
+    ("Sigma_3", "Z5"): "5d52d18bb6bb7ada041655c697096441da4c38e67fa5cae52eb2b8fd1ed8e866",
+    ("Sigma_3", "Z6"): "27336c799b22bfba1ad3c5192493b7efa709747495fcfcd7585a42822fbeca25",
+    ("Sigma_3", "Z8"): "d47eb0441927eaa26715cf42f9a18d8a029280bd97a51f0a049392a674bdd0db",
+}
+
+
+def test_dw_reports_match_recorded_digests(tmp_path):
+    got = {}
+    for presentation, group in DW_REPORT_SHA256:
+        path = tmp_path / f"{presentation}-{group}.json"
+        assert cli.main(["dw", "--presentation", presentation, "--group", group, "--out", str(path)]) == 0
+        got[presentation, group] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == DW_REPORT_SHA256
+
+
 def _count_builds(monkeypatch):
     """Count calls of the four structure builders, wherever they are looked up."""
     counts = {}
