@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .catalogue import catalogue_list, load_extension, load_group, load_presentation
 from .doubles import double_algebra, sector_double
@@ -471,14 +472,30 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     return RunConfig(**vars(_build_parser().parse_args(argv)))
 
 
+@contextmanager
+def _unlimited_int_digits() -> Iterator[None]:
+    """Lift the interpreter's cap on the decimal digits of a printed int, where
+    it has one: counts are reported exact, and the budgets bound their size."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def run(config: RunConfig) -> int:
     """Execute one parsed invocation and write its report."""
-    body, ok = _COMMANDS[config.command](config)
-    report = {"schema": SCHEMA, "command": config.command}
-    report.update(body)
-    if config.format != "csv":
-        report.pop("csv_rows", None)
-    rendered = render_report(report, config.format)
+    with _unlimited_int_digits():
+        body, ok = _COMMANDS[config.command](config)
+        report = {"schema": SCHEMA, "command": config.command}
+        report.update(body)
+        if config.format != "csv":
+            report.pop("csv_rows", None)
+        rendered = render_report(report, config.format)
     if config.out is not None:
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(rendered)

@@ -14,11 +14,13 @@ The twisted variants fix a homomorphism to the quotient J of an extension
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import ResourceError, UsageError
+from .errors import NonInvertibleError, ResourceError, UsageError
 from .groupoids import GroupAction
 from .groups import FiniteGroup, GroupExtension, WeakAction
 
@@ -64,12 +66,26 @@ def _relations_by_depth(pres: Presentation) -> list[list[tuple[int, ...]]]:
     return buckets
 
 
+def _over_budget(terms: Counter, budget: int) -> str | None:
+    """None if the sum of count x base^exponent over the terms, keyed by
+    (label, base, exponent), fits the budget; else that sum written out for
+    the message. A power whose lower bound 2^((bits(base) - 1) * exponent)
+    exceeds the budget 2^64 times over is never formed, and the sum's value
+    is then left out of the text."""
+    text = " + ".join(
+        (f"{label} {count} x " if label else "") + (f"{base}^{exponent}" if exponent != 1 else f"{base}")
+        for (label, base, exponent), count in terms.items()
+    )
+    if any((base.bit_length() - 1) * exponent > budget.bit_length() + 64 for (_, base, exponent) in terms):
+        return text
+    total = sum(count * base**exponent for (_, base, exponent), count in terms.items())
+    return f"{text} = {total}" if total > budget else None
+
+
 def _require_budget(pres: Presentation, fiber_size: int, budget: int) -> None:
-    size = fiber_size ** pres.generators
-    if size > budget:
-        raise ResourceError(
-            f"homomorphism search space {fiber_size}^{pres.generators} = {size} exceeds budget {budget}"
-        )
+    over = _over_budget(Counter({("", fiber_size, pres.generators): 1}), budget)
+    if over is not None:
+        raise ResourceError(f"homomorphism search space {over} exceeds budget {budget}")
 
 
 def _iter_assignments(
@@ -104,8 +120,76 @@ def _iter_homs(pres: Presentation, group: FiniteGroup, budget: int) -> Iterator[
     return _iter_assignments(group, candidates, _relations_by_depth(pres))
 
 
+def _blocks(word: Sequence[int]) -> list[tuple[int, ...]]:
+    """Cut a word at every position that no generator's span (its first to
+    its last letter) crosses: the contiguous blocks share no generator."""
+    last = {abs(letter): pos for pos, letter in enumerate(word)}
+    blocks: list[tuple[int, ...]] = []
+    start = reach = 0
+    for pos, letter in enumerate(word):
+        reach = max(reach, last[abs(letter)])
+        if reach == pos:
+            blocks.append(tuple(word[start : pos + 1]))
+            start = pos + 1
+    return blocks
+
+
+def _block_steps(blocks: Sequence[tuple[int, ...]], size: int, free: int) -> Counter:
+    """Steps of `_block_count` over `size` candidate images: size^m for a block
+    of m generators, size^2 per fold and size per free generator."""
+    steps = Counter(("blocks", size, len({abs(letter) for letter in block})) for block in blocks)
+    steps["folds", size, 2] += max(len(blocks) - 1, 0)
+    steps["free generators", size, 1] += free
+    return +steps
+
+
+def _block_distribution(group: FiniteGroup, elements: Sequence[int], block: tuple[int, ...]) -> Counter:
+    """D(x) = #{images in `elements` of the block's generators : block = x}."""
+    gens = sorted({abs(letter) for letter in block})
+    local = {g: i + 1 for i, g in enumerate(gens)}
+    word = tuple(local[letter] if letter > 0 else -local[-letter] for letter in block)
+    return Counter(evaluate_word(group, images, word) for images in itertools.product(elements, repeat=len(gens)))
+
+
+def _convolve(group: FiniteGroup, left: Counter, right: Counter) -> Counter:
+    """(L * R)(z) = sum over xy = z of L(x) R(y); the order of the factors
+    matters when the group is not abelian."""
+    out: Counter = Counter()
+    for x, a in left.items():
+        row = group.table[x]
+        for y, b in right.items():
+            out[row[y]] += a * b
+    return out
+
+
+def _block_count(group: FiniteGroup, elements: Sequence[int], blocks: Sequence[tuple[int, ...]]) -> int:
+    """Assignments of the blocks' generators in `elements` under which the
+    product of the blocks, in word order, is 1. The blocks share no generator,
+    so the assignments of different blocks are independent and the product's
+    distribution is the convolution of the blocks' distributions."""
+    if not blocks:
+        return 1
+    distributions = (_block_distribution(group, elements, block) for block in blocks)
+    return reduce(partial(_convolve, group), distributions)[0]
+
+
 def count_homs(pres: Presentation, group: FiniteGroup, budget: int = DEFAULT_BUDGET) -> int:
-    """Number of homomorphisms from the presented group into `group`."""
+    """Number of homomorphisms from the presented group into `group`.
+
+    A single relator that splits into two or more blocks over disjoint
+    generators (a surface relator [a1,b1]...[ag,bg] splits into its g
+    commutators, whatever the order and signs of its generators) is counted
+    by `_block_count`, times |G| per generator the relator does not mention;
+    the budget bounds its steps. Every other presentation is counted by the
+    leaf search, whose budget bounds its |G|^generators leaves."""
+    if len(pres.relations) == 1:
+        blocks = _blocks(pres.relations[0])
+        if len(blocks) > 1:
+            free = pres.generators - len({abs(letter) for letter in pres.relations[0]})
+            over = _over_budget(_block_steps(blocks, group.order, free), budget)
+            if over is not None:
+                raise ResourceError(f"block convolution steps {over} exceed budget {budget}")
+            return _block_count(group, range(group.order), blocks) * group.order**free
     return sum(1 for _ in _iter_homs(pres, group, budget))
 
 
@@ -166,9 +250,27 @@ def surface_presentation(genus: int) -> Presentation:
 
 def surface_state_dim(genus: int, group: FiniteGroup, budget: int = DEFAULT_BUDGET) -> int:
     """Dimension of the state space the theory assigns to a closed surface:
-    the number of gauge orbits of surface-group homomorphisms."""
-    action, _ = hom_groupoid(surface_presentation(genus), group, budget)
-    return len(action.orbits())
+    the number of gauge orbits of surface-group homomorphisms.
+
+    By Burnside the orbits number (1/|G|) sum_z |Fix(z)|. Conjugation by z
+    fixes a homomorphism exactly when every image commutes with z, so Fix(z)
+    is Hom(pi_1, C_G(z)), counted by `_block_count` over the centraliser's
+    elements. Conjugate elements have conjugate centralisers and so equal
+    counts: the sum runs over classes. The budget bounds the steps of all
+    the counts together, and a sum that |G| does not divide raises."""
+    blocks = [block for word in surface_presentation(genus).relations for block in _blocks(word)]
+    conjugacy = group.conjugacy()
+    steps = sum((_block_steps(blocks, len(cent), 0) for cent in conjugacy.centralizers), Counter())
+    over = _over_budget(steps, budget)
+    if over is not None:
+        raise ResourceError(f"Burnside block convolution steps {over} exceed budget {budget}")
+    fixed = sum(
+        len(cls) * _block_count(group, cent, blocks) for cls, cent in zip(conjugacy.classes, conjugacy.centralizers)
+    )
+    orbits, rest = divmod(fixed, group.order)
+    if rest:
+        raise NonInvertibleError(f"Burnside sum {fixed} over genus {genus} is not divisible by |G| = {group.order}")
+    return orbits
 
 
 @dataclass(frozen=True)

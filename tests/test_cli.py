@@ -111,6 +111,25 @@ def test_budget_exceeded_exits_with_resource_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("genus", [7200, 20000])
+def test_dw_prints_exact_counts_of_any_length(genus, tmp_path):
+    """4^7200 has 4,335 digits, past the 4,300 an int is printed with by
+    default; the block convolution of Sigma_20000 over Z2 fits the budget."""
+    path = tmp_path / "dw.json"
+    assert cli.main(["dw", "--presentation", f"Sigma_{genus}", "--group", "Z2", "--out", str(path)]) == 0
+    with cli._unlimited_int_digits():
+        report = json.loads(path.read_text())
+        assert report["hom_count"] == 4**genus
+        assert report["invariant"] == f"{2 ** (2 * genus - 1)}/1"
+
+
+def test_search_spaces_past_the_printable_digits_exit_with_resource_code(tmp_path, capsys):
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps({"generators": 20000}))
+    assert cli.main(["dw", "--presentation", str(path), "--group", "Z2"]) == 3
+    assert "search space 2^20000 exceeds budget 1000000" in capsys.readouterr().err
+
+
 def test_csv_rejected_for_non_tabular_commands(capsys):
     assert cli.main(["verify-all", "--extension", "Z2-Z4", "--format", "csv"]) == 2
     capsys.readouterr()

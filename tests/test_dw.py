@@ -1,11 +1,16 @@
 """Homomorphism counting, surface state spaces, twisted sectors, Cech classes."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from equidouble.catalogue import catalogue_list, load_extension
+from equidouble import dw
+from equidouble.catalogue import catalogue_list, group_by_name, group_names, load_extension
+from equidouble.chartable import character_table
 from equidouble.dw import (
     DEFAULT_BUDGET,
     CechClasses,
@@ -141,6 +146,97 @@ def test_surface_state_dims():
     for n in (2, 3, 4):
         assert surface_state_dim(1, cyclic_group(n)) == n * n
     assert surface_state_dim(2, cyclic_group(2)) == 16
+    assert surface_state_dim(2, symmetric_group(4)) == 1851
+
+
+def mednykh_count(genus, group):
+    """Frobenius-Mednykh: |Hom(pi_1 Sigma_g, G)| = |G|^(2g-1) sum_chi chi(1)^(2-2g)."""
+    total = sum(Fraction(d) ** (2 - 2 * genus) for d in character_table(group).degrees)
+    count = Fraction(group.order) ** (2 * genus - 1) * total
+    assert count.denominator == 1
+    return count.numerator
+
+
+def test_surface_hom_counts_match_mednykh_through_genus_six():
+    names = group_names()
+    assert len(names) == 16
+    for name in names:
+        group = group_by_name(name)
+        for genus in range(7):
+            assert count_homs(surface_presentation(genus), group, budget=DEFAULT_BUDGET) == mednykh_count(
+                genus, group
+            ), (name, genus)
+
+
+def scramble(word, generators, rng):
+    """Permute the generators and invert some of them, as the benchmark's
+    seeded inputs do: an automorphism of the free group."""
+    order = list(range(1, generators + 1))
+    rng.shuffle(order)
+    sign = [rng.choice((1, -1)) for _ in range(generators)]
+    return tuple(order[abs(x) - 1] * sign[abs(x) - 1] * (1 if x > 0 else -1) for x in word)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(group_names()), genus=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_scrambled_surface_relators_keep_their_count(name, genus, seed):
+    """The block split is found from the word, not matched to [a,b][c,d]:
+    a scrambled relator counts the same, and agrees with the leaf search
+    wherever that fits its budget."""
+    group = group_by_name(name)
+    pres = surface_presentation(genus)
+    scrambled = Presentation(pres.generators, (scramble(pres.relations[0], pres.generators, random.Random(seed)),))
+    count = count_homs(scrambled, group)
+    assert count == count_homs(pres, group)
+    if group.order ** pres.generators <= 20_000:
+        assert count == len(homomorphisms(scrambled, group, budget=20_000))
+
+
+def test_block_convolution_budget_counts_its_steps():
+    """Sigma_3 over S4 splits into three blocks of two generators: 3 x 24^2
+    block steps, each one evaluation of a block word, and 2 x 24^2 fold steps."""
+    s4 = symmetric_group(4)
+    sigma3 = surface_presentation(3)
+    message = r"block convolution steps blocks 3 x 24\^2 \+ folds 2 x 24\^2 = 2880 exceed budget 2879"
+    with pytest.raises(ResourceError, match=message):
+        count_homs(sigma3, s4, budget=2879)
+    assert count_homs(sigma3, s4, budget=2880) == mednykh_count(3, s4)
+    # a generator the relator does not mention costs |G| steps and multiplies the count by |G|
+    padded = Presentation(7, sigma3.relations)
+    with pytest.raises(ResourceError, match=r"free generators 1 x 24 = 2904 exceed budget 2880"):
+        count_homs(padded, s4, budget=2880)
+    assert count_homs(padded, s4, budget=2904) == 24 * mednykh_count(3, s4)
+    with pytest.raises(ResourceError, match=r"Burnside block convolution steps"):
+        surface_state_dim(3, s4, budget=10)
+
+
+def test_block_convolution_evaluates_each_block_once_per_assignment(monkeypatch):
+    calls = []
+    original = dw.evaluate_word
+
+    def counted(group, images, word):
+        calls.append(word)
+        return original(group, images, word)
+
+    monkeypatch.setattr(dw, "evaluate_word", counted)
+    assert count_homs(Presentation(4, ((-3, 2, 3, -2, 1, -4, -1, 4),)), symmetric_group(4)) == 34176
+    assert len(calls) == 2 * 24**2
+    assert set(calls) == {(-2, 1, 2, -1), (1, -2, -1, 2)}
+
+
+def test_surface_state_dims_match_the_orbit_count():
+    """Burnside over centralisers against the orbits of the gauge groupoid,
+    wherever the groupoid's leaf search fits 25,000 leaves."""
+    compared = 0
+    for name in group_names():
+        group = group_by_name(name)
+        for genus in range(4):
+            if group.order ** (2 * genus) > 25_000:
+                continue
+            action, _ = hom_groupoid(surface_presentation(genus), group, budget=25_000)
+            assert surface_state_dim(genus, group) == len(action.orbits()), (name, genus)
+            compared += 1
+    assert compared == 54
 
 
 def test_budget_errors_name_the_search_space():
@@ -150,9 +246,10 @@ def test_budget_errors_name_the_search_space():
     with pytest.raises(ResourceError, match=r"2\^4 = 16"):
         count_homs(Presentation(4, ()), cyclic_group(2), budget=1)
     assert count_homs(Presentation(4, ()), cyclic_group(2), budget=16) == 16
-    # genus 2 has four generators; 100^4 = 10^8 exceeds the default 10^6
+    # a four-generator relator that does not split into blocks is counted by
+    # the leaf search: 100^4 = 10^8 leaves exceed the default 10^6
     with pytest.raises(ResourceError, match=r"100\^4 = 100000000"):
-        count_homs(surface_presentation(2), cyclic_group(100), budget=DEFAULT_BUDGET)
+        count_homs(Presentation(4, ((1, 2, 3, 4, -1, -2, -3, -4),)), cyclic_group(100), budget=DEFAULT_BUDGET)
 
 
 def test_twist_hom_validation():
