@@ -199,7 +199,7 @@ def _load_json(path: str) -> object:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise UsageError(f"cannot read JSON input {path!r}: {exc}")
 
 

@@ -208,8 +208,8 @@ def _cmd_orbifold(config: RunConfig) -> tuple[dict, bool]:
     return report, ok
 
 
-def _smatrix_payload(group_ref: str) -> tuple[dict, bool]:
-    group = load_group(group_ref)
+def _cmd_smatrix(config: RunConfig) -> tuple[dict, bool]:
+    group = load_group(_require(config.group, "--group"))
     traced = s_matrix(group)
     counted = s_matrix_character_formula(group)
     agrees = traced.matrix == counted.matrix
@@ -218,7 +218,7 @@ def _smatrix_payload(group_ref: str) -> tuple[dict, bool]:
     symmetric = traced.is_symmetric()
     ok = invertible and symmetric and agrees
     report = {
-        "group": group_ref,
+        "group": config.group,
         "size": traced.matrix.rows,
         "labels": labels,
         "matrix": [
@@ -238,11 +238,7 @@ def _smatrix_payload(group_ref: str) -> tuple[dict, bool]:
     return report, ok
 
 
-def _cmd_smatrix(config: RunConfig) -> tuple[dict, bool]:
-    return _smatrix_payload(_require(config.group, "--group"))
-
-
-def _resolve_simples(config: RunConfig):
+def _cmd_simples(config: RunConfig) -> tuple[dict, bool]:
     if config.extension is not None:
         ext = load_extension(config.extension)
         source = config.extension
@@ -251,11 +247,6 @@ def _resolve_simples(config: RunConfig):
         source = config.group
     else:
         raise UsageError("need --extension or --group")
-    return ext, source
-
-
-def _cmd_simples(config: RunConfig) -> tuple[dict, bool]:
-    ext, source = _resolve_simples(config)
     simples = simples_of_double(ext)
     entries = [
         {
@@ -497,8 +488,11 @@ def run(config: RunConfig) -> int:
             report.pop("csv_rows", None)
         rendered = render_report(report, config.format)
     if config.out is not None:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            raise UsageError(f"cannot write report to {config.out!r}: {exc}")
     else:
         sys.stdout.write(rendered)
     return 0 if ok else 1

@@ -6,19 +6,22 @@ report type, `VerifyReport`: `checks` maps each named identity to its
 verdict, the `all_passed` property is their conjunction, and `witnesses`
 holds the first tuple on which each failed check fails. A suite is a table
 of named predicates on basis tuples (`hopf_checks`, `quasitriangular_checks`,
-`ribbon_checks`); `run_checks` runs each on every basis tuple or on a seeded
-random sample, and the report says which mode ran. A sampled check with no
-more basis tuples than samples runs on every tuple.
+`ribbon_checks`); `run_checks` runs each on every basis tuple, or, in
+sampled mode, on a fixed number of random ones, and the report says which
+mode ran. That number is written once, here: HOPF_SAMPLES per check of the
+Hopf suite and RIBBON_SAMPLES per check of the quasitriangular and ribbon
+suites, in every caller. The k-th check of a suite draws from Random(k), and
+a check with no more basis tuples than samples runs on every tuple.
 
 Most tables here are monomial: every product of basis elements is a basis
 element or zero, and every coproduct of one a sum of distinct basis pairs,
-all with coefficient exactly 1. When `verify_hopf` runs associativity and
-comultiplication_multiplicative on every tuple and `monomial_view` finds the
-product and coproduct tables monomial, those two checks run as scans over
-integer rows built from the live tables at check time; they report the same
-verdicts and the same first witnesses as the predicates. Any other table,
-such as one with a rational coefficient or a stored zero, runs the sparse
-predicates, which remain each axiom's definition.
+all with coefficient exactly 1. `verify_hopf` reads such a table into
+integer rows (`monomial_view`) when it runs, in either mode, and decides
+associativity and comultiplication_multiplicative by integer predicates on
+them, which hold on exactly the tuples the sparse predicates hold on; a
+full associativity check is one row-wise scan. Any other table, such as one
+with a rational coefficient or a stored zero, runs the sparse predicates,
+which remain each axiom's definition.
 """
 
 from __future__ import annotations
@@ -40,6 +43,10 @@ SparseTen3 = dict[tuple[int, int, int], Scalar]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# tuples drawn per check of positive arity in sampled mode
+HOPF_SAMPLES = 4000
+RIBBON_SAMPLES = 400  # quasitriangular and ribbon suites
 
 
 # -- sparse kernel: vectors and tensors are dicts from basis keys to scalars;
@@ -250,42 +257,33 @@ Checks = dict[str, tuple[int, Callable[..., bool]]]
 Scans = dict[str, Callable[[], Optional[tuple]]]
 
 
-def _exhaustive(dim: int, arity: int, sampled: bool, samples: int) -> bool:
-    return not sampled or samples >= dim ** arity
-
-
-def _tuples(dim: int, arity: int, sampled: bool, samples: int, seed: int) -> Iterable[tuple]:
-    """Every basis tuple of the arity in full mode; in sampled mode, `samples`
-    tuples drawn with seed, unless that is at least dim ** arity, the number
-    of tuples there are. Every drawn tuple lies in the full product, so any
-    failure a draw could find is found there too: running the full product
-    instead can only make a verdict stricter, and it costs no more tuples."""
-    if _exhaustive(dim, arity, sampled, samples):
-        return product(range(dim), repeat=arity)
-    rng = random.Random(seed)
-    return [tuple(rng.randrange(dim) for _ in range(arity)) for _ in range(samples)]
-
-
 def run_checks(
-    checks: Checks, dim: int, *, sampled: bool, samples: int, seed: int, scans: Optional[Scans] = None
+    checks: Checks, dim: int, *, sampled: bool, samples: int, scans: Optional[Scans] = None
 ) -> VerifyReport:
-    """Run each check on every basis tuple of its arity, or on `samples`
-    random ones; the k-th check of positive arity (k = 0, 1, ...) draws its
-    sample from seed + k. A check that runs on every tuple and has a scan of
-    its name in `scans` is decided by the scan, which finds the same first
-    failing tuple as the predicate loop."""
+    """Run each check on every basis tuple of its arity in full mode. In
+    sampled mode the k-th check of positive arity (k = 0, 1, ...) runs on
+    `samples` tuples drawn from Random(k), unless that is at least
+    dim ** arity, the number of tuples there are; then it runs on every
+    tuple. Every drawn tuple lies in the full product, so any failure a draw
+    could find is found there too: the full product can only make a verdict
+    stricter, and it costs no more tuples. A check that runs on every tuple
+    and has a scan of its name in `scans` is decided by the scan, which
+    finds the same first failing tuple as the predicate loop."""
     rep = VerifyReport(mode="sampled" if sampled else "full")
     scans = scans or {}
-    offset = 0
+    k = 0
     for name, (arity, holds) in checks.items():
         if arity == 0:
             rep.check(name, [()], holds)
             continue
-        if name in scans and _exhaustive(dim, arity, sampled, samples):
+        if sampled and samples < dim**arity:
+            rng = random.Random(k)
+            rep.check(name, [tuple(rng.randrange(dim) for _ in range(arity)) for _ in range(samples)], holds)
+        elif name in scans:
             rep.record(name, scans[name]())
         else:
-            rep.check(name, _tuples(dim, arity, sampled, samples, seed + offset), holds)
-        offset += 1
+            rep.check(name, product(range(dim), repeat=arity), holds)
+        k += 1
     return rep
 
 
@@ -350,7 +348,7 @@ def hopf_checks(h: TableHopf) -> Checks:
     }
 
 
-# -- integer view of a monomial table: scans for the two largest checks
+# -- integer view of a monomial table: predicates for the two largest checks
 
 
 @dataclass(frozen=True)
@@ -374,7 +372,7 @@ def monomial_view(h: TableHopf) -> Optional[MonomialView]:
     h with coefficient exactly 1. A stored zero or a sum of several terms
     makes a table not monomial."""
     basis = range(h.dim)
-    rows = [[-1] * (h.dim + 1) for _ in range(h.dim + 1)]
+    rows: list = [[-1] * (h.dim + 1) for _ in range(h.dim + 1)]
     for (i, j), vec in h._mul.items():
         if not vec:
             continue
@@ -389,14 +387,48 @@ def monomial_view(h: TableHopf) -> Optional[MonomialView]:
         if i not in basis or any(c != 1 or x not in basis or y not in basis for (x, y), c in ten.items()):
             return None
         pairs[i] = sorted(ten)
-    return MonomialView([tuple(row) for row in rows], pairs)
+    for i, row in enumerate(rows):
+        rows[i] = tuple(row)
+    return MonomialView(rows, pairs)
+
+
+def _monomial_checks(view: MonomialView) -> Checks:
+    """associativity and comultiplication_multiplicative on the integer view.
+
+    Both sides of (e_x e_s) e_y = e_x (e_s e_y) are a basis element or zero,
+    so they agree exactly when rows[rows[x][s]][y] == rows[x][rows[s][y]].
+
+    In Delta(e_a e_b) = Delta(e_a) Delta(e_b) the left side is the tensor
+    whose terms are pairs[rows[a][b]], each with coefficient 1. The right
+    side is a sum of terms e_(xx') (x) e_(yy') with coefficient 1, one for
+    each pair (x, y) of a and (x', y') of b whose two products are nonzero;
+    its coefficient on a key is the number of times the key occurs. So the
+    sides are equal exactly when those keys, sorted, are pairs[rows[a][b]].
+    """
+    rows, pairs = view.rows, view.pairs
+
+    def associativity(x, s, y):
+        return rows[rows[x][s]][y] == rows[x][rows[s][y]]
+
+    def comultiplication_multiplicative(a, b):
+        rhs = sorted(
+            (p, q)
+            for x, y in pairs[a]
+            for x2, y2 in pairs[b]
+            if (p := rows[x][x2]) >= 0 and (q := rows[y][y2]) >= 0
+        )
+        return rhs == pairs[rows[a][b]]
+
+    return {
+        "associativity": (3, associativity),
+        "comultiplication_multiplicative": (2, comultiplication_multiplicative),
+    }
 
 
 def _associativity_scan(view: MonomialView) -> Optional[tuple]:
-    """The first (x, s, y) with (e_x e_s) e_y != e_x (e_s e_y), or None. Both
-    sides are a basis element or zero, so they agree exactly when
-    rows[rows[x][s]][y] == rows[x][rows[s][y]]; for each (x, s) that compares
-    the row of e_x e_s with row x read at the entries of row s."""
+    """The first (x, s, y) with rows[rows[x][s]][y] != rows[x][rows[s][y]]
+    in product order, or None: for each (x, s) it compares the row of e_x e_s
+    with row x read at the entries of row s."""
     rows = view.rows
     read = [itemgetter(*row) for row in rows[:-1]]
     for x, row in enumerate(rows[:-1]):
@@ -407,44 +439,20 @@ def _associativity_scan(view: MonomialView) -> Optional[tuple]:
     return None
 
 
-def _comultiplicativity_scan(view: MonomialView) -> Optional[tuple]:
-    """The first (a, b) with Delta(e_a e_b) != Delta(e_a) Delta(e_b), or
-    None. The left side is the tensor whose terms are pairs[rows[a][b]], each
-    with coefficient 1. The right side is a sum of terms e_(xx') (x) e_(yy')
-    with coefficient 1, one for each pair (x, y) of a and (x', y') of b whose
-    two products are nonzero; its coefficient on a key is the number of times
-    the key occurs. So the sides are equal exactly when those keys, sorted,
-    are pairs[rows[a][b]]."""
-    rows, pairs = view.rows, view.pairs
-    for a, row in enumerate(rows[:-1]):
-        for b, ab in enumerate(row[:-1]):
-            rhs = sorted(
-                (p, q)
-                for x, y in pairs[a]
-                for x2, y2 in pairs[b]
-                if (p := rows[x][x2]) >= 0 and (q := rows[y][y2]) >= 0
-            )
-            if rhs != pairs[ab]:
-                return (a, b)
-    return None
-
-
-def verify_hopf(
-    h: TableHopf, *, sampled: bool = False, samples: int = 4000, seed: int = 0
-) -> VerifyReport:
-    """Bialgebra + antipode axioms, on all basis tuples or a seeded sample.
-    On a monomial table, associativity and comultiplication_multiplicative
-    are scanned when they run on every tuple. A sample too small to cover
-    the pairs of basis elements, the smaller of their two tuple sets,
-    builds no view."""
-    view = monomial_view(h) if _exhaustive(h.dim, 2, sampled, samples) else None
+def verify_hopf(h: TableHopf, *, sampled: bool = False) -> VerifyReport:
+    """Bialgebra + antipode axioms, on every basis tuple or, in sampled
+    mode, on HOPF_SAMPLES drawn tuples per check. On a monomial table, in
+    either mode, associativity and comultiplication_multiplicative run the
+    integer predicates of `_monomial_checks` on the same tuples, with the
+    same verdicts and witnesses as the sparse ones, and a full associativity
+    check is the row-wise `_associativity_scan`."""
+    checks = hopf_checks(h)
     scans: Scans = {}
+    view = monomial_view(h)
     if view is not None:
-        scans = {
-            "associativity": partial(_associativity_scan, view),
-            "comultiplication_multiplicative": partial(_comultiplicativity_scan, view),
-        }
-    return run_checks(hopf_checks(h), h.dim, sampled=sampled, samples=samples, seed=seed, scans=scans)
+        checks.update(_monomial_checks(view))
+        scans["associativity"] = partial(_associativity_scan, view)
+    return run_checks(checks, h.dim, sampled=sampled, samples=HOPF_SAMPLES, scans=scans)
 
 
 def _hexagon_rhs(h: TableHopf, r: SparseTen, pair: str) -> SparseTen3:
@@ -491,10 +499,8 @@ def quasitriangular_checks(rd: RibbonData) -> Checks:
     }
 
 
-def verify_quasitriangular(
-    rd: RibbonData, *, sampled: bool = False, samples: int = 400, seed: int = 0
-) -> VerifyReport:
-    return run_checks(quasitriangular_checks(rd), rd.hopf.dim, sampled=sampled, samples=samples, seed=seed)
+def verify_quasitriangular(rd: RibbonData, *, sampled: bool = False) -> VerifyReport:
+    return run_checks(quasitriangular_checks(rd), rd.hopf.dim, sampled=sampled, samples=RIBBON_SAMPLES)
 
 
 def ribbon_checks(rd: RibbonData) -> Checks:
@@ -520,21 +526,17 @@ def ribbon_checks(rd: RibbonData) -> Checks:
     }
 
 
-def verify_ribbon(
-    rd: RibbonData, *, sampled: bool = False, samples: int = 400, seed: int = 0
-) -> VerifyReport:
-    return run_checks(ribbon_checks(rd), rd.hopf.dim, sampled=sampled, samples=samples, seed=seed)
+def verify_ribbon(rd: RibbonData, *, sampled: bool = False) -> VerifyReport:
+    return run_checks(ribbon_checks(rd), rd.hopf.dim, sampled=sampled, samples=RIBBON_SAMPLES)
 
 
-def verify_all_axioms(
-    rd: RibbonData, *, sampled: bool = False, samples: int = 4000, seed: int = 0
-) -> VerifyReport:
+def verify_all_axioms(rd: RibbonData, *, sampled: bool = False) -> VerifyReport:
     """Union of the Hopf, quasitriangular and ribbon suites."""
     out = VerifyReport(mode="sampled" if sampled else "full")
     for part in (
-        verify_hopf(rd.hopf, sampled=sampled, samples=samples, seed=seed),
-        verify_quasitriangular(rd, sampled=sampled, samples=max(samples // 10, 1), seed=seed),
-        verify_ribbon(rd, sampled=sampled, samples=max(samples // 10, 1), seed=seed),
+        verify_hopf(rd.hopf, sampled=sampled),
+        verify_quasitriangular(rd, sampled=sampled),
+        verify_ribbon(rd, sampled=sampled),
     ):
         out.checks.update(part.checks)
         out.witnesses.update(part.witnesses)

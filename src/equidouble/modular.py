@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .doubles import SectorDouble, double_algebra, sector_double
+from .doubles import SectorDouble, sector_double
 from .errors import ResourceError, UsageError
 from .groupoids import GroupoidSimple, action_via_hom, simple_objects
 from .groups import FiniteGroup, GroupExtension, extension_from_subgroup
@@ -397,30 +397,6 @@ def s_matrix_character_formula(h_group: FiniteGroup) -> SMatrix:
                     acc = acc + gsimples[a].character_at(x, ext.g_of(y)) * gsimples[b].character_at(y, ext.g_of(x))
             mat[a, b] = acc
     return SMatrix(labels, mat, h_group.order)
-
-
-@dataclass
-class ModularityVerdict:
-    """Invertibility of the S-matrix of the double of H, and the equivalent
-    claim for the graded category of the extension (they agree by the
-    crossed-product identification, which is checked alongside)."""
-
-    orbifold_modular: bool
-    j_modular_claim: bool
-    identification_checked: bool
-
-
-def modularity_verdict(ext: GroupExtension) -> ModularityVerdict:
-    from .orbifold import orbifold_ribbon, psi_check
-
-    invertible = s_matrix(ext.H).is_invertible()
-    sd = sector_double(ext)
-    identified = psi_check(sd, orbifold_ribbon(sd), double_algebra(ext.H)).all_passed
-    return ModularityVerdict(
-        orbifold_modular=invertible,
-        j_modular_claim=invertible,
-        identification_checked=identified,
-    )
 
 
 # -- diagram checks -----------------------------------------------------------

@@ -46,7 +46,6 @@ from equidouble.groups import (
 from equidouble.hopf import verify_hopf, verify_quasitriangular, verify_ribbon
 from equidouble.modular import (
     check_equivariant_diagrams,
-    modularity_verdict,
     s_matrix,
     s_matrix_character_formula,
     simples_of_double,
@@ -136,7 +135,7 @@ def test_criterion_3_crossed_product_identification():
     _finish(3, "crossed product identified with plain double", start, 30.0)
 
 
-def test_criterion_4_s_matrices_and_modularity():
+def test_criterion_4_s_matrices_and_modularity(tmp_path):
     start = time.monotonic()
     traced = s_matrix(group_by_name("S3"))
     assert traced.matrix.rows == 8
@@ -152,10 +151,11 @@ def test_criterion_4_s_matrices_and_modularity():
         for r in range(a.matrix.rows):
             for c in range(a.matrix.cols):
                 assert a.matrix[r, c] == b.matrix[r, c], (name, r, c)
-    verdict = modularity_verdict(extension_by_name("A3-S3"))
-    assert verdict.orbifold_modular
-    assert verdict.j_modular_claim
-    assert verdict.identification_checked
+    path = tmp_path / "verify-all.json"
+    assert cli.main(["verify-all", "--extension", "A3-S3", "--out", str(path)]) == 0
+    report = json.loads(path.read_text())
+    assert report["sections"]["modularity"] == {"orbifold_modular": True, "j_modular_claim": True}
+    assert report["section_passed"]["psi-identification"]
     _finish(4, "S-matrices invertible and formula-checked", start, 60.0)
 
 

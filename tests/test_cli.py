@@ -250,6 +250,26 @@ def test_malformed_json_inputs_exit_with_usage_code(tmp_path, capsys, flag, payl
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag", ["--group", "--extension", "--presentation"])
+def test_json_input_that_is_not_utf8_exits_with_usage_code(tmp_path, capsys, flag):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    argv = {
+        "--group": ["simples", "--group", str(path)],
+        "--extension": ["sectors", "--extension", str(path)],
+        "--presentation": ["dw", "--presentation", str(path), "--group", "Z2"],
+    }[flag]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read JSON input {str(path)!r}")
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_path_exits_with_usage_code(tmp_path, capsys, target):
+    out = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
+    assert cli.main(["catalogue", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write report to {str(out)!r}")
+
+
 def test_out_file_reports_are_byte_identical(tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
@@ -363,7 +383,9 @@ def test_cech_and_sectors_reports_match_recorded_digests(tmp_path):
 
 # sha256 of the verifier reports `ARGV --out FILE`, recorded from the code
 # that inverted the crossed product's grouplikes and assembled twist by dense
-# linear solves. Each argv is written as one string.
+# linear solves; the last two from the code whose sampled Hopf suites ran the
+# sparse predicates on every draw and drew 400 tuples per check under
+# `verify-all`. Each argv is written as one string.
 VERIFIER_REPORT_SHA256 = {
     "double --group Q8": "dd892a5abd34a9820a288586ce9078fcfd51fd887a1640e6b74c350d96566dff",
     "jdouble --extension Z4-D4": "b338b53dc86683b54c5308c38124139bb04c5a6f65c98532032ac24bc1052e9b",
@@ -371,6 +393,8 @@ VERIFIER_REPORT_SHA256 = {
     "orbifold --extension Z2-Q8 --check-psi": "d6c42c91747926bceac0e5a70bbf50068ec7d96f2e08f77fbf9bf3a172082861",
     "orbifold --extension V4-A4 --sampled": "3803d83a93063d1eed744d0e12b6ab7f2208c7371260954406009e4d6fd90ae4",
     "verify-all --extension A3-S3": "e97fa63c9b0895fb341daa8f7b3d1ab83bffed3d32cf2a11c96df47142e57165",
+    "double --group D4 --sampled": "9ecf65a0f2fbedfab4393cc169c2204f9749c699ab210b107d8672e3033f6a85",
+    "verify-all --extension Z4-D4 --sampled": "8f56cbb4585f3370438eafae232a0d700f75907641fe1666a01526bee2f7dd0a",
 }
 
 

@@ -1,9 +1,11 @@
 """Graded modules, braiding and twist diagrams, S-matrix."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from equidouble import cli
 from equidouble.doubles import sector_double
 from equidouble.errors import ResourceError, UsageError
 from equidouble.groups import (
@@ -27,7 +29,6 @@ from equidouble.modular import (
     identity_map,
     j_act,
     j_act_map,
-    modularity_verdict,
     r_action_map,
     s_matrix,
     s_matrix_character_formula,
@@ -357,12 +358,15 @@ def test_first_row_of_the_s_matrix_lists_total_dimensions():
         assert sm.matrix[0, c] == Fraction(d)
 
 
-def test_modularity_verdict_for_the_catalogue_extensions():
-    for ext in (a3_in_s3(), z2_in_z4()):
-        verdict = modularity_verdict(ext)
-        assert verdict.orbifold_modular
-        assert verdict.j_modular_claim
-        assert verdict.identification_checked
+def test_modularity_verdict_for_the_catalogue_extensions(tmp_path):
+    """verify-all reports the S-matrix of D(H) invertible, the J-modularity
+    claim true and the crossed product identified with D(H)."""
+    for name in ("A3-S3", "Z2-Z4"):
+        path = tmp_path / f"{name}.json"
+        assert cli.main(["verify-all", "--extension", name, "--out", str(path)]) == 0
+        report = json.loads(path.read_text())
+        assert report["sections"]["modularity"] == {"orbifold_modular": True, "j_modular_claim": True}
+        assert report["section_passed"]["psi-identification"]
 
 
 def test_dual_pairing_diagrams():

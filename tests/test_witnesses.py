@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from equidouble.catalogue import extension_by_name, group_by_name
 from equidouble.doubles import double_algebra, sector_double
 from equidouble.hopf import (
+    HOPF_SAMPLES,
+    TableHopf,
     VerifyReport,
     first_failure,
     hopf_checks,
@@ -45,12 +47,10 @@ def constant_corruptions(draw):
     return hopf
 
 
-@st.composite
-def monomial_corruptions(draw):
-    """D(G) for G in Z2, Z3, S3 with its product and coproduct tables kept
-    monomial: one product redirected to another basis element, one product
-    deleted, or one coproduct pair redirected to a pair not yet present."""
-    hopf = small_double(draw)
+def corrupt_monomially(draw, hopf):
+    """Keep hopf's product and coproduct tables monomial: redirect one product
+    to another basis element, delete one product, or redirect one coproduct
+    pair to a pair not yet present."""
     kind = draw(st.sampled_from(("redirect-product", "delete-product", "redirect-coproduct")))
     if kind == "redirect-coproduct":
         key = draw(st.sampled_from(sorted(k for k, v in hopf._comul.items() if v)))
@@ -66,6 +66,13 @@ def monomial_corruptions(draw):
         else:
             hopf._mul[key] = {draw(st.sampled_from([k for k in range(hopf.dim) if k != old])): ONE}
     assert monomial_view(hopf) is not None
+
+
+@st.composite
+def monomial_corruptions(draw):
+    """D(G) for G in Z2, Z3, S3 with one monomial corruption."""
+    hopf = small_double(draw)
+    corrupt_monomially(draw, hopf)
     return hopf
 
 
@@ -92,14 +99,70 @@ def test_scans_agree_with_the_sparse_oracle_on_valid_tables():
     for hopf in (double_algebra(group_by_name("S3")).hopf, sd.hopf, crossed):
         assert monomial_view(hopf) is not None
         scanned = verify_hopf(hopf)
-        oracle = run_checks(hopf_checks(hopf), hopf.dim, sampled=False, samples=0, seed=0)
+        oracle = run_checks(hopf_checks(hopf), hopf.dim, sampled=False, samples=0)
         assert scanned.all_passed
         assert (scanned.checks, scanned.witnesses) == (oracle.checks, oracle.witnesses)
 
 
+@st.composite
+def sampled_monomial_corruptions(draw):
+    """D(D4), whose 4,096 basis pairs and 262,144 triples are more than
+    HOPF_SAMPLES, with two to six monomial corruptions, so that the draws of
+    associativity and comultiplication_multiplicative can hit them."""
+    hopf = double_algebra(group_by_name("D4")).hopf
+    for _ in range(draw(st.integers(2, 6))):
+        corrupt_monomially(draw, hopf)
+    return hopf
+
+
+def test_sampled_integer_predicates_agree_with_the_sparse_oracle():
+    """In sampled mode the integer predicates of a monomial table give the
+    same verdicts and witnesses as the sparse predicates on the same draws."""
+    failed = set()
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(sampled_monomial_corruptions())
+    def agree(hopf):
+        fast = verify_hopf(hopf, sampled=True)
+        oracle = run_checks(hopf_checks(hopf), hopf.dim, sampled=True, samples=HOPF_SAMPLES)
+        assert fast.mode == oracle.mode == "sampled"
+        assert (fast.checks, fast.witnesses) == (oracle.checks, oracle.witnesses)
+        failed.update(fast.failing())
+
+    agree()
+    assert {"associativity", "comultiplication_multiplicative"} <= failed
+
+
+@pytest.mark.parametrize("sampled", [True, False])
+def test_monomial_tables_never_run_the_sparse_product_predicates(monkeypatch, sampled):
+    """On the dim-144 V4-A4 crossed product, in either mode, no check forms a
+    sparse tensor product, and only the unit and antipode checks multiply
+    sparse vectors: two products per basis element and two per coproduct
+    term."""
+    crossed = orbifold_algebra(sector_double(extension_by_name("V4-A4")))
+    assert crossed.dim == 144 and monomial_view(crossed) is not None
+    calls = {"mul_vec": 0, "ten_mul": 0}
+
+    def counted(name):
+        real = getattr(TableHopf, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(TableHopf, name, counted(name))
+    report = verify_hopf(crossed, sampled=sampled)
+    assert report.all_passed
+    terms = sum(len(crossed.comul_basis(i)) for i in range(crossed.dim))
+    assert calls == {"mul_vec": 2 * crossed.dim + 2 * terms, "ten_mul": 0}
+
+
 @pytest.mark.parametrize("corrupt", ["constant", "redirect"])
 def test_sampled_check_with_no_more_tuples_than_samples_runs_exhaustively(corrupt):
-    """D(Z2) has 4 ** 3 basis triples, fewer than the 4000 default samples,
+    """D(Z2) has 4 ** 3 basis triples, fewer than the HOPF_SAMPLES draws,
     so every sampled check runs on every tuple and finds the full witness."""
     hopf = double_algebra(group_by_name("Z2")).hopf
     (old,) = hopf._mul[(0, 1)]
