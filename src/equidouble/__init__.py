@@ -1,136 +1,8 @@
 """Exact-arithmetic toolkit for twisted doubles of finite groups and their
-equivariant/orbifold module categories."""
+equivariant/orbifold module categories.
 
-from .catalogue import (
-    catalogue_list,
-    extension_by_name,
-    extension_names,
-    group_by_name,
-    group_names,
-    load_extension,
-    load_group,
-    load_presentation,
-)
-from .doubles import SectorDouble, double_algebra, sector_double
-from .dw import (
-    Presentation,
-    count_homs,
-    dw_invariant,
-    homomorphisms,
-    surface_state_dim,
-    twisted_bundle_groupoid,
-    twisted_cech_h1,
-)
-from .errors import (
-    EquidoubleError,
-    NonInvertibleError,
-    ResourceError,
-    UsageError,
-)
-from .groupoids import (
-    GroupAction,
-    conjugation_action,
-    groupoid_cardinality,
-    inertia,
-    simple_objects,
-    trivial_action,
-)
-from .groups import (
-    FiniteGroup,
-    GroupExtension,
-    WeakAction,
-    alternating_group,
-    cyclic_group,
-    dihedral_group,
-    direct_product,
-    extension_from_subgroup,
-    extension_to_weak_action,
-    quaternion_group,
-    symmetric_group,
-    weak_action_to_extension,
-)
-from .hopf import TableHopf, verify_hopf, verify_quasitriangular, verify_ribbon
-from .linalg import ExactMatrix
-from .modular import (
-    GradedModule,
-    ModuleMap,
-    braid,
-    check_equivariant_diagrams,
-    dual_module,
-    fuse,
-    j_act,
-    s_matrix,
-    simples_of_double,
-    trivial_extension,
-    twist,
-    unit_module,
-)
-from .orbifold import orbifold_algebra, orbifold_ribbon, psi_check, verify_sector_double
-from .scalars import Cyclotomic
+The package root exports nothing: import each name from the module that
+defines it, such as `equidouble.doubles.sector_double` or
+`equidouble.catalogue.load_extension`."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Cyclotomic",
-    "EquidoubleError",
-    "ExactMatrix",
-    "FiniteGroup",
-    "GradedModule",
-    "GroupAction",
-    "GroupExtension",
-    "ModuleMap",
-    "NonInvertibleError",
-    "Presentation",
-    "ResourceError",
-    "SectorDouble",
-    "TableHopf",
-    "UsageError",
-    "WeakAction",
-    "alternating_group",
-    "braid",
-    "catalogue_list",
-    "check_equivariant_diagrams",
-    "conjugation_action",
-    "count_homs",
-    "cyclic_group",
-    "dihedral_group",
-    "direct_product",
-    "double_algebra",
-    "dual_module",
-    "dw_invariant",
-    "extension_by_name",
-    "extension_from_subgroup",
-    "extension_names",
-    "extension_to_weak_action",
-    "fuse",
-    "group_by_name",
-    "group_names",
-    "groupoid_cardinality",
-    "homomorphisms",
-    "inertia",
-    "j_act",
-    "load_extension",
-    "load_group",
-    "load_presentation",
-    "orbifold_algebra",
-    "orbifold_ribbon",
-    "psi_check",
-    "quaternion_group",
-    "s_matrix",
-    "sector_double",
-    "simple_objects",
-    "simples_of_double",
-    "surface_state_dim",
-    "symmetric_group",
-    "trivial_action",
-    "trivial_extension",
-    "twist",
-    "twisted_bundle_groupoid",
-    "twisted_cech_h1",
-    "unit_module",
-    "verify_hopf",
-    "verify_quasitriangular",
-    "verify_ribbon",
-    "verify_sector_double",
-    "weak_action_to_extension",
-]

@@ -203,24 +203,24 @@ def _load_json(path: str) -> object:
         raise UsageError(f"cannot read JSON input {path!r}: {exc}")
 
 
+def _load(kind: str, ref: str, by_name: Callable, from_json: Callable):
+    """The catalogue entry named ref, or else the JSON file at path ref: a
+    name wins over a file or directory of the same name."""
+    try:
+        return by_name(ref)
+    except UsageError:
+        if not os.path.exists(ref):
+            raise UsageError(f"unknown {kind} {ref!r} (not a catalogue name or readable file)") from None
+    return from_json(_load_json(ref))
+
+
 def load_group(ref: str) -> FiniteGroup:
-    """A catalogue name, or a path to a group JSON file."""
-    if ref in _GROUP_BUILDERS:
-        return group_by_name(ref)
-    if os.path.exists(ref):
-        return group_from_json(_load_json(ref))
-    raise UsageError(f"unknown group {ref!r} (not a catalogue name or readable file)")
+    return _load("group", ref, group_by_name, group_from_json)
 
 
 def load_presentation(ref: str) -> Presentation:
-    if os.path.exists(ref):
-        return presentation_from_json(_load_json(ref))
-    return presentation_by_name(ref)
+    return _load("presentation", ref, presentation_by_name, presentation_from_json)
 
 
 def load_extension(ref: str) -> GroupExtension:
-    if ref in _EXTENSION_BUILDERS:
-        return extension_by_name(ref)
-    if os.path.exists(ref):
-        return extension_from_json(_load_json(ref))
-    raise UsageError(f"unknown extension {ref!r} (not a catalogue name or readable file)")
+    return _load("extension", ref, extension_by_name, extension_from_json)

@@ -297,15 +297,13 @@ def _left_translate(g: FiniteGroup, s: int, vec: list[Scalar]) -> list[Scalar]:
     return out
 
 
-def irrep_matrices(g: FiniteGroup, table: Optional[CharacterTable], row: int) -> IrreducibleRep:
+def irrep_matrices(g: FiniteGroup, table: CharacterTable, row: int) -> IrreducibleRep:
     """Exact matrices for the row-th irreducible of g.
 
     Realizes the representation on a left ideal K[G] e f where e is the
     central idempotent of the character and f averages a linear character of
     a subgroup that restricts with multiplicity exactly one.
     """
-    if table is None:
-        table = character_table(g)
     if table.group is not g and table.group.table != g.table:
         raise UsageError("the character table is of a group with another multiplication table")
     cd = table.conjugacy

