@@ -156,7 +156,7 @@ def group_from_json(obj: object) -> FiniteGroup:
         raise UsageError(f"group JSON lacks required key {missing}")
     if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
         raise UsageError("group JSON table must be a list of rows")
-    if not isinstance(order, int) or len(table) != order:
+    if type(order) is not int or len(table) != order:
         raise UsageError("group JSON order must match the table size")
     labels = obj.get("labels")
     if labels is not None and not isinstance(labels, list):

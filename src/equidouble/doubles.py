@@ -11,14 +11,11 @@ consumes. The trivial extension H = G recovers the ordinary ribbon double.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NonInvertibleError, UsageError
 from .groups import FiniteGroup, GroupExtension, extension_from_subgroup
 from .groupoids import GroupAction, action_via_hom
-from .hopf import RibbonData, SparseTen, SparseVec, TableHopf, inverts, outer
-
-ONE = Fraction(1)
+from .hopf import ONE, ZERO, RibbonData, SparseTen, SparseVec, TableHopf, inverts, outer
 
 
 @dataclass
@@ -106,7 +103,7 @@ def sector_double(ext: GroupExtension, name: str = "") -> SectorDouble:
                 ten[(idx(h1, g), idx(h2, g))] = ONE
             comul_table[idx(h, g)] = ten
 
-    counit_table = [ONE if h == 0 else Fraction(0) for h in range(nh) for _ in range(ng)]
+    counit_table = [ONE if h == 0 else ZERO for h in range(nh) for _ in range(ng)]
 
     antipode_table: dict[int, SparseVec] = {}
     for h in range(nh):

@@ -39,11 +39,11 @@ class Presentation:
     relations: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.generators, int) or self.generators < 0:
+        if type(self.generators) is not int or self.generators < 0:
             raise UsageError("generator count must be a nonnegative integer")
         for rel in self.relations:
             for letter in rel:
-                if not isinstance(letter, int) or letter == 0 or abs(letter) > self.generators:
+                if type(letter) is not int or letter == 0 or abs(letter) > self.generators:
                     raise UsageError(f"relator letter {letter} out of range for {self.generators} generators")
 
 

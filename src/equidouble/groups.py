@@ -16,7 +16,8 @@ from .errors import NonInvertibleError, UsageError
 
 
 def _is_index(x: object, n: int) -> bool:
-    return isinstance(x, int) and 0 <= x < n
+    # type(x) is int, not isinstance: JSON's true and false parse to bools
+    return type(x) is int and 0 <= x < n
 
 
 class FiniteGroup:

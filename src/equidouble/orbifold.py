@@ -19,7 +19,6 @@ first failing tuple of each failed check in `witnesses`).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from itertools import product
 from typing import Optional, Sequence
@@ -27,6 +26,8 @@ from typing import Optional, Sequence
 from .doubles import SectorDouble
 from .errors import NonInvertibleError, UsageError
 from .hopf import (
+    ONE,
+    ZERO,
     RibbonData,
     SparseTen,
     SparseVec,
@@ -42,8 +43,6 @@ from .hopf import (
     verify_ribbon,
 )
 from .scalars import Scalar
-
-ONE = Fraction(1)
 
 
 def _shift(vec: SparseVec, j: int, n_j: int) -> SparseVec:
@@ -81,7 +80,7 @@ def orbifold_algebra(sd: SectorDouble) -> TableHopf:
                         mul_table[(idx(a, i), idx(b, j))] = _shift(vec, ij, n_j)
 
     comul_table: dict[int, SparseTen] = {}
-    counit_table: list[Scalar] = [Fraction(0)] * dim
+    counit_table: list[Scalar] = [ZERO] * dim
     antipode_table: dict[int, SparseVec] = {}
     for a in range(n_a):
         for j in range(n_j):
@@ -164,7 +163,7 @@ def orbifold_ribbon(sd: SectorDouble, ohat: Optional[TableHopf] = None) -> Ribbo
             right = ohat.mul_vec(carrier, {l * n_j + 0: ONE})
             for r, cr in right.items():
                 key = (left, r)
-                rhat[key] = rhat.get(key, Fraction(0)) + c * cr
+                rhat[key] = rhat.get(key, ZERO) + c * cr
     rhat = clean(rhat)
 
     # the inverse braiding of the big double, written in crossed-product

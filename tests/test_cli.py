@@ -261,6 +261,12 @@ def test_catalogue_names_win_over_files_of_the_same_name(tmp_path, monkeypatch, 
         ("--extension", {"h": "Z4", "kernel": "ab"}),
         ("--extension", {"h": "Z4", "kernel": [0, 2], "section": [0, 7]}),
         ("--presentation", {"generators": 2, "relations": [1, 2]}),
+        # JSON true and false are not integers
+        ("--group", {"order": 2, "table": [[0, True], [True, 0]]}),
+        ("--extension", {"h": "Z4", "kernel": [False, 2]}),
+        ("--group", {"order": True, "table": [[0]]}),
+        ("--presentation", {"generators": True, "relations": [[1, 1]]}),
+        ("--presentation", {"generators": 1, "relations": [[True]]}),
     ],
 )
 def test_malformed_json_inputs_exit_with_usage_code(tmp_path, capsys, flag, payload):

@@ -4,12 +4,12 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
 import equidouble
-from equidouble.catalogue import extension_by_name, extension_names
+from equidouble.catalogue import extension_by_name, extension_names, group_by_name
 from equidouble.doubles import double_algebra, sector_double
 from equidouble.errors import NonInvertibleError
 from equidouble.hopf import (
@@ -164,6 +164,39 @@ def test_closed_form_inverses_match_the_linear_solve(name):
         assert _grouplike_inverse(sd, ohat, j) == solved_inverse(ohat, _grouplike(sd, j)), j
     rib = orbifold_ribbon(sd, ohat)
     assert rib.ribbon == solved_inverse(ohat, rib.ribbon_inverse)
+
+
+def coefficients(*sparse):
+    """Every coefficient stored in the given sparse vectors and tensors."""
+    return [c for v in sparse for c in v.values()]
+
+
+def hopf_coefficients(hopf):
+    """The counit and every stored unit, product, coproduct and antipode coefficient."""
+    tables = (hopf._mul, hopf._comul, hopf._antipode)
+    return list(hopf._counit) + coefficients(hopf.unit, *chain.from_iterable(t.values() for t in tables))
+
+
+def sector_coefficients(sd):
+    """hopf_coefficients of sd's algebra, then its coherence elements, sector
+    braidings and twists and their inverses."""
+    tables = (sd.coherence, sd.coherence_inv, sd.r_sector, sd.r_sector_inv, sd.theta, sd.theta_inv)
+    return hopf_coefficients(sd.hopf) + coefficients(*chain.from_iterable(t.values() for t in tables))
+
+
+@pytest.mark.parametrize("name", extension_names())
+def test_catalogue_structure_constants_are_ints(name):
+    """Every structure constant of the graded double and of its crossed
+    product, braiding and ribbon elements is exactly an int: no Fraction."""
+    sd = sector_double(extension_by_name(name))
+    rib = orbifold_ribbon(sd)
+    elements = coefficients(rib.r_matrix, rib.r_inverse, rib.ribbon, rib.ribbon_inverse)
+    assert {type(c) for c in sector_coefficients(sd) + hopf_coefficients(rib.hopf) + elements} == {int}
+
+
+@pytest.mark.parametrize("name", ["Z2", "S3", "Q8"])
+def test_group_double_structure_constants_are_ints(name):
+    assert {type(c) for c in sector_coefficients(double_algebra(group_by_name(name)))} == {int}
 
 
 def test_corrupted_closed_form_inputs_raise():

@@ -1,6 +1,8 @@
 """Axiom-suite witnesses: a failed check names the first tuple it fails on,
 and that tuple alone reproduces the failure."""
 
+import copy
+import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -12,6 +14,7 @@ from equidouble.catalogue import extension_by_name, group_by_name
 from equidouble.doubles import double_algebra, sector_double
 from equidouble.hopf import (
     HOPF_SAMPLES,
+    RibbonData,
     TableHopf,
     VerifyReport,
     first_failure,
@@ -19,11 +22,12 @@ from equidouble.hopf import (
     monomial_view,
     ribbon_checks,
     run_checks,
+    verify_all_axioms,
     verify_hopf,
     verify_quasitriangular,
     verify_ribbon,
 )
-from equidouble.orbifold import orbifold_algebra
+from equidouble.orbifold import orbifold_algebra, orbifold_ribbon, psi_check, verify_sector_double
 
 TABLES = ("_mul", "_comul", "_antipode")
 ONE = Fraction(1)
@@ -218,3 +222,70 @@ def test_corrupted_ribbon_element_is_witnessed():
     checks = ribbon_checks(rib)
     for name, witness in report.witnesses.items():
         assert not checks[name][1](*witness), (name, witness)
+
+
+def fractions(vec: dict) -> dict:
+    return {k: Fraction(c) for k, c in vec.items()}
+
+
+def with_fractions(x):
+    """A copy of a TableHopf, RibbonData or SectorDouble whose every stored
+    coefficient, zeros included, is a Fraction."""
+    if isinstance(x, TableHopf):
+        out = copy.copy(x)
+        out.unit = fractions(x.unit)
+        for name in TABLES:
+            setattr(out, name, {k: fractions(v) for k, v in getattr(x, name).items()})
+        out._counit = tuple(Fraction(c) for c in x._counit)
+        return out
+    if isinstance(x, RibbonData):
+        sparse = {f: fractions(getattr(x, f)) for f in ("r_matrix", "r_inverse", "ribbon", "ribbon_inverse")}
+    else:
+        fields = ("coherence", "coherence_inv", "r_sector", "r_sector_inv", "theta", "theta_inv")
+        sparse = {f: {k: fractions(v) for k, v in getattr(x, f).items()} for f in fields}
+    return dataclasses.replace(x, hopf=with_fractions(x.hopf), **sparse)
+
+
+def assert_fractions_change_nothing(suite, *args):
+    """suite decides the same checks on the same witnesses when every
+    coefficient of its arguments is a Fraction."""
+
+    def decided(report):
+        return report.mode, report.checks, report.witnesses
+
+    assert decided(suite(*args)) == decided(suite(*map(with_fractions, args)))
+
+
+def test_int_and_fraction_tables_give_the_same_reports():
+    """The structure constants are ints; the same tables with Fraction
+    coefficients get the same verdicts."""
+    ds3 = double_algebra(group_by_name("S3"))
+    sd = sector_double(extension_by_name("A3-S3"))
+    assert_fractions_change_nothing(verify_all_axioms, ds3.ribbon_data())
+    assert_fractions_change_nothing(verify_sector_double, sd)
+    assert_fractions_change_nothing(psi_check, sd, orbifold_ribbon(sd), ds3)
+
+
+@st.composite
+def halved_products(draw):
+    """D(G) for G in Z2, Z3, S3 with one product coefficient set to 1/2."""
+    hopf = small_double(draw)
+    key = draw(st.sampled_from(sorted(k for k, v in hopf._mul.items() if v)))
+    (entry,) = hopf._mul[key]
+    hopf._mul[key][entry] = Fraction(1, 2)
+    return hopf
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.one_of(constant_corruptions(), monomial_corruptions(), halved_products()))
+def test_corrupted_mixed_tables_give_the_same_reports_with_fractions(hopf):
+    """A corrupted D(G), whose tables mix int and Fraction coefficients,
+    fails the same checks on the same witnesses when every coefficient is a
+    Fraction: in the axiom suites and as the target of psi_check."""
+    (group,) = (g for g in map(group_by_name, ("Z2", "Z3", "S3")) if g.order**2 == hopf.dim)
+    clean = double_algebra(group)
+    corrupted = dataclasses.replace(clean, hopf=hopf)
+    assert not verify_hopf(hopf).all_passed
+    assert_fractions_change_nothing(verify_all_axioms, corrupted.ribbon_data())
+    assert_fractions_change_nothing(verify_sector_double, corrupted)
+    assert_fractions_change_nothing(psi_check, clean, orbifold_ribbon(clean), corrupted)
