@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .errors import NonInvertibleError, ResourceError, UsageError
 from .groups import ConjugacyData, FiniteGroup
 from .linalg import ExactMatrix, echelon_kernel, row_reduce, solve, solve_rows
-from .scalars import Cyclotomic, Scalar, cyclotomic_conjugate, is_prime
+from .scalars import ONE, ZERO, Cyclotomic, Scalar, cyclotomic_conjugate, is_prime, sort_key
 
 # -- prime-field helpers -------------------------------------------------------
 
@@ -108,7 +108,7 @@ def _character_table_uncached(g: FiniteGroup) -> CharacterTable:
     n = g.order
     e = g.exponent()
     if k == 1:
-        return CharacterTable(g, cd, ((Fraction(1),),), (1,), 1)
+        return CharacterTable(g, cd, ((ONE,),), (1,), 1)
 
     p = _find_dixon_prime(n, e)
     omega = _root_of_unity_fp(p, e)
@@ -215,10 +215,10 @@ def _character_table_uncached(g: FiniteGroup) -> CharacterTable:
                 raise NonInvertibleError(
                     f"eigenvalue multiplicities {mults} at class {l} do not sum to the degree {degree}"
                 )
-            val: Scalar = Fraction(0)
+            val: Scalar = ZERO
             for t, m_t in enumerate(mults):
                 if m_t:
-                    val = val + Fraction(m_t) * Cyclotomic.zeta(e, t)
+                    val = val + m_t * Cyclotomic.zeta(e, t)
             row.append(val)
         rows.append(tuple(row))
         degrees.append(degree)
@@ -226,7 +226,7 @@ def _character_table_uncached(g: FiniteGroup) -> CharacterTable:
     order_key = []
     for r, row in enumerate(rows):
         not_trivial = 0 if all(x == 1 for x in row) else 1
-        entry_keys = tuple(_scalar_key(x) for x in row)
+        entry_keys = tuple(sort_key(x) for x in row)
         order_key.append((degrees[r], not_trivial, entry_keys, r))
     order_key.sort(key=lambda t: (t[0], t[1], t[2]))
     perm = [t[3] for t in order_key]
@@ -237,23 +237,16 @@ def _character_table_uncached(g: FiniteGroup) -> CharacterTable:
         raise NonInvertibleError("degrees fail sum-of-squares")
     for r in range(k):
         for s in range(r, k):
-            acc: Scalar = Fraction(0)
+            acc: Scalar = ZERO
             for l in range(k):
-                acc = acc + Fraction(h_sizes[l]) * rows[r][l] * cyclotomic_conjugate(rows[s][l])
-            want = Fraction(n) if r == s else Fraction(0)
+                acc = acc + h_sizes[l] * rows[r][l] * cyclotomic_conjugate(rows[s][l])
+            want = n if r == s else ZERO
             if acc != want:
                 raise NonInvertibleError(f"row orthogonality fails at ({r},{s})")
     if not all(x == 1 for x in rows[0]):
         raise NonInvertibleError("first row is not the trivial character")
 
     return CharacterTable(g, cd, tuple(rows), tuple(degrees), e)
-
-
-def _scalar_key(x: Scalar):
-    if isinstance(x, Cyclotomic):
-        return (x.n,) + x.sort_key()
-    q = Fraction(x)
-    return (1, (q.numerator, q.denominator))
 
 
 # -- explicit matrices -------------------------------------------------------
@@ -279,7 +272,7 @@ def _algebra_mul(
     g: FiniteGroup, a: list[Scalar], b_support: Sequence[tuple[int, Scalar]]
 ) -> list[Scalar]:
     """Group algebra product a * b where b is given by its sparse support."""
-    out: list[Scalar] = [Fraction(0)] * g.order
+    out: list[Scalar] = [ZERO] * g.order
     for x, ax in enumerate(a):
         if not ax:
             continue
@@ -290,7 +283,7 @@ def _algebra_mul(
 
 
 def _left_translate(g: FiniteGroup, s: int, vec: list[Scalar]) -> list[Scalar]:
-    out: list[Scalar] = [Fraction(0)] * g.order
+    out: list[Scalar] = [ZERO] * g.order
     for x, cx in enumerate(vec):
         if cx:
             out[g.mul(s, x)] = cx
@@ -390,7 +383,7 @@ def _multiplicity_one_pair(
         for r, deg in enumerate(sub_table.degrees):
             if deg != 1:
                 continue
-            acc: Scalar = Fraction(0)
+            acc: Scalar = ZERO
             for i, t_elem in enumerate(embed):
                 # psi(t^{-1}) read off the subgroup table exactly
                 psi_inv = sub_table.rows[r][sub_cd.class_of[sub.inv[i]]]

@@ -88,13 +88,7 @@ def encode_scalar(x: Scalar) -> object:
 
 def scalar_string(x: Scalar) -> str:
     """Human/CSV form: rationals plain, cyclotomics as c0 + c1*z(n)^1 + ..."""
-    if not isinstance(x, Cyclotomic):
-        return str(Fraction(x))
-    parts = [str(x.coeffs[0])]
-    for k in range(1, len(x.coeffs)):
-        if x.coeffs[k] != 0:
-            parts.append(f"{x.coeffs[k]}*z({x.n})^{k}")
-    return " + ".join(parts)
+    return str(x if isinstance(x, Cyclotomic) else Fraction(x))
 
 
 def _render_text(obj: object, indent: int = 0) -> list[str]:
@@ -261,16 +255,17 @@ def _cmd_simples(config: RunConfig) -> tuple[dict, bool]:
     return report, True
 
 
-def _category_payload(ext, config: RunConfig) -> dict:
+def _category_payload(ext, config: RunConfig, sd=None) -> dict:
     """Diagram suite on the simples within --budget-dim; --sampled keeps the
-    first, middle and last of them."""
+    first, middle and last of them. sd is the extension's sector double, when
+    the caller has built it."""
     simples = simples_of_double(ext)
     if config.budget_dim is not None:
         simples = [v for v in simples if v.dim <= config.budget_dim]
     if config.sampled and len(simples) > 3:
         picks = sorted({0, len(simples) // 2, len(simples) - 1})
         simples = [simples[i] for i in picks]
-    rep = check_equivariant_diagrams(ext, simples)
+    rep = check_equivariant_diagrams(ext, simples, sd)
     return {
         "sample_size": len(simples),
         "diagram_counts": dict(rep.counts),
@@ -297,7 +292,7 @@ def _cmd_verify_all(config: RunConfig) -> tuple[dict, bool]:
         "hopf-axioms": dict(verify_all_axioms(dh.ribbon_data(), sampled=config.sampled).checks),
         "j-hopf-axioms": dict(sector.checks),
         "psi-identification": dict(psi_check(sd, rib, dh).checks),
-        "category-diagrams": _category_payload(ext, config),
+        "category-diagrams": _category_payload(ext, config, sd),
     }
     invertible = s_matrix(ext.H).is_invertible()
     sections["modularity"] = {"orbifold_modular": invertible, "j_modular_claim": invertible}

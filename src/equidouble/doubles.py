@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from .errors import NonInvertibleError, UsageError
 from .groups import FiniteGroup, GroupExtension, extension_from_subgroup
 from .groupoids import GroupAction, action_via_hom
-from .hopf import ONE, ZERO, RibbonData, SparseTen, SparseVec, TableHopf, inverts, outer
+from .hopf import RibbonData, SparseTen, SparseVec, TableHopf, inverts, outer
+from .scalars import ONE, ZERO
 
 
 @dataclass

@@ -467,6 +467,7 @@ def presentation_by_name(name: str) -> Presentation:
         return _NAMED_PRESENTATIONS[name]
     if name.startswith("Sigma_"):
         suffix = name[len("Sigma_"):]
-        if suffix.isdigit():
+        # canonical ASCII decimals only: "Sigma_01" and non-ASCII digits name nothing
+        if suffix.isascii() and suffix.isdigit() and suffix == str(int(suffix)):
             return surface_presentation(int(suffix))
     raise UsageError(f"unknown presentation {name!r}")

@@ -16,7 +16,7 @@ from .chartable import CharacterTable, IrreducibleRep, character_table, irrep_ma
 from .errors import NonInvertibleError, UsageError
 from .groups import FiniteGroup
 from .linalg import ExactMatrix
-from .scalars import Scalar
+from .scalars import ZERO, Scalar
 
 
 class GroupAction:
@@ -95,7 +95,7 @@ def action_via_hom(
 
 def groupoid_cardinality(action: GroupAction) -> Fraction:
     """Sum of 1/|stabilizer| over orbit representatives; equals |M|/|G|."""
-    total = sum((Fraction(1, len(action.stabilizer(orb[0]))) for orb in action.orbits()), Fraction(0))
+    total = sum((Fraction(1, len(action.stabilizer(orb[0]))) for orb in action.orbits()), ZERO)
     if total != Fraction(action.num_points, action.group.order):
         raise NonInvertibleError(f"groupoid cardinality {total} != |M|/|G|")
     return total
@@ -173,7 +173,7 @@ class GroupoidSimple:
         if self.action.act[g][m] != m:
             raise UsageError(f"character only defined on inertia pairs, not ({m}, {g})")
         if m not in self.transversal:
-            return Fraction(0)
+            return ZERO
         return self.stab_table.rows[self.row][
             self.stab_table.conjugacy.class_of[self._stab_conj(m, g)]
         ]
@@ -223,7 +223,7 @@ def simple_objects(action: GroupAction) -> list[GroupoidSimple]:
 def regular_character(inert: InertiaData) -> list[Scalar]:
     """chi(m, g) = |G| when g = 1 and 0 otherwise."""
     n = inert.base.group.order
-    return [Fraction(n) if g == 0 else Fraction(0) for (_m, g) in inert.pairs]
+    return [n if g == 0 else ZERO for (_m, g) in inert.pairs]
 
 
 def character_pairing(
@@ -231,7 +231,7 @@ def character_pairing(
 ) -> Scalar:
     """(1/|G|) sum over inertia pairs of f(m, g^{-1}) f2(m, g)."""
     grp = inert.base.group
-    acc: Scalar = Fraction(0)
+    acc: Scalar = ZERO
     for i, (m, g) in enumerate(inert.pairs):
         j = inert.pair_index[(m, grp.inv[g])]
         acc = acc + f[j] * f2[i]
@@ -248,7 +248,7 @@ def decompose_character(
         mult = character_pairing(inert, list(values), s.character_vector(inert))
         out.append((s, mult))
     # the pairing with the input reproduced from multiplicities must match
-    recon = [Fraction(0)] * len(inert.pairs)
+    recon = [ZERO] * len(inert.pairs)
     for s, mult in out:
         vec = s.character_vector(inert)
         recon = [r + mult * v for r, v in zip(recon, vec)]

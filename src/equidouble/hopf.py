@@ -23,19 +23,12 @@ full associativity check is one row-wise scan. Any other table, such as one
 with a rational coefficient or a stored zero, runs the sparse predicates,
 which remain each axiom's definition.
 
-The structure constants are Python ints: ZERO and ONE below, which the
-doubles and crossed products are built from. That stays exact:
-
-- No operation here, in `doubles` or in `orbifold` divides a scalar or
-  inverts one. Every inverse is a closed form, certified by multiplication
-  (`orbifold.orbifold_ribbon`), so a table built from ints holds only ints.
-- An int mixed with a Fraction or a Cyclotomic gives the exact result, and
-  bool() and == agree across the types (Fraction(1) == 1, and
-  Cyclotomic.__eq__ takes ints). So a table given a Fraction coefficient,
-  Fraction(5) or Fraction(1, 2), by a caller or a corruption gets the same
-  verdicts and witnesses as one written with Fractions throughout.
-- Reports write scalars through Fraction(x) (`cli.encode_scalar`,
-  `cli.scalar_string`), so an int 1 prints as Fraction(1) did.
+The structure constants are Python ints, built from `scalars.ZERO` and
+`scalars.ONE`. No operation here, in `doubles` or in `orbifold` divides a
+scalar or inverts one: every inverse is a closed form, certified by
+multiplication (`orbifold.orbifold_ribbon`), so a table built from ints holds
+only ints. Why that stays exact, also when a caller or a corruption mixes in a
+Fraction, is argued once, in the `scalars` docstring.
 """
 
 from __future__ import annotations
@@ -48,14 +41,11 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import UsageError
-from .scalars import Scalar
+from .scalars import ONE, ZERO, Scalar
 
 SparseVec = dict[int, Scalar]
 SparseTen = dict[tuple[int, int], Scalar]
 SparseTen3 = dict[tuple[int, int, int], Scalar]
-
-ZERO = 0
-ONE = 1
 
 # tuples drawn per check of positive arity in sampled mode
 HOPF_SAMPLES = 4000

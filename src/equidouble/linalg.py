@@ -1,33 +1,30 @@
-"""Dense exact matrices over Fraction/Cyclotomic scalars, and the one
+"""Dense exact matrices over int/Fraction/Cyclotomic scalars, and the one
 row-reduction kernel behind every rank, determinant, kernel and solve.
 
 ExactMatrix is the one place that multiplies, tensors (Kronecker product),
 walks (nonzero entries) and compares exact matrices. Zero tests and equality
 use the scalars' own bool() and ==; products and Kronecker products multiply
 only pairs of nonzero entries, so an entry no nonzero pair reaches stays the
-rational zero whatever the field of the others.
+int zero whatever the field of the others.
 
 row_reduce is Gauss-Jordan elimination on plain row lists over a field given
 as a parameter: exact rationals and cyclotomics, or F_p for a prime modulus.
-Each pivot costs one field inverse; every other step is a multiply and a
-subtract. The rank, the pivot columns, the kernel basis normalized by
-v[free] = 1, det = +-(product of pivots) and a unique solution do not depend
-on the elimination order, so every elimination in the package goes through
-it: over Q, Q(zeta_n) and F_p alike (the eigenvalues, eigenspaces and span
-coordinates of the character tables, the irreducible representations,
-S-matrix invertibility and algebra inverses).
+Each pivot costs one field inverse (`scalars.reciprocal`, or pow mod p);
+every other step is a multiply and a subtract. The rank, the pivot columns,
+the kernel basis normalized by v[free] = 1, det = +-(product of pivots) and
+a unique solution do not depend on the elimination order, so every
+elimination in the package goes through it: over Q, Q(zeta_n) and F_p alike
+(the eigenvalues, eigenspaces and span coordinates of the character tables,
+the irreducible representations, S-matrix invertibility and algebra
+inverses).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .errors import NonInvertibleError, UsageError
-from .scalars import Cyclotomic, Scalar
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .scalars import ONE, ZERO, Scalar, reciprocal
 
 
 class ExactMatrix:
@@ -106,7 +103,7 @@ class ExactMatrix:
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product: entry (i*other.rows + k, j*other.cols + l) is
         self[i, j] * other[k, l]. Only pairs of nonzero entries are multiplied;
-        every other entry is the rational zero."""
+        every other entry is the int zero."""
         out = ExactMatrix.zeros(self.rows * other.rows, self.cols * other.cols)
         right = list(other.nonzeros())
         for i, j, a in self.nonzeros():
@@ -181,7 +178,7 @@ def row_reduce(
     if modulus is not None:
         rows[:] = [[x % modulus for x in row] for row in rows]
     ncols = (len(rows[0]) if rows else 0) if ncols is None else ncols
-    det: Scalar = ONE if modulus is None else 1
+    det: Scalar = ONE
     pivots: list[int] = []
     for col in range(ncols):
         r = len(pivots)
@@ -194,7 +191,7 @@ def row_reduce(
         piv = rows[r]
         p = piv[col]
         if modulus is None:
-            inv = p.inverse() if isinstance(p, Cyclotomic) else ONE / p
+            inv = reciprocal(p)
             piv[col:] = [x * inv for x in piv[col:]]
             det = det * p
         else:
@@ -220,13 +217,12 @@ def echelon_kernel(
     """Right-kernel basis of a matrix that row_reduce has brought to reduced
     echelon form: one vector per free column f, 1 at f and 0 at the other
     free columns."""
-    zero, one = (ZERO, ONE) if modulus is None else (0, 1)
     basis = []
     for free in range(ncols):
         if free in pivots:
             continue
-        v = [zero] * ncols
-        v[free] = one
+        v = [ZERO] * ncols
+        v[free] = ONE
         for k, col in enumerate(pivots):
             v[col] = -rows[k][free] if modulus is None else -rows[k][free] % modulus
         basis.append(v)

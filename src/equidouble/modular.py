@@ -20,7 +20,6 @@ the one function braid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .doubles import SectorDouble, sector_double
@@ -28,9 +27,7 @@ from .errors import ResourceError, UsageError
 from .groupoids import GroupoidSimple, action_via_hom, simple_objects
 from .groups import FiniteGroup, GroupExtension, extension_from_subgroup
 from .linalg import ExactMatrix, mat_rank_det_kernel
-from .scalars import Scalar
-
-ZERO = Fraction(0)
+from .scalars import ZERO, Scalar
 
 
 class GradedModule:
@@ -389,7 +386,7 @@ def s_matrix_character_formula(h_group: FiniteGroup) -> SMatrix:
     mat = ExactMatrix.zeros(n, n)
     for a in range(n):
         for b in range(n):
-            acc: Scalar = Fraction(0)
+            acc: Scalar = ZERO
             for x in gsimples[a].orbit:
                 for y in gsimples[b].orbit:
                     if h_group.mul(x, y) != h_group.mul(y, x):
@@ -498,18 +495,24 @@ def twist_action_holds(i: int, v: GradedModule) -> bool:
 
 
 def check_equivariant_diagrams(
-    ext: GroupExtension, sample: Optional[Sequence[GradedModule]] = None
+    ext: GroupExtension,
+    sample: Optional[Sequence[GradedModule]] = None,
+    sd: Optional[SectorDouble] = None,
 ) -> DiagramReport:
     """Run every categorical coherence check on all (ordered) tuples drawn
     from the sample (default: all simples): the two braiding hexagons, the
     action-braiding square, the twist-product diagram, the twist-duality and
     twist-action diagrams, and agreement of the braiding with the R-matrix
-    action."""
+    action. The R-matrix comes from sd, the sector double of ext, which is
+    built here unless the caller passes the one it has."""
     mods = list(sample) if sample is not None else simples_of_double(ext)
     for v in mods:
         if v.degree() is None:
             raise UsageError("diagram checks need homogeneous sample modules")
-    sd = sector_double(ext)
+    if sd is None:
+        sd = sector_double(ext)
+    elif sd.ext is not ext:
+        raise UsageError("the sector double is of another extension")
     report = DiagramReport()
     names = [m.name for m in mods]
     n_j = ext.J.order

@@ -26,8 +26,6 @@ from typing import Optional, Sequence
 from .doubles import SectorDouble
 from .errors import NonInvertibleError, UsageError
 from .hopf import (
-    ONE,
-    ZERO,
     RibbonData,
     SparseTen,
     SparseVec,
@@ -42,7 +40,7 @@ from .hopf import (
     verify_quasitriangular,
     verify_ribbon,
 )
-from .scalars import Scalar
+from .scalars import ONE, ZERO, Scalar
 
 
 def _shift(vec: SparseVec, j: int, n_j: int) -> SparseVec:

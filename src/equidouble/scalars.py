@@ -1,4 +1,6 @@
-"""Exact scalars: rationals (stdlib Fractions) and cyclotomic numbers.
+"""Exact scalars: ints, rationals (stdlib Fractions) and cyclotomic numbers,
+and every rule the package has for a scalar: its zero and one, its inverse,
+its sort key and its text form.
 
 A Cyclotomic in Q(zeta_n) is (num[0] + num[1] z + ... + num[d-1] z^(d-1)) / den
 for z = zeta_n and d = phi(n): integer numerators over one denominator
@@ -10,6 +12,22 @@ integer rows of the power table, and the inverse is the product of the other
 Galois conjugates over the norm. coeffs reads the coordinates as reduced
 Fractions, which reports encode. Values of different conductors meet at the
 lcm; a value keeps the conductor it was computed at, which reports show.
+
+A scalar with an integer value is a Python int in every layer: the Hopf
+tables (`hopf`, `doubles`, `orbifold`), the matrices (`linalg`, `modular`)
+and the characters (`chartable`, `groupoids`) are built from ZERO and ONE
+below, the package's only zero and one. That stays exact:
+
+- Every integer is an int. A non-integer rational only comes from an
+  explicit Fraction(p, q) or from `reciprocal`, the one inverse; this module
+  holds the package's only division, so no int is divided into a float.
+- An int mixed with a Fraction or a Cyclotomic gives the exact result, and
+  bool() and == agree across the types (Fraction(1) == 1, and
+  Cyclotomic.__eq__ takes ints). So a table or a matrix given a Fraction
+  entry, by a caller or a corruption, gets the same verdicts and witnesses
+  as one written with Fractions throughout.
+- Reports write every rational through Fraction(x) (`cli.encode_scalar`,
+  `cli.scalar_string`), so an int prints exactly as a Fraction did.
 """
 
 from __future__ import annotations
@@ -22,6 +40,9 @@ from typing import Sequence, Union
 from .errors import NonInvertibleError, UsageError
 
 Scalar = Union[int, Fraction, "Cyclotomic"]
+
+ZERO = 0
+ONE = 1
 
 
 def euler_phi(n: int) -> int:
@@ -228,10 +249,7 @@ class Cyclotomic:
         return conjugates / norm.rational_value()
 
     def __truediv__(self, other: Scalar) -> "Cyclotomic":
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        a, b = Cyclotomic._pair(self, other)
-        return a * b.inverse()
+        return self * reciprocal(other)
 
     def __rtruediv__(self, other: Scalar) -> "Cyclotomic":
         return Cyclotomic.from_rational(other, self.n) / self
@@ -273,25 +291,26 @@ class Cyclotomic:
             return self
         return self.galois(self.n - 1)
 
-    def sort_key(self) -> tuple:
-        """Deterministic total-order key among values of equal conductor."""
-        return tuple((c.numerator, c.denominator) for c in self.coeffs)
-
     def __repr__(self) -> str:
         return f"Cyclotomic({self.n}, {list(self.coeffs)})"
 
     def __str__(self) -> str:
-        if self.is_rational():
-            return str(self.coeffs[0])
-        parts = []
-        for e, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if e == 0:
-                parts.append(str(c))
-            else:
-                parts.append(f"{c}*z({self.n})^{e}")
-        return " + ".join(parts) if parts else "0"
+        """c0 + c1*z(n)^1 + ...: the constant term, then every nonzero one."""
+        c = self.coeffs
+        return " + ".join([str(c[0])] + [f"{x}*z({self.n})^{e}" for e, x in enumerate(c) if e and x])
+
+
+def reciprocal(x: Scalar) -> Scalar:
+    """The exact inverse: a Cyclotomic's own, or Fraction(1, x) for a
+    rational, so an int is never divided into a float."""
+    return x.inverse() if isinstance(x, Cyclotomic) else Fraction(1, x)
+
+
+def sort_key(x: Scalar) -> tuple:
+    """Deterministic total-order key: the conductor, then the power-basis
+    coordinates as (numerator, denominator) pairs; a rational has conductor 1."""
+    c = x if isinstance(x, Cyclotomic) else Cyclotomic.from_rational(x)
+    return (c.n,) + tuple((q.numerator, q.denominator) for q in c.coeffs)
 
 
 def cyclotomic_conjugate(x: Scalar) -> Scalar:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from equidouble import cli, doubles, orbifold
+from equidouble import cli, doubles, modular, orbifold
 from equidouble.catalogue import catalogue_list
 from equidouble.errors import UsageError
 from equidouble.scalars import Cyclotomic
@@ -81,6 +81,10 @@ def test_unknown_names_exit_with_usage_code(capsys):
     assert cli.main(["jdouble", "--extension", "NoSuchExt"]) == 2
     assert cli.main(["cech", "--extension", "Z2-Z4", "--monodromy", "7"]) == 2
     capsys.readouterr()
+    # only a canonical ASCII genus names a surface: these take the unknown-name route
+    for name in ["Sigma_\u00b2", "Sigma_\u0661", "Sigma_01"]:
+        assert cli.main(["dw", "--presentation", name, "--group", "Z2"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: unknown presentation {name!r}")
 
 
 def test_argparse_rejects_unknown_subcommand():
@@ -320,6 +324,24 @@ def test_verify_all_runs_every_section(tmp_path):
         "psi-identification",
     ]
     assert report["all_passed"] is True
+
+
+@pytest.mark.parametrize("command, builds", [("verify-all", 2), ("verify-category", 1)])
+def test_each_sector_double_is_built_once(monkeypatch, capsys, command, builds):
+    """verify-all builds the extension's sector double and D(H) once each, and
+    the diagram suite reuses the first; verify-category builds one."""
+    real = doubles.sector_double
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (doubles, modular, cli):
+        monkeypatch.setattr(module, "sector_double", counting)
+    assert cli.main([command, "--extension", "Z2-Z4"]) == 0
+    capsys.readouterr()
+    assert len(calls) == builds
 
 
 def test_readme_flag_table_lists_each_subcommand_flags():

@@ -12,7 +12,11 @@ from fractions import Fraction
 import pytest
 
 import equidouble
+from equidouble.catalogue import extension_by_name, extension_names
+from equidouble.chartable import character_table
 from equidouble.errors import NonInvertibleError, UsageError
+from equidouble.groupoids import action_via_hom, simple_objects
+from equidouble.groups import cyclic_group
 from equidouble.linalg import (
     ExactMatrix,
     echelon_kernel,
@@ -244,7 +248,9 @@ def test_kron_leaves_unreached_entries_rational():
     assert k == ExactMatrix.from_rows(
         [[z, 0, 0, 0], [0, z, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
     )
-    assert [type(x) for x in k.data].count(Fraction) == 14
+    types = [type(x) for x in k.data]
+    assert (types.count(int), types.count(Fraction), types.count(Cyclotomic)) == (12, 2, 2)
+    assert all(x == 0 for x, t in zip(k.data, types) if t is int)
 
 
 def test_nonzeros_walk_row_major():
@@ -273,6 +279,79 @@ def test_matrix_and_module_layers_have_no_assert():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], (path.name, lines)
+
+
+def _is_int_literal(node: ast.AST) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def test_scalar_rules_live_in_scalars():
+    """Outside scalars.py no module defines its own zero or one, builds a
+    Fraction from one integer literal, or divides with `/`: an int divided by
+    an int with `/` is a float, so every inverse goes through
+    scalars.reciprocal."""
+    root = pathlib.Path(equidouble.__file__).parent
+    paths = sorted(p for p in root.rglob("*.py") if p.name != "scalars.py")
+    assert len(paths) >= 13
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                    if name.id in ("ZERO", "ONE"):
+                        found.append(("assigns " + name.id, node.lineno))
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(("divides", node.lineno))
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "Fraction"
+                and len(node.args) == 1
+                and not node.keywords
+                and _is_int_literal(node.args[0])
+            ):
+                found.append(("Fraction of an int literal", node.lineno))
+        assert found == [], (path.name, found)
+
+
+def test_integer_scalars_are_ints_and_eliminate_exactly():
+    for m in (ExactMatrix.zeros(2, 3), ExactMatrix.identity(3)):
+        assert {type(x) for x in m.data} == {int}
+    mixed = ExactMatrix.from_rows([[Cyclotomic.zeta(4), 0], [0, Fraction(1, 2)]])
+    unreached = [x for x in mixed.kron(ExactMatrix.identity(2)).data if not x]
+    assert len(unreached) == 12 and {type(x) for x in unreached} == {int}
+    trivial = character_table(cyclic_group(1))
+    assert trivial.rows == ((1,),) and type(trivial.rows[0][0]) is int
+    # a simple module's matrix is int zeros around the blocks of a stabilizer
+    # irrep; the irrep's own entries keep the field its elimination ran in
+    # (the chartable digest pins them), so its zeros may be cyclotomic
+    for name in extension_names():
+        ext = extension_by_name(name)
+        for s in simple_objects(action_via_hom(ext.H, ext.G, ext.incl.images)):
+            in_blocks = len(s.orbit) * s.stab_degree ** 2
+            for g in range(ext.G.order):
+                data = s.total_matrix(g).data
+                zeros = [x for x in data if not x]
+                assert sum(type(x) is int for x in zeros) >= len(data) - in_blocks, (name, g)
+                assert all(type(x) is int or isinstance(x, Cyclotomic) for x in zeros), (name, g)
+    # each pivot is inverted by scalars.reciprocal, so an int pivot 2 gives
+    # Fraction(1, 2), never the float 0.5
+    a = ExactMatrix.from_rows([[2, 1], [0, 4]])
+    inv = inverse(a)
+    assert inv == ExactMatrix.from_rows([[Fraction(1, 2), Fraction(-1, 8)], [0, Fraction(1, 4)]])
+    assert a @ inv == ExactMatrix.identity(2)
+    x = solve(a, ExactMatrix.from_rows([[1], [1]]))
+    assert x == ExactMatrix.from_rows([[Fraction(3, 8)], [Fraction(1, 4)]])
+    singular = mat_rank_det_kernel(ExactMatrix.from_rows([[2, 1], [4, 2]]))
+    assert (singular.rank, singular.det, singular.kernel_basis) == (1, 0, [[Fraction(-1, 2), 1]])
+    det = mat_rank_det_kernel(a).det
+    assert det == 8
+    for value in inv.data + x.data + singular.kernel_basis[0] + [singular.det, det]:
+        assert type(value) in (int, Fraction), value
 
 
 def test_kernel_over_prime_field():

@@ -233,6 +233,15 @@ def test_full_diagram_suite_for_z2_in_z4():
     assert report.counts["hexagon-one"] == 512
 
 
+def test_diagram_suite_takes_the_callers_sector_double():
+    ext = z2_in_z4()
+    sample = simples_of_double(ext)[:2]
+    given = check_equivariant_diagrams(ext, sample, sector_double(ext))
+    assert given.counts == check_equivariant_diagrams(ext, sample).counts and given.all_passed
+    with pytest.raises(UsageError, match="another extension"):
+        check_equivariant_diagrams(ext, sample, sector_double(a3_in_s3()))
+
+
 def test_negative_control_sign_flipped_braiding_breaks_a_hexagon():
     ext = a3_in_s3()
     simples = simples_of_double(ext)
