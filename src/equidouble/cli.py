@@ -22,6 +22,7 @@ from .dw import (
     circle_nerve,
     count_homs,
     presentation_by_name,
+    require_surface_budget,
     twisted_bundle_groupoid,
     twisted_cech_h1,
 )
@@ -140,7 +141,9 @@ def _require(value: Optional[str], flag: str) -> str:
 
 
 def _cmd_dw(config: RunConfig) -> tuple[dict, bool]:
-    pres = load_presentation(_require(config.presentation, "--presentation"))
+    ref = _require(config.presentation, "--presentation")
+    require_surface_budget(ref, config.budget_homs)
+    pres = load_presentation(ref)
     group = load_group(_require(config.group, "--group"))
     count = count_homs(pres, group, budget=config.budget_homs)
     invariant = Fraction(count, group.order)
@@ -283,6 +286,8 @@ def _cmd_verify_category(config: RunConfig) -> tuple[dict, bool]:
 
 def _cmd_verify_all(config: RunConfig) -> tuple[dict, bool]:
     ext = load_extension(_require(config.extension, "--extension"))
+    # first the S-matrix: past its order bound it raises before the long sections run
+    invertible = s_matrix(ext.H).is_invertible()
     sd = sector_double(ext)
     dh = double_algebra(ext.H)
     sector = verify_sector_double(sd, sampled=config.sampled)
@@ -294,7 +299,6 @@ def _cmd_verify_all(config: RunConfig) -> tuple[dict, bool]:
         "psi-identification": dict(psi_check(sd, rib, dh).checks),
         "category-diagrams": _category_payload(ext, config, sd),
     }
-    invertible = s_matrix(ext.H).is_invertible()
     sections["modularity"] = {"orbifold_modular": invertible, "j_modular_claim": invertible}
 
     def section_ok(payload: dict) -> bool:

@@ -124,87 +124,38 @@ def sector_double(ext: GroupExtension, name: str = "") -> SectorDouble:
         name=name or f"D({H.name or nh})^{J.name or J.order}",
     )
 
-    g_of = ext.g_of
-    s = ext.section
-    nj = J.order
+    # the weak action and the sector untwist are the extension's tables
+    # (GroupExtension has each identity); phi's H-part conjugates by s_j
+    js = range(J.order)
+    phi = tuple(tuple(idx(H.conj(ext.section[j], h), ext.rho[j][g]) for h in range(nh) for g in range(ng)) for j in js)
+    pairs = [(i, j) for i in js for j in js]
+    coherence = {(i, j): {idx(h, ext.c[i][j]): ONE for h in range(nh)} for i, j in pairs}
+    coherence_inv = {(i, j): {idx(h, G.inv[ext.c[i][j]]): ONE for h in range(nh)} for i, j in pairs}
 
-    phi_rows = []
-    for j in range(nj):
-        sj = s[j]
-        perm = [0] * dim
-        for h in range(nh):
-            hh = H.conj(sj, h)
-            for g in range(ng):
-                gg = g_of(H.conj(sj, incl[g]))
-                perm[idx(h, g)] = idx(hh, gg)
-        phi_rows.append(tuple(perm))
-    phi = tuple(phi_rows)
+    # on a left leg of grade a, R_{i,j} acts on the right leg by u[a]; the
+    # twist acts on a grade-h vector by u[h], so the element projects onto the
+    # image grade u[h] h u[h]^{-1}; the ribbon is its inverse
+    u = ext.untwist
+    fibers = [ext.fiber(j) for j in js]
+    r_sector = {(i, j): {(idx(a, 0), idx(b, u[a])): ONE for a in fibers[i] for b in fibers[j]} for i, j in pairs}
+    r_sector_inv = {
+        (i, j): {(idx(a, 0), idx(b, G.inv[u[a]])): ONE for a in fibers[i] for b in fibers[j]} for i, j in pairs
+    }
+    theta = {j: {idx(h, G.inv[u[h]]): ONE for h in fibers[j]} for j in js}
+    theta_inv = {j: {idx(H.conj(incl[u[h]], h), u[h]): ONE for h in fibers[j]} for j in js}
 
-    coherence: dict[tuple[int, int], SparseVec] = {}
-    coherence_inv: dict[tuple[int, int], SparseVec] = {}
-    for i in range(nj):
-        for j in range(nj):
-            gamma = H.mul(H.mul(s[i], s[j]), H.inv[s[J.table[i][j]]])
-            gam_g = g_of(gamma)
-            coherence[(i, j)] = {idx(h, gam_g): ONE for h in range(nh)}
-            coherence_inv[(i, j)] = {idx(h, G.inv[gam_g]): ONE for h in range(nh)}
-
-    fibers = [ext.fiber(j) for j in range(nj)]
-
-    r_sector: dict[tuple[int, int], SparseTen] = {}
-    r_sector_inv: dict[tuple[int, int], SparseTen] = {}
-    for i in range(nj):
-        s_i_inv = s[J.inv[i]]
-        for j in range(nj):
-            r: SparseTen = {}
-            rinv: SparseTen = {}
-            for h1 in fibers[i]:
-                g_fwd = g_of(H.mul(s_i_inv, h1))
-                g_bwd = g_of(H.mul(H.inv[h1], H.inv[s_i_inv]))
-                for h2 in fibers[j]:
-                    r[(idx(h1, 0), idx(h2, g_fwd))] = ONE
-                    rinv[(idx(h1, 0), idx(h2, g_bwd))] = ONE
-            r_sector[(i, j)] = r
-            r_sector_inv[(i, j)] = rinv
-
-    # the twist acts on a grade-h vector by s(j^{-1})h =: u, so the element
-    # projects onto the image grade u h u^{-1}; the ribbon is its inverse
-    theta: dict[int, SparseVec] = {}
-    theta_inv: dict[int, SparseVec] = {}
-    for j in range(nj):
-        s_j_inv = s[J.inv[j]]
-        tinv: SparseVec = {}
-        t: SparseVec = {}
-        for h in fibers[j]:
-            u = H.mul(s_j_inv, h)
-            t[idx(h, g_of(H.inv[u]))] = ONE
-            tinv[idx(H.conj(u, h), g_of(u))] = ONE
-        theta[j] = t
-        theta_inv[j] = tinv
-
-    sd = SectorDouble(
-        ext,
-        hopf,
-        phi,
-        coherence,
-        coherence_inv,
-        r_sector,
-        r_sector_inv,
-        theta,
-        theta_inv,
-    )
+    sd = SectorDouble(ext, hopf, phi, coherence, coherence_inv, r_sector, r_sector_inv, theta, theta_inv)
 
     # structural sanity: inverses really invert, sector-wise
-    units = [sd.sector_unit(j) for j in range(nj)]
-    for j in range(nj):
+    units = [sd.sector_unit(j) for j in js]
+    for j in js:
         if not inverts(hopf.mul_vec, theta[j], theta_inv[j], units[j]):
             raise NonInvertibleError(f"theta_{j} inverse")
-    for i in range(nj):
-        for j in range(nj):
-            if not inverts(hopf.ten_mul, r_sector[(i, j)], r_sector_inv[(i, j)], outer(units[i], units[j])):
-                raise NonInvertibleError(f"R_({i},{j}) inverse")
-            if not inverts(hopf.mul_vec, coherence[(i, j)], coherence_inv[(i, j)], unit):
-                raise NonInvertibleError(f"c_({i},{j}) inverse")
+    for i, j in pairs:
+        if not inverts(hopf.ten_mul, r_sector[(i, j)], r_sector_inv[(i, j)], outer(units[i], units[j])):
+            raise NonInvertibleError(f"R_({i},{j}) inverse")
+        if not inverts(hopf.mul_vec, coherence[(i, j)], coherence_inv[(i, j)], unit):
+            raise NonInvertibleError(f"c_({i},{j}) inverse")
     return sd
 
 

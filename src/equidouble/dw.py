@@ -461,13 +461,34 @@ def presentation_names() -> list[str]:
     return sorted(_NAMED_PRESENTATIONS) + ["Sigma_g"]
 
 
+def _surface_genus(name: str) -> int | None:
+    """g when the name is "Sigma_<g>", else None. Canonical ASCII decimals
+    only: "Sigma_01" and non-ASCII digits name nothing."""
+    suffix = name[len("Sigma_"):]
+    if name.startswith("Sigma_") and suffix.isascii() and suffix.isdigit() and suffix == str(int(suffix)):
+        return int(suffix)
+    return None
+
+
 def presentation_by_name(name: str) -> Presentation:
     """Builtin presentations; "Sigma_<g>" gives the genus-g surface group."""
     if name in _NAMED_PRESENTATIONS:
         return _NAMED_PRESENTATIONS[name]
-    if name.startswith("Sigma_"):
-        suffix = name[len("Sigma_"):]
-        # canonical ASCII decimals only: "Sigma_01" and non-ASCII digits name nothing
-        if suffix.isascii() and suffix.isdigit() and suffix == str(int(suffix)):
-            return surface_presentation(int(suffix))
-    raise UsageError(f"unknown presentation {name!r}")
+    genus = _surface_genus(name)
+    if genus is None:
+        raise UsageError(f"unknown presentation {name!r}")
+    return surface_presentation(genus)
+
+
+def require_surface_budget(name: str, budget: int) -> None:
+    """Raise a ResourceError where count_homs is bound to raise one on the
+    surface group "Sigma_<g>", whatever the group, before the relator's 4g
+    letters are built.
+
+    count_homs takes at least 2g - 1 steps for g >= 1, whatever the group:
+    the relator [a1,b1]...[ag,bg] splits into g blocks of two generators, so
+    for g >= 2 the fold takes g x |G|^2 block steps and (g - 1) x |G|^2 fold
+    steps, and for g = 1 the leaf search takes |G|^2 leaves; |G| >= 1."""
+    genus = _surface_genus(name)
+    if genus is not None and 2 * genus - 1 > budget:
+        raise ResourceError(f"{name} needs at least 2g - 1 = {2 * genus - 1} counting steps, over budget {budget}")

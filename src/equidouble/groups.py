@@ -240,7 +240,28 @@ class GroupHom:
 
 
 class GroupExtension:
-    """1 -> G -> H -> J -> 1 with a normalized set-theoretic section s: J -> H."""
+    """1 -> G -> H -> J -> 1 with a normalized set-theoretic section s: J -> H.
+
+    The extension carries its weak action, computed once from the section
+    and read back into G (the one place where g_of is applied to s):
+
+    - rho[j][g] = g_of(s_j incl(g) s_j^-1), the automorphisms rho_j;
+    - c[i][j] = g_of(s_i s_j s_ij^-1), the coherence elements;
+    - untwist[h] = g_of(s(proj(h)^-1) h), which the sector braiding and twist act by.
+
+    Every layer reads these tables (g_of(x^-1) = g_of(x)^-1 throughout):
+
+    - extension_to_weak_action is WeakAction(J, G, [GroupHom(G, G, r) for r in rho], c);
+    - sector_double: phi_j(delta_h (x) g) = delta_{s_j h s_j^-1} (x) rho[j][g], and c_{i,j} is c[i][j];
+    - sector_double: R_{i,j} acts at left grade h1 by untwist[h1] on the right leg, R^-1 by G.inv[untwist[h1]];
+    - sector_double: theta_j at grade h is keyed at G.inv[u], theta_j^-1 at (incl(u) h incl(u)^-1, u), u = untwist[h];
+    - modular.j_act(x) acts by rho[x^-1], braid and twist by untwist[grade];
+    - modular.compositor(i, j) acts by G.inv[c[j^-1][i^-1]];
+    - orbifold_ribbon's inverse braiding at a is G.inv[untwist[a]], as a^-1 s(j)^-1 = (s(j) a)^-1 with j = proj(a^-1).
+
+    The H-parts that conjugate grades (phi's and j_act's) and
+    orbifold.psi_permutation still read the section itself.
+    """
 
     def __init__(
         self,
@@ -276,6 +297,13 @@ class GroupExtension:
             if proj(self.section[j]) != j:
                 raise UsageError(f"section value s({j}) does not project to {j}")
         self._g_of_h = {incl(g): g for g in range(G.order)}
+        s, g_of = self.section, self.g_of
+        self.rho = tuple(tuple(g_of(H.conj(s[j], incl(g))) for g in range(G.order)) for j in range(J.order))
+        self.c = tuple(
+            tuple(g_of(H.mul(H.mul(s[i], s[j]), H.inv[s[J.mul(i, j)]])) for j in range(J.order))
+            for i in range(J.order)
+        )
+        self.untwist = tuple(g_of(H.mul(s[J.inv[proj(h)]], h)) for h in range(H.order))
 
     def g_of(self, h: int) -> int:
         """Preimage in G of an H-element lying in the kernel fiber."""
@@ -399,22 +427,9 @@ class WeakActionIso:
 
 
 def extension_to_weak_action(ext: GroupExtension) -> WeakAction:
-    """rho_j(g) = s(j) g s(j)^-1 and c_{i,j} = s(i)s(j)s(ij)^-1, read back into G."""
-    G, H, J = ext.G, ext.H, ext.J
-    s = ext.section
-    rho = []
-    for j in range(J.order):
-        images = [ext.g_of(H.conj(s[j], ext.incl(g))) for g in range(G.order)]
-        rho.append(GroupHom(G, G, images))
-    c = []
-    for i in range(J.order):
-        row = []
-        for j in range(J.order):
-            ij = J.table[i][j]
-            word = H.table[H.table[s[i]][s[j]]][H.inv[s[ij]]]
-            row.append(ext.g_of(word))
-        c.append(row)
-    return WeakAction(J, G, rho, c)
+    """The weak action the extension carries: rho_j(g) = s(j) g s(j)^-1 and
+    c_{i,j} = s(i)s(j)s(ij)^-1, read back into G."""
+    return WeakAction(ext.J, ext.G, [GroupHom(ext.G, ext.G, r) for r in ext.rho], ext.c)
 
 
 def weak_action_to_extension(wa: WeakAction) -> GroupExtension:

@@ -191,20 +191,19 @@ def fuse(v: GradedModule, w: GradedModule) -> GradedModule:
 
 def j_act(x: int, v: GradedModule) -> GradedModule:
     """Sector shift: grades conjugate by s(x^{-1})^{-1}, the G-action twists
-    by conjugation with s(x^{-1}). The shift of a fused module is the fusion
-    of its shifted factors, an identity on bases. Built once per sector and
-    kept by v."""
+    by the extension's rho_{x^{-1}}, conjugation with s(x^{-1}). The shift of
+    a fused module is the fusion of its shifted factors, an identity on
+    bases. Built once per sector and kept by v."""
     if x not in v._shifted:
         ext = v.ext
         H, J = ext.H, ext.J
-        s = ext.section[J.inv[x]]
-        s_inv = H.inv[s]
+        s_inv = H.inv[ext.section[J.inv[x]]]
         grades = tuple(H.conj(s_inv, h) for h in v.grades)
         name = f"{J.labels[x]}.({v.name})"
         if len(v.factors) > 1:
             shifted = GradedModule._fused(ext, tuple(j_act(x, f) for f in v.factors), grades, name)
         else:
-            mats = tuple(v.act(ext.g_of(H.conj(s, ext.incl(g)))) for g in range(ext.G.order))
+            mats = tuple(v.act(g) for g in ext.rho[J.inv[x]])
             shifted = GradedModule(ext, grades, mats, name=name)
         v._shifted[x] = shifted
     return v._shifted[x]
@@ -236,29 +235,24 @@ def _require_homogeneous(v: GradedModule, what: str) -> int:
 
 def braid(v: GradedModule, w: GradedModule) -> ModuleMap:
     """Braiding V (x) W -> (j.W) (x) V for V homogeneous of sector j:
-    v (x) w maps to (s(j^{-1})h).w (x) v on v of grade h."""
+    v (x) w maps to untwist[h].w (x) v on v of grade h, untwist[h] being
+    s(j^{-1})h in G."""
     j = _require_homogeneous(v, "braiding")
-    ext = v.ext
-    H = ext.H
-    s = ext.section[ext.J.inv[j]]
+    untwist = v.ext.untwist
     mat = ExactMatrix.zeros(w.dim * v.dim, v.dim * w.dim)
     for r in range(v.dim):
-        u = ext.g_of(H.mul(s, v.grades[r]))
-        for s_out, s_in, c in w.act(u).nonzeros():
+        for s_out, s_in, c in w.act(untwist[v.grades[r]]).nonzeros():
             mat[s_out * v.dim + r, r * w.dim + s_in] = c
     return ModuleMap(fuse(v, w), fuse(j_act(j, w), v), mat)
 
 
 def twist(v: GradedModule) -> ModuleMap:
     """Twist V -> j.V for V homogeneous of sector j: v of grade h maps to
-    (s(j^{-1})h).v."""
+    untwist[h].v, untwist[h] being s(j^{-1})h in G."""
     j = _require_homogeneous(v, "twist")
-    ext = v.ext
-    H = ext.H
-    s = ext.section[ext.J.inv[j]]
     target = j_act(j, v)
     mat = ExactMatrix.zeros(v.dim, v.dim)
-    acting = [ext.g_of(H.mul(s, h)) for h in v.grades]
+    acting = [v.ext.untwist[h] for h in v.grades]
     for u in sorted(set(acting)):
         for r, c, x in v.act(u).nonzeros():
             if acting[c] == u:
@@ -268,12 +262,10 @@ def twist(v: GradedModule) -> ModuleMap:
 
 def compositor(i: int, j: int, v: GradedModule) -> ModuleMap:
     """The canonical map i.(j.V) -> (ij).V, acting by the inverse of the
-    section defect s(j^{-1})s(i^{-1})s(j^{-1}i^{-1})^{-1}."""
+    coherence element c[j^{-1}][i^{-1}] = s(j^{-1})s(i^{-1})s(j^{-1}i^{-1})^{-1}."""
     ext = v.ext
-    H, J = ext.H, ext.J
-    i_inv, j_inv = J.inv[i], J.inv[j]
-    defect = H.mul(H.mul(ext.section[j_inv], ext.section[i_inv]), H.inv[ext.section[J.mul(j_inv, i_inv)]])
-    g = ext.g_of(H.inv[defect])
+    G, J = ext.G, ext.J
+    g = G.inv[ext.c[J.inv[j]][J.inv[i]]]
     source = j_act(i, j_act(j, v))
     target = j_act(J.mul(i, j), v)
     return ModuleMap(source, target, v.act(g))

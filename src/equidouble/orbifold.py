@@ -166,13 +166,13 @@ def orbifold_ribbon(sd: SectorDouble, ohat: Optional[TableHopf] = None) -> Ribbo
 
     # the inverse braiding of the big double, written in crossed-product
     # labels: (delta_a (x) 1) (x) (delta_b (x) g_of(a^{-1} s(j)^{-1}) (x) j)
-    # with j the grade of a^{-1}; certified below by direct multiplication
+    # with j the grade of a^{-1}; a^{-1} s(j)^{-1} = (s(j) a)^{-1}, so the
+    # G-part is the inverse of untwist[a]; certified below by multiplication
     H = ext.H
     rhat_inv: SparseTen = {}
     for a in range(H.order):
-        a_inv = H.inv[a]
-        j = ext.proj(a_inv)
-        g = ext.g_of(H.mul(a_inv, H.inv[ext.section[j]]))
+        j = ext.proj(H.inv[a])
+        g = ext.G.inv[ext.untwist[a]]
         left = sd.index(a, 0) * n_j + 0
         for b in range(H.order):
             right = sd.index(b, g) * n_j + j

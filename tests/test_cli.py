@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from equidouble import cli, doubles, modular, orbifold
+from equidouble import cli, doubles, dw, modular, orbifold
 from equidouble.catalogue import catalogue_list
 from equidouble.errors import UsageError
 from equidouble.scalars import Cyclotomic
@@ -115,6 +115,36 @@ def test_budget_exceeded_exits_with_resource_code(capsys):
     argv = ["dw", "--presentation", "Sigma_3", "--group", "S4", "--budget-homs", "2"]
     assert cli.main(argv) == 3
     capsys.readouterr()
+
+
+def test_huge_genus_exits_on_budget_before_the_relator_is_built(monkeypatch, capsys):
+    """Sigma_9999999 needs at least 2g - 1 = 19,999,997 steps on any group,
+    past the default budget: the run exits 3 without forming the 40-million
+    letter relator. At budget 2g - 1 the floor passes and the count's own
+    budget decides."""
+
+    def unbuilt(genus):
+        raise AssertionError(f"the relator of genus {genus} was built")
+
+    monkeypatch.setattr(dw, "surface_presentation", unbuilt)
+    assert cli.main(["dw", "--presentation", "Sigma_9999999", "--group", "Z2"]) == 3
+    assert "Sigma_9999999 needs at least 2g - 1 = 19999997 counting steps" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert cli.main(["dw", "--presentation", "Sigma_3", "--group", "S4", "--budget-homs", "5"]) == 3
+    assert "block convolution steps" in capsys.readouterr().err
+
+
+def test_verify_all_exits_on_the_s_matrix_bound_before_any_section(monkeypatch, tmp_path, capsys):
+    """|H| = 25 exceeds the S-matrix bound: verify-all exits 3 before it
+    builds the sector double."""
+    calls = []
+    monkeypatch.setattr(cli, "sector_double", lambda *args: calls.append(args))
+    path = tmp_path / "z5-z25.json"
+    z25 = {"order": 25, "table": [[(a + b) % 25 for b in range(25)] for a in range(25)]}
+    path.write_text(json.dumps({"h": z25, "kernel": [0, 5, 10, 15, 20]}))
+    assert cli.main(["verify-all", "--extension", str(path), "--sampled"]) == 3
+    assert "exceeds the S-matrix bound" in capsys.readouterr().err
+    assert calls == []
 
 
 @pytest.mark.parametrize("genus", [7200, 20000])

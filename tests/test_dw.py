@@ -210,6 +210,23 @@ def test_block_convolution_budget_counts_its_steps():
         surface_state_dim(3, s4, budget=10)
 
 
+@pytest.mark.parametrize("genus", [1, 2, 3, 4])
+def test_surface_budget_floor_is_the_count_over_the_trivial_group(genus):
+    """Over the trivial group Sigma_g costs exactly 2g - 1 steps, so the
+    floor that dw.require_surface_budget applies before building the relator
+    is the least cost over all groups: it raises exactly when count_homs does."""
+    z1, name = cyclic_group(1), f"Sigma_{genus}"
+    dw.require_surface_budget(name, 2 * genus - 1)
+    assert count_homs(surface_presentation(genus), z1, budget=2 * genus - 1) == 1
+    with pytest.raises(ResourceError, match=rf"{name} needs at least 2g - 1 = {2 * genus - 1} counting steps"):
+        dw.require_surface_budget(name, 2 * genus - 2)
+    with pytest.raises(ResourceError):
+        count_homs(surface_presentation(genus), z1, budget=2 * genus - 2)
+    # other names, the canonical-decimal rule included, are left to the lookup
+    for other in ("T2", "Sigma_01", "Sigma_x"):
+        dw.require_surface_budget(other, 1)
+
+
 def test_block_convolution_evaluates_each_block_once_per_assignment(monkeypatch):
     calls = []
     original = dw.evaluate_word
