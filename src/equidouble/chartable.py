@@ -81,7 +81,6 @@ class CharacterTable:
     conjugacy: ConjugacyData
     rows: tuple[tuple[Scalar, ...], ...]
     degrees: tuple[int, ...]
-    conductor: int
 
     def value(self, r: int, element: int) -> Scalar:
         return self.rows[r][self.conjugacy.class_of[element]]
@@ -108,7 +107,7 @@ def _character_table_uncached(g: FiniteGroup) -> CharacterTable:
     n = g.order
     e = g.exponent()
     if k == 1:
-        return CharacterTable(g, cd, ((ONE,),), (1,), 1)
+        return CharacterTable(g, cd, ((ONE,),), (1,))
 
     p = _find_dixon_prime(n, e)
     omega = _root_of_unity_fp(p, e)
@@ -246,7 +245,7 @@ def _character_table_uncached(g: FiniteGroup) -> CharacterTable:
     if not all(x == 1 for x in rows[0]):
         raise NonInvertibleError("first row is not the trivial character")
 
-    return CharacterTable(g, cd, tuple(rows), tuple(degrees), e)
+    return CharacterTable(g, cd, tuple(rows), tuple(degrees))
 
 
 # -- explicit matrices -------------------------------------------------------

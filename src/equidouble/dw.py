@@ -257,7 +257,10 @@ def surface_state_dim(genus: int, group: FiniteGroup, budget: int = DEFAULT_BUDG
     is Hom(pi_1, C_G(z)), counted by `_block_count` over the centraliser's
     elements. Conjugate elements have conjugate centralisers and so equal
     counts: the sum runs over classes. The budget bounds the steps of all
-    the counts together, and a sum that |G| does not divide raises."""
+    the counts together, and a sum that |G| does not divide raises. Each
+    class's count takes at least 2g - 1 steps, so that floor applies before
+    the relator is built."""
+    _require_surface_floor(genus, budget)
     blocks = [block for word in surface_presentation(genus).relations for block in _blocks(word)]
     conjugacy = group.conjugacy()
     steps = sum((_block_steps(blocks, len(cent), 0) for cent in conjugacy.centralizers), Counter())
@@ -463,11 +466,17 @@ def presentation_names() -> list[str]:
 
 def _surface_genus(name: str) -> int | None:
     """g when the name is "Sigma_<g>", else None. Canonical ASCII decimals
-    only: "Sigma_01" and non-ASCII digits name nothing."""
+    only, decided on the string: "Sigma_01" and non-ASCII digits name
+    nothing. A genus with more digits than the interpreter converts to an int
+    raises ResourceError."""
     suffix = name[len("Sigma_"):]
-    if name.startswith("Sigma_") and suffix.isascii() and suffix.isdigit() and suffix == str(int(suffix)):
+    canonical = suffix.isascii() and suffix.isdigit() and (suffix == "0" or not suffix.startswith("0"))
+    if not (name.startswith("Sigma_") and canonical):
+        return None
+    try:
         return int(suffix)
-    return None
+    except ValueError:
+        raise ResourceError(f"a genus of {len(suffix)} digits is past the interpreter's int conversion limit") from None
 
 
 def presentation_by_name(name: str) -> Presentation:
@@ -483,12 +492,17 @@ def presentation_by_name(name: str) -> Presentation:
 def require_surface_budget(name: str, budget: int) -> None:
     """Raise a ResourceError where count_homs is bound to raise one on the
     surface group "Sigma_<g>", whatever the group, before the relator's 4g
-    letters are built.
+    letters are built."""
+    genus = _surface_genus(name)
+    if genus is not None:
+        _require_surface_floor(genus, budget)
 
-    count_homs takes at least 2g - 1 steps for g >= 1, whatever the group:
+
+def _require_surface_floor(genus: int, budget: int) -> None:
+    """count_homs takes at least 2g - 1 steps for g >= 1, whatever the group:
     the relator [a1,b1]...[ag,bg] splits into g blocks of two generators, so
     for g >= 2 the fold takes g x |G|^2 block steps and (g - 1) x |G|^2 fold
     steps, and for g = 1 the leaf search takes |G|^2 leaves; |G| >= 1."""
-    genus = _surface_genus(name)
-    if genus is not None and 2 * genus - 1 > budget:
-        raise ResourceError(f"{name} needs at least 2g - 1 = {2 * genus - 1} counting steps, over budget {budget}")
+    steps = 2 * genus - 1
+    if steps > budget:
+        raise ResourceError(f"Sigma_{genus} needs at least 2g - 1 = {steps} counting steps, over budget {budget}")

@@ -143,7 +143,6 @@ class GroupoidSimple:
     ):
         self.action = action
         self.orbit = orbit
-        self.base_point = orbit[0]
         self.stab_group = stab_group
         self.stab_embed = stab_embed
         self._stab_index = {e: i for i, e in enumerate(stab_embed)}

@@ -81,14 +81,6 @@ class FiniteGroup:
         """a b a^-1."""
         return self.table[self.table[a][b]][self.inv[a]]
 
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv[a], -k)
-        r = 0
-        for _ in range(k):
-            r = self.table[r][a]
-        return r
-
     def element_order(self, a: int) -> int:
         r, k = a, 1
         while r != 0:

@@ -90,7 +90,6 @@ class TableHopf:
     def __init__(
         self,
         dim: int,
-        labels: Sequence[str],
         unit: SparseVec,
         mul_table: dict[tuple[int, int], SparseVec],
         comul_table: dict[int, SparseTen],
@@ -98,13 +97,9 @@ class TableHopf:
         antipode_table: dict[int, SparseVec],
         name: str = "",
     ):
-        if len(labels) != dim or len(counit_table) != dim:
-            raise UsageError(
-                f"a Hopf table of dimension {dim} needs {dim} labels and counit values, "
-                f"got {len(labels)} and {len(counit_table)}"
-            )
+        if len(counit_table) != dim:
+            raise UsageError(f"a Hopf table of dimension {dim} needs {dim} counit values, got {len(counit_table)}")
         self.dim = dim
-        self.labels = tuple(labels)
         self.unit = clean(unit)
         self._mul = {k: clean(v) for k, v in mul_table.items()}
         self._comul = {i: clean(t) for i, t in comul_table.items()}

@@ -15,6 +15,11 @@ have the same factors, j.(V (x) W) is (j.V) (x) (j.W), and duals of shifted
 modules are shifted duals. So diagrams are compared as plain matrix
 composites, and the S-matrix and the diagram suite take their braidings from
 the one function braid.
+
+Checking happens once, at GradedModule(...), where the simples' and callers'
+matrices come in. Fusions, shifts and duals are built unchecked, and each
+builder's docstring proves that the block condition carries over. Maps are
+judged by the diagrams of check_equivariant_diagrams, which name the modules.
 """
 
 from __future__ import annotations
@@ -66,10 +71,12 @@ class GradedModule:
         self._shifted: dict[int, GradedModule] = {}
 
     @classmethod
-    def _fused(cls, ext: GroupExtension, factors: tuple, grades: tuple[int, ...], name: str) -> "GradedModule":
-        """The fusion of the factors, with no action matrix formed yet."""
+    def _derived(cls, ext: GroupExtension, grades: tuple, name: str, factors: tuple = (), acts: Sequence = ()):
+        """A module whose builder proves the block condition, so none is
+        checked: the fusion of the factors, with no action matrix formed yet,
+        or else the module given by the action matrices."""
         mod = cls.__new__(cls)
-        mod._attach(ext, grades, name, factors, [None] * ext.G.order)
+        mod._attach(ext, grades, name, factors or (mod,), list(acts) or [None] * ext.G.order)
         return mod
 
     def act(self, g: int) -> ExactMatrix:
@@ -123,15 +130,14 @@ def unit_module(ext: GroupExtension) -> GradedModule:
 
 
 class ModuleMap:
-    """A grading-preserving linear map between graded modules."""
+    """A linear map between graded modules; only its shape and extension are
+    checked here, the rest by the diagrams that compare it."""
 
     def __init__(self, source: GradedModule, target: GradedModule, matrix: ExactMatrix):
         if source.ext is not target.ext:
             raise UsageError("module map requires a common extension")
         if matrix.rows != target.dim or matrix.cols != source.dim:
             raise UsageError("module map matrix has wrong shape")
-        if any(target.grades[r] != source.grades[c] for r, c, _ in matrix.nonzeros()):
-            raise UsageError("module map does not preserve the grading")
         self.source = source
         self.target = target
         self.matrix = matrix
@@ -186,14 +192,15 @@ def fuse(v: GradedModule, w: GradedModule) -> GradedModule:
         raise UsageError("fusion requires a common extension")
     H = v.ext.H
     grades = tuple(H.mul(a, b) for a in v.grades for b in w.grades)
-    return GradedModule._fused(v.ext, v.factors + w.factors, grades, f"({v.name})*({w.name})")
+    return GradedModule._derived(v.ext, grades, f"({v.name})*({w.name})", factors=v.factors + w.factors)
 
 
 def j_act(x: int, v: GradedModule) -> GradedModule:
-    """Sector shift: grades conjugate by s(x^{-1})^{-1}, the G-action twists
-    by the extension's rho_{x^{-1}}, conjugation with s(x^{-1}). The shift of
-    a fused module is the fusion of its shifted factors, an identity on
-    bases. Built once per sector and kept by v."""
+    """Sector shift: with y = x^{-1}, grades conjugate by s_y^{-1} and g acts
+    as rho_y(g) acts on v. The shift of a fused module is the fusion of its
+    shifted factors, an identity on bases. Built once per sector, kept by v.
+    No block condition is checked: incl(rho_y(g)) = s_y incl(g) s_y^{-1}, so
+    the grades s_y^{-1} h s_y satisfy the condition at g."""
     if x not in v._shifted:
         ext = v.ext
         H, J = ext.H, ext.J
@@ -201,10 +208,9 @@ def j_act(x: int, v: GradedModule) -> GradedModule:
         grades = tuple(H.conj(s_inv, h) for h in v.grades)
         name = f"{J.labels[x]}.({v.name})"
         if len(v.factors) > 1:
-            shifted = GradedModule._fused(ext, tuple(j_act(x, f) for f in v.factors), grades, name)
+            shifted = GradedModule._derived(ext, grades, name, factors=tuple(j_act(x, f) for f in v.factors))
         else:
-            mats = tuple(v.act(g) for g in ext.rho[J.inv[x]])
-            shifted = GradedModule(ext, grades, mats, name=name)
+            shifted = GradedModule._derived(ext, grades, name, acts=[v.act(g) for g in ext.rho[J.inv[x]]])
         v._shifted[x] = shifted
     return v._shifted[x]
 
@@ -215,11 +221,13 @@ def j_act_map(x: int, f: ModuleMap) -> ModuleMap:
 
 
 def dual_module(v: GradedModule) -> GradedModule:
-    """Dual space: grades invert, G acts by inverse transpose."""
+    """Dual space: grades invert, G acts by inverse transpose. No block
+    condition is checked: an entry (r, c) of v.act(g^{-1})^T is nonzero only
+    if grade_c = g^{-1} grade_r g, so grade_r^{-1} = g grade_c^{-1} g^{-1}."""
     ext = v.ext
     grades = tuple(ext.H.inv[h] for h in v.grades)
-    mats = tuple(v.act(ext.G.inv[g]).transpose() for g in range(ext.G.order))
-    return GradedModule(ext, grades, mats, name=f"({v.name})^")
+    mats = [v.act(ext.G.inv[g]).transpose() for g in range(ext.G.order)]
+    return GradedModule._derived(ext, grades, f"({v.name})^", acts=mats)
 
 
 def dual_map(f: ModuleMap) -> ModuleMap:

@@ -63,8 +63,6 @@ def orbifold_algebra(sd: SectorDouble) -> TableHopf:
     def idx(a: int, j: int) -> int:
         return a * n_j + j
 
-    labels = [f"{A.labels[a]}|{J.labels[j]}" for a in range(n_a) for j in range(n_j)]
-
     mul_table: dict[tuple[int, int], SparseVec] = {}
     for i in range(n_j):
         phi_i = sd.phi[i]
@@ -92,7 +90,7 @@ def orbifold_algebra(sd: SectorDouble) -> TableHopf:
 
     unit = _shift(A.unit, 0, n_j)
     name = f"Orb({sd.hopf.name})" if sd.hopf.name else "Orb"
-    return TableHopf(dim, labels, unit, mul_table, comul_table, counit_table, antipode_table, name=name)
+    return TableHopf(dim, unit, mul_table, comul_table, counit_table, antipode_table, name=name)
 
 
 def _permute(vec: SparseVec, perm: Sequence[int]) -> SparseVec:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -225,6 +226,29 @@ def test_surface_budget_floor_is_the_count_over_the_trivial_group(genus):
     # other names, the canonical-decimal rule included, are left to the lookup
     for other in ("T2", "Sigma_01", "Sigma_x"):
         dw.require_surface_budget(other, 1)
+
+
+def test_surface_state_dim_applies_the_floor_before_building_the_relator(monkeypatch):
+    def unbuilt(genus):
+        raise AssertionError(f"the relator of genus {genus} was built")
+
+    monkeypatch.setattr(dw, "surface_presentation", unbuilt)
+    with pytest.raises(ResourceError, match=r"Sigma_1000000 needs at least 2g - 1 = 1999999 counting steps"):
+        surface_state_dim(10**6, cyclic_group(1), budget=1)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="the interpreter converts ints of any length")
+def test_a_genus_past_the_int_conversion_limit_is_a_package_error():
+    """Outside the CLI the interpreter's int-digit limit holds; the canonical
+    form is decided on the string, so Sigma_01 is still no name."""
+    with pytest.raises(ResourceError, match="5000 digits"):
+        presentation_by_name("Sigma_" + "9" * 5000)
+    with pytest.raises(ResourceError, match="5000 digits"):
+        dw.require_surface_budget("Sigma_" + "9" * 5000, DEFAULT_BUDGET)
+    for name in ("Sigma_01", "Sigma_00", "Sigma_"):
+        with pytest.raises(UsageError, match="unknown presentation"):
+            presentation_by_name(name)
+    assert presentation_by_name("Sigma_0") == surface_presentation(0)
 
 
 def test_block_convolution_evaluates_each_block_once_per_assignment(monkeypatch):

@@ -10,6 +10,7 @@ from equidouble.doubles import sector_double
 from equidouble.errors import ResourceError, UsageError
 from equidouble.groups import (
     cyclic_group,
+    dihedral_group,
     extension_from_subgroup,
     symmetric_group,
 )
@@ -56,6 +57,13 @@ def z2_in_z4():
     return extension_from_subgroup(cyclic_group(4), [0, 2], name="Z2-Z4")
 
 
+def z2_in_d6():
+    """The centre of the dihedral group of order 12, J = S3."""
+    d6 = dihedral_group(6)
+    centre = [z for z in range(d6.order) if len(d6.centralizer(z)) == d6.order]
+    return extension_from_subgroup(d6, centre, name="Z2-D6")
+
+
 def test_simples_of_trivially_extended_s3_match_the_known_double():
     ext = trivial_extension(symmetric_group(3))
     simples = simples_of_double(ext)
@@ -99,9 +107,20 @@ def eager_fuse(x, y):
 
 
 def test_fused_actions_are_the_nested_kronecker_products_of_the_factors():
-    """fuse checks no block condition; on pairs and triples of simples and
-    their shifts, in both bracketings, its grades and actions must equal the
-    eager fusion's, and the validating constructor must accept them."""
+    """fuse, j_act and dual_module check no block condition; on pairs and
+    triples of simples and their shifts, in both bracketings, fuse's grades
+    and actions must equal the eager fusion's, and the validating constructor
+    must accept them, as it must accept every shift and dual of a simple, and
+    every shift of a fused pair, on A3-S3, Z2-Z4 and Z2-D6."""
+    for ext in (a3_in_s3(), z2_in_z4(), z2_in_d6()):
+        simples = simples_of_double(ext)
+        pairs = [fuse(simples[0], simples[-1]), fuse(simples[-1], simples[len(simples) // 2])]
+        for x in range(ext.J.order):
+            for v in simples + pairs:
+                shifted = j_act(x, v)
+                derived = [shifted] if len(v.factors) > 1 else [shifted, dual_module(v), dual_module(shifted)]
+                for m in derived:
+                    assert GradedModule(ext, m.grades, m.matrices) == m
     ext = a3_in_s3()
     base = simples_of_double(ext)[2:5]
     mods = base + [j_act(1, v) for v in base]
@@ -347,6 +366,87 @@ def test_negative_control_sign_flipped_action_entry_fails_two_diagrams():
             ("twist-product", ("bad", last)),
             ("twist-product", (last, "bad")),
         ]
+
+
+def first_failures(report):
+    first = {}
+    for diagram, labels in report.failures:
+        first.setdefault(diagram, labels)
+    return first
+
+
+def test_negative_control_untwist_corrupted_after_the_sector_double_fails_diagrams():
+    """untwist[1] times element 1 of G = A3 moves the braiding and the twist
+    of the three-dimensional simple off the grading. The module maps accept
+    them, and the suite names each failing diagram instead of raising."""
+    ext = a3_in_s3()
+    sd = sector_double(ext)
+    untwist = list(ext.untwist)
+    untwist[1] = ext.G.mul(1, untwist[1])
+    ext.untwist = tuple(untwist)
+    report = check_equivariant_diagrams(ext, None, sd)
+    assert len(report.failures) == 124
+    assert first_failures(report) == {
+        "hexagon-two": ("[1]x0", "[1]x0", "[0]x1"),
+        "action-braiding": ("021", "[1]x0", "[0]x1"),
+        "twist-product": ("[0]x1", "[1]x0"),
+        "braid-equals-r-action": ("[1]x0", "[0]x1"),
+        "twist-action": ("021", "[1]x0"),
+        "twist-duality": ("[1]x0",),
+    }
+
+
+def test_negative_control_inverted_rho_fails_diagrams():
+    """rho[1] composed with inversion breaks the block condition of every
+    shift of a module on which G = A3 acts nontrivially; j_act builds them
+    unchecked and the diagrams that read them fail."""
+    ext = a3_in_s3()
+    sd = sector_double(ext)
+    ext.rho = (ext.rho[0], tuple(ext.G.inv[g] for g in ext.rho[1]))
+    report = check_equivariant_diagrams(ext, None, sd)
+    assert len(report.failures) == 117
+    assert first_failures(report) == {
+        "hexagon-two": ("[1]x0", "[1]x0", "[0]x1"),
+        "action-braiding": ("021", "[1]x0", "[0]x1"),
+        "twist-product": ("[1]x0", "[1]x0"),
+        "twist-action": ("021", "[1]x0"),
+        "twist-duality": ("[1]x0",),
+    }
+
+
+def preserves_grading(f):
+    return all(f.target.grades[r] == f.source.grades[c] for r, c, _ in f.matrix.nonzeros())
+
+
+@pytest.mark.parametrize("build", [a3_in_s3, z2_in_z4, z2_in_d6])
+def test_built_maps_preserve_the_grading(build):
+    """ModuleMap no longer checks the grading; every builder must keep it."""
+    ext = build()
+    sd = sector_double(ext)
+    simples = simples_of_double(ext)
+    sample = [simples[0], simples[len(simples) // 2], simples[-1]]
+    n_j = ext.J.order
+    maps = []
+    for u in sample:
+        maps += [identity_map(u), twist(u), dual_map(twist(u))]
+        maps += [j_act_map(x, twist(u)) for x in range(n_j)]
+        maps += [compositor(x, y, u) for x in range(n_j) for y in range(n_j)]
+        for v in sample:
+            b = braid(u, v)
+            maps += [b, r_action_map(sd, u, v), tensor_map(b, twist(u)), b.then(twist(b.target))]
+    assert all(preserves_grading(f) for f in maps)
+
+
+def test_only_the_simples_pass_the_checked_constructor(monkeypatch):
+    """Fusions, shifts and duals are built unchecked: the diagram suite runs
+    GradedModule.__init__ once per simple and never again."""
+    ext = z2_in_z4()
+    n_simples = len(simples_of_double(ext))
+    calls = []
+    init = GradedModule.__init__
+    monkeypatch.setattr(GradedModule, "__init__", lambda self, *args, **kw: calls.append(1) or init(self, *args, **kw))
+    assert check_equivariant_diagrams(ext).all_passed
+    assert len(calls) == n_simples
 
 
 def test_s_matrices_of_small_doubles_are_invertible():

@@ -354,6 +354,22 @@ def test_sector_axiom_suite_detects_single_entry_corruptions():
     assert failed_check in hopf_checks(sd.hopf)
 
 
+def test_untwist_corrupted_before_the_sector_double_fails_named_checks():
+    """sector_double certifies no inverse: with untwist[1] times element 1 of
+    G = A3 it builds a theta_1^{-1} that does not invert theta_1, and the
+    suite names the checks that decide it."""
+    ext = a3_in_s3()
+    untwist = list(ext.untwist)
+    untwist[1] = ext.G.mul(1, untwist[1])
+    ext.untwist = tuple(untwist)
+    report = verify_sector_double(sector_double(ext))
+    assert report.failing() == ["twist-sectors", "orbifold-quasitriangular", "orbifold-ribbon"]
+    assert report.witnesses["twist-sectors"] == (1,)
+    for name in ("orbifold-quasitriangular", "orbifold-ribbon"):
+        (message,) = report.witnesses[name]
+        assert "does not invert the assembled twist" in message
+
+
 def test_redirected_product_in_the_z2_q8_crossed_product_is_witnessed():
     """A corruption that keeps the table monomial runs on the integer scans;
     each witness is the first failing tuple of the sparse predicate loop."""

@@ -3,6 +3,8 @@ where it is derived, sector groups that are not abelian, and corruptions of
 each table that the suites must catch."""
 
 import ast
+import copy
+import dataclasses
 import pathlib
 
 import pytest
@@ -10,9 +12,16 @@ import pytest
 import equidouble
 from equidouble.catalogue import extension_by_name, extension_names
 from equidouble.doubles import double_algebra, sector_double
-from equidouble.groups import dihedral_group, extension_from_subgroup, extension_to_weak_action, symmetric_group
+from equidouble.groups import (
+    FiniteGroup,
+    dihedral_group,
+    extension_from_subgroup,
+    extension_to_weak_action,
+    symmetric_group,
+)
+from equidouble.hopf import verify_hopf, verify_quasitriangular, verify_ribbon
 from equidouble.modular import check_equivariant_diagrams, simples_of_double
-from equidouble.orbifold import psi_check, verify_sector_double
+from equidouble.orbifold import orbifold_algebra, orbifold_ribbon, psi_check, verify_sector_double
 
 
 def z1_in_s3():
@@ -123,3 +132,25 @@ def test_swapped_automorphisms_fail_phi_hopf_map():
     ext.rho = (ext.rho[0], ext.rho[2], ext.rho[1])
     sector = verify_sector_double(sector_double(ext))
     assert sector.witnesses["phi-hopf-map"] == (1, 5)
+
+
+@pytest.mark.parametrize(
+    "build, associativity",
+    [(z1_in_s3, (7, 8, 12)), (z2_in_d6, (1, 2, 2))],
+)
+def test_crossed_product_over_the_opposite_sector_group_fails_named_checks(build, associativity):
+    """The crossed product built over J^op, J with its table transposed, is
+    orbifold_algebra with ij swapped for ji: a wrong order of composition,
+    which only a nonabelian J shows."""
+    ext = build()
+    sd = sector_double(ext)
+    opposite = copy.copy(ext)
+    opposite.J = FiniteGroup(transposed(ext.J.table))
+    ohat = orbifold_algebra(dataclasses.replace(sd, ext=opposite))
+    hopf = verify_hopf(ohat)
+    assert hopf.failing() == ["associativity"] and hopf.witnesses["associativity"] == associativity
+    rib = orbifold_ribbon(sd, ohat)
+    assert verify_quasitriangular(rib).failing() == ["r_intertwines_coproducts", "hexagon_coproduct_left"]
+    assert verify_ribbon(rib).failing() == ["ribbon_central", "ribbon_coproduct"]
+    psi = psi_check(sd, rib, double_algebra(ext.H))
+    assert psi.failing() == ["product"] and psi.witnesses["product"] == (1, 2)
