@@ -12,39 +12,23 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
+# Only what every subcommand needs is imported here; each handler imports the
+# layers it runs, so a run compiles and loads no module it does not use.
 from .catalogue import catalogue_list, load_extension, load_group, load_presentation
-from .doubles import double_algebra, sector_double
-from .dw import (
-    DEFAULT_BUDGET,
-    TwistHom,
-    circle_nerve,
-    count_homs,
-    presentation_by_name,
-    require_surface_budget,
-    twisted_bundle_groupoid,
-    twisted_cech_h1,
-)
+from .dw import DEFAULT_BUDGET
 from .errors import EquidoubleError, NonInvertibleError, ResourceError, UsageError
-from .groupoids import groupoid_cardinality
-from .groups import extension_to_weak_action
-from .hopf import VerifyReport, verify_all_axioms
-from .modular import (
-    check_equivariant_diagrams,
-    s_matrix,
-    s_matrix_character_formula,
-    simples_of_double,
-    trivial_extension,
-)
-from .orbifold import orbifold_algebra, orbifold_ribbon, psi_check, verify_sector_double
 from .scalars import Cyclotomic, Scalar
 
-# Imported after the package modules: the package root imports nothing, so
-# these lines set the load order, and argparse and json loaded first would be
-# live while the largest modules compile, raising peak memory by about 0.4 MiB.
+# Imported after the package modules above, which compile groups.py, one of
+# the largest: argparse and json loaded first would be live while it compiles,
+# raising the peak memory of a `dw` run by about 0.3 MiB.
 import argparse
 import json
+
+if TYPE_CHECKING:
+    from .hopf import VerifyReport
 
 SCHEMA = 1
 
@@ -141,6 +125,8 @@ def _require(value: Optional[str], flag: str) -> str:
 
 
 def _cmd_dw(config: RunConfig) -> tuple[dict, bool]:
+    from .dw import count_homs, require_surface_budget
+
     ref = _require(config.presentation, "--presentation")
     require_surface_budget(ref, config.budget_homs)
     pres = load_presentation(ref)
@@ -163,6 +149,9 @@ def _suite_fields(rep: VerifyReport) -> dict:
 
 
 def _cmd_double(config: RunConfig) -> tuple[dict, bool]:
+    from .doubles import double_algebra
+    from .hopf import verify_all_axioms
+
     group = load_group(_require(config.group, "--group"))
     d = double_algebra(group)
     rep = verify_all_axioms(d.ribbon_data(), sampled=config.sampled)
@@ -171,6 +160,9 @@ def _cmd_double(config: RunConfig) -> tuple[dict, bool]:
 
 
 def _cmd_jdouble(config: RunConfig) -> tuple[dict, bool]:
+    from .doubles import sector_double
+    from .orbifold import verify_sector_double
+
     ext = load_extension(_require(config.extension, "--extension"))
     sd = sector_double(ext)
     rep = verify_sector_double(sd, sampled=config.sampled)
@@ -185,6 +177,10 @@ def _cmd_jdouble(config: RunConfig) -> tuple[dict, bool]:
 
 
 def _cmd_orbifold(config: RunConfig) -> tuple[dict, bool]:
+    from .doubles import double_algebra, sector_double
+    from .hopf import verify_all_axioms
+    from .orbifold import orbifold_algebra, orbifold_ribbon, psi_check
+
     ext = load_extension(_require(config.extension, "--extension"))
     sd = sector_double(ext)
     ohat = orbifold_algebra(sd)
@@ -199,6 +195,8 @@ def _cmd_orbifold(config: RunConfig) -> tuple[dict, bool]:
 
 
 def _cmd_smatrix(config: RunConfig) -> tuple[dict, bool]:
+    from .modular import s_matrix, s_matrix_character_formula
+
     group = load_group(_require(config.group, "--group"))
     traced = s_matrix(group)
     counted = s_matrix_character_formula(group)
@@ -229,6 +227,8 @@ def _cmd_smatrix(config: RunConfig) -> tuple[dict, bool]:
 
 
 def _cmd_simples(config: RunConfig) -> tuple[dict, bool]:
+    from .modular import simples_of_double, trivial_extension
+
     if (config.extension is None) == (config.group is None):
         raise UsageError("need exactly one of --extension and --group")
     if config.extension is not None:
@@ -262,6 +262,8 @@ def _category_payload(ext, config: RunConfig, sd=None) -> dict:
     """Diagram suite on the simples within --budget-dim; --sampled keeps the
     first, middle and last of them. sd is the extension's sector double, when
     the caller has built it."""
+    from .modular import check_equivariant_diagrams, simples_of_double
+
     simples = simples_of_double(ext)
     if config.budget_dim is not None:
         simples = [v for v in simples if v.dim <= config.budget_dim]
@@ -285,6 +287,11 @@ def _cmd_verify_category(config: RunConfig) -> tuple[dict, bool]:
 
 
 def _cmd_verify_all(config: RunConfig) -> tuple[dict, bool]:
+    from .doubles import double_algebra, sector_double
+    from .hopf import verify_all_axioms
+    from .modular import s_matrix
+    from .orbifold import orbifold_ribbon, psi_check, verify_sector_double
+
     ext = load_extension(_require(config.extension, "--extension"))
     # first the S-matrix: past its order bound it raises before the long sections run
     invertible = s_matrix(ext.H).is_invertible()
@@ -320,6 +327,8 @@ def _cmd_verify_all(config: RunConfig) -> tuple[dict, bool]:
 def _circle_sectors(config: RunConfig):
     """The extension and the twisted-bundle groupoid of the circle at the
     requested monodromy j (the sector groupoid H_j//G), with its points."""
+    from .dw import TwistHom, presentation_by_name, twisted_bundle_groupoid
+
     ext = load_extension(_require(config.extension, "--extension"))
     if not 0 <= config.monodromy < ext.J.order:
         raise UsageError(f"monodromy must be a sector index in 0..{ext.J.order - 1}")
@@ -329,6 +338,9 @@ def _circle_sectors(config: RunConfig):
 
 
 def _cmd_cech(config: RunConfig) -> tuple[dict, bool]:
+    from .dw import circle_nerve, twisted_cech_h1
+    from .groups import extension_to_weak_action
+
     ext, action, _points = _circle_sectors(config)
     wa = extension_to_weak_action(ext)
     nerve = circle_nerve(ext.J, config.monodromy)
@@ -348,6 +360,8 @@ def _cmd_cech(config: RunConfig) -> tuple[dict, bool]:
 
 
 def _cmd_sectors(config: RunConfig) -> tuple[dict, bool]:
+    from .groups import groupoid_cardinality
+
     _ext, action, points = _circle_sectors(config)
     orbits = action.orbits()
     entries = []

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UsageError
-from .groups import FiniteGroup, GroupExtension, extension_from_subgroup
-from .groupoids import GroupAction, action_via_hom
+from .groups import FiniteGroup, GroupAction, GroupExtension, action_via_hom, extension_from_subgroup
 from .hopf import RibbonData, SparseTen, SparseVec, TableHopf
 from .scalars import ONE, ZERO
 

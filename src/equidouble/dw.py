@@ -21,8 +21,7 @@ from functools import partial, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import NonInvertibleError, ResourceError, UsageError
-from .groupoids import GroupAction
-from .groups import FiniteGroup, GroupExtension, WeakAction
+from .groups import FiniteGroup, GroupAction, GroupExtension, WeakAction
 
 DEFAULT_BUDGET = 1_000_000
 

@@ -1,4 +1,5 @@
-"""Finite groups by multiplication table, extensions 1->G->H->J->1, weak actions.
+"""Finite groups by multiplication table, their actions on finite sets,
+extensions 1->G->H->J->1, weak actions.
 
 Elements are indices 0..order-1 with identity at index 0. The weak-action /
 extension round trip realizes the classification of extensions by
@@ -8,11 +9,13 @@ automorphisms-up-to-inner with coherence elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from itertools import product as iproduct
 from typing import Optional, Sequence
 
 from .errors import NonInvertibleError, UsageError
+from .scalars import ZERO
 
 
 def _is_index(x: object, n: int) -> bool:
@@ -468,6 +471,91 @@ def weak_actions_isomorphic(wa1: WeakAction, wa2: WeakAction) -> Optional[WeakAc
         if witness.verify(wa1, wa2):
             return witness
     return None
+
+
+# -- actions on finite sets -----------------------------------------------
+
+
+class GroupAction:
+    """Left action of a finite group on points {0..num_points-1}."""
+
+    def __init__(self, group: FiniteGroup, num_points: int, act: Sequence[Sequence[int]]):
+        self.group = group
+        self.num_points = num_points
+        self.act = tuple(tuple(row) for row in act)
+        if len(self.act) != group.order:
+            raise UsageError("action table must have one row per group element")
+        for g in range(group.order):
+            row = self.act[g]
+            if len(row) != num_points or sorted(row) != list(range(num_points)):
+                raise UsageError(f"action row {g} is not a permutation of the points")
+        for m in range(num_points):
+            if self.act[0][m] != m:
+                raise UsageError("identity must act trivially")
+        for g in range(group.order):
+            for h in range(group.order):
+                gh = group.mul(g, h)
+                for m in range(num_points):
+                    if self.act[g][self.act[h][m]] != self.act[gh][m]:
+                        raise UsageError(f"action not compatible at (g,h,m)=({g},{h},{m})")
+
+    def apply(self, g: int, m: int) -> int:
+        return self.act[g][m]
+
+    def orbits(self) -> list[tuple[int, ...]]:
+        seen = [False] * self.num_points
+        out = []
+        for m in range(self.num_points):
+            if seen[m]:
+                continue
+            orb = sorted({self.act[g][m] for g in range(self.group.order)})
+            for x in orb:
+                seen[x] = True
+            out.append(tuple(orb))
+        return out
+
+    def stabilizer(self, m: int) -> tuple[int, ...]:
+        return tuple(g for g in range(self.group.order) if self.act[g][m] == m)
+
+    def transversal(self, orbit: Sequence[int]) -> dict[int, int]:
+        """For each point of the orbit, the smallest group element moving the
+        orbit representative (its smallest point) there."""
+        rep = min(orbit)
+        out = {}
+        for m in orbit:
+            out[m] = next(g for g in range(self.group.order) if self.act[g][rep] == m)
+        return out
+
+    def __repr__(self) -> str:
+        return f"GroupAction({self.num_points} points, |G|={self.group.order})"
+
+
+def trivial_action(group: FiniteGroup, num_points: int = 1) -> GroupAction:
+    return GroupAction(group, num_points, [list(range(num_points))] * group.order)
+
+
+def conjugation_action(group: FiniteGroup) -> GroupAction:
+    return action_via_hom(group, group, range(group.order))
+
+
+def action_via_hom(
+    points_group: FiniteGroup, acting: FiniteGroup, images: Sequence[int]
+) -> GroupAction:
+    """acting acts on the elements of points_group by conjugation through the
+    given homomorphism images (acting element g conjugates by images[g])."""
+    act = [
+        [points_group.conj(images[g], m) for m in range(points_group.order)]
+        for g in range(acting.order)
+    ]
+    return GroupAction(acting, points_group.order, act)
+
+
+def groupoid_cardinality(action: GroupAction) -> Fraction:
+    """Sum of 1/|stabilizer| over orbit representatives; equals |M|/|G|."""
+    total = sum((Fraction(1, len(action.stabilizer(orb[0]))) for orb in action.orbits()), ZERO)
+    if total != Fraction(action.num_points, action.group.order):
+        raise NonInvertibleError(f"groupoid cardinality {total} != |M|/|G|")
+    return total
 
 
 # -- standard constructions -----------------------------------------------

@@ -15,13 +15,17 @@ a check with no more basis tuples than samples runs on every tuple.
 
 Most tables here are monomial: every product of basis elements is a basis
 element or zero, and every coproduct of one a sum of distinct basis pairs,
-all with coefficient exactly 1. `verify_hopf` reads such a table into
-integer rows (`monomial_view`) when it runs, in either mode, and decides
-associativity and comultiplication_multiplicative by integer predicates on
-them, which hold on exactly the tuples the sparse predicates hold on; a
-full associativity check is one row-wise scan. Any other table, such as one
-with a rational coefficient or a stored zero, runs the sparse predicates,
-which remain each axiom's definition.
+all with coefficient exactly 1. Each verifier reads such a table into integer
+rows (`monomial_view`) when it runs, in either mode. The view decides
+associativity and comultiplication_multiplicative by integer predicates,
+which hold on exactly the tuples the sparse predicates hold on (a full
+associativity check is one row-wise scan), and it supplies every product the
+other checks take: `MonomialView.mul_vec` and `ten_mul` give the results of
+`TableHopf.mul_vec` and `ten_mul` by row lookups. Every other predicate is
+written once and takes its products from the table or from its view; the
+coassociativity and counit checks take no products. Any other table, such
+as one with a rational coefficient or a stored zero, runs the sparse
+kernels, which remain each axiom's definition.
 
 The structure constants are Python ints, built from `scalars.ZERO` and
 `scalars.ONE`. No operation here, in `doubles` or in `orbifold` divides a
@@ -38,7 +42,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import UsageError
 from .scalars import ONE, ZERO, Scalar
@@ -295,58 +299,8 @@ def _coproduct_on_leg(h: TableHopf, t: SparseTen, leg: int) -> SparseTen3:
     return out
 
 
-def hopf_checks(h: TableHopf) -> Checks:
-    """Bialgebra + antipode axioms as predicates on basis tuples."""
-
-    def unit(i):
-        e = {i: ONE}
-        return sparse_eq(h.mul_vec(h.unit, e), e) and sparse_eq(h.mul_vec(e, h.unit), e)
-
-    def associativity(i, j, k):
-        ei, ej, ek = {i: ONE}, {j: ONE}, {k: ONE}
-        return sparse_eq(h.mul_vec(h.mul_vec(ei, ej), ek), h.mul_vec(ei, h.mul_vec(ej, ek)))
-
-    def coassociativity(i):
-        delta = h.comul_basis(i)
-        return sparse_eq(_coproduct_on_leg(h, delta, 0), _coproduct_on_leg(h, delta, 1))
-
-    def counit(i):
-        left: SparseVec = {}
-        right: SparseVec = {}
-        for (x, y), c in h.comul_basis(i).items():
-            left[y] = left.get(y, ZERO) + c * h.counit_basis(x)
-            right[x] = right.get(x, ZERO) + c * h.counit_basis(y)
-        e = {i: ONE}
-        return sparse_eq(left, e) and sparse_eq(right, e)
-
-    def comultiplication_multiplicative(i, j):
-        lhs = h.comul_vec(h.mul_basis(i, j))
-        return sparse_eq(lhs, h.ten_mul(h.comul_basis(i), h.comul_basis(j)))
-
-    def antipode(i):
-        left: SparseVec = {}
-        right: SparseVec = {}
-        for (x, y), c in h.comul_basis(i).items():
-            left = sparse_add(left, h.mul_vec(h.antipode_basis(x), {y: c}))
-            right = sparse_add(right, h.mul_vec({x: c}, h.antipode_basis(y)))
-        want = {k: h.counit_basis(i) * u for k, u in h.unit.items()}
-        return sparse_eq(left, want) and sparse_eq(right, want)
-
-    def unit_comultiplication():
-        return h.counit_vec(h.unit) == 1 and sparse_eq(h.comul_vec(h.unit), outer(h.unit, h.unit))
-
-    return {
-        "unit": (1, unit),
-        "associativity": (3, associativity),
-        "coassociativity": (1, coassociativity),
-        "counit": (1, counit),
-        "comultiplication_multiplicative": (2, comultiplication_multiplicative),
-        "antipode": (1, antipode),
-        "unit_comultiplication": (0, unit_comultiplication),
-    }
-
-
-# -- integer view of a monomial table: predicates for the two largest checks
+# -- integer view of a monomial table: its products, and predicates for the
+# two largest checks
 
 
 @dataclass(frozen=True)
@@ -358,10 +312,67 @@ class MonomialView:
     rows[x][rows[s][y]] read zero through a zero product without a branch.
     pairs[k] is the sorted list of pairs (x, y) with
     Delta(e_k) = sum of e_x (x) e_y, and pairs[-1] is empty.
+
+    mul_vec and ten_mul return what TableHopf's return on the table the view
+    was read from. There mul_basis(i, j) is {rows[i][j]: 1} when i and j are
+    basis indices and that entry is not -1, and {} otherwise, so every term
+    of the sparse loops adds the product of the two coefficients to the key
+    the rows give, or nothing. These loops add the same products to the same
+    keys and drop zeros the same way.
     """
 
     rows: list[tuple[int, ...]]
     pairs: list[list[tuple[int, int]]]
+
+    def mul_vec(self, a: SparseVec, b: SparseVec) -> SparseVec:
+        rows, basis = self.rows, range(len(self.rows) - 1)
+        right = [(j, cb) for j, cb in b.items() if cb and j in basis]
+        out: SparseVec = {}
+        for i, ca in a.items():
+            if not ca or i not in basis:
+                continue
+            row = rows[i]
+            for j, cb in right:
+                k = row[j]
+                if k >= 0:
+                    out[k] = out.get(k, ZERO) + ca * cb
+        return clean(out)
+
+    def ten_mul(self, a: SparseTen, b: SparseTen) -> SparseTen:
+        """Componentwise product on H (tensor) H. The terms of a and of b are
+        grouped by their first legs, so that a zero product of first legs
+        skips every pair of terms in the two groups at once."""
+        rows = self.rows
+        out: SparseTen = {}
+        right = self._by_first_leg(b)
+        for i1, a_terms in self._by_first_leg(a).items():
+            row1 = rows[i1]
+            for j1, b_terms in right.items():
+                k1 = row1[j1]
+                if k1 < 0:
+                    continue
+                for i2, ca in a_terms:
+                    row2 = rows[i2]
+                    for j2, cb in b_terms:
+                        k2 = row2[j2]
+                        if k2 >= 0:
+                            key = (k1, k2)
+                            out[key] = out.get(key, ZERO) + ca * cb
+        return clean(out)
+
+    def _by_first_leg(self, t: SparseTen) -> dict[int, list[tuple[int, Scalar]]]:
+        """The nonzero terms of t on pairs of basis indices, as lists of
+        (second leg, coefficient) keyed by first leg."""
+        basis = range(len(self.rows) - 1)
+        groups: dict[int, list[tuple[int, Scalar]]] = {}
+        for (x, y), c in t.items():
+            if c and x in basis and y in basis:
+                groups.setdefault(x, []).append((y, c))
+        return groups
+
+
+# what supplies a suite's products: a table, or the integer view of a monomial one
+Products = Union[TableHopf, MonomialView]
 
 
 def monomial_view(h: TableHopf) -> Optional[MonomialView]:
@@ -388,6 +399,65 @@ def monomial_view(h: TableHopf) -> Optional[MonomialView]:
     for i, row in enumerate(rows):
         rows[i] = tuple(row)
     return MonomialView(rows, pairs)
+
+
+def products_of(h: TableHopf) -> Products:
+    """The integer view of h as it is now when h is monomial, else h."""
+    view = monomial_view(h)
+    return h if view is None else view
+
+
+def hopf_checks(h: TableHopf, products: Optional[Products] = None) -> Checks:
+    """Bialgebra + antipode axioms as predicates on basis tuples, taking
+    their products from `products`: h (the default) or its integer view."""
+    p = h if products is None else products
+
+    def unit(i):
+        e = {i: ONE}
+        return sparse_eq(p.mul_vec(h.unit, e), e) and sparse_eq(p.mul_vec(e, h.unit), e)
+
+    def associativity(i, j, k):
+        ei, ej, ek = {i: ONE}, {j: ONE}, {k: ONE}
+        return sparse_eq(p.mul_vec(p.mul_vec(ei, ej), ek), p.mul_vec(ei, p.mul_vec(ej, ek)))
+
+    def coassociativity(i):
+        delta = h.comul_basis(i)
+        return sparse_eq(_coproduct_on_leg(h, delta, 0), _coproduct_on_leg(h, delta, 1))
+
+    def counit(i):
+        left: SparseVec = {}
+        right: SparseVec = {}
+        for (x, y), c in h.comul_basis(i).items():
+            left[y] = left.get(y, ZERO) + c * h.counit_basis(x)
+            right[x] = right.get(x, ZERO) + c * h.counit_basis(y)
+        e = {i: ONE}
+        return sparse_eq(left, e) and sparse_eq(right, e)
+
+    def comultiplication_multiplicative(i, j):
+        lhs = h.comul_vec(h.mul_basis(i, j))
+        return sparse_eq(lhs, p.ten_mul(h.comul_basis(i), h.comul_basis(j)))
+
+    def antipode(i):
+        left: SparseVec = {}
+        right: SparseVec = {}
+        for (x, y), c in h.comul_basis(i).items():
+            left = sparse_add(left, p.mul_vec(h.antipode_basis(x), {y: c}))
+            right = sparse_add(right, p.mul_vec({x: c}, h.antipode_basis(y)))
+        want = {k: h.counit_basis(i) * u for k, u in h.unit.items()}
+        return sparse_eq(left, want) and sparse_eq(right, want)
+
+    def unit_comultiplication():
+        return h.counit_vec(h.unit) == 1 and sparse_eq(h.comul_vec(h.unit), outer(h.unit, h.unit))
+
+    return {
+        "unit": (1, unit),
+        "associativity": (3, associativity),
+        "coassociativity": (1, coassociativity),
+        "counit": (1, counit),
+        "comultiplication_multiplicative": (2, comultiplication_multiplicative),
+        "antipode": (1, antipode),
+        "unit_comultiplication": (0, unit_comultiplication),
+    }
 
 
 def _monomial_checks(view: MonomialView) -> Checks:
@@ -440,83 +510,104 @@ def _associativity_scan(view: MonomialView) -> Optional[tuple]:
 def verify_hopf(h: TableHopf, *, sampled: bool = False) -> VerifyReport:
     """Bialgebra + antipode axioms, on every basis tuple or, in sampled
     mode, on HOPF_SAMPLES drawn tuples per check. On a monomial table, in
-    either mode, associativity and comultiplication_multiplicative run the
-    integer predicates of `_monomial_checks` on the same tuples, with the
-    same verdicts and witnesses as the sparse ones, and a full associativity
+    either mode, the checks take their products from the integer view,
+    associativity and comultiplication_multiplicative run the integer
+    predicates of `_monomial_checks` on the same tuples, with the same
+    verdicts and witnesses as the sparse ones, and a full associativity
     check is the row-wise `_associativity_scan`."""
-    checks = hopf_checks(h)
-    scans: Scans = {}
     view = monomial_view(h)
-    if view is not None:
-        checks.update(_monomial_checks(view))
-        scans["associativity"] = partial(_associativity_scan, view)
+    if view is None:
+        return run_checks(hopf_checks(h), h.dim, sampled=sampled, samples=HOPF_SAMPLES)
+    checks = {**hopf_checks(h, view), **_monomial_checks(view)}
+    scans: Scans = {"associativity": partial(_associativity_scan, view)}
     return run_checks(checks, h.dim, sampled=sampled, samples=HOPF_SAMPLES, scans=scans)
 
 
-def _hexagon_rhs(h: TableHopf, r: SparseTen, pair: str) -> SparseTen3:
-    """R13 R23 (pair "23") or R13 R12 (pair "12"), expanded over pairs of
-    terms a (x) b, c (x) d of R: the sum of (a1) (x) (1c) (x) (bd), resp. of
-    (ac) (x) (1d) (x) (b1). The products with the unit 1 are real products
-    in the table, so this is the product of the unit-embedded tensors."""
-    legs = {x for key in r for x in key}
-    times_unit = {x: h.mul_vec({x: ONE}, h.unit) for x in legs}
-    unit_times = {x: h.mul_vec(h.unit, {x: ONE}) for x in legs}
-    out: SparseTen3 = {}
+def _hexagon_rhs(p: Products, unit: SparseVec, r: SparseTen, pair: str) -> SparseTen3:
+    """R13 R23 (pair "23") or R13 R12 (pair "12"), with the products of p.
+
+    Expanded over pairs of terms a (x) b, s and c (x) d, t of R, R13 R23 is
+    the sum of st (a1) (x) (1c) (x) (bd) and R13 R12 that of
+    st (ac) (x) (1d) (x) (b1). The products with the unit 1 are real products
+    in the table, so this is the product of the unit-embedded tensors. Both
+    sums run over pairs of left legs a, c of R. With R_a the sum of s b over
+    the terms a (x) b, s of R, the terms of R13 R23 at (a, c) sum to
+    (a1) (x) (1c) (x) R_a R_c, one vector product; those of R13 R12 are zero
+    unless ac is."""
+    right: dict = {}
     for (a, b), s in r.items():
-        for (c, d), t in r.items():
+        right.setdefault(a, {})[b] = s
+    legs = {x for key in r for x in key}
+    times_unit = {x: p.mul_vec({x: ONE}, unit) for x in legs}
+    unit_times = {x: p.mul_vec(unit, {x: ONE}) for x in legs}
+    out: SparseTen3 = {}
+
+    def add(v1: SparseVec, v2: SparseVec, v3: SparseVec, c: Scalar) -> None:
+        # out += c v1 (x) v2 (x) v3
+        for k1, c1 in v1.items():
+            for k2, c2 in v2.items():
+                cc = c * c1 * c2
+                for k3, c3 in v3.items():
+                    key = (k1, k2, k3)
+                    out[key] = out.get(key, ZERO) + cc * c3
+
+    for a, ra in right.items():
+        for c, rc in right.items():
             if pair == "23":
-                p1, p2, p3 = times_unit[a], unit_times[c], h.mul_basis(b, d)
-            else:
-                p1, p2, p3 = h.mul_basis(a, c), unit_times[d], times_unit[b]
-            if not (p1 and p2 and p3):
+                add(times_unit[a], unit_times[c], p.mul_vec(ra, rc), ONE)
                 continue
-            st = s * t
-            for k1, c1 in p1.items():
-                for k2, c2 in p2.items():
-                    cc = st * c1 * c2
-                    for k3, c3 in p3.items():
-                        key = (k1, k2, k3)
-                        out[key] = out.get(key, ZERO) + cc * c3
+            ac = p.mul_vec({a: ONE}, {c: ONE})
+            if ac:
+                for b, s in ra.items():
+                    for d, t in rc.items():
+                        add(ac, unit_times[d], times_unit[b], s * t)
     return out
 
 
-def quasitriangular_checks(rd: RibbonData) -> Checks:
-    """R-matrix axioms; only the intertwining is checked per basis element."""
+def quasitriangular_checks(rd: RibbonData, products: Optional[Products] = None) -> Checks:
+    """R-matrix axioms; only the intertwining is checked per basis element.
+    Products are taken from `products`: rd.hopf (the default) or its view."""
     h = rd.hopf
+    p = h if products is None else products
     r, rinv = rd.r_matrix, rd.r_inverse
 
     def r_intertwines_coproducts(i):
         delta = h.comul_basis(i)
-        return sparse_eq(h.ten_mul(r, delta), h.ten_mul(h.flip_ten(delta), r))
+        return sparse_eq(p.ten_mul(r, delta), p.ten_mul(h.flip_ten(delta), r))
 
     return {
-        "r_invertible": (0, lambda: inverts(h.ten_mul, r, rinv, outer(h.unit, h.unit))),
+        "r_invertible": (0, lambda: inverts(p.ten_mul, r, rinv, outer(h.unit, h.unit))),
         "r_intertwines_coproducts": (1, r_intertwines_coproducts),
-        "hexagon_coproduct_left": (0, lambda: sparse_eq(_coproduct_on_leg(h, r, 0), _hexagon_rhs(h, r, "23"))),
-        "hexagon_coproduct_right": (0, lambda: sparse_eq(_coproduct_on_leg(h, r, 1), _hexagon_rhs(h, r, "12"))),
+        "hexagon_coproduct_left": (0, lambda: sparse_eq(_coproduct_on_leg(h, r, 0), _hexagon_rhs(p, h.unit, r, "23"))),
+        "hexagon_coproduct_right": (0, lambda: sparse_eq(_coproduct_on_leg(h, r, 1), _hexagon_rhs(p, h.unit, r, "12"))),
     }
 
 
 def verify_quasitriangular(rd: RibbonData, *, sampled: bool = False) -> VerifyReport:
-    return run_checks(quasitriangular_checks(rd), rd.hopf.dim, sampled=sampled, samples=RIBBON_SAMPLES)
+    """The R-matrix axioms, with the products of the integer view when
+    rd.hopf is monomial."""
+    checks = quasitriangular_checks(rd, products_of(rd.hopf))
+    return run_checks(checks, rd.hopf.dim, sampled=sampled, samples=RIBBON_SAMPLES)
 
 
-def ribbon_checks(rd: RibbonData) -> Checks:
-    """Ribbon element axioms; only centrality is checked per basis element."""
+def ribbon_checks(rd: RibbonData, products: Optional[Products] = None) -> Checks:
+    """Ribbon element axioms; only centrality is checked per basis element.
+    Products are taken from `products`: rd.hopf (the default) or its view."""
     h = rd.hopf
+    p = h if products is None else products
     nu, nu_inv = rd.ribbon, rd.ribbon_inverse
 
     def ribbon_central(i):
         e = {i: ONE}
-        return sparse_eq(h.mul_vec(nu, e), h.mul_vec(e, nu))
+        return sparse_eq(p.mul_vec(nu, e), p.mul_vec(e, nu))
 
     def ribbon_coproduct():
         # Delta(nu) * (R21 R) = nu (tensor) nu
-        r21r = h.ten_mul(h.flip_ten(rd.r_matrix), rd.r_matrix)
-        return sparse_eq(h.ten_mul(h.comul_vec(nu), r21r), outer(nu, nu))
+        r21r = p.ten_mul(h.flip_ten(rd.r_matrix), rd.r_matrix)
+        return sparse_eq(p.ten_mul(h.comul_vec(nu), r21r), outer(nu, nu))
 
     return {
-        "ribbon_invertible": (0, lambda: inverts(h.mul_vec, nu, nu_inv, h.unit)),
+        "ribbon_invertible": (0, lambda: inverts(p.mul_vec, nu, nu_inv, h.unit)),
         "ribbon_central": (1, ribbon_central),
         "ribbon_antipode_fixed": (0, lambda: sparse_eq(h.antipode_vec(nu), nu)),
         "ribbon_counit_one": (0, lambda: h.counit_vec(nu) == 1),
@@ -525,7 +616,10 @@ def ribbon_checks(rd: RibbonData) -> Checks:
 
 
 def verify_ribbon(rd: RibbonData, *, sampled: bool = False) -> VerifyReport:
-    return run_checks(ribbon_checks(rd), rd.hopf.dim, sampled=sampled, samples=RIBBON_SAMPLES)
+    """The ribbon axioms, with the products of the integer view when rd.hopf
+    is monomial."""
+    checks = ribbon_checks(rd, products_of(rd.hopf))
+    return run_checks(checks, rd.hopf.dim, sampled=sampled, samples=RIBBON_SAMPLES)
 
 
 def verify_all_axioms(rd: RibbonData, *, sampled: bool = False) -> VerifyReport:

@@ -29,8 +29,8 @@ from typing import Optional, Sequence
 
 from .doubles import SectorDouble, sector_double
 from .errors import ResourceError, UsageError
-from .groupoids import GroupoidSimple, action_via_hom, simple_objects
-from .groups import FiniteGroup, GroupExtension, extension_from_subgroup
+from .groupoids import GroupoidSimple, simple_objects
+from .groups import FiniteGroup, GroupExtension, action_via_hom, extension_from_subgroup
 from .linalg import ExactMatrix, mat_rank_det_kernel
 from .scalars import ZERO, Scalar
 

@@ -27,19 +27,19 @@ from equidouble.dw import (
     twisted_cech_h1,
 )
 from equidouble.groupoids import (
-    GroupAction,
     character_pairing,
-    conjugation_action,
     decompose_character,
-    groupoid_cardinality,
     inertia,
     regular_character,
     simple_objects,
-    trivial_action,
 )
 from equidouble.groups import (
+    GroupAction,
+    conjugation_action,
     extension_to_weak_action,
     find_isomorphism,
+    groupoid_cardinality,
+    trivial_action,
     weak_action_to_extension,
     weak_actions_isomorphic,
 )

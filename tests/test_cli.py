@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -138,7 +140,7 @@ def test_verify_all_exits_on_the_s_matrix_bound_before_any_section(monkeypatch, 
     """|H| = 25 exceeds the S-matrix bound: verify-all exits 3 before it
     builds the sector double."""
     calls = []
-    monkeypatch.setattr(cli, "sector_double", lambda *args: calls.append(args))
+    monkeypatch.setattr(doubles, "sector_double", lambda *args: calls.append(args))
     path = tmp_path / "z5-z25.json"
     z25 = {"order": 25, "table": [[(a + b) % 25 for b in range(25)] for a in range(25)]}
     path.write_text(json.dumps({"h": z25, "kernel": [0, 5, 10, 15, 20]}))
@@ -367,11 +369,42 @@ def test_each_sector_double_is_built_once(monkeypatch, capsys, command, builds):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for module in (doubles, modular, cli):
+    for module in (doubles, modular):
         monkeypatch.setattr(module, "sector_double", counting)
     assert cli.main([command, "--extension", "Z2-Z4"]) == 0
     capsys.readouterr()
     assert len(calls) == builds
+
+
+NO_HOPF_LAYER = {"hopf", "modular", "orbifold", "chartable"}
+NO_MODULE_LAYER = {"modular", "chartable"}
+
+
+@pytest.mark.parametrize(
+    "argv, runs, unloaded",
+    [
+        (["dw", "--presentation", "Sigma_2", "--group", "Z2"], "dw", NO_HOPF_LAYER),
+        (["cech", "--extension", "A3-S3", "--monodromy", "1"], "dw", NO_HOPF_LAYER),
+        (["sectors", "--extension", "A3-S3", "--monodromy", "1"], "dw", NO_HOPF_LAYER),
+        (["double", "--group", "Z2"], "hopf", NO_MODULE_LAYER),
+        (["jdouble", "--extension", "Z2-Z4"], "orbifold", NO_MODULE_LAYER),
+        (["orbifold", "--extension", "Z2-Z4"], "orbifold", NO_MODULE_LAYER),
+    ],
+    ids=["dw", "cech", "sectors", "double", "jdouble", "orbifold"],
+)
+def test_each_subcommand_imports_only_its_layers(argv, runs, unloaded):
+    """In a fresh interpreter, a subcommand loads the layer it runs and none
+    of the layers it does not: the enumerations no Hopf layer or character
+    table, the axiom suites no module category."""
+    script = "import sys\nfrom equidouble import cli\ncode = cli.main(sys.argv[1:])\nprint(*sorted(sys.modules))\nsys.exit(code)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--out", os.devnull], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    loaded = {name.split(".")[1] for name in out.stdout.split() if name.startswith("equidouble.")}
+    assert runs in loaded
+    assert loaded & unloaded == set()
 
 
 def test_readme_flag_table_lists_each_subcommand_flags():

@@ -31,12 +31,13 @@ from equidouble.dw import (
     twisted_cech_h1,
 )
 from equidouble.errors import ResourceError, UsageError
-from equidouble.groupoids import GroupAction, groupoid_cardinality
 from equidouble.groups import (
+    GroupAction,
     cyclic_group,
     dihedral_group,
     extension_from_subgroup,
     extension_to_weak_action,
+    groupoid_cardinality,
     quaternion_group,
     symmetric_group,
 )

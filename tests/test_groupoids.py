@@ -10,17 +10,20 @@ import pytest
 import equidouble
 from equidouble.errors import UsageError
 from equidouble.groupoids import (
-    GroupAction,
     character_pairing,
-    conjugation_action,
     decompose_character,
-    groupoid_cardinality,
     inertia,
     regular_character,
     simple_objects,
+)
+from equidouble.groups import (
+    GroupAction,
+    conjugation_action,
+    cyclic_group,
+    groupoid_cardinality,
+    symmetric_group,
     trivial_action,
 )
-from equidouble.groups import cyclic_group, symmetric_group
 
 
 def natural_s3_action():
@@ -182,9 +185,9 @@ def test_certification_does_not_depend_on_assert():
 import equidouble.groupoids as gp
 from fractions import Fraction
 from equidouble.errors import NonInvertibleError, UsageError
-from equidouble.groups import symmetric_group
+from equidouble.groups import conjugation_action, symmetric_group
 
-c = gp.conjugation_action(symmetric_group(3))
+c = conjugation_action(symmetric_group(3))
 simples = gp.simple_objects(c)
 moving = next(g for g in range(6) if c.apply(g, 1) != 1)
 try:

@@ -15,8 +15,8 @@ import equidouble
 from equidouble.catalogue import extension_by_name, extension_names
 from equidouble.chartable import character_table
 from equidouble.errors import NonInvertibleError, UsageError
-from equidouble.groupoids import action_via_hom, simple_objects
-from equidouble.groups import cyclic_group
+from equidouble.groupoids import simple_objects
+from equidouble.groups import action_via_hom, cyclic_group
 from equidouble.linalg import (
     ExactMatrix,
     echelon_kernel,

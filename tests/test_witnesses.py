@@ -14,12 +14,14 @@ from equidouble.catalogue import extension_by_name, group_by_name
 from equidouble.doubles import double_algebra, sector_double
 from equidouble.hopf import (
     HOPF_SAMPLES,
+    RIBBON_SAMPLES,
     RibbonData,
     TableHopf,
     VerifyReport,
     first_failure,
     hopf_checks,
     monomial_view,
+    quasitriangular_checks,
     ribbon_checks,
     run_checks,
     verify_all_axioms,
@@ -137,13 +139,19 @@ def test_sampled_integer_predicates_agree_with_the_sparse_oracle():
     assert {"associativity", "comultiplication_multiplicative"} <= failed
 
 
+def crossed_v4_a4() -> RibbonData:
+    sd = sector_double(extension_by_name("V4-A4"))
+    return orbifold_ribbon(sd, orbifold_algebra(sd))
+
+
 @pytest.mark.parametrize("sampled", [True, False])
 def test_monomial_tables_never_run_the_sparse_product_predicates(monkeypatch, sampled):
-    """On the dim-144 V4-A4 crossed product, in either mode, no check forms a
-    sparse tensor product, and only the unit and antipode checks multiply
-    sparse vectors: two products per basis element and two per coproduct
-    term."""
-    crossed = orbifold_algebra(sector_double(extension_by_name("V4-A4")))
+    """On the dim-144 V4-A4 crossed product, in either mode, no check of the
+    Hopf, quasitriangular or ribbon suite takes a product of TableHopf: the
+    integer view supplies them all. Once one product has coefficient 2, the
+    table is not monomial and the checks take the sparse products."""
+    rib = crossed_v4_a4()
+    crossed = rib.hopf
     assert crossed.dim == 144 and monomial_view(crossed) is not None
     calls = {"mul_vec": 0, "ten_mul": 0}
 
@@ -158,10 +166,109 @@ def test_monomial_tables_never_run_the_sparse_product_predicates(monkeypatch, sa
 
     for name in calls:
         monkeypatch.setattr(TableHopf, name, counted(name))
-    report = verify_hopf(crossed, sampled=sampled)
-    assert report.all_passed
-    terms = sum(len(crossed.comul_basis(i)) for i in range(crossed.dim))
-    assert calls == {"mul_vec": 2 * crossed.dim + 2 * terms, "ten_mul": 0}
+    assert verify_all_axioms(rib, sampled=sampled).all_passed
+    assert calls == {"mul_vec": 0, "ten_mul": 0}
+    (entry,) = crossed._mul[(0, 0)]
+    crossed._mul[(0, 0)] = {entry: 2}
+    assert monomial_view(crossed) is None
+    verify_all_axioms(rib, sampled=True)
+    assert calls["mul_vec"] > 0 and calls["ten_mul"] > 0
+
+
+def move_or_negate(draw, vec: dict, keys) -> None:
+    """Negate one term of vec, or move its coefficient to one of keys that
+    vec lacks."""
+    key = draw(st.sampled_from(sorted(vec)))
+    if draw(st.booleans()):
+        vec[key] = -vec[key]
+    else:
+        vec[draw(st.sampled_from([k for k in keys if k not in vec]))] = vec.pop(key)
+
+
+@st.composite
+def view_corruptions(draw):
+    """The ribbon data of D(G) for G in Z2, Z3, S3 or of the dim-144 V4-A4
+    crossed product, with one monomial corruption of its tables, or one term
+    of R or of the ribbon element moved or negated."""
+    name = draw(st.sampled_from(("Z2", "Z3", "S3", "V4-A4")))
+    rib = crossed_v4_a4() if name == "V4-A4" else double_algebra(group_by_name(name)).ribbon_data()
+    basis = range(rib.hopf.dim)
+    kind = draw(st.sampled_from(("table", "r_matrix", "ribbon")))
+    if kind == "table":
+        corrupt_monomially(draw, rib.hopf)
+    elif kind == "r_matrix":
+        move_or_negate(draw, rib.r_matrix, product(basis, repeat=2))
+    else:
+        move_or_negate(draw, rib.ribbon, basis)
+    return rib
+
+
+VIEW_PRODUCT_CHECKS = {
+    "unit",
+    "antipode",
+    "r_invertible",
+    "r_intertwines_coproducts",
+    "hexagon_coproduct_left",
+    "hexagon_coproduct_right",
+    "ribbon_invertible",
+    "ribbon_central",
+    "ribbon_coproduct",
+}
+
+
+def test_view_products_give_the_sparse_verdicts_and_witnesses():
+    """On corrupted monomial tables and corrupted R-matrices and ribbon
+    elements, the three suites, which take their products from the integer
+    view, decide every check as the checks built on the sparse table do, on
+    the same witnesses, in full and in sampled mode. The sparse Hopf suite
+    runs on the crossed product in sampled mode only: its full associativity
+    loop over 144 ** 3 triples is too slow for an oracle."""
+    failed = set()
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(view_corruptions())
+    def agree(rib):
+        h = rib.hopf
+        assert monomial_view(h) is not None
+        for sampled in (False, True):
+            suites = [
+                (verify_quasitriangular, quasitriangular_checks(rib), RIBBON_SAMPLES),
+                (verify_ribbon, ribbon_checks(rib), RIBBON_SAMPLES),
+            ]
+            if sampled or h.dim < 144:
+                suites.append((lambda rd, sampled: verify_hopf(rd.hopf, sampled=sampled), hopf_checks(h), HOPF_SAMPLES))
+            for verify, checks, samples in suites:
+                fast = verify(rib, sampled=sampled)
+                oracle = run_checks(checks, h.dim, sampled=sampled, samples=samples)
+                assert (fast.mode, fast.checks, fast.witnesses) == (oracle.mode, oracle.checks, oracle.witnesses)
+                failed.update(fast.failing())
+
+    agree()
+    assert VIEW_PRODUCT_CHECKS <= failed
+
+
+@st.composite
+def products_to_take(draw):
+    """A monomially corrupted D(G) and two lists of terms (i, j, c) whose
+    keys are basis indices or lie just outside them, and whose coefficients
+    may be zero."""
+    hopf = draw(monomial_corruptions())
+    key = st.integers(-2, hopf.dim + 1)
+    terms = st.lists(st.tuples(key, key, st.fractions(-2, 2, max_denominator=2)), max_size=8)
+    return hopf, draw(terms), draw(terms)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(products_to_take())
+def test_view_products_are_the_sparse_products(taken):
+    """MonomialView.mul_vec and ten_mul return what TableHopf's return, also
+    for zero coefficients and for keys that are not basis indices."""
+    hopf, a, b = taken
+    view = monomial_view(hopf)
+    vec_a, vec_b = {i: c for i, _, c in a}, {i: c for i, _, c in b}
+    ten_a, ten_b = {(i, j): c for i, j, c in a}, {(i, j): c for i, j, c in b}
+    assert view.mul_vec(vec_a, vec_b) == hopf.mul_vec(vec_a, vec_b)
+    assert view.ten_mul(ten_a, ten_b) == hopf.ten_mul(ten_a, ten_b)
 
 
 @pytest.mark.parametrize("corrupt", ["constant", "redirect"])
