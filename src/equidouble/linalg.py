@@ -1,11 +1,24 @@
-"""Dense exact matrices over int/Fraction/Cyclotomic scalars, and the one
+"""Sparse exact matrices over int/Fraction/Cyclotomic scalars, and the one
 row-reduction kernel behind every rank, determinant, kernel and solve.
 
 ExactMatrix is the one place that multiplies, tensors (Kronecker product),
-walks (nonzero entries) and compares exact matrices. Zero tests and equality
-use the scalars' own bool() and ==; products and Kronecker products multiply
+walks (nonzero entries) and compares exact matrices. It stores every entry
+that was set to something other than the int zero, keyed by its row-major
+position; an entry never set reads as the int zero. So zeros, identity,
+kron, @, ==, transpose, nonzeros, is_zero and trace cost the stored entries,
+not rows * cols. A stored zero of another type (Fraction(0), a Cyclotomic
+zero) is kept as it was set, so `data`, the dense view, reproduces every
+entry a dense list would hold, with its type. Zero tests and equality use
+the scalars' own bool() and ==; products and Kronecker products multiply
 only pairs of nonzero entries, so an entry no nonzero pair reaches stays the
-int zero whatever the field of the others.
+int zero whatever the field of the others. A product with the int 1 as one
+factor is the other factor itself, and a product written into an entry still
+unset is written, not added to the int zero: both give the value, type and
+conductor that the arithmetic gives.
+
+The store is one dict per matrix, not one per row: on CPython a dict costs
+224 bytes once it holds an entry, so per-row dicts made the small action
+matrices of the simple modules several times larger than dense lists.
 
 row_reduce is Gauss-Jordan elimination on plain row lists over a field given
 as a parameter: exact rationals and cyclotomics, or F_p for a prime modulus.
@@ -27,17 +40,32 @@ from .errors import NonInvertibleError, UsageError
 from .scalars import ONE, ZERO, Scalar, reciprocal
 
 
-class ExactMatrix:
-    """Row-major dense matrix of exact scalars."""
+def _is_int_zero(x: Scalar) -> bool:
+    return x.__class__ is int and not x
 
-    __slots__ = ("rows", "cols", "data")
+
+class ExactMatrix:
+    """Matrix of exact scalars, kept as one dict from row-major position
+    i * cols + j to every entry that was set to something other than the
+    int zero. nonzeros() walks it in row-major order; no other result
+    depends on the order of the dict, since exact sums do not."""
+
+    __slots__ = ("rows", "cols", "_store")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Scalar]):
         if rows < 0 or cols < 0 or len(data) != rows * cols:
             raise UsageError(f"a {rows}x{cols} matrix needs rows*cols entries, got {len(data)}")
         self.rows = rows
         self.cols = cols
-        self.data = list(data)
+        self._store = {p: x for p, x in enumerate(data) if not _is_int_zero(x)}
+
+    @staticmethod
+    def _of(rows: int, cols: int, store: dict[int, Scalar]) -> "ExactMatrix":
+        m = object.__new__(ExactMatrix)
+        m.rows = rows
+        m.cols = cols
+        m._store = store
+        return m
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]]) -> "ExactMatrix":
@@ -49,91 +77,128 @@ class ExactMatrix:
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        m = ExactMatrix.zeros(n, n)
-        for i in range(n):
-            m.data[i * n + i] = ONE
-        return m
+        return ExactMatrix._of(n, n, {i * (n + 1): ONE for i in range(n)})
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix(rows, cols, [ZERO] * (rows * cols))
+        return ExactMatrix._of(rows, cols, {})
 
-    def __getitem__(self, key: tuple[int, int]) -> Scalar:
-        i, j = key
-        return self.data[i * self.cols + j]
-
-    def __setitem__(self, key: tuple[int, int], value: Scalar) -> None:
-        i, j = key
-        self.data[i * self.cols + j] = value
-
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, list(self.data))
-
-    def transpose(self) -> "ExactMatrix":
-        out = ExactMatrix.zeros(self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.data[j * self.rows + i] = self.data[i * self.cols + j]
+    @property
+    def data(self) -> list[Scalar]:
+        """The entries in row-major order, as a new list: each stored entry
+        as it was set, the int zero everywhere else."""
+        out: list[Scalar] = [ZERO] * (self.rows * self.cols)
+        for p, x in self._store.items():
+            out[p] = x
         return out
 
+    def _position(self, i: int, j: int) -> int:
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
+        return i * self.cols + j
+
+    def __getitem__(self, key: tuple[int, int]) -> Scalar:
+        return self._store.get(self._position(*key), ZERO)
+
+    def __setitem__(self, key: tuple[int, int], value: Scalar) -> None:
+        p = self._position(*key)
+        if _is_int_zero(value):
+            self._store.pop(p, None)
+        else:
+            self._store[p] = value
+
+    def copy(self) -> "ExactMatrix":
+        return ExactMatrix._of(self.rows, self.cols, dict(self._store))
+
+    def transpose(self) -> "ExactMatrix":
+        rows, cols = self.rows, self.cols
+        return ExactMatrix._of(cols, rows, {p % cols * rows + p // cols: x for p, x in self._store.items()})
+
     def scale(self, s: Scalar) -> "ExactMatrix":
+        """s times every entry, the unset int zeros included."""
         return ExactMatrix(self.rows, self.cols, [s * a for a in self.data])
+
+    def nonzeros(self) -> Iterator[tuple[int, int, Scalar]]:
+        """(row, column, entry) for every nonzero entry, in row-major order."""
+        cols = self.cols
+        for p, x in sorted(self._store.items()):
+            if x:
+                yield p // cols, p % cols, x
+
+    def _nonzero_rows(self) -> list[list[tuple[int, Scalar]]]:
+        """Each row's nonzero entries as (column, entry)."""
+        rows: list[list[tuple[int, Scalar]]] = [[] for _ in range(self.rows)]
+        cols = self.cols
+        for p, x in self._store.items():
+            if x:
+                rows[p // cols].append((p % cols, x))
+        return rows
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise UsageError(
                 f"matmul dimension mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        out = ExactMatrix.zeros(self.rows, other.cols)
-        oc = other.cols
-        for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.data[base + k]
-                if not a:
-                    continue
-                obase = k * oc
-                tbase = i * oc
-                for j in range(oc):
-                    b = other.data[obase + j]
-                    if b:
-                        out.data[tbase + j] = out.data[tbase + j] + a * b
-        return out
+        right = other._nonzero_rows()
+        cols, oc = self.cols, other.cols
+        out: dict[int, Scalar] = {}
+        for p, a in self._store.items():
+            if not a:
+                continue
+            base = p // cols * oc
+            one = a.__class__ is int and a == 1
+            for j, b in right[p % cols]:
+                x = b if one else a if b.__class__ is int and b == 1 else a * b
+                q = base + j
+                out[q] = out[q] + x if q in out else x
+        return ExactMatrix._of(self.rows, oc, out)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product: entry (i*other.rows + k, j*other.cols + l) is
         self[i, j] * other[k, l]. Only pairs of nonzero entries are multiplied;
         every other entry is the int zero."""
-        out = ExactMatrix.zeros(self.rows * other.rows, self.cols * other.cols)
-        right = list(other.nonzeros())
-        for i, j, a in self.nonzeros():
-            for k, l, b in right:
-                out.data[(i * other.rows + k) * out.cols + j * other.cols + l] = a * b
-        return out
-
-    def nonzeros(self) -> Iterator[tuple[int, int, Scalar]]:
-        """(row, column, entry) for every nonzero entry, in row-major order."""
-        for pos, x in enumerate(self.data):
-            if x:
-                r, c = divmod(pos, self.cols)
-                yield r, c, x
+        cols, orows, oc = self.cols, other.rows, other.cols
+        width = cols * oc
+        right = [(p // oc * width + p % oc, b) for p, b in other._store.items() if b]
+        out: dict[int, Scalar] = {}
+        for p, a in self._store.items():
+            if not a:
+                continue
+            base = p // cols * orows * width + p % cols * oc
+            if a.__class__ is int and a == 1:
+                for q, b in right:
+                    out[base + q] = b
+            else:
+                for q, b in right:
+                    out[base + q] = a if b.__class__ is int and b == 1 else a * b
+        return ExactMatrix._of(self.rows * orows, width, out)
 
     def __eq__(self, other: object) -> bool:
+        """Entrywise ==, an unset entry being the int zero: equal as dicts, or
+        else equal at every position either of them stores."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        a, b = self._store, other._store
+        return a == b or all(a.get(p, ZERO) == b.get(p, ZERO) for p in a.keys() | b.keys())
 
     __hash__ = None
 
     def is_zero(self) -> bool:
-        return not any(self.data)
+        return not any(self._store.values())
 
     def trace(self) -> Scalar:
+        """The sum of the stored diagonal entries from the int zero; an unset
+        entry would add the int zero, which changes no sum, and the value,
+        type and conductor of a sum do not depend on its order."""
         if self.rows != self.cols:
             raise UsageError(f"trace of a non-square {self.rows}x{self.cols} matrix")
         t: Scalar = ZERO
-        for i in range(self.rows):
-            t = t + self.data[i * self.cols + i]
+        step = self.cols + 1
+        for p, x in self._store.items():
+            if p % step == 0:
+                t = t + x
         return t
 
     def __repr__(self) -> str:
@@ -248,7 +313,11 @@ def solve_rows(aug: list[list], ncols: int, modulus: Optional[int] = None) -> li
 
 
 def _row_lists(m: ExactMatrix) -> list[list[Scalar]]:
-    return [m.data[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)]
+    """The dense rows of m, built from its stored entries."""
+    out: list[list[Scalar]] = [[ZERO] * m.cols for _ in range(m.rows)]
+    for p, x in m._store.items():
+        out[p // m.cols][p % m.cols] = x
+    return out
 
 
 def mat_rank_det_kernel(m: ExactMatrix) -> RankDetKernel:

@@ -7,12 +7,14 @@ inclusion of G into H) is the defining block condition. Simple modules come
 from the conjugation groupoid H//G: one for each G-orbit in H and each
 irreducible of the orbit's stabilizer.
 
-A fused module keeps its factors, the modules given by matrices that it is
-the fusion of, and its grades; its action at g is the Kronecker product of the
-factors' actions at g, formed the first time a check reads it. Fusion and the
-sector action are strict on bases: fuse(fuse(u, v), w) and fuse(u, fuse(v, w))
-have the same factors, j.(V (x) W) is (j.V) (x) (j.W), and duals of shifted
-modules are shifted duals. So diagrams are compared as plain matrix
+A fused module keeps only its factors, the modules given by matrices that it
+is the fusion of, and its dimension. Its grades, degree and name are formed
+from the factors when first read, and its action at g is the Kronecker
+product of the factors' actions at g, formed the first time a check reads
+it; two fusions with equal factors are equal. Fusion and the sector action
+are strict on bases: fuse(fuse(u, v), w) and fuse(u, fuse(v, w)) have the
+same factors, j.(V (x) W) is (j.V) (x) (j.W), and duals of shifted modules
+are shifted duals. So diagrams are compared as plain matrix
 composites, and the S-matrix and the diagram suite take their braidings from
 the one function braid.
 
@@ -25,6 +27,7 @@ judged by the diagrams of check_equivariant_diagrams, which name the modules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional, Sequence
 
 from .doubles import SectorDouble, sector_double
@@ -35,11 +38,18 @@ from .linalg import ExactMatrix, mat_rank_det_kernel
 from .scalars import ZERO, Scalar
 
 
+_UNREAD = object()  # a module's degree before it is first read
+
+
 class GradedModule:
     """An H-graded G-module attached to an extension 1 -> G -> H -> J -> 1.
 
     A module given by matrices is its own one factor; fuse builds modules
-    whose factors are several such modules."""
+    whose factors are several such modules. A fusion, and the shift of one,
+    keeps only its factors and its dimension: its grades, degree, name and
+    action matrices are formed from the factors when first read."""
+
+    __slots__ = ("ext", "dim", "factors", "_grades", "_name", "_degree", "_acts", "_shifted")
 
     def __init__(
         self,
@@ -48,7 +58,8 @@ class GradedModule:
         matrices: Sequence[ExactMatrix],
         name: str = "",
     ):
-        self._attach(ext, tuple(grades), name, (self,), list(matrices))
+        grades = tuple(grades)
+        self._attach(ext, len(grades), (self,), grades, name, list(matrices))
         if len(self._acts) != ext.G.order:
             raise UsageError("one matrix per G-element required")
         if self._acts[0] != ExactMatrix.identity(self.dim):
@@ -58,26 +69,54 @@ class GradedModule:
             if mat.rows != self.dim or mat.cols != self.dim:
                 raise UsageError("action matrices must be square of the module dimension")
             hg = ext.incl(g)
-            if any(self.grades[r] != H.conj(hg, self.grades[c]) for r, c, _ in mat.nonzeros()):
+            if any(grades[r] != H.conj(hg, grades[c]) for r, c, _ in mat.nonzeros()):
                 raise UsageError(f"action of g={g} violates the grade-conjugation block condition")
 
-    def _attach(self, ext: GroupExtension, grades: tuple[int, ...], name: str, factors: tuple, acts: list) -> None:
+    def _attach(
+        self, ext: GroupExtension, dim: int, factors: tuple, grades: Optional[tuple], name: Optional[str], acts: list
+    ) -> None:
         self.ext = ext
-        self.grades = grades
-        self.dim = len(grades)
-        self.name = name
+        self.dim = dim
         self.factors: tuple[GradedModule, ...] = factors
+        self._grades = grades
+        self._name = name
+        self._degree = _UNREAD
         self._acts: list[Optional[ExactMatrix]] = acts
         self._shifted: dict[int, GradedModule] = {}
 
     @classmethod
-    def _derived(cls, ext: GroupExtension, grades: tuple, name: str, factors: tuple = (), acts: Sequence = ()):
-        """A module whose builder proves the block condition, so none is
-        checked: the fusion of the factors, with no action matrix formed yet,
-        or else the module given by the action matrices."""
+    def _fusion(cls, ext: GroupExtension, dim: int, factors: tuple) -> "GradedModule":
+        """The fusion of the factors, built unchecked (fuse has the proof),
+        with no grade, name or action matrix formed yet."""
         mod = cls.__new__(cls)
-        mod._attach(ext, grades, name, factors or (mod,), list(acts) or [None] * ext.G.order)
+        mod._attach(ext, dim, factors, None, None, [None] * ext.G.order)
         return mod
+
+    @classmethod
+    def _derived(cls, ext: GroupExtension, grades: tuple, name: str, acts: Sequence[ExactMatrix]) -> "GradedModule":
+        """The module given by the action matrices, built unchecked: its
+        builder proves the block condition."""
+        mod = cls.__new__(cls)
+        mod._attach(ext, len(grades), (mod,), grades, name, list(acts))
+        return mod
+
+    @property
+    def grades(self) -> tuple[int, ...]:
+        """One H-element per basis vector. A fusion's are the products of its
+        factors' grades, basis vectors in the order of the Kronecker product."""
+        if self._grades is None:
+            H = self.ext.H
+            grades = self.factors[0].grades
+            for f in self.factors[1:]:
+                grades = tuple(H.mul(a, b) for a in grades for b in f.grades)
+            self._grades = grades
+        return self._grades
+
+    @property
+    def name(self) -> str:
+        if self._name is None:
+            self._name = "*".join(f"({f.name})" for f in self.factors)
+        return self._name
 
     def act(self, g: int) -> ExactMatrix:
         mat = self._acts[g]
@@ -93,13 +132,24 @@ class GradedModule:
         return tuple(self.act(g) for g in range(self.ext.G.order))
 
     def degree(self) -> Optional[int]:
-        """The common sector of all grades, or None when mixed."""
-        if self.dim == 0:
-            return 0
-        j = self.ext.proj(self.grades[0])
-        if all(self.ext.proj(h) == j for h in self.grades):
-            return j
-        return None
+        """The common sector of all grades, or None when mixed; read once.
+
+        A nonzero fusion's degree is the product of its factors' degrees, and
+        None when one of them is: proj is a homomorphism, so a grade a b of
+        the fusion lies in sector proj(a) proj(b), and a factor with grades
+        in two sectors gives, against any grades of the other factors, two
+        products in two sectors."""
+        if self._degree is _UNREAD:
+            ext = self.ext
+            if self.dim == 0:
+                self._degree = 0
+            elif len(self.factors) > 1:
+                degrees = [f.degree() for f in self.factors]
+                self._degree = None if None in degrees else reduce(ext.J.mul, degrees)
+            else:
+                j = ext.proj(self.grades[0])
+                self._degree = j if all(ext.proj(h) == j for h in self.grades) else None
+        return self._degree
 
     def validate_action(self) -> bool:
         """Full multiplicativity check rho(g)rho(g') = rho(gg')."""
@@ -111,15 +161,25 @@ class GradedModule:
         return True
 
     def __eq__(self, other: object) -> bool:
-        """Same extension and grades, then equal factors or else equal
-        action matrices (so fuse(unit, v) == v)."""
+        """Same extension and dimension, then equal factors, or else equal
+        grades and action matrices (so fuse(unit, v) == v).
+
+        Equal factors suffice for fusions: the actions are the Kronecker
+        products of the factors' actions, and the grades a function of the
+        factors. The grade of the basis vector (i_1, ..., i_n) of a fusion
+        is the product of the factors' grades at i_1, ..., i_n, in every
+        bracketing, since H is associative; a shift conjugates each grade by
+        one element of H, an automorphism, so the shift of a fusion has the
+        grades of the fusion of the shifted factors, which are its factors."""
         if not isinstance(other, GradedModule):
             return NotImplemented
-        if self.ext is not other.ext or self.grades != other.grades:
+        if self is other:
+            return True
+        if self.ext is not other.ext or self.dim != other.dim:
             return False
         if len(self.factors) > 1 and self.factors == other.factors:
             return True
-        return self.matrices == other.matrices
+        return self.grades == other.grades and self.matrices == other.matrices
 
     def __repr__(self) -> str:
         return f"GradedModule({self.name or self.dim}, grades={self.grades})"
@@ -132,6 +192,8 @@ def unit_module(ext: GroupExtension) -> GradedModule:
 class ModuleMap:
     """A linear map between graded modules; only its shape and extension are
     checked here, the rest by the diagrams that compare it."""
+
+    __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source: GradedModule, target: GradedModule, matrix: ExactMatrix):
         if source.ext is not target.ext:
@@ -178,7 +240,7 @@ def tensor_map(f: ModuleMap, g: ModuleMap) -> ModuleMap:
 def fuse(v: GradedModule, w: GradedModule) -> GradedModule:
     """Tensor product: grades multiply in H, G acts diagonally. The factors
     are those of v followed by those of w, so nested fusions flatten, and
-    each action matrix is formed when it is first read.
+    the grades and each action matrix are formed when first read.
 
     No block condition is checked: it follows from the factors'. The vector
     (i, k) has grade ab (a = v.grades[i], b = w.grades[k]), and the entry
@@ -190,9 +252,7 @@ def fuse(v: GradedModule, w: GradedModule) -> GradedModule:
     the factors' as well."""
     if v.ext is not w.ext:
         raise UsageError("fusion requires a common extension")
-    H = v.ext.H
-    grades = tuple(H.mul(a, b) for a in v.grades for b in w.grades)
-    return GradedModule._derived(v.ext, grades, f"({v.name})*({w.name})", factors=v.factors + w.factors)
+    return GradedModule._fusion(v.ext, v.dim * w.dim, v.factors + w.factors)
 
 
 def j_act(x: int, v: GradedModule) -> GradedModule:
@@ -204,13 +264,13 @@ def j_act(x: int, v: GradedModule) -> GradedModule:
     if x not in v._shifted:
         ext = v.ext
         H, J = ext.H, ext.J
-        s_inv = H.inv[ext.section[J.inv[x]]]
-        grades = tuple(H.conj(s_inv, h) for h in v.grades)
-        name = f"{J.labels[x]}.({v.name})"
         if len(v.factors) > 1:
-            shifted = GradedModule._derived(ext, grades, name, factors=tuple(j_act(x, f) for f in v.factors))
+            shifted = GradedModule._fusion(ext, v.dim, tuple(j_act(x, f) for f in v.factors))
         else:
-            shifted = GradedModule._derived(ext, grades, name, acts=[v.act(g) for g in ext.rho[J.inv[x]]])
+            s_inv = H.inv[ext.section[J.inv[x]]]
+            grades = tuple(H.conj(s_inv, h) for h in v.grades)
+            acts = [v.act(g) for g in ext.rho[J.inv[x]]]
+            shifted = GradedModule._derived(ext, grades, f"{J.labels[x]}.({v.name})", acts)
         v._shifted[x] = shifted
     return v._shifted[x]
 
@@ -227,7 +287,7 @@ def dual_module(v: GradedModule) -> GradedModule:
     ext = v.ext
     grades = tuple(ext.H.inv[h] for h in v.grades)
     mats = [v.act(ext.G.inv[g]).transpose() for g in range(ext.G.order)]
-    return GradedModule._derived(ext, grades, f"({v.name})^", acts=mats)
+    return GradedModule._derived(ext, grades, f"({v.name})^", mats)
 
 
 def dual_map(f: ModuleMap) -> ModuleMap:
@@ -285,13 +345,18 @@ def r_action_map(sd: SectorDouble, v: GradedModule, w: GradedModule) -> ModuleMa
 
     The double's basis element delta_h (x) g acts on a module by g followed
     by the projection onto the rows graded by h, so each leg of a term walks
-    the nonzero entries of the action of g whose row grade is h."""
+    the nonzero entries of the action of g whose row grade is h; each
+    (module, basis index) leg is read once per call."""
     j = _require_homogeneous(v, "R-matrix action")
     mat = ExactMatrix.zeros(w.dim * v.dim, v.dim * w.dim)
+    legs: dict[tuple[int, int], list[tuple[int, int, Scalar]]] = {}
 
     def leg(mod: GradedModule, idx: int) -> list[tuple[int, int, Scalar]]:
-        h, g = sd.label_of(idx)
-        return [(r, c, x) for r, c, x in mod.act(g).nonzeros() if mod.grades[r] == h]
+        key = (id(mod), idx)
+        if key not in legs:
+            h, g = sd.label_of(idx)
+            legs[key] = [(r, c, x) for r, c, x in mod.act(g).nonzeros() if mod.grades[r] == h]
+        return legs[key]
 
     for ten in sd.r_sector.values():
         for (a1, a2), coef in ten.items():

@@ -34,6 +34,7 @@ from .hopf import (
     clean,
     inverts,
     outer,
+    products_of,
     sparse_add,
     sparse_eq,
     verify_hopf,
@@ -54,8 +55,11 @@ def orbifold_algebra(sd: SectorDouble) -> TableHopf:
     Basis a (x) j with product (a (x) i)(b (x) j) = a phi_i(b) c_{ij} (x) ij,
     componentwise coproduct, and antipode
     S(a (x) j) = c_{j^{-1},j}^{-1} phi_{j^{-1}}(S_A(a)) (x) j^{-1}.
+    The products in A are taken from `hopf.products_of(A)`: its integer view
+    when A is monomial, which gives what A.mul_vec gives, and else A itself.
     """
     A = sd.hopf
+    p = products_of(A)
     J = sd.ext.J
     n_a, n_j = A.dim, J.order
     dim = n_a * n_j
@@ -71,7 +75,8 @@ def orbifold_algebra(sd: SectorDouble) -> TableHopf:
             coh = sd.coherence[(i, j)]
             for a in range(n_a):
                 for b in range(n_a):
-                    vec = A.mul_vec(A.mul_basis(a, phi_i[b]), coh)
+                    ab = A.mul_basis(a, phi_i[b])
+                    vec = p.mul_vec(ab, coh) if ab else ab
                     if vec:
                         mul_table[(idx(a, i), idx(b, j))] = _shift(vec, ij, n_j)
 
@@ -85,7 +90,7 @@ def orbifold_algebra(sd: SectorDouble) -> TableHopf:
             }
             counit_table[idx(a, j)] = A.counit_basis(a)
             jinv = J.inv[j]
-            svec = A.mul_vec(sd.coherence_inv[(jinv, j)], _permute(A.antipode_basis(a), sd.phi[jinv]))
+            svec = p.mul_vec(sd.coherence_inv[(jinv, j)], _permute(A.antipode_basis(a), sd.phi[jinv]))
             antipode_table[idx(a, j)] = _shift(svec, jinv, n_j)
 
     unit = _shift(A.unit, 0, n_j)

@@ -11,7 +11,11 @@ cross-multiplies the denominators, promotion and the Galois maps substitute
 integer rows of the power table, and the inverse is the product of the other
 Galois conjugates over the norm. coeffs reads the coordinates as reduced
 Fractions, which reports encode. Values of different conductors meet at the
-lcm; a value keeps the conductor it was computed at, which reports show.
+lcm; a value keeps the conductor it was computed at, which reports show. A
+sum with the int 0 is the value itself, and a product or comparison of two
+values of one conductor skips the promotion (in Q, phi(n) = 1, a product is
+one integer product); each shortcut gives the value and conductor of the
+general path.
 
 A scalar with an integer value is a Python int in every layer: the Hopf
 tables (`hopf`, `doubles`, `orbifold`), the matrices (`linalg`, `modular`)
@@ -194,6 +198,8 @@ class Cyclotomic:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: Scalar) -> "Cyclotomic":
+        if other.__class__ is int and not other:
+            return self
         a, b = Cyclotomic._pair(self, other)
         if a.den == b.den:
             return _make(a.n, [x + y for x, y in zip(a.num, b.num)], a.den)
@@ -211,9 +217,14 @@ class Cyclotomic:
         return (-self) + other
 
     def __mul__(self, other: Scalar) -> "Cyclotomic":
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is Cyclotomic and other.n == self.n:
+            a, b = self, other
+        elif isinstance(other, (int, Fraction)):
             return _make(self.n, [c * other.numerator for c in self.num], self.den * other.denominator)
-        a, b = Cyclotomic._pair(self, other)
+        else:
+            a, b = Cyclotomic._pair(self, other)
+        if len(a.num) == 1:
+            return _make(a.n, [a.num[0] * b.num[0]], a.den * b.den)
         conv = [0] * (2 * len(a.num) - 1)
         for i, x in enumerate(a.num):
             if x:
@@ -267,6 +278,8 @@ class Cyclotomic:
         return out
 
     def __eq__(self, other: object) -> bool:
+        if other.__class__ is Cyclotomic and other.n == self.n:
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.num[0] * other.denominator == other.numerator * self.den
         if not isinstance(other, Cyclotomic):

@@ -464,6 +464,8 @@ CATEGORY_REPORT_SHA256 = {
     ("Z3-Z6", False): "878c9e8441533c6e86c4ede8c17c00009db1b77bd5b8473aaedf4c291d732c4c",
     ("V4-A4", True): "8f798f55aa5e83ff929243c787852128576e1db970c9c6cf572aa7eb4ca5333a",
     ("Z4-D4", True): "92a3b701fb384e409a45b4ed7c64b05e40790ec3fd805bc72af3b4c8bce99965",
+    # recorded at e3d9502, from the dense matrices and eagerly graded fusions
+    ("Z2-Q8", False): "a7e56bdf078b4482f5a1fde1cd904d88cde042c4b6745cc7f1872a8b2b12a289",
 }
 
 

@@ -1,4 +1,5 @@
-"""Exact dense matrices: rank / det / kernel / solve with oracle cross-checks."""
+"""Exact matrices: the sparse store against a dense oracle, and rank / det /
+kernel / solve with oracle cross-checks."""
 
 import ast
 import itertools
@@ -10,6 +11,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import equidouble
 from equidouble.catalogue import extension_by_name, extension_names
@@ -421,3 +424,142 @@ for case in cases:
         "raised: inconsistent system at row 2",
         "raised: inconsistent system at row 1",
     ]
+
+
+# -- the sparse store against a dense oracle ----------------------------------
+
+
+class DenseMatrix:
+    """The dense oracle: a row-major list holding every entry, the int zero
+    where nothing was set, with the arithmetic of a plain entry loop."""
+
+    def __init__(self, rows, cols, data):
+        self.rows, self.cols, self.data = rows, cols, list(data)
+
+    def at(self, i, j):
+        return self.data[i * self.cols + j]
+
+    def __matmul__(self, other):
+        out = [0] * (self.rows * other.cols)
+        for i in range(self.rows):
+            for k in range(self.cols):
+                a = self.at(i, k)
+                for j in range(other.cols):
+                    b = other.at(k, j)
+                    if a and b:
+                        out[i * other.cols + j] = out[i * other.cols + j] + a * b
+        return DenseMatrix(self.rows, other.cols, out)
+
+    def kron(self, other):
+        rows, cols = self.rows * other.rows, self.cols * other.cols
+        out = DenseMatrix(rows, cols, [0] * (rows * cols))
+        for i, j, k, l in itertools.product(range(self.rows), range(self.cols), range(other.rows), range(other.cols)):
+            a, b = self.at(i, j), other.at(k, l)
+            if a and b:
+                out.data[(i * other.rows + k) * out.cols + j * other.cols + l] = a * b
+        return out
+
+    def transpose(self):
+        return DenseMatrix(self.cols, self.rows, [self.at(i, j) for j in range(self.cols) for i in range(self.rows)])
+
+    def nonzeros(self):
+        return [(i, j, self.at(i, j)) for i in range(self.rows) for j in range(self.cols) if self.at(i, j)]
+
+    def trace(self):
+        t = 0
+        for i in range(self.rows):
+            t = t + self.at(i, i)
+        return t
+
+
+def same(x, y):
+    """Equal value, type and, for cyclotomics, conductor."""
+    return type(x) is type(y) and x == y and getattr(x, "n", None) == getattr(y, "n", None)
+
+
+def same_data(m, dense):
+    return (m.rows, m.cols) == (dense.rows, dense.cols) and len(m.data) == len(dense.data) and all(
+        same(x, y) for x, y in zip(m.data, dense.data)
+    )
+
+
+small = st.integers(-2, 2)
+scalars = st.one_of(
+    small,
+    st.builds(Fraction, small, st.integers(1, 3)),
+    st.builds(lambda n, a, b: Cyclotomic(n, [a, b]), st.sampled_from([3, 4]), small, small),
+    st.sampled_from([Fraction(0), Cyclotomic(3, [0, 0]), Cyclotomic(4, [0, 0]), Fraction(1), 1]),
+)
+
+
+@st.composite
+def stored(draw, rows=None, cols=None):
+    """A matrix given by its entries, written one by one in a drawn order
+    (so the store's rows are filled out of column order), and its oracle."""
+    rows = draw(st.integers(0, 3)) if rows is None else rows
+    cols = draw(st.integers(0, 3)) if cols is None else cols
+    data = draw(st.lists(scalars, min_size=rows * cols, max_size=rows * cols))
+    order = draw(st.permutations(range(rows * cols)))
+    m = ExactMatrix.zeros(rows, cols)
+    for pos in order:
+        m[divmod(pos, cols)] = data[pos]
+    return m, DenseMatrix(rows, cols, data)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_sparse_store_matches_the_dense_oracle(data):
+    (a, da), (b, db) = data.draw(stored()), data.draw(stored())
+    assert same_data(a, da) and same_data(ExactMatrix(da.rows, da.cols, da.data), da)
+    assert same_data(a.transpose(), da.transpose())
+    assert same_data(a.kron(b), da.kron(db))
+    assert list(a.nonzeros()) == da.nonzeros()
+    assert a.is_zero() == (not any(da.data))
+    (c, dc) = data.draw(stored(rows=a.cols))
+    assert same_data(a @ c, da @ dc)
+    for m, dense in ((a @ c, da @ dc), (a.kron(b), da.kron(db)), (a.transpose(), da.transpose())):
+        assert list(m.nonzeros()) == dense.nonzeros()
+    if a.rows == a.cols:
+        assert same(a.trace(), da.trace())
+    assert (a == b) == ((da.rows, da.cols) == (db.rows, db.cols) and da.data == db.data)
+    copy = a.copy()
+    assert copy == a and same_data(copy, da)
+    if a.rows and a.cols:
+        i, j = data.draw(st.integers(0, a.rows - 1)), data.draw(st.integers(0, a.cols - 1))
+        copy[i, j] = Cyclotomic(3, [1, 1])
+        assert same_data(a, da) and same(copy[i, j], Cyclotomic(3, [1, 1]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(stored(), st.sampled_from([Fraction(0), Cyclotomic(3, [0, 0]), Cyclotomic(4, [0, 0])]), st.data())
+def test_a_stored_zero_equals_an_unset_entry_and_keeps_its_type(pair, zero, data):
+    m, dense = pair
+    if not (m.rows and m.cols):
+        return
+    i, j = data.draw(st.integers(0, m.rows - 1)), data.draw(st.integers(0, m.cols - 1))
+    unset, typed = m.copy(), m.copy()
+    unset[i, j] = 0
+    typed[i, j] = zero
+    assert unset == typed and typed == unset
+    assert type(unset[i, j]) is int and same(typed[i, j], zero)
+    assert same(typed.data[i * m.cols + j], zero) and type(unset.data[i * m.cols + j]) is int
+    assert (i, j) not in [(r, c) for r, c, _ in typed.nonzeros()]
+    oracle = DenseMatrix(m.rows, m.cols, dense.data)
+    oracle.data[i * m.cols + j] = zero
+    assert same_data(typed, oracle)
+    if m.rows == m.cols:
+        assert same(typed.trace(), oracle.trace())
+
+
+def test_entries_written_out_of_order_walk_in_column_order():
+    z = Cyclotomic.zeta(4)
+    m = ExactMatrix.zeros(2, 4)
+    written = [((0, 3), z), ((0, 1), 2), ((1, 2), Fraction(1, 2)), ((0, 0), 1), ((1, 0), z), ((0, 2), Fraction(0))]
+    for (i, j), x in written:
+        m[i, j] = x
+    assert list(m.nonzeros()) == [(0, 0, 1), (0, 1, 2), (0, 3, z), (1, 0, z), (1, 2, Fraction(1, 2))]
+    assert [type(x) for x in m.data] == [int, int, Fraction, Cyclotomic, Cyclotomic, int, Fraction, int]
+    with pytest.raises(IndexError):
+        m[2, 0] = 1
+    with pytest.raises(IndexError):
+        _ = m[0, 4]

@@ -138,6 +138,35 @@ def test_fused_actions_are_the_nested_kronecker_products_of_the_factors():
         assert rebuilt == fused and fused == rebuilt and eager == fused
 
 
+@pytest.mark.parametrize("make", [a3_in_s3, z2_in_z4, z2_in_d6], ids=["A3-S3", "Z2-Z4", "Z2-D6"])
+def test_lazy_fusions_and_their_shifts_match_the_eager_construction(make):
+    """A fusion, and each shift of one, forms its grades, degree and actions
+    from its factors when they are first read. On every fusion of two and of
+    three simples, in both bracketings, and on every shift of those, they
+    must be what the eager construction gives: grades multiplied out and
+    Kronecker products formed at once through the validating constructor,
+    shifted as a module given by matrices."""
+    ext = make()
+    G, J = ext.G, ext.J
+    simples = simples_of_double(ext)
+
+    def agrees(lazy, eager):
+        for x in range(J.order):
+            shifted, eager_shifted = j_act(x, lazy), j_act(x, eager)
+            assert shifted.degree() == eager_shifted.degree()
+            assert shifted.grades == eager_shifted.grades
+            assert all(shifted.act(g) == eager_shifted.act(g) for g in range(G.order))
+        assert lazy.degree() == eager.degree() and lazy.grades == eager.grades
+        assert all(lazy.act(g) == eager.act(g) for g in range(G.order))
+
+    eager_pairs = {(a, b): eager_fuse(u, v) for a, u in enumerate(simples) for b, v in enumerate(simples)}
+    for (a, b), eager in eager_pairs.items():
+        agrees(fuse(simples[a], simples[b]), eager)
+        for c, w in enumerate(simples):
+            agrees(fuse(fuse(simples[a], simples[b]), w), eager_fuse(eager, w))
+            agrees(fuse(simples[a], fuse(simples[b], w)), eager_fuse(simples[a], eager_pairs[b, c]))
+
+
 def test_fuse_forms_each_action_once_when_it_is_read(monkeypatch):
     ext = a3_in_s3()
     u, v, w = simples_of_double(ext)[2:5]

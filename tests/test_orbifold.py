@@ -9,10 +9,12 @@ from itertools import chain, product
 import pytest
 
 import equidouble
+from equidouble import orbifold
 from equidouble.catalogue import extension_by_name, extension_names, group_by_name
 from equidouble.doubles import double_algebra, sector_double
 from equidouble.errors import NonInvertibleError
 from equidouble.hopf import (
+    TableHopf,
     first_failure,
     hopf_checks,
     monomial_view,
@@ -295,6 +297,55 @@ def test_module_converter_round_trip_on_regular_module():
         for j in range(n_j):
             reconstructed = rho_a @ inverse(psi_maps[ext.J.inv[j]])
             assert reconstructed.data == rho_tilde(a * n_j + j).data
+
+
+def z1_in_s3():
+    return extension_from_subgroup(symmetric_group(3), [0], name="Z1-S3")
+
+
+def z2_in_d6():
+    d6 = dihedral_group(6)
+    centre = [z for z in range(d6.order) if len(d6.centralizer(z)) == d6.order]
+    return extension_from_subgroup(d6, centre, name="Z2-D6")
+
+
+def hopf_tables(h):
+    return h.dim, h.unit, h._mul, h._comul, h._counit, h._antipode
+
+
+def count_sparse_products(monkeypatch):
+    calls = []
+    mul_vec = TableHopf.mul_vec
+    monkeypatch.setattr(TableHopf, "mul_vec", lambda self, a, b: calls.append(1) or mul_vec(self, a, b))
+    return calls
+
+
+@pytest.mark.parametrize("name", [*extension_names(), "Z1-S3", "Z2-D6"])
+def test_crossed_product_from_the_integer_view_equals_the_sparse_one(name, monkeypatch):
+    """orbifold_algebra takes the products of a monomial sector double from
+    its integer view, and builds the tables the sparse products build."""
+    ext = {"Z1-S3": z1_in_s3, "Z2-D6": z2_in_d6}.get(name, lambda: extension_by_name(name))()
+    sd = sector_double(ext)
+    calls = count_sparse_products(monkeypatch)
+    from_view = orbifold_algebra(sd)
+    assert calls == []
+    monkeypatch.setattr(orbifold, "products_of", lambda h: h)
+    sparse = orbifold_algebra(sd)
+    assert calls and hopf_tables(from_view) == hopf_tables(sparse)
+
+
+def test_crossed_product_of_a_sector_double_that_is_not_monomial_takes_the_sparse_products(monkeypatch):
+    sd = sector_double(z2_in_z4())
+    clean_build = orbifold_algebra(sd)
+    pair = next(k for k, v in sd.hopf._mul.items() if v)
+    target = next(iter(sd.hopf._mul[pair]))
+    sd.hopf._mul[pair][target] = 2
+    assert monomial_view(sd.hopf) is None
+    calls = count_sparse_products(monkeypatch)
+    built = orbifold_algebra(sd)
+    assert calls
+    monkeypatch.setattr(orbifold, "products_of", lambda h: h)
+    assert hopf_tables(built) == hopf_tables(orbifold_algebra(sd)) != hopf_tables(clean_build)
 
 
 def test_sector_axiom_suite_passes_for_catalogue_extensions():
