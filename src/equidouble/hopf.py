@@ -472,53 +472,25 @@ def _monomial_checks(view: MonomialView) -> Checks:
     each pair (x, y) of a and (x', y') of b whose two products are nonzero;
     its coefficient on a key is the number of times the key occurs. So the
     sides are equal exactly when those keys, sorted, are pairs[rows[a][b]].
-    The terms of a and of b are grouped by first leg, as in
-    MonomialView.ten_mul, so a zero product x x' skips the whole pair of
-    groups; the keys collected are the same. Where no first leg of Delta(e_k)
-    repeats, each term is its own group and the groups of k are not stored:
-    on the doubles and crossed products of this package no first leg
-    repeats, and grouping their terms would only hold a second copy of them.
     """
     rows, pairs = view.rows, view.pairs
-    groups = [_first_leg_groups(terms) for terms in pairs]
 
     def associativity(x, s, y):
         return rows[rows[x][s]][y] == rows[x][rows[s][y]]
 
     def comultiplication_multiplicative(a, b):
-        left, right = groups[a], groups[b]
-        if left is None and right is None:
-            rhs = sorted(
-                (p, q)
-                for x, y in pairs[a]
-                for x2, y2 in pairs[b]
-                if (p := rows[x][x2]) >= 0 and (q := rows[y][y2]) >= 0
-            )
-        else:
-            rhs = sorted(
-                (p, q)
-                for x, ys in left or [(x, (y,)) for x, y in pairs[a]]
-                for x2, ys2 in right or [(x, (y,)) for x, y in pairs[b]]
-                if (p := rows[x][x2]) >= 0
-                for y in ys
-                for y2 in ys2
-                if (q := rows[y][y2]) >= 0
-            )
+        rhs = sorted(
+            (p, q)
+            for x, y in pairs[a]
+            for x2, y2 in pairs[b]
+            if (p := rows[x][x2]) >= 0 and (q := rows[y][y2]) >= 0
+        )
         return rhs == pairs[rows[a][b]]
 
     return {
         "associativity": (3, associativity),
         "comultiplication_multiplicative": (2, comultiplication_multiplicative),
     }
-
-
-def _first_leg_groups(terms: list[tuple[int, int]]) -> Optional[list[tuple[int, tuple[int, ...]]]]:
-    """The sorted pairs terms as (first leg, its second legs), or None when
-    no first leg repeats."""
-    groups: dict[int, list[int]] = {}
-    for x, y in terms:
-        groups.setdefault(x, []).append(y)
-    return None if len(groups) == len(terms) else [(x, tuple(ys)) for x, ys in groups.items()]
 
 
 def _associativity_scan(view: MonomialView) -> Optional[tuple]:

@@ -113,10 +113,10 @@ def test_scans_agree_with_the_sparse_oracle_on_valid_tables():
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(("Z2", "Z3", "S3", "D4")), st.data())
 def test_coproducts_with_a_repeated_first_leg_give_the_sparse_verdicts(name, data):
-    """comultiplication_multiplicative groups the terms of a coproduct by
-    first leg where one repeats: one term of Delta(e_k) is moved onto the
-    first leg of another, and the integer predicates still decide every
-    check on the same witnesses as the sparse ones."""
+    """No coproduct of a double repeats a first leg, so one term of
+    Delta(e_k) is moved onto the first leg of another: the integer
+    predicates still decide every check on the same witnesses as the
+    sparse ones."""
     hopf = double_algebra(group_by_name(name)).hopf
     key = data.draw(st.sampled_from(sorted(k for k, v in hopf._comul.items() if len(v) > 1)))
     terms = hopf._comul[key]
