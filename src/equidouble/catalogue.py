@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .dw import Presentation, presentation_by_name, presentation_names
 from .errors import UsageError
 from .groups import (
     FiniteGroup,
@@ -24,6 +23,11 @@ from .groups import (
     quaternion_group,
     symmetric_group,
 )
+
+# the presentations live in `dw`, which is loaded only by the calls below that
+# read one, so a run that reads none does not compile it
+if TYPE_CHECKING:
+    from .dw import Presentation
 
 
 def _v4() -> FiniteGroup:
@@ -134,6 +138,8 @@ NERVE_NAMES = ("circle3",)
 def catalogue_list() -> dict[str, tuple[str, ...]]:
     """Stable identifiers accepted wherever a group, extension, presentation,
     or nerve is expected."""
+    from .dw import presentation_names
+
     return {
         "groups": group_names(),
         "extensions": extension_names(),
@@ -167,6 +173,8 @@ def group_from_json(obj: object) -> FiniteGroup:
 
 def presentation_from_json(obj: object) -> Presentation:
     """Parse {"generators": r, "relations": [[letters], ...]}."""
+    from .dw import Presentation
+
     if not isinstance(obj, dict):
         raise UsageError("presentation JSON must be an object")
     try:
@@ -219,6 +227,8 @@ def load_group(ref: str) -> FiniteGroup:
 
 
 def load_presentation(ref: str) -> Presentation:
+    from .dw import presentation_by_name
+
     return _load("presentation", ref, presentation_by_name, presentation_from_json)
 
 

@@ -17,8 +17,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequ
 # Only what every subcommand needs is imported here; each handler imports the
 # layers it runs, so a run compiles and loads no module it does not use.
 from .catalogue import catalogue_list, load_extension, load_group, load_presentation
-from .dw import DEFAULT_BUDGET
-from .errors import EquidoubleError, NonInvertibleError, ResourceError, UsageError
+from .errors import DEFAULT_BUDGET, EquidoubleError, NonInvertibleError, ResourceError, UsageError
 from .scalars import Cyclotomic, Scalar
 
 # Imported after the package modules above, which compile groups.py, one of

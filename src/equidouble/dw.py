@@ -20,10 +20,8 @@ from fractions import Fraction
 from functools import partial, reduce
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import NonInvertibleError, ResourceError, UsageError
+from .errors import DEFAULT_BUDGET, NonInvertibleError, ResourceError, UsageError
 from .groups import FiniteGroup, GroupAction, GroupExtension, WeakAction
-
-DEFAULT_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+# the default of --budget-homs, the bound on each search of `dw`; past it
+# the search raises ResourceError
+DEFAULT_BUDGET = 1_000_000
+
 
 class EquidoubleError(Exception):
     """Base class for all library errors."""

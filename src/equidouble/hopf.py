@@ -18,14 +18,22 @@ element or zero, and every coproduct of one a sum of distinct basis pairs,
 all with coefficient exactly 1. Each verifier reads such a table into integer
 rows (`monomial_view`) when it runs, in either mode. The view decides
 associativity and comultiplication_multiplicative by integer predicates,
-which hold on exactly the tuples the sparse predicates hold on (a full
-associativity check is one row-wise scan), and it supplies every product the
-other checks take: `MonomialView.mul_vec` and `ten_mul` give the results of
-`TableHopf.mul_vec` and `ten_mul` by row lookups. Every other predicate is
-written once and takes its products from the table or from its view; the
-coassociativity and counit checks take no products. Any other table, such
-as one with a rational coefficient or a stored zero, runs the sparse
-kernels, which remain each axiom's definition.
+which hold on exactly the tuples the sparse predicates hold on, and it
+supplies every product the other checks take: `MonomialView.mul_vec` and
+`ten_mul` give the results of `TableHopf.mul_vec` and `ten_mul` by row
+lookups. Every other predicate is written once and takes its products from
+the table or from its view; the coassociativity and counit checks take no
+products. Any other table, such as one with a rational coefficient or a
+stored zero, runs the sparse kernels, which remain each axiom's definition.
+
+On the view, a check that runs on every tuple is decided on a generating set
+of the table (module `rowscans`, loaded only then): associativity always
+(Light's test), and comultiplication_multiplicative, coassociativity,
+r_intertwines_coproducts and ribbon_central once the checks their proofs
+need (`REDUCTION_PREMISES`) have held on every tuple of the same table in
+the same run. A reduced check that fails runs on every tuple and reports
+that scan's first failure, so verdicts and witnesses are those of the
+predicate loops, which also decide a check whose premises did not hold.
 
 The structure constants are Python ints, built from `scalars.ZERO` and
 `scalars.ONE`. No operation here, in `doubles` or in `orbifold` divides a
@@ -41,7 +49,6 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
-from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import UsageError
@@ -62,8 +69,9 @@ RIBBON_SAMPLES = 400  # quasitriangular and ribbon suites
 
 
 def clean(a: dict) -> dict:
-    """The same vector or tensor without stored zero coefficients."""
-    return {k: c for k, c in a.items() if c}
+    """The same vector or tensor without stored zero coefficients: a itself
+    when it stores none, else a copy."""
+    return a if all(a.values()) else {k: c for k, c in a.items() if c}
 
 
 def sparse_add(a: dict, b: dict) -> dict:
@@ -89,7 +97,9 @@ def inverts(mul: Callable[[dict, dict], dict], x: dict, y: dict, one: dict) -> b
 
 
 class TableHopf:
-    """Hopf algebra defined by explicit sparse structure tables."""
+    """Hopf algebra defined by explicit sparse structure tables. It keeps
+    each vector and tensor it is given that stores no zero, not a copy, so
+    the builders in `doubles` and `orbifold` hand over fresh ones."""
 
     def __init__(
         self,
@@ -207,6 +217,19 @@ def first_failure(tuples: Iterable[tuple], holds: Callable[..., bool]) -> Option
 
 
 @dataclass
+class Premises:
+    """What a run has established about one table, for the checks after it
+    to build on: `held`, the checks that held on every tuple of the table,
+    and `generators`, a generating set of its integer rows once one was
+    found (`rowscans.generating_set`). verify_all_axioms and
+    verify_sector_double hand the Hopf suite's premises to the
+    quasitriangular and ribbon suites of the same table."""
+
+    held: set[str] = field(default_factory=set)
+    generators: Optional[list[int]] = None
+
+
+@dataclass
 class VerifyReport:
     """Outcome of an axiom suite.
 
@@ -216,12 +239,14 @@ class VerifyReport:
     the error that stopped a construction under test. built is ribbon data
     a suite constructed, for its caller to reuse: verify_sector_double sets
     it to the crossed product once that has been built and checked.
+    premises is what the run established about its table (`Premises`).
     """
 
     mode: str
     checks: dict[str, bool] = field(default_factory=dict)
     witnesses: dict[str, tuple] = field(default_factory=dict)
     built: Optional[RibbonData] = None
+    premises: Premises = field(default_factory=Premises)
 
     @property
     def all_passed(self) -> bool:
@@ -234,12 +259,14 @@ class VerifyReport:
         """Record whether holds(*t) for every t in tuples. A check may be
         recorded in parts, by several calls; once one part has failed the
         later parts are skipped."""
-        if name in self.witnesses:
-            return
-        self.record(name, first_failure(tuples, holds))
+        if name not in self.witnesses:
+            self.record(name, first_failure(tuples, holds))
 
     def record(self, name: str, witness: Optional[tuple]) -> None:
-        """Record a check decided elsewhere: failed on witness, or passed if None."""
+        """Record a check, or a part of one, decided elsewhere: failed on
+        witness, or passed if None. A part after a failed one is skipped."""
+        if name in self.witnesses:
+            return
         self.checks[name] = witness is None
         if witness is not None:
             self.witnesses[name] = witness
@@ -254,13 +281,21 @@ class VerifyReport:
 
 # name -> (arity, predicate on a basis tuple of that arity); arity 0 is one identity
 Checks = dict[str, tuple[int, Callable[..., bool]]]
-# name -> a procedure returning the first basis tuple, in itertools.product
-# order, on which the check of that name fails, or None
-Scans = dict[str, Callable[[], Optional[tuple]]]
+# name -> (premises, scan): the names of the checks that must hold on every
+# tuple of the same table before the scan may decide the check of that name,
+# and a procedure that, given the run's Premises, returns the first basis
+# tuple in itertools.product order on which that check fails, or None
+Scans = dict[str, tuple[tuple[str, ...], Callable[[Premises], Optional[tuple]]]]
 
 
 def run_checks(
-    checks: Checks, dim: int, *, sampled: bool, samples: int, scans: Optional[Scans] = None
+    checks: Checks,
+    dim: int,
+    *,
+    sampled: bool,
+    samples: int,
+    scans: Optional[Scans] = None,
+    premises: Optional[Premises] = None,
 ) -> VerifyReport:
     """Run each check on every basis tuple of its arity in full mode. In
     sampled mode the k-th check of positive arity (k = 0, 1, ...) runs on
@@ -268,24 +303,42 @@ def run_checks(
     dim ** arity, the number of tuples there are; then it runs on every
     tuple. Every drawn tuple lies in the full product, so any failure a draw
     could find is found there too: the full product can only make a verdict
-    stricter, and it costs no more tuples. A check that runs on every tuple
-    and has a scan of its name in `scans` is decided by the scan, which
-    finds the same first failing tuple as the predicate loop."""
-    rep = VerifyReport(mode="sampled" if sampled else "full")
+    stricter, and it costs no more tuples.
+
+    A check that runs on every tuple and has a scan in `scans` is decided by
+    the scan once each of its premises holds on every tuple of the table:
+    is in `premises`, the run's earlier findings about the same table, or is
+    a check of this run that runs on every tuple, decided first if it comes
+    later. The scan finds the same first failing tuple as the predicate
+    loop, which decides the check when a premise does not hold. Each check
+    that held on every tuple is added to the premises, which the report
+    carries."""
+    rep = VerifyReport(mode="sampled" if sampled else "full", premises=premises or Premises())
     scans = scans or {}
+    everywhere = {name for name, (arity, _) in checks.items() if not (sampled and samples < dim**arity)}
+    decided: dict[str, Optional[tuple]] = {}
+
+    def held(name: str) -> bool:
+        if name in everywhere and name not in decided:
+            arity, holds = checks[name]
+            needs, scan = scans.get(name, ((), None))
+            if scan is not None and all(map(held, needs)):
+                decided[name] = scan(rep.premises)
+            else:
+                decided[name] = first_failure(product(range(dim), repeat=arity), holds)
+            if decided[name] is None:
+                rep.premises.held.add(name)
+        return name in rep.premises.held
+
     k = 0
     for name, (arity, holds) in checks.items():
-        if arity == 0:
-            rep.check(name, [()], holds)
-            continue
-        if sampled and samples < dim**arity:
-            rng = random.Random(k)
-            rep.check(name, [tuple(rng.randrange(dim) for _ in range(arity)) for _ in range(samples)], holds)
-        elif name in scans:
-            rep.record(name, scans[name]())
+        if name in everywhere:
+            held(name)
+            rep.record(name, decided[name])
         else:
-            rep.check(name, product(range(dim), repeat=arity), holds)
-        k += 1
+            rng = random.Random(k)
+            rep.check(name, (tuple(rng.randrange(dim) for _ in range(arity)) for _ in range(samples)), holds)
+        k += arity > 0
     return rep
 
 
@@ -409,7 +462,9 @@ def products_of(h: TableHopf) -> Products:
 
 def hopf_checks(h: TableHopf, products: Optional[Products] = None) -> Checks:
     """Bialgebra + antipode axioms as predicates on basis tuples, taking
-    their products from `products`: h (the default) or its integer view."""
+    their products from `products`: h (the default) or its integer view,
+    which also decides associativity and comultiplication_multiplicative by
+    the integer predicates of `_monomial_checks`."""
     p = h if products is None else products
 
     def unit(i):
@@ -449,7 +504,7 @@ def hopf_checks(h: TableHopf, products: Optional[Products] = None) -> Checks:
     def unit_comultiplication():
         return h.counit_vec(h.unit) == 1 and sparse_eq(h.comul_vec(h.unit), outer(h.unit, h.unit))
 
-    return {
+    checks: Checks = {
         "unit": (1, unit),
         "associativity": (3, associativity),
         "coassociativity": (1, coassociativity),
@@ -458,6 +513,9 @@ def hopf_checks(h: TableHopf, products: Optional[Products] = None) -> Checks:
         "antipode": (1, antipode),
         "unit_comultiplication": (0, unit_comultiplication),
     }
+    if isinstance(p, MonomialView):
+        checks.update(_monomial_checks(p))
+    return checks
 
 
 def _monomial_checks(view: MonomialView) -> Checks:
@@ -493,38 +551,61 @@ def _monomial_checks(view: MonomialView) -> Checks:
     }
 
 
-def _associativity_scan(view: MonomialView) -> Optional[tuple]:
-    """The first (x, s, y) with rows[rows[x][s]][y] != rows[x][rows[s][y]]
-    in product order, or None: for each (x, s) it compares the row of e_x e_s
-    with row x read at the entries of row s."""
-    rows = view.rows
-    read = [itemgetter(*row) for row in rows[:-1]]
-    for x, row in enumerate(rows[:-1]):
-        for s, xs in enumerate(row[:-1]):
-            lhs, rhs = rows[xs], read[s](row)
-            if lhs != rhs:
-                return (x, s, next(y for y, (a, b) in enumerate(zip(lhs, rhs)) if a != b))
-    return None
+# the checks each reduced scan of module rowscans needs to have held on every
+# tuple of the same table; each scan's docstring has the proof
+REDUCTION_PREMISES = {
+    "associativity": (),
+    "comultiplication_multiplicative": ("associativity",),
+    "coassociativity": ("comultiplication_multiplicative",),
+    "r_intertwines_coproducts": ("associativity", "comultiplication_multiplicative"),
+    "ribbon_central": ("associativity",),
+}
+
+
+def _reduced_scans(view: MonomialView, checks: Checks) -> Scans:
+    """The scans of module rowscans for the checks it reduces, each on a
+    generating set of the view's rows. The module is loaded, and the set
+    found, when the first of them runs: a run in which none runs loads
+    neither."""
+
+    def scan(name: str, premises: Premises) -> Optional[tuple]:
+        from . import rowscans
+
+        if premises.generators is None:
+            premises.generators = rowscans.generating_set(view.rows)
+        return rowscans.REDUCED[name](view, premises.generators, checks[name][1])
+
+    return {name: (needs, partial(scan, name)) for name, needs in REDUCTION_PREMISES.items() if name in checks}
+
+
+def _run_suite(
+    h: TableHopf,
+    checks_of: Callable[[Products], Checks],
+    samples: int,
+    sampled: bool,
+    premises: Optional[Premises] = None,
+) -> VerifyReport:
+    """The checks checks_of(products) on h. When h is monomial, in either
+    mode, they take their products from its integer view, with the same
+    verdicts and witnesses as on h, and the checks that run on every tuple
+    have the reduced scans of `_reduced_scans`."""
+    view = monomial_view(h)
+    checks = checks_of(h if view is None else view)
+    scans = None if view is None else _reduced_scans(view, checks)
+    return run_checks(checks, h.dim, sampled=sampled, samples=samples, scans=scans, premises=premises)
 
 
 def verify_hopf(h: TableHopf, *, sampled: bool = False) -> VerifyReport:
     """Bialgebra + antipode axioms, on every basis tuple or, in sampled
-    mode, on HOPF_SAMPLES drawn tuples per check. On a monomial table, in
-    either mode, the checks take their products from the integer view,
-    associativity and comultiplication_multiplicative run the integer
-    predicates of `_monomial_checks` on the same tuples, with the same
-    verdicts and witnesses as the sparse ones, and a full associativity
-    check is the row-wise `_associativity_scan`."""
-    view = monomial_view(h)
-    if view is None:
-        return run_checks(hopf_checks(h), h.dim, sampled=sampled, samples=HOPF_SAMPLES)
-    checks = {**hopf_checks(h, view), **_monomial_checks(view)}
-    scans: Scans = {"associativity": partial(_associativity_scan, view)}
-    return run_checks(checks, h.dim, sampled=sampled, samples=HOPF_SAMPLES, scans=scans)
+    mode, on HOPF_SAMPLES drawn tuples per check (`_run_suite`)."""
+    return _run_suite(h, partial(hopf_checks, h), HOPF_SAMPLES, sampled)
 
 
-def _hexagon_rhs(p: Products, unit: SparseVec, r: SparseTen, pair: str) -> SparseTen3:
-    """R13 R23 (pair "23") or R13 R12 (pair "12"), with the products of p.
+def _hexagon_rhs(p: Products, unit: SparseVec, r: SparseTen, pair: str, out: SparseTen3) -> SparseTen3:
+    """out minus R13 R23 (pair "23") or R13 R12 (pair "12"), with the
+    products of p; out is changed in place. A hexagon check passes its left
+    side as out, so one 3-tensor holds the difference, and the sides agree
+    exactly when every coefficient of it is zero.
 
     Expanded over pairs of terms a (x) b, s and c (x) d, t of R, R13 R23 is
     the sum of st (a1) (x) (1c) (x) (bd) and R13 R12 that of
@@ -540,16 +621,15 @@ def _hexagon_rhs(p: Products, unit: SparseVec, r: SparseTen, pair: str) -> Spars
     legs = {x for key in r for x in key}
     times_unit = {x: p.mul_vec({x: ONE}, unit) for x in legs}
     unit_times = {x: p.mul_vec(unit, {x: ONE}) for x in legs}
-    out: SparseTen3 = {}
 
     def add(v1: SparseVec, v2: SparseVec, v3: SparseVec, c: Scalar) -> None:
-        # out += c v1 (x) v2 (x) v3
+        # out -= c v1 (x) v2 (x) v3
         for k1, c1 in v1.items():
             for k2, c2 in v2.items():
                 cc = c * c1 * c2
                 for k3, c3 in v3.items():
                     key = (k1, k2, k3)
-                    out[key] = out.get(key, ZERO) + cc * c3
+                    out[key] = out.get(key, ZERO) - cc * c3
 
     for a, ra in right.items():
         for c, rc in right.items():
@@ -575,19 +655,25 @@ def quasitriangular_checks(rd: RibbonData, products: Optional[Products] = None) 
         delta = h.comul_basis(i)
         return sparse_eq(p.ten_mul(r, delta), p.ten_mul(h.flip_ten(delta), r))
 
+    def hexagon(leg, pair):
+        # (Delta (x) id)(R) = R13 R23 for leg 0, (id (x) Delta)(R) = R13 R12 for leg 1
+        return not any(_hexagon_rhs(p, h.unit, r, pair, _coproduct_on_leg(h, r, leg)).values())
+
     return {
         "r_invertible": (0, lambda: inverts(p.ten_mul, r, rinv, outer(h.unit, h.unit))),
         "r_intertwines_coproducts": (1, r_intertwines_coproducts),
-        "hexagon_coproduct_left": (0, lambda: sparse_eq(_coproduct_on_leg(h, r, 0), _hexagon_rhs(p, h.unit, r, "23"))),
-        "hexagon_coproduct_right": (0, lambda: sparse_eq(_coproduct_on_leg(h, r, 1), _hexagon_rhs(p, h.unit, r, "12"))),
+        "hexagon_coproduct_left": (0, partial(hexagon, 0, "23")),
+        "hexagon_coproduct_right": (0, partial(hexagon, 1, "12")),
     }
 
 
-def verify_quasitriangular(rd: RibbonData, *, sampled: bool = False) -> VerifyReport:
+def verify_quasitriangular(
+    rd: RibbonData, *, sampled: bool = False, premises: Optional[Premises] = None
+) -> VerifyReport:
     """The R-matrix axioms, with the products of the integer view when
-    rd.hopf is monomial."""
-    checks = quasitriangular_checks(rd, products_of(rd.hopf))
-    return run_checks(checks, rd.hopf.dim, sampled=sampled, samples=RIBBON_SAMPLES)
+    rd.hopf is monomial. premises are what the same run established about
+    rd.hopf, the report of verify_hopf(rd.hopf) included."""
+    return _run_suite(rd.hopf, partial(quasitriangular_checks, rd), RIBBON_SAMPLES, sampled, premises)
 
 
 def ribbon_checks(rd: RibbonData, products: Optional[Products] = None) -> Checks:
@@ -615,20 +701,21 @@ def ribbon_checks(rd: RibbonData, products: Optional[Products] = None) -> Checks
     }
 
 
-def verify_ribbon(rd: RibbonData, *, sampled: bool = False) -> VerifyReport:
+def verify_ribbon(rd: RibbonData, *, sampled: bool = False, premises: Optional[Premises] = None) -> VerifyReport:
     """The ribbon axioms, with the products of the integer view when rd.hopf
-    is monomial."""
-    checks = ribbon_checks(rd, products_of(rd.hopf))
-    return run_checks(checks, rd.hopf.dim, sampled=sampled, samples=RIBBON_SAMPLES)
+    is monomial. premises are as for verify_quasitriangular."""
+    return _run_suite(rd.hopf, partial(ribbon_checks, rd), RIBBON_SAMPLES, sampled, premises)
 
 
 def verify_all_axioms(rd: RibbonData, *, sampled: bool = False) -> VerifyReport:
-    """Union of the Hopf, quasitriangular and ribbon suites."""
+    """Union of the Hopf, quasitriangular and ribbon suites; the last two
+    build on what the first established about rd.hopf."""
     out = VerifyReport(mode="sampled" if sampled else "full")
+    hopf = verify_hopf(rd.hopf, sampled=sampled)
     for part in (
-        verify_hopf(rd.hopf, sampled=sampled),
-        verify_quasitriangular(rd, sampled=sampled),
-        verify_ribbon(rd, sampled=sampled),
+        hopf,
+        verify_quasitriangular(rd, sampled=sampled, premises=hopf.premises),
+        verify_ribbon(rd, sampled=sampled, premises=hopf.premises),
     ):
         out.checks.update(part.checks)
         out.witnesses.update(part.witnesses)

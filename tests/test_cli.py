@@ -377,7 +377,7 @@ def test_each_sector_double_is_built_once(monkeypatch, capsys, command, builds):
 
 
 NO_HOPF_LAYER = {"hopf", "modular", "orbifold", "chartable"}
-NO_MODULE_LAYER = {"modular", "chartable"}
+NO_MODULE_LAYER = {"modular", "chartable", "dw"}
 
 
 @pytest.mark.parametrize(
@@ -389,13 +389,16 @@ NO_MODULE_LAYER = {"modular", "chartable"}
         (["double", "--group", "Z2"], "hopf", NO_MODULE_LAYER),
         (["jdouble", "--extension", "Z2-Z4"], "orbifold", NO_MODULE_LAYER),
         (["orbifold", "--extension", "Z2-Z4"], "orbifold", NO_MODULE_LAYER),
+        (["orbifold", "--extension", "V4-A4", "--sampled"], "orbifold", NO_MODULE_LAYER | {"rowscans"}),
     ],
-    ids=["dw", "cech", "sectors", "double", "jdouble", "orbifold"],
+    ids=["dw", "cech", "sectors", "double", "jdouble", "orbifold", "orbifold-sampled"],
 )
 def test_each_subcommand_imports_only_its_layers(argv, runs, unloaded):
     """In a fresh interpreter, a subcommand loads the layer it runs and none
     of the layers it does not: the enumerations no Hopf layer or character
-    table, the axiom suites no module category."""
+    table, the axiom suites no module category and no presentations (`dw`),
+    and a sampled suite whose checks are all drawn or lack their premises
+    none of the full-mode row scans."""
     script = "import sys\nfrom equidouble import cli\ncode = cli.main(sys.argv[1:])\nprint(*sorted(sys.modules))\nsys.exit(code)"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     out = subprocess.run(
@@ -515,9 +518,11 @@ def test_cech_and_sectors_reports_match_recorded_digests(tmp_path):
 
 # sha256 of the verifier reports `ARGV --out FILE`, recorded from the code
 # that inverted the crossed product's grouplikes and assembled twist by dense
-# linear solves; the last two from the code whose sampled Hopf suites ran the
-# sparse predicates on every draw and drew 400 tuples per check under
-# `verify-all`. Each argv is written as one string.
+# linear solves. The two sampled D4 and Z4-D4 reports were recorded from the
+# code whose sampled Hopf suites ran the sparse predicates on every draw and
+# drew 400 tuples per check under `verify-all`; the S4 and A4-S4 reports at
+# 92d250b, from the code that decided every full-mode Hopf, R-matrix and
+# ribbon check on every basis tuple. Each argv is written as one string.
 VERIFIER_REPORT_SHA256 = {
     "double --group Q8": "dd892a5abd34a9820a288586ce9078fcfd51fd887a1640e6b74c350d96566dff",
     "jdouble --extension Z4-D4": "b338b53dc86683b54c5308c38124139bb04c5a6f65c98532032ac24bc1052e9b",
@@ -527,6 +532,8 @@ VERIFIER_REPORT_SHA256 = {
     "verify-all --extension A3-S3": "e97fa63c9b0895fb341daa8f7b3d1ab83bffed3d32cf2a11c96df47142e57165",
     "double --group D4 --sampled": "9ecf65a0f2fbedfab4393cc169c2204f9749c699ab210b107d8672e3033f6a85",
     "verify-all --extension Z4-D4 --sampled": "8f56cbb4585f3370438eafae232a0d700f75907641fe1666a01526bee2f7dd0a",
+    "double --group S4": "4bd8af46fd5e716f3e5fd13d603618f80abf8fb76376d2ea2589c4c05bfb7f07",
+    "jdouble --extension A4-S4": "6769b98b3743ec52f2e3d281d5758a41709452e1767d8332be2326d4f06c7cc1",
 }
 
 

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, product
 
@@ -468,3 +469,66 @@ except NonInvertibleError as exc:
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("raised: "), out.stdout
+
+
+def test_sector_checks_of_a_monomial_sector_double_take_no_sparse_products(monkeypatch):
+    """On the monomial Z4-D4 sector double every product of the sector
+    checks comes from the integer view; once one product has coefficient 2
+    the table is not monomial and they take the sparse products."""
+    sd = sector_double(z4_in_d4())
+    calls = Counter()
+    for name in ("mul_vec", "ten_mul"):
+
+        def counted(self, a, b, name=name, real=getattr(TableHopf, name)):
+            calls[name] += self is sd.hopf
+            return real(self, a, b)
+
+        monkeypatch.setattr(TableHopf, name, counted)
+    assert verify_sector_double(sd).all_passed
+    assert calls == Counter(mul_vec=0, ten_mul=0)
+    (entry,) = sd.hopf._mul[(0, 0)]
+    sd.hopf._mul[(0, 0)] = {entry: 2}
+    assert monomial_view(sd.hopf) is None
+    verify_sector_double(sd)
+    assert calls["mul_vec"] > 0 and calls["ten_mul"] > 0
+
+
+def corrupted_sector_inputs(kind: str):
+    """A sector double, its crossed product's ribbon data and the double of
+    H, with one corruption of the kind named."""
+    ext = a3_in_s3() if kind in ("phi", "coherence") else z4_in_d4()
+    sd = sector_double(ext)
+    dh = double_algebra(ext.H)
+    if kind == "phi":
+        swapped = [sd.phi[1][1], sd.phi[1][0]] + list(sd.phi[1][2:])
+        sd.phi = (sd.phi[0], tuple(swapped))
+    elif kind == "coherence":
+        entry = next(iter(sd.coherence[(1, 1)]))
+        sd.coherence[(1, 1)] = {(entry + 1) % sd.hopf.dim: ONE}
+    elif kind == "sector-product":
+        key = sorted(k for k, v in sd.hopf._mul.items() if v)[5]
+        (old,) = sd.hopf._mul[key]
+        sd.hopf._mul[key] = {(old + 3) % sd.hopf.dim: ONE}
+    else:
+        key = sorted(k for k, v in dh.hopf._mul.items() if v)[7]
+        (old,) = dh.hopf._mul[key]
+        dh.hopf._mul[key] = {(old + 1) % dh.hopf.dim: ONE}
+    return sd, dh
+
+
+@pytest.mark.parametrize("kind", ["phi", "coherence", "sector-product", "big-product"])
+def test_sector_and_psi_checks_by_rows_give_the_sparse_witnesses(kind, monkeypatch):
+    """verify_sector_double and psi_check decide phi-hopf-map and the psi
+    product by rows on monomial tables; with the integer view withheld from
+    them they run the sparse loops, and both give the same report."""
+
+    def reports():
+        sd, dh = corrupted_sector_inputs(kind)
+        sector = verify_sector_double(sd)
+        psi = psi_check(sd, sector.built or orbifold_ribbon(sector_double(sd.ext)), dh)
+        return [(r.checks, r.witnesses) for r in (sector, psi)]
+
+    by_rows = reports()
+    monkeypatch.setattr(orbifold, "monomial_view", lambda h: None)
+    assert by_rows == reports()
+    assert not all(all(checks.values()) for checks, _ in by_rows)

@@ -3,6 +3,7 @@ and that tuple alone reproduces the failure."""
 
 import copy
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -10,11 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equidouble import hopf as hopf_module
+from equidouble import rowscans
 from equidouble.catalogue import extension_by_name, group_by_name
 from equidouble.doubles import double_algebra, sector_double
 from equidouble.hopf import (
     HOPF_SAMPLES,
     RIBBON_SAMPLES,
+    Premises,
     RibbonData,
     TableHopf,
     VerifyReport,
@@ -419,3 +423,186 @@ def test_corrupted_mixed_tables_give_the_same_reports_with_fractions(hopf):
     assert_fractions_change_nothing(verify_all_axioms, corrupted.ribbon_data())
     assert_fractions_change_nothing(verify_sector_double, corrupted)
     assert_fractions_change_nothing(psi_check, clean, orbifold_ribbon(clean), corrupted)
+
+
+# the tables of the reduced-scan oracle: ribbon data of D(S3), D(D4) and the
+# A3-S3 and Z2-Q8 crossed products, and the Z4-D4 sector double, which has no
+# global R-matrix
+ORACLE_ALGEBRAS = {
+    "D(S3)": lambda: double_algebra(group_by_name("S3")).ribbon_data(),
+    "D(D4)": lambda: double_algebra(group_by_name("D4")).ribbon_data(),
+    "Z4-D4": lambda: sector_double(extension_by_name("Z4-D4")).hopf,
+    "A3-S3": lambda: orbifold_ribbon(sector_double(extension_by_name("A3-S3"))),
+    "Z2-Q8": lambda: orbifold_ribbon(sector_double(extension_by_name("Z2-Q8"))),
+}
+REDUCED_CHECKS = {
+    "associativity",
+    "comultiplication_multiplicative",
+    "coassociativity",
+    "r_intertwines_coproducts",
+    "ribbon_central",
+}
+
+
+@st.composite
+def reduced_scan_corruptions(draw):
+    """An oracle table with one monomial corruption of its product or
+    coproduct, or, for ribbon data, one term of R or of the ribbon element
+    moved or negated: then the Hopf checks hold and the R-matrix and ribbon
+    checks fail on their reduced scans."""
+    built = ORACLE_ALGEBRAS[draw(st.sampled_from(sorted(ORACLE_ALGEBRAS)))]()
+    if isinstance(built, TableHopf):
+        corrupt_monomially(draw, built)
+        return built
+    basis = range(built.hopf.dim)
+    kind = draw(st.sampled_from(("table", "r_matrix", "ribbon")))
+    if kind == "table":
+        corrupt_monomially(draw, built.hopf)
+    elif kind == "r_matrix":
+        move_or_negate(draw, built.r_matrix, product(basis, repeat=2))
+    else:
+        move_or_negate(draw, built.ribbon, basis)
+    return built
+
+
+def test_reduced_suites_agree_with_the_sparse_oracle():
+    """Full-mode suites, whose checks are decided on generating sets, give
+    the checks and witnesses of the sparse predicates run on every tuple."""
+    failed = set()
+
+    @settings(max_examples=16, deadline=None, derandomize=True, database=None)
+    @given(reduced_scan_corruptions())
+    def agree(built):
+        if isinstance(built, TableHopf):
+            fast, checks, dim = verify_hopf(built), hopf_checks(built), built.dim
+        else:
+            fast, dim = verify_all_axioms(built), built.hopf.dim
+            checks = {**hopf_checks(built.hopf), **quasitriangular_checks(built), **ribbon_checks(built)}
+        oracle = run_checks(checks, dim, sampled=False, samples=0)
+        assert (fast.mode, fast.checks, fast.witnesses) == (oracle.mode, oracle.checks, oracle.witnesses)
+        failed.update(fast.failing())
+
+    agree()
+    assert REDUCED_CHECKS <= failed
+
+
+@pytest.mark.parametrize("name", ["D(S3)", "D(D4)", "Z4-D4", "A3-S3", "Z2-Q8"])
+def test_generating_sets_reach_every_basis_element_and_none_is_redundant(name):
+    """Every basis element is a product of generators, multiplied on the
+    right one at a time; without any one generator some element is missed."""
+    built = ORACLE_ALGEBRAS[name]()
+    rows = monomial_view(built if isinstance(built, TableHopf) else built.hopf).rows
+    dim = len(rows) - 1
+
+    def reached(gens):
+        seen, frontier = set(gens), list(gens)
+        while frontier:
+            row = rows[frontier.pop()]
+            fresh = {row[s] for s in gens} - seen - {-1}
+            seen |= fresh
+            frontier.extend(fresh)
+        return seen
+
+    gens = rowscans.generating_set(rows)
+    assert reached(gens) == set(range(dim)) and len(gens) < dim
+    for g in gens:
+        assert reached([s for s in gens if s != g]) != set(range(dim)), g
+
+
+def count_predicates(monkeypatch):
+    """Count the calls of every predicate of the three suites, by name, and
+    of each reduced scan of rowscans, by name with a "reduced:" prefix."""
+    calls = Counter()
+
+    def counting(name, holds):
+        def wrapper(*t):
+            calls[name] += 1
+            return holds(*t)
+
+        return wrapper
+
+    for suite in ("hopf_checks", "quasitriangular_checks", "ribbon_checks"):
+        real = getattr(hopf_module, suite)
+
+        def counted(*args, real=real):
+            return {name: (arity, counting(name, holds)) for name, (arity, holds) in real(*args).items()}
+
+        monkeypatch.setattr(hopf_module, suite, counted)
+    for name, scan in rowscans.REDUCED.items():
+        monkeypatch.setitem(rowscans.REDUCED, name, counting("reduced:" + name, scan))
+    return calls
+
+
+def assert_on_every_tuple(calls, report, name, arity, dim):
+    """The check of that name ran its predicate in product order, up to its
+    witness or over every tuple, and not its reduced scan."""
+    tuples = list(product(range(dim), repeat=arity))
+    witness = report.witnesses.get(name)
+    assert calls["reduced:" + name] == 0, name
+    assert calls[name] == (len(tuples) if witness is None else tuples.index(witness) + 1), name
+
+
+def test_premised_checks_run_on_generators_only_after_their_premises_held(monkeypatch):
+    """On D(S3) the premised checks run on the generating set. After a
+    corruption of one coproduct, associativity still holds
+    but Delta fails, so ribbon_central alone stays on the generators; after
+    one that breaks associativity, Delta and coassociativity run on every
+    tuple in product order, without their reduced scans."""
+    assert set(hopf_module.REDUCTION_PREMISES) == set(rowscans.REDUCED) == REDUCED_CHECKS
+    rib = double_algebra(group_by_name("S3")).ribbon_data()
+    h, dim = rib.hopf, rib.hopf.dim
+    gens = rowscans.generating_set(monomial_view(h).rows)
+    calls = count_predicates(monkeypatch)
+    assert verify_all_axioms(rib).all_passed
+    assert calls["comultiplication_multiplicative"] == len(gens) * dim
+    for name in ("coassociativity", "r_intertwines_coproducts", "ribbon_central"):
+        assert calls[name] == len(gens), name
+    assert {calls["reduced:" + name] for name in REDUCED_CHECKS} == {1}
+
+
+    calls.clear()
+    terms = h._comul[1]
+    x, y = min(terms)
+    del terms[(x, y)]
+    terms[next((x, z) for z in range(dim) if (x, z) not in terms)] = ONE
+    report = verify_all_axioms(rib)
+    assert report.checks["associativity"] and not report.checks["comultiplication_multiplicative"]
+    assert calls["reduced:comultiplication_multiplicative"] == 1
+    assert_on_every_tuple(calls, report, "coassociativity", 1, dim)
+    assert_on_every_tuple(calls, report, "r_intertwines_coproducts", 1, dim)
+    assert calls["reduced:ribbon_central"] == 1 and calls["ribbon_central"] == len(gens)
+
+    calls.clear()
+    h = double_algebra(group_by_name("S3")).hopf
+    (old,) = h._mul[(0, 0)]
+    h._mul[(0, 0)] = {(old + 1) % dim: ONE}
+    report = verify_hopf(h)
+    assert not report.checks["associativity"] and calls["reduced:associativity"] == 1
+    assert_on_every_tuple(calls, report, "comultiplication_multiplicative", 2, dim)
+    assert_on_every_tuple(calls, report, "coassociativity", 1, dim)
+
+
+@pytest.mark.parametrize(
+    "held, reduced",
+    [
+        ((), set()),
+        (("associativity",), {"ribbon_central"}),
+        (("comultiplication_multiplicative",), set()),
+        (("associativity", "comultiplication_multiplicative"), {"r_intertwines_coproducts", "ribbon_central"}),
+    ],
+)
+def test_r_matrix_and_ribbon_checks_take_the_generators_only_with_their_premises(held, reduced, monkeypatch):
+    """r_intertwines_coproducts needs associativity and Delta to have held
+    on every tuple, ribbon_central associativity; with less they run on
+    every basis element. Without premises, as when the two suites run alone,
+    neither takes the generators."""
+    rib = double_algebra(group_by_name("S3")).ribbon_data()
+    dim = rib.hopf.dim
+    gens = rowscans.generating_set(monomial_view(rib.hopf).rows)
+    calls = count_predicates(monkeypatch)
+    premises = Premises(held=set(held)) if held else None
+    assert verify_quasitriangular(rib, premises=premises).all_passed
+    assert verify_ribbon(rib, premises=premises).all_passed
+    for name in ("r_intertwines_coproducts", "ribbon_central"):
+        assert calls["reduced:" + name] == (name in reduced), name
+        assert calls[name] == (len(gens) if name in reduced else dim), name
