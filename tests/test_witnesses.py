@@ -544,10 +544,10 @@ def assert_on_every_tuple(calls, report, name, arity, dim):
 
 def test_premised_checks_run_on_generators_only_after_their_premises_held(monkeypatch):
     """On D(S3) the premised checks run on the generating set. After a
-    corruption of one coproduct, associativity still holds
-    but Delta fails, so ribbon_central alone stays on the generators; after
-    one that breaks associativity, Delta and coassociativity run on every
-    tuple in product order, without their reduced scans."""
+    corruption of one coproduct, associativity still holds but Delta fails,
+    so ribbon_central alone stays on the generators; after one that breaks
+    associativity, Delta and coassociativity run on every tuple in product
+    order, without their reduced scans."""
     assert set(hopf_module.REDUCTION_PREMISES) == set(rowscans.REDUCED) == REDUCED_CHECKS
     rib = double_algebra(group_by_name("S3")).ribbon_data()
     h, dim = rib.hopf, rib.hopf.dim
@@ -558,7 +558,6 @@ def test_premised_checks_run_on_generators_only_after_their_premises_held(monkey
     for name in ("coassociativity", "r_intertwines_coproducts", "ribbon_central"):
         assert calls[name] == len(gens), name
     assert {calls["reduced:" + name] for name in REDUCED_CHECKS} == {1}
-
 
     calls.clear()
     terms = h._comul[1]
