@@ -21,7 +21,9 @@ the one function braid.
 Checking happens once, at GradedModule(...), where the simples' and callers'
 matrices come in. Fusions, shifts and duals are built unchecked, and each
 builder's docstring proves that the block condition carries over. Maps are
-judged by the diagrams of check_equivariant_diagrams, which name the modules.
+judged by the diagrams of check_equivariant_diagrams, which name the modules;
+it builds the hexagons, the action-braiding square and the braid-R
+comparison once per pair, on the direct sum of the sample in the last slot.
 """
 
 from __future__ import annotations
@@ -151,15 +153,6 @@ class GradedModule:
                 self._degree = j if all(ext.proj(h) == j for h in self.grades) else None
         return self._degree
 
-    def validate_action(self) -> bool:
-        """Full multiplicativity check rho(g)rho(g') = rho(gg')."""
-        G = self.ext.G
-        for g in range(G.order):
-            for g2 in range(G.order):
-                if self.act(g) @ self.act(g2) != self.act(G.mul(g, g2)):
-                    return False
-        return True
-
     def __eq__(self, other: object) -> bool:
         """Same extension and dimension, then equal factors, or else equal
         grades and action matrices (so fuse(unit, v) == v).
@@ -185,10 +178,6 @@ class GradedModule:
         return f"GradedModule({self.name or self.dim}, grades={self.grades})"
 
 
-def unit_module(ext: GroupExtension) -> GradedModule:
-    return GradedModule(ext, (0,), tuple(ExactMatrix.identity(1) for _ in range(ext.G.order)), name="1")
-
-
 class ModuleMap:
     """A linear map between graded modules; only its shape and extension are
     checked here, the rest by the diagrams that compare it."""
@@ -209,12 +198,6 @@ class ModuleMap:
         if not (self.target == other.source):
             raise UsageError("composition mismatch: target differs from next source")
         return ModuleMap(self.source, other.target, other.matrix @ self.matrix)
-
-    def intertwines(self) -> bool:
-        for g in range(self.source.ext.G.order):
-            if self.matrix @ self.source.act(g) != self.target.act(g) @ self.matrix:
-                return False
-        return True
 
     def is_invertible(self) -> bool:
         if self.matrix.rows != self.matrix.cols:
@@ -481,18 +464,18 @@ class DiagramReport:
         return not self.failures
 
 
-def hexagon_one_holds(u: GradedModule, v: GradedModule, w: GradedModule) -> bool:
-    """c_{U,V(x)W} equals (id (x) c_{U,W}) after (c_{U,V} (x) id)."""
+def _hexagon_one_sides(u: GradedModule, v: GradedModule, w: GradedModule) -> tuple[ModuleMap, ModuleMap]:
+    """The two sides of hexagon_one_holds; w may be any module."""
     i = _require_homogeneous(u, "hexagon")
     lhs = braid(u, fuse(v, w))
     rhs = tensor_map(braid(u, v), identity_map(w)).then(
         tensor_map(identity_map(j_act(i, v)), braid(u, w))
     )
-    return lhs.matrix == rhs.matrix
+    return lhs, rhs
 
 
-def hexagon_two_holds(u: GradedModule, v: GradedModule, w: GradedModule) -> bool:
-    """c_{U(x)V,W} equals the compositor-corrected two-step braiding."""
+def _hexagon_two_sides(u: GradedModule, v: GradedModule, w: GradedModule) -> tuple[ModuleMap, ModuleMap]:
+    """The two sides of hexagon_two_holds; w may be any module."""
     i = _require_homogeneous(u, "hexagon")
     j = _require_homogeneous(v, "hexagon")
     lhs = braid(fuse(u, v), w)
@@ -501,12 +484,11 @@ def hexagon_two_holds(u: GradedModule, v: GradedModule, w: GradedModule) -> bool
         .then(tensor_map(braid(u, j_act(j, w)), identity_map(v)))
         .then(tensor_map(compositor(i, j, w), identity_map(fuse(u, v))))
     )
-    return lhs.matrix == rhs.matrix
+    return lhs, rhs
 
 
-def action_braiding_holds(i: int, u: GradedModule, v: GradedModule) -> bool:
-    """The sector shift of the braiding matches the braiding of the shifted
-    modules, up to compositors."""
+def _action_braiding_sides(i: int, u: GradedModule, v: GradedModule) -> tuple[ModuleMap, ModuleMap]:
+    """The two sides of action_braiding_holds; v may be any module."""
     j = _require_homogeneous(u, "action-braiding")
     J = u.ext.J
     lhs = j_act_map(i, braid(u, v)).then(
@@ -516,7 +498,23 @@ def action_braiding_holds(i: int, u: GradedModule, v: GradedModule) -> bool:
     rhs = braid(j_act(i, u), j_act(i, v)).then(
         tensor_map(compositor(iji, i, v), identity_map(j_act(i, u)))
     )
-    return lhs.equals(rhs)
+    return lhs, rhs
+
+
+def hexagon_one_holds(u: GradedModule, v: GradedModule, w: GradedModule) -> bool:
+    """c_{U,V(x)W} equals (id (x) c_{U,W}) after (c_{U,V} (x) id)."""
+    return ModuleMap.equals(*_hexagon_one_sides(u, v, w))
+
+
+def hexagon_two_holds(u: GradedModule, v: GradedModule, w: GradedModule) -> bool:
+    """c_{U(x)V,W} equals the compositor-corrected two-step braiding."""
+    return ModuleMap.equals(*_hexagon_two_sides(u, v, w))
+
+
+def action_braiding_holds(i: int, u: GradedModule, v: GradedModule) -> bool:
+    """The sector shift of the braiding matches the braiding of the shifted
+    modules, up to compositors."""
+    return ModuleMap.equals(*_action_braiding_sides(i, u, v))
 
 
 def twist_product_holds(u: GradedModule, v: GradedModule) -> bool:
@@ -559,6 +557,38 @@ def twist_action_holds(i: int, v: GradedModule) -> bool:
     return lhs.equals(rhs)
 
 
+def _direct_sum(ext: GroupExtension, mods: Sequence[GradedModule]) -> tuple[GradedModule, list[int]]:
+    """The direct sum of mods, built unchecked, and the position in mods of
+    the module each basis vector comes from. Its grades are those of the
+    modules in turn, and g acts block-diagonally, block c by mods[c].act(g):
+    each nonzero entry meets the block condition of its block's module."""
+    block_of = [c for c, m in enumerate(mods) for _ in range(m.dim)]
+    dim = len(block_of)
+    acts = []
+    for g in range(ext.G.order):
+        mat = ExactMatrix.zeros(dim, dim)
+        start = 0
+        for m in mods:
+            for r, c, x in m.act(g).nonzeros():
+                mat[start + r, start + c] = x
+            start += m.dim
+        acts.append(mat)
+    grades = tuple(h for m in mods for h in m.grades)
+    return GradedModule._derived(ext, grades, "sum", acts), block_of
+
+
+def _failing_blocks(lhs: ModuleMap, rhs: ModuleMap, block_of: list[int]) -> set[int]:
+    """The blocks of the direct sum in the last source leg whose columns
+    differ between the two sides; all of them if the modules differ."""
+    if not (lhs.source == rhs.source and lhs.target == rhs.target):
+        return set(block_of)
+    if lhs.matrix == rhs.matrix:
+        return set()
+    left = {(r, c): x for r, c, x in lhs.matrix.nonzeros()}
+    right = {(r, c): x for r, c, x in rhs.matrix.nonzeros()}
+    return {block_of[c % len(block_of)] for r, c in left.keys() | right.keys() if left.get((r, c)) != right.get((r, c))}
+
+
 def check_equivariant_diagrams(
     ext: GroupExtension,
     sample: Optional[Sequence[GradedModule]] = None,
@@ -569,7 +599,21 @@ def check_equivariant_diagrams(
     action-braiding square, the twist-product diagram, the twist-duality and
     twist-action diagrams, and agreement of the braiding with the R-matrix
     action. The R-matrix comes from sd, the sector double of ext, which is
-    built here unless the caller passes the one it has."""
+    built here unless the caller passes the one it has. Verdicts are
+    recorded per tuple, in the order of nested loops.
+
+    The hexagons, the action-braiding square and the braid-R comparison are
+    built once per (u, v), (i, u) or u, with S, the direct sum of the
+    sample, in the last slot: the last leg of the source. Their maps are
+    sums (the R-matrix) of maps that permute legs and act on each leg by an
+    action matrix, its rows of one grade, or the identity. On S, and on each
+    shift of S, these are block-diagonal, block c being the same matrix for
+    mods[c], so their sums and composites are too: the column at a source
+    vector whose S coordinate lies in block c is the composite's for
+    mods[c], that coordinate renumbered, and zero outside the block. Both
+    sides' sources and targets are fusions of the same modules. So the tuple
+    with mods[c] last fails exactly when the sides differ in a column of
+    block c."""
     mods = list(sample) if sample is not None else simples_of_double(ext)
     for v in mods:
         if v.degree() is None:
@@ -580,30 +624,30 @@ def check_equivariant_diagrams(
         raise UsageError("the sector double is of another extension")
     report = DiagramReport()
     names = [m.name for m in mods]
-    n_j = ext.J.order
+    J = ext.J
+    total, block_of = _direct_sum(ext, mods)
     for a, u in enumerate(mods):
         for b, v in enumerate(mods):
-            for c, w in enumerate(mods):
-                labels = (names[a], names[b], names[c])
-                report.record("hexagon-one", labels, hexagon_one_holds(u, v, w))
-                report.record("hexagon-two", labels, hexagon_two_holds(u, v, w))
-    for i in range(n_j):
+            one = _failing_blocks(*_hexagon_one_sides(u, v, total), block_of)
+            two = _failing_blocks(*_hexagon_two_sides(u, v, total), block_of)
+            for c, name in enumerate(names):
+                labels = (names[a], names[b], name)
+                report.record("hexagon-one", labels, c not in one)
+                report.record("hexagon-two", labels, c not in two)
+    for i in range(J.order):
         for a, u in enumerate(mods):
-            for b, v in enumerate(mods):
-                labels = (ext.J.labels[i], names[a], names[b])
-                report.record("action-braiding", labels, action_braiding_holds(i, u, v))
+            failing = _failing_blocks(*_action_braiding_sides(i, u, total), block_of)
+            for b, name in enumerate(names):
+                report.record("action-braiding", (J.labels[i], names[a], name), b not in failing)
     for a, u in enumerate(mods):
+        failing = _failing_blocks(braid(u, total), r_action_map(sd, u, total), block_of)
         for b, v in enumerate(mods):
             labels = (names[a], names[b])
             report.record("twist-product", labels, twist_product_holds(u, v))
-            report.record(
-                "braid-equals-r-action",
-                labels,
-                braid(u, v).equals(r_action_map(sd, u, v)),
-            )
-    for i in range(n_j):
+            report.record("braid-equals-r-action", labels, b not in failing)
+    for i in range(J.order):
         for a, v in enumerate(mods):
-            report.record("twist-action", (ext.J.labels[i], names[a]), twist_action_holds(i, v))
+            report.record("twist-action", (J.labels[i], names[a]), twist_action_holds(i, v))
     for a, v in enumerate(mods):
         report.record("twist-duality", (names[a],), twist_duality_holds(v))
     return report

@@ -14,6 +14,7 @@ import pytest
 from equidouble import cli, doubles, dw, modular, orbifold
 from equidouble.catalogue import catalogue_list
 from equidouble.errors import UsageError
+from equidouble.groups import dihedral_group, symmetric_group
 from equidouble.scalars import Cyclotomic
 
 
@@ -480,6 +481,30 @@ def test_verify_category_reports_match_recorded_digests(tmp_path):
         assert cli.main(argv) == 0
         got[name, sampled] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == CATEGORY_REPORT_SHA256
+
+
+# sha256 of the `verify-category --extension NAME.json --out FILE` report bytes
+# for two extensions with J = S3, each read from an extension file in the
+# working directory, recorded from the code that built one composite per
+# tuple of simples. No catalogue extension has a nonabelian J, so these are
+# the pinned reports that read the compositors' order of composition.
+NONABELIAN_CATEGORY_REPORT_SHA256 = {
+    "Z2-D6": "cc7e90e90e27d7e43ee53cbf075f519f548ad90370c75b55fc42da63cf233cec",
+    "Z1-S3": "07be92cf2f944b832a915598cad162fb2705b65a70a7af9b1f33d556830a043c",
+}
+
+
+def test_verify_category_reports_over_a_nonabelian_sector_group_match_recorded_digests(tmp_path, monkeypatch):
+    d6, s3 = dihedral_group(6), symmetric_group(3)
+    centre = [z for z in range(d6.order) if len(d6.centralizer(z)) == d6.order]
+    kernels = {"Z2-D6": (d6, centre), "Z1-S3": (s3, [0])}
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for name, (h, kernel) in kernels.items():
+        Path(f"{name}.json").write_text(json.dumps({"h": {"order": h.order, "table": h.table}, "kernel": kernel}))
+        assert cli.main(["verify-category", "--extension", f"{name}.json", "--out", "report.json"]) == 0
+        got[name] = hashlib.sha256(Path("report.json").read_bytes()).hexdigest()
+    assert got == NONABELIAN_CATEGORY_REPORT_SHA256
 
 
 # sha256 of the `cech` and `sectors --extension E --monodromy j --out FILE`

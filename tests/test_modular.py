@@ -1,14 +1,17 @@
 """Graded modules, braiding and twist diagrams, S-matrix."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from equidouble import cli
+from equidouble import cli, modular
+from equidouble.catalogue import extension_by_name
 from equidouble.doubles import sector_double
 from equidouble.errors import ResourceError, UsageError
 from equidouble.groups import (
+    GroupExtension,
     cyclic_group,
     dihedral_group,
     extension_from_subgroup,
@@ -16,6 +19,7 @@ from equidouble.groups import (
 )
 from equidouble.linalg import ExactMatrix
 from equidouble.modular import (
+    DiagramReport,
     GradedModule,
     ModuleMap,
     action_braiding_holds,
@@ -40,11 +44,24 @@ from equidouble.modular import (
     twist_action_holds,
     twist_duality_holds,
     twist_product_holds,
-    unit_module,
 )
 from equidouble.scalars import Cyclotomic
 
 ONE = Fraction(1)
+
+
+def validate_action(v: GradedModule) -> bool:
+    """Full multiplicativity check rho(g)rho(g') = rho(gg')."""
+    G = v.ext.G
+    return all(v.act(g) @ v.act(g2) == v.act(G.mul(g, g2)) for g in range(G.order) for g2 in range(G.order))
+
+
+def unit_module(ext: GroupExtension) -> GradedModule:
+    return GradedModule(ext, (0,), tuple(ExactMatrix.identity(1) for _ in range(ext.G.order)), name="1")
+
+
+def intertwines(f: ModuleMap) -> bool:
+    return all(f.matrix @ f.source.act(g) == f.target.act(g) @ f.matrix for g in range(f.source.ext.G.order))
 
 
 def a3_in_s3():
@@ -71,7 +88,7 @@ def test_simples_of_trivially_extended_s3_match_the_known_double():
     assert sum(v.dim * v.dim for v in simples) == 36
     assert sorted(v.dim for v in simples) == [1, 1, 2, 2, 2, 2, 3, 3]
     for v in simples:
-        assert v.validate_action()
+        assert validate_action(v)
         assert v.degree() == 0
 
 
@@ -81,7 +98,7 @@ def test_simples_of_the_sector_double_of_a3_in_s3():
     assert len(simples) == 10
     assert sorted(v.dim for v in simples) == [1] * 9 + [3]
     for v in simples:
-        assert v.validate_action()
+        assert validate_action(v)
         assert v.degree() is not None
     big = next(v for v in simples if v.dim == 3)
     assert big.degree() == 1
@@ -96,7 +113,7 @@ def test_fusion_is_strictly_unital_and_associative():
     assert fuse(one, v) == v
     assert fuse(v, one) == v
     assert fuse(fuse(u, v), w) == fuse(u, fuse(v, w))
-    assert fuse(u, v).validate_action()
+    assert validate_action(fuse(u, v))
 
 
 def eager_fuse(x, y):
@@ -188,7 +205,7 @@ def test_sector_action_is_strict_on_fusion_and_trivial_at_identity():
     assert j_act(0, v) == v
     assert j_act(1, fuse(u, v)) == fuse(j_act(1, u), j_act(1, v))
     assert j_act(1, dual_module(v)) == dual_module(j_act(1, v))
-    assert j_act(1, v).validate_action()
+    assert validate_action(j_act(1, v))
 
 
 def test_sector_action_permutes_conjugate_simples():
@@ -250,7 +267,7 @@ def test_braid_twist_compositor_are_invertible_intertwiners():
             compositor(1, 1, v),
             compositor(0, 1, v),
         ):
-            assert f.intertwines()
+            assert intertwines(f)
             assert f.is_invertible()
 
 
@@ -512,7 +529,7 @@ def test_dual_pairing_diagrams():
     simples = simples_of_double(ext)
     v = next(s for s in simples if s.dim == 3)
     dv = dual_module(v)
-    assert dv.validate_action()
+    assert validate_action(dv)
     assert dv.degree() == ext.J.inv[v.degree()]
     assert dual_module(dv) == v
     f = twist(v)
@@ -534,3 +551,143 @@ def test_single_diagram_helpers_accept_shifted_modules():
     assert twist_duality_holds(u)
     shifted = j_act_map(1, braid(u, v))
     assert shifted.source == j_act(1, fuse(u, v))
+
+
+# -- the diagram suite against its per-tuple oracle -----------------------------
+
+
+def per_tuple_report(ext, mods, sd):
+    """The diagram suite with one composite per tuple, in the order of its
+    nested loops: the oracle for check_equivariant_diagrams, which decides
+    the hexagons, the action-braiding square and the braid-R comparison on
+    the direct sum of the sample."""
+    report = DiagramReport()
+    names = [m.name for m in mods]
+    J = ext.J
+    for a, u in enumerate(mods):
+        for b, v in enumerate(mods):
+            for c, w in enumerate(mods):
+                labels = (names[a], names[b], names[c])
+                report.record("hexagon-one", labels, hexagon_one_holds(u, v, w))
+                report.record("hexagon-two", labels, hexagon_two_holds(u, v, w))
+    for i in range(J.order):
+        for a, u in enumerate(mods):
+            for b, v in enumerate(mods):
+                report.record("action-braiding", (J.labels[i], names[a], names[b]), action_braiding_holds(i, u, v))
+    for a, u in enumerate(mods):
+        for b, v in enumerate(mods):
+            labels = (names[a], names[b])
+            report.record("twist-product", labels, twist_product_holds(u, v))
+            report.record("braid-equals-r-action", labels, braid(u, v).equals(r_action_map(sd, u, v)))
+    for i in range(J.order):
+        for a, v in enumerate(mods):
+            report.record("twist-action", (J.labels[i], names[a]), twist_action_holds(i, v))
+    for a, v in enumerate(mods):
+        report.record("twist-duality", (names[a],), twist_duality_holds(v))
+    return report
+
+
+def agrees_with_the_oracle(ext, mods, sd):
+    """The suite's counts and failures, labels and order, are the oracle's;
+    returns the failures."""
+    report = check_equivariant_diagrams(ext, mods, sd)
+    oracle = per_tuple_report(ext, mods, sd)
+    assert report.counts == oracle.counts
+    assert report.failures == oracle.failures
+    return report.failures
+
+
+def z1_in_s3():
+    """G trivial, J = S3."""
+    return extension_from_subgroup(symmetric_group(3), [0], name="Z1-S3")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [a3_in_s3, z2_in_z4, z2_in_d6, z1_in_s3, lambda: extension_by_name("Z2-Q8"), lambda: extension_by_name("Z4-D4")],
+    ids=["A3-S3", "Z2-Z4", "Z2-D6", "Z1-S3", "Z2-Q8", "Z4-D4"],
+)
+def test_the_suite_on_direct_sums_matches_the_per_tuple_oracle(make):
+    ext = make()
+    assert agrees_with_the_oracle(ext, simples_of_double(ext), sector_double(ext)) == []
+
+
+def corrupt_untwist(ext):
+    untwist = list(ext.untwist)
+    untwist[1] = ext.G.mul(1, untwist[1])
+    ext.untwist = tuple(untwist)
+
+
+def corrupt_rho(ext):
+    ext.rho = (ext.rho[0], tuple(ext.G.inv[g] for g in ext.rho[1]))
+
+
+def transpose_c(ext):
+    ext.c = tuple(zip(*ext.c))
+
+
+@pytest.mark.parametrize(
+    "make, corrupt",
+    [(a3_in_s3, corrupt_untwist), (a3_in_s3, corrupt_rho), (z2_in_d6, transpose_c)],
+    ids=["untwist", "rho", "transposed-c"],
+)
+def test_corrupted_weak_actions_fail_the_suite_as_they_fail_the_oracle(make, corrupt):
+    ext = make()
+    sd = sector_double(ext)
+    simples = simples_of_double(ext)
+    corrupt(ext)
+    assert agrees_with_the_oracle(ext, simples, sd)
+
+
+def test_each_negated_entry_of_an_action_matrix_fails_as_in_the_oracle():
+    """Negate each nonzero entry of the action of g = 1 on A3-S3's
+    three-dimensional simple in turn; a sample holding the corrupted module
+    twice must fail at both positions, told apart by position."""
+    ext = a3_in_s3()
+    sd = sector_double(ext)
+    simples = simples_of_double(ext)
+    v = next(s for s in simples if s.dim == 3)
+    entries = list(v.act(1).nonzeros())
+    assert len(entries) >= 3
+    for r, c, x in entries:
+        mats = [m.copy() for m in v.matrices]
+        mats[1][r, c] = -x
+        bad = GradedModule(ext, v.grades, mats, name="bad")
+        assert agrees_with_the_oracle(ext, [simples[0], bad, simples[-1]], sd)
+        failures = agrees_with_the_oracle(ext, [bad, bad, simples[-1]], sd)
+        assert ("hexagon-two", ("bad", "bad", "bad")) in failures
+    assert agrees_with_the_oracle(ext, [v, v, simples[0]], sd) == []
+
+
+def test_the_suite_on_an_empty_sample_reports_nothing():
+    ext = a3_in_s3()
+    report = check_equivariant_diagrams(ext, [])
+    assert report.counts == {} and report.failures == [] and report.all_passed
+
+
+def test_the_suite_braids_once_per_pair_not_per_triple(monkeypatch):
+    """On Z2-Q8's 16 simples, one composite per tuple made 27,392 braidings,
+    107 n^2; one per pair and direct sum makes under 10 n^2."""
+    ext = extension_by_name("Z2-Q8")
+    simples = simples_of_double(ext)
+    n = len(simples)
+    assert n == 16
+    calls = []
+    braid_ = modular.braid
+    monkeypatch.setattr(modular, "braid", lambda v, w: calls.append(1) or braid_(v, w))
+    assert check_equivariant_diagrams(ext, simples).all_passed
+    assert 0 < len(calls) <= 10 * n * n
+
+
+def test_the_suite_keeps_no_composite_past_its_step():
+    """The traced peak of the whole Z2-Q8 suite, simples and sector double
+    included, is about 0.25 MiB; braidings or fusions kept across tuples
+    raise it several times over."""
+    ext = extension_by_name("Z2-Q8")
+    tracemalloc.start()
+    try:
+        assert check_equivariant_diagrams(ext).all_passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
