@@ -13,27 +13,24 @@ Hopf suite and RIBBON_SAMPLES per check of the quasitriangular and ribbon
 suites, in every caller. The k-th check of a suite draws from Random(k), and
 a check with no more basis tuples than samples runs on every tuple.
 
-Most tables here are monomial: every product of basis elements is a basis
-element or zero, and every coproduct of one a sum of distinct basis pairs,
-all with coefficient exactly 1. Each verifier reads such a table into integer
-rows (`monomial_view`) when it runs, in either mode. The view decides
-associativity and comultiplication_multiplicative by integer predicates,
-which hold on exactly the tuples the sparse predicates hold on, and it
-supplies every product the other checks take: `MonomialView.mul_vec` and
-`ten_mul` give the results of `TableHopf.mul_vec` and `ten_mul` by row
-lookups. Every other predicate is written once and takes its products from
-the table or from its view; the coassociativity and counit checks take no
-products. Any other table, such as one with a rational coefficient or a
-stored zero, runs the sparse kernels, which remain each axiom's definition.
-
-On the view, a check that runs on every tuple is decided on a generating set
-of the table (module `rowscans`, loaded only then): associativity always
+Every table here is monomial: a product of two basis elements is a scalar
+multiple of one basis element, or zero, and a coproduct of one is a sum of
+basis pairs with scalar coefficients. `TableHopf` stores the tables, and its
+integer view (`monomial_view`) takes every product: a row lookup times the
+coefficient, which is 1 unless the view stores it (no table the builders
+make has one stored). Reading the view of a table with a product of two or
+more terms raises UsageError. A suite hands the view it read to the suites
+after it on the same table (`Premises`). When every coefficient is 1
+(`MonomialView.ones`), associativity and comultiplication_multiplicative are
+integer predicates, which hold on exactly the tuples the definitional ones
+hold on, and a check that runs on every tuple is decided on a generating
+set of the table (module `rowscans`, loaded only then): associativity always
 (Light's test), and comultiplication_multiplicative, coassociativity,
 r_intertwines_coproducts and ribbon_central once the checks their proofs
 need (`REDUCTION_PREMISES`) have held on every tuple of the same table in
 the same run. A reduced check that fails runs on every tuple and reports
 that scan's first failure, so verdicts and witnesses are those of the
-predicate loops, which also decide a check whose premises did not hold.
+predicate loops, which decide every other check.
 
 The structure constants are Python ints, built from `scalars.ZERO` and
 `scalars.ONE`. No operation here, in `doubles` or in `orbifold` divides a
@@ -49,7 +46,7 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import UsageError
 from .scalars import ONE, ZERO, Scalar
@@ -99,7 +96,8 @@ def inverts(mul: Callable[[dict, dict], dict], x: dict, y: dict, one: dict) -> b
 class TableHopf:
     """Hopf algebra defined by explicit sparse structure tables. It keeps
     each vector and tensor it is given that stores no zero, not a copy, so
-    the builders in `doubles` and `orbifold` hand over fresh ones."""
+    the builders in `doubles` and `orbifold` hand over fresh ones. Its
+    products are taken from its integer view (`monomial_view`)."""
 
     def __init__(
         self,
@@ -135,20 +133,6 @@ class TableHopf:
 
     # -- linear extensions -------------------------------------------
 
-    def mul_vec(self, a: SparseVec, b: SparseVec) -> SparseVec:
-        out: SparseVec = {}
-        for i, ca in a.items():
-            if not ca:
-                continue
-            for j, cb in b.items():
-                prod = self.mul_basis(i, j)
-                if not prod:
-                    continue
-                c = ca * cb
-                for k, ck in prod.items():
-                    out[k] = out.get(k, ZERO) + c * ck
-        return clean(out)
-
     def comul_vec(self, a: SparseVec) -> SparseTen:
         out: SparseTen = {}
         for i, c in a.items():
@@ -167,24 +151,6 @@ class TableHopf:
         for i, c in a.items():
             for k, d in self.antipode_basis(i).items():
                 out[k] = out.get(k, ZERO) + c * d
-        return clean(out)
-
-    def ten_mul(self, a: SparseTen, b: SparseTen) -> SparseTen:
-        """Componentwise product on H (tensor) H."""
-        out: SparseTen = {}
-        for (i1, i2), ca in a.items():
-            for (j1, j2), cb in b.items():
-                p1 = self.mul_basis(i1, j1)
-                if not p1:
-                    continue
-                p2 = self.mul_basis(i2, j2)
-                if not p2:
-                    continue
-                c = ca * cb
-                for k1, c1 in p1.items():
-                    for k2, c2 in p2.items():
-                        key = (k1, k2)
-                        out[key] = out.get(key, ZERO) + c * c1 * c2
         return clean(out)
 
     def flip_ten(self, a: SparseTen) -> SparseTen:
@@ -219,12 +185,14 @@ def first_failure(tuples: Iterable[tuple], holds: Callable[..., bool]) -> Option
 @dataclass
 class Premises:
     """What a run has established about one table, for the checks after it
-    to build on: `held`, the checks that held on every tuple of the table,
-    and `generators`, a generating set of its integer rows once one was
-    found (`rowscans.generating_set`). verify_all_axioms and
-    verify_sector_double hand the Hopf suite's premises to the
-    quasitriangular and ribbon suites of the same table."""
+    to build on: `view`, its integer view, read by the run's first suite;
+    `held`, the checks that held on every tuple of the table; and
+    `generators`, a generating set of its integer rows once one was found
+    (`rowscans.generating_set`). verify_all_axioms and verify_sector_double
+    hand the Hopf suite's premises to the quasitriangular and ribbon suites
+    of the same table."""
 
+    view: Optional[MonomialView] = None
     held: set[str] = field(default_factory=set)
     generators: Optional[list[int]] = None
 
@@ -352,33 +320,36 @@ def _coproduct_on_leg(h: TableHopf, t: SparseTen, leg: int) -> SparseTen3:
     return out
 
 
-# -- integer view of a monomial table: its products, and predicates for the
-# two largest checks
+# -- integer view of a monomial table: the one source of products, and
+# predicates for the two largest checks
 
 
 @dataclass(frozen=True)
 class MonomialView:
     """The product and coproduct tables of a monomial TableHopf as integers.
 
-    rows[i][j] is k when e_i e_j = e_k and -1 when e_i e_j = 0. Every row ends
-    in -1 and the last row is all -1, so rows[rows[x][s]][y] and
-    rows[x][rows[s][y]] read zero through a zero product without a branch.
-    pairs[k] is the sorted list of pairs (x, y) with
-    Delta(e_k) = sum of e_x (x) e_y, and pairs[-1] is empty.
-
-    mul_vec and ten_mul return what TableHopf's return on the table the view
-    was read from. There mul_basis(i, j) is {rows[i][j]: 1} when i and j are
-    basis indices and that entry is not -1, and {} otherwise, so every term
-    of the sparse loops adds the product of the two coefficients to the key
-    the rows give, or nothing. These loops add the same products to the same
-    keys and drop zeros the same way.
+    rows[i][j] is k when e_i e_j = c e_k with c nonzero, and -1 when
+    e_i e_j = 0. Every row ends in -1 and the last row is all -1, so
+    rows[rows[x][s]][y] and rows[x][rows[s][y]] read zero through a zero
+    product without a branch. coefficients holds each c that is not exactly
+    1. ones says whether every nonzero coefficient of a product or a
+    coproduct is exactly 1; only then is pairs read: pairs[k] is the sorted
+    list of pairs (x, y) with Delta(e_k) = sum of e_x (x) e_y, and pairs[-1]
+    is empty. mul_vec and ten_mul are the table's products, extended
+    bilinearly; a key that is not a basis index has no product.
     """
 
     rows: list[tuple[int, ...]]
     pairs: list[list[tuple[int, int]]]
+    coefficients: dict[tuple[int, int], Scalar]
+    ones: bool
 
     def mul_vec(self, a: SparseVec, b: SparseVec) -> SparseVec:
-        rows, basis = self.rows, range(len(self.rows) - 1)
+        """ab is the sum over terms i of a and j of b of a_i b_j e_i e_j, and
+        e_i e_j is c_ij e_k with k = rows[i][j] (c_ij is 1 unless stored), or
+        zero when k is -1 or i or j is not a basis index. So each term adds
+        (a_i b_j) c_ij to the coefficient of e_k, or nothing."""
+        rows, coefficients, basis = self.rows, self.coefficients, range(len(self.rows) - 1)
         right = [(j, cb) for j, cb in b.items() if cb and j in basis]
         out: SparseVec = {}
         for i, ca in a.items():
@@ -388,14 +359,19 @@ class MonomialView:
             for j, cb in right:
                 k = row[j]
                 if k >= 0:
-                    out[k] = out.get(k, ZERO) + ca * cb
+                    c = ca * cb
+                    if coefficients:
+                        c = c * coefficients.get((i, j), ONE)
+                    out[k] = out.get(k, ZERO) + c
         return clean(out)
 
     def ten_mul(self, a: SparseTen, b: SparseTen) -> SparseTen:
-        """Componentwise product on H (tensor) H. The terms of a and of b are
-        grouped by their first legs, so that a zero product of first legs
-        skips every pair of terms in the two groups at once."""
-        rows = self.rows
+        """Componentwise product on H (tensor) H: as in mul_vec, each pair of
+        terms (i1, i2) of a and (j1, j2) of b adds (a_i b_j) c_i1j1 c_i2j2
+        to the coefficient of (rows[i1][j1], rows[i2][j2]), or nothing. The
+        terms are grouped by their first legs, so that a zero product of
+        first legs skips every pair of terms in the two groups at once."""
+        rows, coefficients = self.rows, self.coefficients
         out: SparseTen = {}
         right = self._by_first_leg(b)
         for i1, a_terms in self._by_first_leg(a).items():
@@ -409,8 +385,11 @@ class MonomialView:
                     for j2, cb in b_terms:
                         k2 = row2[j2]
                         if k2 >= 0:
+                            c = ca * cb
+                            if coefficients:
+                                c = c * coefficients.get((i1, j1), ONE) * coefficients.get((i2, j2), ONE)
                             key = (k1, k2)
-                            out[key] = out.get(key, ZERO) + ca * cb
+                            out[key] = out.get(key, ZERO) + c
         return clean(out)
 
     def _by_first_leg(self, t: SparseTen) -> dict[int, list[tuple[int, Scalar]]]:
@@ -424,48 +403,43 @@ class MonomialView:
         return groups
 
 
-# what supplies a suite's products: a table, or the integer view of a monomial one
-Products = Union[TableHopf, MonomialView]
-
-
-def monomial_view(h: TableHopf) -> Optional[MonomialView]:
-    """The integer view of h's product and coproduct tables as they are now,
-    or None unless every stored entry is one basis element, resp. pair, of
-    h with coefficient exactly 1. A stored zero or a sum of several terms
-    makes a table not monomial."""
+def monomial_view(h: TableHopf) -> MonomialView:
+    """The integer view of h's tables as they are now; a stored zero is no
+    term. UsageError names a pair whose stored product is not a multiple of
+    one basis element: it has two or more terms, or a key off the basis."""
     basis = range(h.dim)
     rows: list = [[-1] * (h.dim + 1) for _ in range(h.dim + 1)]
+    coefficients: dict[tuple[int, int], Scalar] = {}
     for (i, j), vec in h._mul.items():
-        if not vec:
+        terms = clean(vec)
+        if not terms:
             continue
-        if len(vec) != 1 or i not in basis or j not in basis:
-            return None
-        ((k, c),) = vec.items()
-        if c != 1 or k not in basis:
-            return None
+        ((k, c), *more) = terms.items()
+        if more or i not in basis or j not in basis or k not in basis:
+            raise UsageError(f"{h!r}: the product of the pair ({i}, {j}) is not a multiple of one basis element")
         rows[i][j] = k
+        if c != 1:
+            coefficients[(i, j)] = c
+    ones = not coefficients
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(h.dim + 1)]
     for i, ten in h._comul.items():
-        if i not in basis or any(c != 1 or x not in basis or y not in basis for (x, y), c in ten.items()):
-            return None
-        pairs[i] = sorted(ten)
+        terms = clean(ten)
+        if i not in basis or any(c != 1 or x not in basis or y not in basis for (x, y), c in terms.items()):
+            ones = False
+        else:
+            pairs[i] = sorted(terms)
     for i, row in enumerate(rows):
         rows[i] = tuple(row)
-    return MonomialView(rows, pairs)
+    return MonomialView(rows, pairs, coefficients, ones)
 
 
-def products_of(h: TableHopf) -> Products:
-    """The integer view of h as it is now when h is monomial, else h."""
-    view = monomial_view(h)
-    return h if view is None else view
-
-
-def hopf_checks(h: TableHopf, products: Optional[Products] = None) -> Checks:
+def hopf_checks(h: TableHopf, products: MonomialView) -> Checks:
     """Bialgebra + antipode axioms as predicates on basis tuples, taking
-    their products from `products`: h (the default) or its integer view,
-    which also decides associativity and comultiplication_multiplicative by
-    the integer predicates of `_monomial_checks`."""
-    p = h if products is None else products
+    their products from `products`: the integer view of h, or anything with
+    the same mul_vec and ten_mul. On a view whose coefficients are all 1,
+    associativity and comultiplication_multiplicative are the integer
+    predicates of `_monomial_checks`."""
+    p = products
 
     def unit(i):
         e = {i: ONE}
@@ -513,13 +487,14 @@ def hopf_checks(h: TableHopf, products: Optional[Products] = None) -> Checks:
         "antipode": (1, antipode),
         "unit_comultiplication": (0, unit_comultiplication),
     }
-    if isinstance(p, MonomialView):
+    if isinstance(p, MonomialView) and p.ones:
         checks.update(_monomial_checks(p))
     return checks
 
 
 def _monomial_checks(view: MonomialView) -> Checks:
-    """associativity and comultiplication_multiplicative on the integer view.
+    """associativity and comultiplication_multiplicative on the integer view
+    of a table whose coefficients are all 1.
 
     Both sides of (e_x e_s) e_y = e_x (e_s e_y) are a basis element or zero,
     so they agree exactly when rows[rows[x][s]][y] == rows[x][rows[s][y]].
@@ -580,18 +555,20 @@ def _reduced_scans(view: MonomialView, checks: Checks) -> Scans:
 
 def _run_suite(
     h: TableHopf,
-    checks_of: Callable[[Products], Checks],
+    checks_of: Callable[[MonomialView], Checks],
     samples: int,
     sampled: bool,
     premises: Optional[Premises] = None,
 ) -> VerifyReport:
-    """The checks checks_of(products) on h. When h is monomial, in either
-    mode, they take their products from its integer view, with the same
-    verdicts and witnesses as on h, and the checks that run on every tuple
-    have the reduced scans of `_reduced_scans`."""
-    view = monomial_view(h)
-    checks = checks_of(h if view is None else view)
-    scans = None if view is None else _reduced_scans(view, checks)
+    """The checks checks_of(view) on h, with the view of h that premises
+    carry, read here if none. When its coefficients are all 1, the checks
+    that run on every tuple have the reduced scans of `_reduced_scans`."""
+    premises = premises or Premises()
+    if premises.view is None:
+        premises.view = monomial_view(h)
+    view = premises.view
+    checks = checks_of(view)
+    scans = _reduced_scans(view, checks) if view.ones else None
     return run_checks(checks, h.dim, sampled=sampled, samples=samples, scans=scans, premises=premises)
 
 
@@ -601,7 +578,7 @@ def verify_hopf(h: TableHopf, *, sampled: bool = False) -> VerifyReport:
     return _run_suite(h, partial(hopf_checks, h), HOPF_SAMPLES, sampled)
 
 
-def _hexagon_rhs(p: Products, unit: SparseVec, r: SparseTen, pair: str, out: SparseTen3) -> SparseTen3:
+def _hexagon_rhs(p: MonomialView, unit: SparseVec, r: SparseTen, pair: str, out: SparseTen3) -> SparseTen3:
     """out minus R13 R23 (pair "23") or R13 R12 (pair "12"), with the
     products of p; out is changed in place. A hexagon check passes its left
     side as out, so one 3-tensor holds the difference, and the sides agree
@@ -644,11 +621,10 @@ def _hexagon_rhs(p: Products, unit: SparseVec, r: SparseTen, pair: str, out: Spa
     return out
 
 
-def quasitriangular_checks(rd: RibbonData, products: Optional[Products] = None) -> Checks:
+def quasitriangular_checks(rd: RibbonData, products: MonomialView) -> Checks:
     """R-matrix axioms; only the intertwining is checked per basis element.
-    Products are taken from `products`: rd.hopf (the default) or its view."""
-    h = rd.hopf
-    p = h if products is None else products
+    Products are taken from `products`, as in hopf_checks."""
+    h, p = rd.hopf, products
     r, rinv = rd.r_matrix, rd.r_inverse
 
     def r_intertwines_coproducts(i):
@@ -670,17 +646,15 @@ def quasitriangular_checks(rd: RibbonData, products: Optional[Products] = None) 
 def verify_quasitriangular(
     rd: RibbonData, *, sampled: bool = False, premises: Optional[Premises] = None
 ) -> VerifyReport:
-    """The R-matrix axioms, with the products of the integer view when
-    rd.hopf is monomial. premises are what the same run established about
+    """The R-matrix axioms. premises are what the same run established about
     rd.hopf, the report of verify_hopf(rd.hopf) included."""
     return _run_suite(rd.hopf, partial(quasitriangular_checks, rd), RIBBON_SAMPLES, sampled, premises)
 
 
-def ribbon_checks(rd: RibbonData, products: Optional[Products] = None) -> Checks:
+def ribbon_checks(rd: RibbonData, products: MonomialView) -> Checks:
     """Ribbon element axioms; only centrality is checked per basis element.
-    Products are taken from `products`: rd.hopf (the default) or its view."""
-    h = rd.hopf
-    p = h if products is None else products
+    Products are taken from `products`, as in hopf_checks."""
+    h, p = rd.hopf, products
     nu, nu_inv = rd.ribbon, rd.ribbon_inverse
 
     def ribbon_central(i):
@@ -702,14 +676,13 @@ def ribbon_checks(rd: RibbonData, products: Optional[Products] = None) -> Checks
 
 
 def verify_ribbon(rd: RibbonData, *, sampled: bool = False, premises: Optional[Premises] = None) -> VerifyReport:
-    """The ribbon axioms, with the products of the integer view when rd.hopf
-    is monomial. premises are as for verify_quasitriangular."""
+    """The ribbon axioms. premises are as for verify_quasitriangular."""
     return _run_suite(rd.hopf, partial(ribbon_checks, rd), RIBBON_SAMPLES, sampled, premises)
 
 
 def verify_all_axioms(rd: RibbonData, *, sampled: bool = False) -> VerifyReport:
     """Union of the Hopf, quasitriangular and ribbon suites; the last two
-    build on what the first established about rd.hopf."""
+    build on what the first established about rd.hopf, its view included."""
     out = VerifyReport(mode="sampled" if sampled else "full")
     hopf = verify_hopf(rd.hopf, sampled=sampled)
     for part in (

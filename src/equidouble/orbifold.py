@@ -15,6 +15,11 @@ with `hopf.inverts`. `psi_check` verifies that identification exhaustively
 and `verify_sector_double` runs the axiom suite of a graded double; both
 return a `hopf.VerifyReport` (checks, the `all_passed` property, and the
 first failing tuple of each failed check in `witnesses`).
+
+Every product here, in the builds, the certificates and the sector checks,
+is taken from the integer view of its table (`hopf.monomial_view`);
+psi_check's `product` and phi-hopf-map compare views
+(`rowscans.first_unmapped_product`).
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from typing import Optional, Sequence
 from .doubles import SectorDouble
 from .errors import NonInvertibleError, UsageError
 from .hopf import (
+    MonomialView,
     RibbonData,
     SparseTen,
     SparseVec,
@@ -35,7 +41,6 @@ from .hopf import (
     inverts,
     monomial_view,
     outer,
-    products_of,
     sparse_add,
     sparse_eq,
     verify_hopf,
@@ -50,17 +55,17 @@ def _shift(vec: SparseVec, j: int, n_j: int) -> SparseVec:
     return {a * n_j + j: c for a, c in vec.items()}
 
 
-def orbifold_algebra(sd: SectorDouble) -> TableHopf:
+def orbifold_algebra(sd: SectorDouble, view: Optional[MonomialView] = None) -> TableHopf:
     """The crossed product A (x) K[J] of a graded double.
 
     Basis a (x) j with product (a (x) i)(b (x) j) = a phi_i(b) c_{ij} (x) ij,
     componentwise coproduct, and antipode
     S(a (x) j) = c_{j^{-1},j}^{-1} phi_{j^{-1}}(S_A(a)) (x) j^{-1}.
-    The products in A are taken from `hopf.products_of(A)`: its integer view
-    when A is monomial, which gives what A.mul_vec gives, and else A itself.
+    The products in A are taken from view, the integer view of A, read here
+    when not given.
     """
     A = sd.hopf
-    p = products_of(A)
+    p = monomial_view(A) if view is None else view
     J = sd.ext.J
     n_a, n_j = A.dim, J.order
     dim = n_a * n_j
@@ -108,17 +113,20 @@ def _grouplike(sd: SectorDouble, j: int) -> SparseVec:
     return _shift(sd.hopf.unit, j, sd.ext.J.order)
 
 
-def _grouplike_inverse(sd: SectorDouble, ohat: TableHopf, j: int) -> SparseVec:
+def _grouplike_inverse(sd: SectorDouble, ohat: TableHopf, view: MonomialView, j: int) -> SparseVec:
     """(1_A (x) j)^{-1}, which is the antipode of the grouplike 1_A (x) j
-    (orbifold_ribbon has the proof); certified by multiplication."""
+    (orbifold_ribbon has the proof); certified by multiplication, with the
+    products of view, the integer view of ohat."""
     g = _grouplike(sd, j)
     inv = ohat.antipode_vec(g)
-    if not inverts(ohat.mul_vec, g, inv, ohat.unit):
+    if not inverts(view.mul_vec, g, inv, ohat.unit):
         raise NonInvertibleError(f"the antipode of the grouplike 1 (x) {sd.ext.J.labels[j]} does not invert it")
     return inv
 
 
-def orbifold_ribbon(sd: SectorDouble, ohat: Optional[TableHopf] = None) -> RibbonData:
+def orbifold_ribbon(
+    sd: SectorDouble, ohat: Optional[TableHopf] = None, view: Optional[MonomialView] = None
+) -> RibbonData:
     """Braiding and ribbon elements of the crossed product.
 
     R-hat collects every sector piece R_{i,j}, with the second leg pushed
@@ -148,21 +156,23 @@ def orbifold_ribbon(sd: SectorDouble, ohat: Optional[TableHopf] = None) -> Ribbo
     The proof uses the sector axioms that verify_sector_double checks, so
     every closed form, and R-hat against the inverse braiding of the double,
     is still certified on both sides by multiplication; NonInvertibleError
-    names the element that failed.
+    names the element that failed. The products are taken from view, the
+    integer view of ohat, read here when not given.
     """
     if ohat is None:
         ohat = orbifold_algebra(sd)
+    p = monomial_view(ohat) if view is None else view
     ext = sd.ext
     J = ext.J
     n_j = J.order
-    inv_of_grouplike = {j: _grouplike_inverse(sd, ohat, J.inv[j]) for j in range(n_j)}
+    inv_of_grouplike = {j: _grouplike_inverse(sd, ohat, p, J.inv[j]) for j in range(n_j)}
 
     rhat: SparseTen = {}
     for (i, j), ten in sd.r_sector.items():
         carrier = inv_of_grouplike[i]
         for (k, l), c in ten.items():
             left = k * n_j + 0
-            right = ohat.mul_vec(carrier, {l * n_j + 0: ONE})
+            right = p.mul_vec(carrier, {l * n_j + 0: ONE})
             for r, cr in right.items():
                 key = (left, r)
                 rhat[key] = rhat.get(key, ZERO) + c * cr
@@ -181,15 +191,15 @@ def orbifold_ribbon(sd: SectorDouble, ohat: Optional[TableHopf] = None) -> Ribbo
         for b in range(H.order):
             right = sd.index(b, g) * n_j + j
             rhat_inv[(left, right)] = ONE
-    if not inverts(ohat.ten_mul, rhat, rhat_inv, outer(ohat.unit, ohat.unit)):
+    if not inverts(p.ten_mul, rhat, rhat_inv, outer(ohat.unit, ohat.unit)):
         raise NonInvertibleError("the assembled R-matrix is not inverted by the inverse braiding of the double")
 
     js = range(n_j)
-    twist_pieces = (ohat.mul_vec(inv_of_grouplike[j], _shift(sd.theta_inv[j], 0, n_j)) for j in js)
+    twist_pieces = (p.mul_vec(inv_of_grouplike[j], _shift(sd.theta_inv[j], 0, n_j)) for j in js)
     twist: SparseVec = reduce(sparse_add, twist_pieces, {})
-    ribbon_pieces = (ohat.mul_vec(_shift(sd.theta[j], 0, n_j), _grouplike(sd, J.inv[j])) for j in js)
+    ribbon_pieces = (p.mul_vec(_shift(sd.theta[j], 0, n_j), _grouplike(sd, J.inv[j])) for j in js)
     ribbon: SparseVec = reduce(sparse_add, ribbon_pieces, {})
-    if not inverts(ohat.mul_vec, ribbon, twist, ohat.unit):
+    if not inverts(p.mul_vec, ribbon, twist, ohat.unit):
         raise NonInvertibleError(
             "the ribbon element sum_j (theta_j (x) 1)(1 (x) j^{-1}) does not invert the assembled twist"
         )
@@ -221,13 +231,12 @@ def psi_check(
 
     The report's checks are `bijective` (witness: the two dimensions),
     `product` on every basis pair (witness: the first pair (x, y) whose
-    relabeled product differs; decided by rows, `rowscans.first_unmapped_product`,
-    when both tables are monomial and the relabeling is a bijection),
-    `coproduct` with the counit on every basis
-    element (witness: (x,)), and `rmatrix` and `twist`, which compare the
-    assembled braiding and inverse twist with their counterparts in the
-    double of H (witness: ()). A non-left-normalized section is accepted
-    for negative controls.
+    relabeled product differs; decided on the two integer views by
+    `rowscans.first_unmapped_product`),
+    `coproduct` with the counit on every basis element (witness: (x,)), and
+    `rmatrix` and `twist`, which compare the assembled braiding and inverse
+    twist with their counterparts in the double of H (witness: ()). A
+    non-left-normalized section is accepted for negative controls.
     """
     big = dh.hopf
     ohat = rib.hopf
@@ -248,17 +257,9 @@ def psi_check(
 
     rep = VerifyReport(mode="full")
     rep.check("bijective", [(ohat.dim, big.dim)], lambda n, m: n == m and sorted(perm) == list(range(m)))
-    views = (monomial_view(ohat), monomial_view(big))
-    if None in views or not rep.checks["bijective"]:
-        rep.check(
-            "product",
-            product(basis, basis),
-            lambda x, y: sparse_eq(map_vec(ohat.mul_basis(x, y)), big.mul_basis(perm[x], perm[y])),
-        )
-    else:
-        from .rowscans import first_unmapped_product
+    from .rowscans import first_unmapped_product
 
-        rep.record("product", first_unmapped_product(views[0].rows, views[1].rows, perm))
+    rep.record("product", first_unmapped_product(monomial_view(ohat), monomial_view(big), perm))
     rep.check("coproduct", product(basis), coproduct)
     rep.check("rmatrix", [()], lambda: sparse_eq(map_ten(rib.r_matrix), dh.r_sector[(0, 0)]))
     rep.check("twist", [()], lambda: sparse_eq(map_vec(rib.ribbon_inverse), dh.theta_inv[0]))
@@ -281,10 +282,10 @@ def verify_sector_double(sd: SectorDouble, *, sampled: bool = False) -> VerifyRe
 
     sampled applies to the four Hopf, quasitriangular and ribbon sub-suites,
     which draw the samples their suites fix; the grading, twisted-action and
-    sector checks run on every tuple in either mode. On a monomial graded
-    double they take their products from its integer view, and phi-hopf-map
-    decides that each phi_j is multiplicative by rows
-    (`rowscans.first_unmapped_product`), with the same witnesses.
+    sector checks run on every tuple in either mode. They, phi-hopf-map's
+    product identity (`rowscans.first_unmapped_product`) and the crossed
+    product's build take the view hopf-axioms read, and the crossed
+    product's ribbon elements the view of its own Hopf suite.
     """
     hopf = sd.hopf
     J = sd.ext.J
@@ -293,11 +294,11 @@ def verify_sector_double(sd: SectorDouble, *, sampled: bool = False) -> VerifyRe
     sector = sd.sector_of
     phi = sd.phi
     units = [sd.sector_unit(j) for j in js]
-    view = monomial_view(hopf)
-    p = hopf if view is None else view
     rep = VerifyReport(mode="sampled" if sampled else "full")
 
-    rep.include("hopf-axioms", verify_hopf(hopf, sampled=sampled))
+    axioms = verify_hopf(hopf, sampled=sampled)
+    rep.include("hopf-axioms", axioms)
+    p = axioms.premises.view
 
     def ideal_pair(a: int, b: int) -> bool:
         prod = hopf.mul_basis(a, b)
@@ -339,17 +340,10 @@ def verify_sector_double(sd: SectorDouble, *, sampled: bool = False) -> VerifyRe
 
     rep.check("phi-hopf-map", product(js), lambda j: sparse_eq(_permute(hopf.unit, phi[j]), hopf.unit))
     rep.check("phi-hopf-map", product(js, basis), phi_on_element)
-    if view is None:
-        rep.check(
-            "phi-hopf-map",
-            product(js, basis, basis),
-            lambda j, a, b: sparse_eq(_permute(hopf.mul_basis(a, b), phi[j]), hopf.mul_basis(phi[j][a], phi[j][b])),
-        )
-    else:
-        from .rowscans import first_unmapped_product
+    from .rowscans import first_unmapped_product
 
-        unmapped = ((j, *w) for j in js if (w := first_unmapped_product(view.rows, view.rows, phi[j])) is not None)
-        rep.record("phi-hopf-map", next(unmapped, None))
+    unmapped = ((j, *w) for j in js if (w := first_unmapped_product(p, p, phi[j])) is not None)
+    rep.record("phi-hopf-map", next(unmapped, None))
 
     def coherence_inverse(i: int, j: int) -> bool:
         return inverts(p.mul_vec, sd.coherence[(i, j)], sd.coherence_inv[(i, j)], hopf.unit)
@@ -389,10 +383,10 @@ def verify_sector_double(sd: SectorDouble, *, sampled: bool = False) -> VerifyRe
     rep.check("twist-sectors", product(js), twist_sector)
 
     try:
-        ohat = orbifold_algebra(sd)
+        ohat = orbifold_algebra(sd, p)
         crossed = verify_hopf(ohat, sampled=sampled)
         rep.include("orbifold-hopf", crossed)
-        rib = orbifold_ribbon(sd, ohat)
+        rib = orbifold_ribbon(sd, ohat, crossed.premises.view)
         rep.include("orbifold-quasitriangular", verify_quasitriangular(rib, sampled=sampled, premises=crossed.premises))
         rep.include("orbifold-ribbon", verify_ribbon(rib, sampled=sampled, premises=crossed.premises))
         rep.built = rib

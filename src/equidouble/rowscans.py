@@ -1,10 +1,11 @@
-"""Checks that run on every tuple, decided on the integer rows of monomial
-tables (`hopf.MonomialView`).
+"""Checks decided on the integer view of a table (`hopf.MonomialView`),
+which supplies every product the verifiers take.
 
-A full-mode Hopf, quasitriangular or ribbon check is decided on a generating
-set of the table (`generating_set`) once the checks its proof needs have
-held on every tuple of the same table in the same run; `hopf.run_checks`
-keeps that order, and `hopf.REDUCTION_PREMISES` names each check's premises.
+On a view whose coefficients are all 1 (`MonomialView.ones`), a full-mode
+Hopf, quasitriangular or ribbon check is decided on a generating set of the
+table (`generating_set`) once the checks its proof needs have held on every
+tuple of the same table in the same run; `hopf.run_checks` keeps that
+order, and `hopf.REDUCTION_PREMISES` names each check's premises.
 Each reduced scan below proves in its docstring that it decides its check.
 They all rest on one closure argument: the set of elements on which the
 identity holds is a subspace closed under products, so if it contains the
@@ -14,9 +15,10 @@ returns the first failing tuple in itertools.product order: the reduced
 tuples are some of those tuples, so that scan fails too, and the witness is
 the one the predicate loop finds.
 
-`first_unmapped_product` decides by rows whether a relabeling of the basis
-carries one table's products to another's (`orbifold.psi_check` and the
-`phi-hopf-map` check of `orbifold.verify_sector_double`).
+`first_unmapped_product` decides on two views, of any coefficients, whether
+a relabeling of the basis carries one table's products to another's
+(`orbifold.psi_check` and the `phi-hopf-map` check of
+`orbifold.verify_sector_double`).
 
 Only checks that run on every tuple import this module, so a sampled run
 loads none of it.
@@ -29,6 +31,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .hopf import first_failure
+from .scalars import ONE
 
 if TYPE_CHECKING:
     from .hopf import MonomialView
@@ -210,21 +213,30 @@ REDUCED = {
 }
 
 
-def first_unmapped_product(src: Rows, dst: Rows, perm: Sequence[int]) -> Optional[tuple[int, int]]:
+def first_unmapped_product(src: MonomialView, dst: MonomialView, perm: Sequence[int]) -> Optional[tuple[int, int]]:
     """The first basis pair (x, y) of src, in product order, with
-    perm[e_x e_y] != e_perm[x] e_perm[y] in dst, or None; zero maps to zero.
+    perm(e_x e_y) != e_perm[x] e_perm[y] in dst, or None; perm maps c e_k to
+    c e_perm[k], and zero to zero.
 
-    src and dst are the integer rows of two monomial tables (a product is
-    one basis element or zero) and perm sends basis indices of src to basis
-    indices of dst. Row x of src relabeled by perm is the left side for
-    every y at once, and row perm[x] of dst read at perm the right side, so
-    each x costs one tuple comparison. Both tuples end in the rows' trailing
-    -1 (relabeled to -1).
+    src and dst are the integer views of two tables, and perm sends basis
+    indices of src to labels; a label off dst's basis has no product in dst,
+    and is read at dst's zero row and column -1. Each side is c e_k or zero,
+    so the sides agree exactly when their rows entries agree (-1, relabeled
+    to -1, for zero) and so do their coefficients, which are 1 on a zero
+    product. Row x of src relabeled by perm is the left side for every y at
+    once, and row perm[x] of dst read at perm the right side, so each x
+    costs one tuple comparison; when a view stores coefficients, each entry
+    is paired with its coefficient, and the trailing -1 is dropped.
     """
     relabel = [*perm, -1]
-    read = itemgetter(*perm, -1)
-    for x, row in enumerate(src[:-1]):
-        lhs, rhs = tuple(map(relabel.__getitem__, row)), read(dst[perm[x]])
+    inside = [p if p < len(dst.rows) - 1 else -1 for p in perm]
+    read = itemgetter(*inside, -1)
+    scaled = src.coefficients or dst.coefficients
+    for x, row in enumerate(src.rows[:-1]):
+        lhs, rhs = tuple(map(relabel.__getitem__, row)), read(dst.rows[inside[x]])
+        if scaled:
+            lhs = tuple(zip(lhs, (src.coefficients.get((x, y), ONE) for y in range(len(perm)))))
+            rhs = tuple(zip(rhs, (dst.coefficients.get((perm[x], p), ONE) for p in perm)))
         if lhs != rhs:
             return (x, next(y for y, (a, b) in enumerate(zip(lhs, rhs)) if a != b))
     return None

@@ -3,19 +3,17 @@
 import os
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 from itertools import chain, product
 
 import pytest
+from sparse_oracle import SparseProducts, count_views, take_sparse_products
 
 import equidouble
-from equidouble import orbifold
 from equidouble.catalogue import extension_by_name, extension_names, group_by_name
 from equidouble.doubles import double_algebra, sector_double
 from equidouble.errors import NonInvertibleError
 from equidouble.hopf import (
-    TableHopf,
     first_failure,
     hopf_checks,
     monomial_view,
@@ -144,7 +142,7 @@ def solved_inverse(hopf, x):
     n = hopf.dim
     lmul = ExactMatrix.zeros(n, n)
     for k in range(n):
-        for r, c in hopf.mul_vec(x, {k: ONE}).items():
+        for r, c in SparseProducts(hopf).mul_vec(x, {k: ONE}).items():
             lmul[r, k] = c
     rhs = ExactMatrix.zeros(n, 1)
     for r, c in hopf.unit.items():
@@ -164,7 +162,7 @@ def test_closed_form_inverses_match_the_linear_solve(name):
     sd = sector_double(ext)
     ohat = orbifold_algebra(sd)
     for j in range(ext.J.order):
-        assert _grouplike_inverse(sd, ohat, j) == solved_inverse(ohat, _grouplike(sd, j)), j
+        assert _grouplike_inverse(sd, ohat, monomial_view(ohat), j) == solved_inverse(ohat, _grouplike(sd, j)), j
     rib = orbifold_ribbon(sd, ohat)
     assert rib.ribbon == solved_inverse(ohat, rib.ribbon_inverse)
 
@@ -314,39 +312,31 @@ def hopf_tables(h):
     return h.dim, h.unit, h._mul, h._comul, h._counit, h._antipode
 
 
-def count_sparse_products(monkeypatch):
-    calls = []
-    mul_vec = TableHopf.mul_vec
-    monkeypatch.setattr(TableHopf, "mul_vec", lambda self, a, b: calls.append(1) or mul_vec(self, a, b))
-    return calls
-
-
 @pytest.mark.parametrize("name", [*extension_names(), "Z1-S3", "Z2-D6"])
-def test_crossed_product_from_the_integer_view_equals_the_sparse_one(name, monkeypatch):
-    """orbifold_algebra takes the products of a monomial sector double from
-    its integer view, and builds the tables the sparse products build."""
+def test_crossed_product_from_the_integer_view_equals_the_sparse_one(name):
+    """orbifold_algebra takes the products of a sector double, whose
+    coefficients are all 1, from its integer view, and builds the tables the
+    sparse products build."""
     ext = {"Z1-S3": z1_in_s3, "Z2-D6": z2_in_d6}.get(name, lambda: extension_by_name(name))()
     sd = sector_double(ext)
-    calls = count_sparse_products(monkeypatch)
+    assert monomial_view(sd.hopf).ones
     from_view = orbifold_algebra(sd)
-    assert calls == []
-    monkeypatch.setattr(orbifold, "products_of", lambda h: h)
-    sparse = orbifold_algebra(sd)
-    assert calls and hopf_tables(from_view) == hopf_tables(sparse)
+    assert hopf_tables(from_view) == hopf_tables(orbifold_algebra(sd, SparseProducts(sd.hopf)))
 
 
-def test_crossed_product_of_a_sector_double_that_is_not_monomial_takes_the_sparse_products(monkeypatch):
+def test_crossed_product_of_a_sector_double_that_is_not_monomial_takes_the_sparse_products():
+    """Once one product has coefficient 2, the view stores that coefficient
+    and still takes every product: the crossed product built from it is the
+    one the sparse products build, and not the clean one."""
     sd = sector_double(z2_in_z4())
     clean_build = orbifold_algebra(sd)
     pair = next(k for k, v in sd.hopf._mul.items() if v)
     target = next(iter(sd.hopf._mul[pair]))
     sd.hopf._mul[pair][target] = 2
-    assert monomial_view(sd.hopf) is None
-    calls = count_sparse_products(monkeypatch)
+    view = monomial_view(sd.hopf)
+    assert view.coefficients == {pair: 2} and not view.ones
     built = orbifold_algebra(sd)
-    assert calls
-    monkeypatch.setattr(orbifold, "products_of", lambda h: h)
-    assert hopf_tables(built) == hopf_tables(orbifold_algebra(sd)) != hopf_tables(clean_build)
+    assert hopf_tables(built) == hopf_tables(orbifold_algebra(sd, SparseProducts(sd.hopf))) != hopf_tables(clean_build)
 
 
 def test_sector_axiom_suite_passes_for_catalogue_extensions():
@@ -403,7 +393,7 @@ def test_sector_axiom_suite_detects_single_entry_corruptions():
     report = witnessed(verify_sector_double(sd))
     assert "hopf-axioms" in report.failing()
     failed_check = report.witnesses["hopf-axioms"][0]
-    assert failed_check in hopf_checks(sd.hopf)
+    assert failed_check in hopf_checks(sd.hopf, monomial_view(sd.hopf))
 
 
 def test_untwist_corrupted_before_the_sector_double_fails_named_checks():
@@ -431,12 +421,12 @@ def test_redirected_product_in_the_z2_q8_crossed_product_is_witnessed():
     key = nonzero[len(nonzero) // 2]
     (old,) = hopf._mul[key]
     hopf._mul[key] = {(old + 1) % hopf.dim: ONE}
-    assert monomial_view(hopf) is not None
+    assert monomial_view(hopf).ones
     report = verify_hopf(hopf)
     assert not report.checks["associativity"]
     assert not report.checks["comultiplication_multiplicative"]
     assert set(report.witnesses) == set(report.failing())
-    checks = hopf_checks(hopf)
+    checks = hopf_checks(hopf, SparseProducts(hopf))
     for name, witness in report.witnesses.items():
         arity, holds = checks[name]
         assert not holds(*witness), (name, witness)
@@ -472,25 +462,25 @@ except NonInvertibleError as exc:
 
 
 def test_sector_checks_of_a_monomial_sector_double_take_no_sparse_products(monkeypatch):
-    """On the monomial Z4-D4 sector double every product of the sector
-    checks comes from the integer view; once one product has coefficient 2
-    the table is not monomial and they take the sparse products."""
+    """On the Z4-D4 sector double every product of the suite comes from two
+    integer views, read once each: the sector double's, which its Hopf
+    axioms read and its sector checks and the crossed product's build reuse,
+    and the crossed product's. Once one product has coefficient 2, the view
+    serves that table with the verdicts and witnesses of the sparse
+    products."""
     sd = sector_double(z4_in_d4())
-    calls = Counter()
-    for name in ("mul_vec", "ten_mul"):
-
-        def counted(self, a, b, name=name, real=getattr(TableHopf, name)):
-            calls[name] += self is sd.hopf
-            return real(self, a, b)
-
-        monkeypatch.setattr(TableHopf, name, counted)
-    assert verify_sector_double(sd).all_passed
-    assert calls == Counter(mul_vec=0, ten_mul=0)
+    read = count_views(monkeypatch)
+    report = verify_sector_double(sd)
+    assert report.all_passed
+    assert [h is sd.hopf for h in read] == [True, False] and read[1] is report.built.hopf
     (entry,) = sd.hopf._mul[(0, 0)]
     sd.hopf._mul[(0, 0)] = {entry: 2}
-    assert monomial_view(sd.hopf) is None
-    verify_sector_double(sd)
-    assert calls["mul_vec"] > 0 and calls["ten_mul"] > 0
+    assert not monomial_view(sd.hopf).ones
+    by_view = verify_sector_double(sd)
+    take_sparse_products(monkeypatch)
+    sparse = verify_sector_double(sd)
+    assert not by_view.all_passed
+    assert (by_view.checks, by_view.witnesses) == (sparse.checks, sparse.witnesses)
 
 
 def corrupted_sector_inputs(kind: str):
@@ -519,8 +509,8 @@ def corrupted_sector_inputs(kind: str):
 @pytest.mark.parametrize("kind", ["phi", "coherence", "sector-product", "big-product"])
 def test_sector_and_psi_checks_by_rows_give_the_sparse_witnesses(kind, monkeypatch):
     """verify_sector_double and psi_check decide phi-hopf-map and the psi
-    product by rows on monomial tables; with the integer view withheld from
-    them they run the sparse loops, and both give the same report."""
+    product on integer views; with the sparse products and the pair loop in
+    the views' place, both give the same report."""
 
     def reports():
         sd, dh = corrupted_sector_inputs(kind)
@@ -529,6 +519,6 @@ def test_sector_and_psi_checks_by_rows_give_the_sparse_witnesses(kind, monkeypat
         return [(r.checks, r.witnesses) for r in (sector, psi)]
 
     by_rows = reports()
-    monkeypatch.setattr(orbifold, "monomial_view", lambda h: None)
+    take_sparse_products(monkeypatch)
     assert by_rows == reports()
     assert not all(all(checks.values()) for checks, _ in by_rows)

@@ -1,8 +1,10 @@
 """Axiom-suite witnesses: a failed check names the first tuple it fails on,
 and that tuple alone reproduces the failure."""
 
+import ast
 import copy
 import dataclasses
+import pathlib
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -10,7 +12,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sparse_oracle import SparseProducts, count_views, first_unmapped_product, take_sparse_products
 
+import equidouble
 from equidouble import hopf as hopf_module
 from equidouble import rowscans
 from equidouble.catalogue import extension_by_name, group_by_name
@@ -33,7 +37,8 @@ from equidouble.hopf import (
     verify_quasitriangular,
     verify_ribbon,
 )
-from equidouble.orbifold import orbifold_algebra, orbifold_ribbon, psi_check, verify_sector_double
+from equidouble.errors import UsageError
+from equidouble.orbifold import orbifold_algebra, orbifold_ribbon, psi_check, psi_permutation, verify_sector_double
 
 TABLES = ("_mul", "_comul", "_antipode")
 ONE = Fraction(1)
@@ -75,7 +80,7 @@ def corrupt_monomially(draw, hopf):
             del hopf._mul[key]
         else:
             hopf._mul[key] = {draw(st.sampled_from([k for k in range(hopf.dim) if k != old])): ONE}
-    assert monomial_view(hopf) is not None
+    assert monomial_view(hopf).ones
 
 
 @st.composite
@@ -86,6 +91,22 @@ def monomial_corruptions(draw):
     return hopf
 
 
+@st.composite
+def halved_products(draw):
+    """D(G) for G in Z2, Z3, S3 with one product coefficient set to 1/2."""
+    hopf = small_double(draw)
+    key = draw(st.sampled_from(sorted(k for k, v in hopf._mul.items() if v)))
+    (entry,) = hopf._mul[key]
+    hopf._mul[key][entry] = Fraction(1, 2)
+    return hopf
+
+
+def scalar_tables():
+    """A corrupted D(G) of any of the three kinds above: its products may
+    carry drawn fractions, 1/2 or stored zeros."""
+    return st.one_of(constant_corruptions(), monomial_corruptions(), halved_products())
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.one_of(constant_corruptions(), monomial_corruptions()))
 def test_corrupted_double_fails_and_each_witness_reproduces_the_failure(hopf):
@@ -94,7 +115,7 @@ def test_corrupted_double_fails_and_each_witness_reproduces_the_failure(hopf):
     report = verify_hopf(hopf)
     assert not report.all_passed
     assert set(report.witnesses) == set(report.failing())
-    checks = hopf_checks(hopf)
+    checks = hopf_checks(hopf, SparseProducts(hopf))
     for name, witness in report.witnesses.items():
         arity, holds = checks[name]
         assert len(witness) == arity
@@ -107,9 +128,9 @@ def test_scans_agree_with_the_sparse_oracle_on_valid_tables():
     crossed = orbifold_algebra(sd)
     assert crossed.dim == 36
     for hopf in (double_algebra(group_by_name("S3")).hopf, sd.hopf, crossed):
-        assert monomial_view(hopf) is not None
+        assert monomial_view(hopf).ones
         scanned = verify_hopf(hopf)
-        oracle = run_checks(hopf_checks(hopf), hopf.dim, sampled=False, samples=0)
+        oracle = run_checks(hopf_checks(hopf, SparseProducts(hopf)), hopf.dim, sampled=False, samples=0)
         assert scanned.all_passed
         assert (scanned.checks, scanned.witnesses) == (oracle.checks, oracle.witnesses)
 
@@ -132,7 +153,7 @@ def test_coproducts_with_a_repeated_first_leg_give_the_sparse_verdicts(name, dat
     assert len({first for first, _ in view.pairs[key]}) < len(view.pairs[key])
     for sampled in (False, True) if hopf.dim < 64 else (True,):
         fast = verify_hopf(hopf, sampled=sampled)
-        oracle = run_checks(hopf_checks(hopf), hopf.dim, sampled=sampled, samples=HOPF_SAMPLES)
+        oracle = run_checks(hopf_checks(hopf, SparseProducts(hopf)), hopf.dim, sampled=sampled, samples=HOPF_SAMPLES)
         assert (fast.checks, fast.witnesses) == (oracle.checks, oracle.witnesses)
         assert "comultiplication_multiplicative" in fast.failing()
 
@@ -157,7 +178,7 @@ def test_sampled_integer_predicates_agree_with_the_sparse_oracle():
     @given(sampled_monomial_corruptions())
     def agree(hopf):
         fast = verify_hopf(hopf, sampled=True)
-        oracle = run_checks(hopf_checks(hopf), hopf.dim, sampled=True, samples=HOPF_SAMPLES)
+        oracle = run_checks(hopf_checks(hopf, SparseProducts(hopf)), hopf.dim, sampled=True, samples=HOPF_SAMPLES)
         assert fast.mode == oracle.mode == "sampled"
         assert (fast.checks, fast.witnesses) == (oracle.checks, oracle.witnesses)
         failed.update(fast.failing())
@@ -173,33 +194,40 @@ def crossed_v4_a4() -> RibbonData:
 
 @pytest.mark.parametrize("sampled", [True, False])
 def test_monomial_tables_never_run_the_sparse_product_predicates(monkeypatch, sampled):
-    """On the dim-144 V4-A4 crossed product, in either mode, no check of the
-    Hopf, quasitriangular or ribbon suite takes a product of TableHopf: the
-    integer view supplies them all. Once one product has coefficient 2, the
-    table is not monomial and the checks take the sparse products."""
+    """On the dim-144 V4-A4 crossed product, in either mode, the Hopf,
+    quasitriangular and ribbon suites read one integer view, whose
+    coefficients are all 1, and take every product from it: associativity
+    and comultiplication_multiplicative are its integer predicates. Once one
+    product has coefficient 2, the view serves that table with the verdicts
+    and witnesses of the sparse products."""
     rib = crossed_v4_a4()
     crossed = rib.hopf
-    assert crossed.dim == 144 and monomial_view(crossed) is not None
-    calls = {"mul_vec": 0, "ten_mul": 0}
-
-    def counted(name):
-        real = getattr(TableHopf, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(TableHopf, name, counted(name))
-    assert verify_all_axioms(rib, sampled=sampled).all_passed
-    assert calls == {"mul_vec": 0, "ten_mul": 0}
+    assert crossed.dim == 144
+    read = count_views(monkeypatch)
+    report = verify_all_axioms(rib, sampled=sampled)
+    assert report.all_passed and read == [crossed]
+    view = monomial_view(crossed)
+    assert view.ones
+    for name in ("associativity", "comultiplication_multiplicative"):
+        assert hopf_checks(crossed, view)[name][1].__qualname__ == f"_monomial_checks.<locals>.{name}"
     (entry,) = crossed._mul[(0, 0)]
     crossed._mul[(0, 0)] = {entry: 2}
-    assert monomial_view(crossed) is None
-    verify_all_axioms(rib, sampled=True)
-    assert calls["mul_vec"] > 0 and calls["ten_mul"] > 0
+    assert not monomial_view(crossed).ones
+    by_view = verify_all_axioms(rib, sampled=True)
+    take_sparse_products(monkeypatch)
+    sparse = verify_all_axioms(rib, sampled=True)
+    assert not by_view.all_passed
+    assert (by_view.checks, by_view.witnesses) == (sparse.checks, sparse.witnesses)
+
+
+def test_a_suite_trio_reads_one_view(monkeypatch):
+    """verify_all_axioms reads the integer view of D(S3) once: the
+    quasitriangular and ribbon suites take it from the Hopf suite's
+    premises."""
+    rib = double_algebra(group_by_name("S3")).ribbon_data()
+    read = count_views(monkeypatch)
+    assert verify_all_axioms(rib).all_passed
+    assert read == [rib.hopf]
 
 
 def move_or_negate(draw, vec: dict, keys) -> None:
@@ -256,14 +284,15 @@ def test_view_products_give_the_sparse_verdicts_and_witnesses():
     @given(view_corruptions())
     def agree(rib):
         h = rib.hopf
-        assert monomial_view(h) is not None
+        assert monomial_view(h).ones
+        sparse = SparseProducts(h)
         for sampled in (False, True):
             suites = [
-                (verify_quasitriangular, quasitriangular_checks(rib), RIBBON_SAMPLES),
-                (verify_ribbon, ribbon_checks(rib), RIBBON_SAMPLES),
+                (verify_quasitriangular, quasitriangular_checks(rib, sparse), RIBBON_SAMPLES),
+                (verify_ribbon, ribbon_checks(rib, sparse), RIBBON_SAMPLES),
             ]
             if sampled or h.dim < 144:
-                suites.append((lambda rd, sampled: verify_hopf(rd.hopf, sampled=sampled), hopf_checks(h), HOPF_SAMPLES))
+                suites.append((lambda rd, sampled: verify_hopf(rd.hopf, sampled=sampled), hopf_checks(h, sparse), HOPF_SAMPLES))
             for verify, checks, samples in suites:
                 fast = verify(rib, sampled=sampled)
                 oracle = run_checks(checks, h.dim, sampled=sampled, samples=samples)
@@ -276,10 +305,10 @@ def test_view_products_give_the_sparse_verdicts_and_witnesses():
 
 @st.composite
 def products_to_take(draw):
-    """A monomially corrupted D(G) and two lists of terms (i, j, c) whose
-    keys are basis indices or lie just outside them, and whose coefficients
-    may be zero."""
-    hopf = draw(monomial_corruptions())
+    """A corrupted D(G) (`scalar_tables`) and two lists of terms (i, j, c)
+    whose keys are basis indices or lie just outside them, and whose
+    coefficients may be zero."""
+    hopf = draw(scalar_tables())
     key = st.integers(-2, hopf.dim + 1)
     terms = st.lists(st.tuples(key, key, st.fractions(-2, 2, max_denominator=2)), max_size=8)
     return hopf, draw(terms), draw(terms)
@@ -288,14 +317,86 @@ def products_to_take(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(products_to_take())
 def test_view_products_are_the_sparse_products(taken):
-    """MonomialView.mul_vec and ten_mul return what TableHopf's return, also
-    for zero coefficients and for keys that are not basis indices."""
+    """MonomialView.mul_vec and ten_mul return what the sparse products
+    return, on tables with drawn fractions, 1/2 and stored zeros among their
+    coefficients, also for zero coefficients and for keys that are not
+    basis indices."""
     hopf, a, b = taken
-    view = monomial_view(hopf)
+    view, sparse = monomial_view(hopf), SparseProducts(hopf)
     vec_a, vec_b = {i: c for i, _, c in a}, {i: c for i, _, c in b}
     ten_a, ten_b = {(i, j): c for i, j, c in a}, {(i, j): c for i, j, c in b}
-    assert view.mul_vec(vec_a, vec_b) == hopf.mul_vec(vec_a, vec_b)
-    assert view.ten_mul(ten_a, ten_b) == hopf.ten_mul(ten_a, ten_b)
+    assert view.mul_vec(vec_a, vec_b) == sparse.mul_vec(vec_a, vec_b)
+    assert view.ten_mul(ten_a, ten_b) == sparse.ten_mul(ten_a, ten_b)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(scalar_tables(), st.data())
+def test_relabeled_products_by_rows_are_the_pair_loop(hopf, data):
+    """rowscans.first_unmapped_product finds the witness of the sparse pair
+    loop on tables with any coefficients: as psi_check's product, with the
+    corrupted D(G) as its target and as its source, and as phi-hopf-map's
+    product under a drawn relabeling of the corrupted table."""
+    (group,) = (g for g in map(group_by_name, ("Z2", "Z3", "S3")) if g.order**2 == hopf.dim)
+    clean = double_algebra(group)
+    corrupted = dataclasses.replace(clean, hopf=hopf)
+    rib = orbifold_ribbon(clean)
+    perm = psi_permutation(clean)
+    psi = psi_check(clean, rib, corrupted)
+    assert psi.witnesses.get("product") == first_unmapped_product(rib.hopf, hopf, perm)
+    source = orbifold_algebra(corrupted)
+    psi = psi_check(clean, dataclasses.replace(rib, hopf=source), clean)
+    assert psi.witnesses.get("product") == first_unmapped_product(source, clean.hopf, perm)
+    shuffled = data.draw(st.permutations(range(hopf.dim)))
+    for relabeling in (range(hopf.dim), shuffled):
+        view = monomial_view(hopf)
+        by_rows = rowscans.first_unmapped_product(view, view, relabeling)
+        assert by_rows == first_unmapped_product(hopf, hopf, relabeling)
+
+
+def test_psi_check_against_a_smaller_double_reads_no_product_off_its_basis():
+    """Against D(Z2), whose 4 basis elements are fewer than the labels of
+    the Z2-Z4 crossed product, psi_check fails bijective, and product with
+    the witness of the pair loop, which finds no product off the basis."""
+    sd = sector_double(extension_by_name("Z2-Z4"))
+    rib = orbifold_ribbon(sd)
+    small = double_algebra(group_by_name("Z2"))
+    report = psi_check(sd, rib, small)
+    assert not report.checks["bijective"]
+    assert report.witnesses["product"] == first_unmapped_product(rib.hopf, small.hopf, psi_permutation(sd))
+
+
+def test_the_integer_view_is_the_one_product_path():
+    """No class in the package but MonomialView defines mul_vec or ten_mul,
+    and no module under src imports the sparse oracle of the tests."""
+    src = pathlib.Path(equidouble.__file__).parent.parent
+    paths = sorted(src.rglob("*.py"))
+    assert len(paths) >= 14
+    kernels, imports = [], []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                defined = {f.name for f in node.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
+                kernels += [(path.name, node.name, name) for name in sorted(defined & {"mul_vec", "ten_mul"})]
+            elif isinstance(node, ast.Import):
+                imports += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imports += [(path.name, f"{node.module or ''}.{alias.name}") for alias in node.names]
+    assert {(cls, name) for _, cls, name in kernels} == {("MonomialView", "mul_vec"), ("MonomialView", "ten_mul")}
+    assert [(path, name) for path, name in imports if "sparse_oracle" in name.split(".")] == []
+
+
+def test_a_product_of_two_terms_has_no_view():
+    """A table whose product of one pair has two terms is not monomial:
+    reading its view, as every suite does, raises UsageError naming the
+    pair."""
+    hopf = double_algebra(group_by_name("S3")).hopf
+    key = sorted(k for k, v in hopf._mul.items() if v)[3]
+    (old,) = hopf._mul[key]
+    hopf._mul[key][(old + 1) % hopf.dim] = ONE
+    for read in (monomial_view, verify_hopf):
+        with pytest.raises(UsageError, match=rf"product of the pair \({key[0]}, {key[1]}\)"):
+            read(hopf)
 
 
 @pytest.mark.parametrize("corrupt", ["constant", "redirect"])
@@ -353,7 +454,7 @@ def test_corrupted_ribbon_element_is_witnessed():
     report = verify_ribbon(rib)
     assert not report.all_passed
     assert set(report.witnesses) == set(report.failing())
-    checks = ribbon_checks(rib)
+    checks = ribbon_checks(rib, SparseProducts(rib.hopf))
     for name, witness in report.witnesses.items():
         assert not checks[name][1](*witness), (name, witness)
 
@@ -400,18 +501,8 @@ def test_int_and_fraction_tables_give_the_same_reports():
     assert_fractions_change_nothing(psi_check, sd, orbifold_ribbon(sd), ds3)
 
 
-@st.composite
-def halved_products(draw):
-    """D(G) for G in Z2, Z3, S3 with one product coefficient set to 1/2."""
-    hopf = small_double(draw)
-    key = draw(st.sampled_from(sorted(k for k, v in hopf._mul.items() if v)))
-    (entry,) = hopf._mul[key]
-    hopf._mul[key][entry] = Fraction(1, 2)
-    return hopf
-
-
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(st.one_of(constant_corruptions(), monomial_corruptions(), halved_products()))
+@given(scalar_tables())
 def test_corrupted_mixed_tables_give_the_same_reports_with_fractions(hopf):
     """A corrupted D(G), whose tables mix int and Fraction coefficients,
     fails the same checks on the same witnesses when every coefficient is a
@@ -474,10 +565,14 @@ def test_reduced_suites_agree_with_the_sparse_oracle():
     @given(reduced_scan_corruptions())
     def agree(built):
         if isinstance(built, TableHopf):
-            fast, checks, dim = verify_hopf(built), hopf_checks(built), built.dim
+            fast, checks, dim = verify_hopf(built), hopf_checks(built, SparseProducts(built)), built.dim
         else:
-            fast, dim = verify_all_axioms(built), built.hopf.dim
-            checks = {**hopf_checks(built.hopf), **quasitriangular_checks(built), **ribbon_checks(built)}
+            fast, dim, sparse = verify_all_axioms(built), built.hopf.dim, SparseProducts(built.hopf)
+            checks = {
+                **hopf_checks(built.hopf, sparse),
+                **quasitriangular_checks(built, sparse),
+                **ribbon_checks(built, sparse),
+            }
         oracle = run_checks(checks, dim, sampled=False, samples=0)
         assert (fast.mode, fast.checks, fast.witnesses) == (oracle.mode, oracle.checks, oracle.witnesses)
         failed.update(fast.failing())
