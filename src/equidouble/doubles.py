@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UsageError
-from .groups import FiniteGroup, GroupAction, GroupExtension, action_via_hom, extension_from_subgroup
+from .groups import FiniteGroup, GroupExtension, extension_from_subgroup
 from .hopf import RibbonData, SparseTen, SparseVec, TableHopf
 from .scalars import ONE, ZERO
 
@@ -33,10 +33,6 @@ class SectorDouble:
     theta_inv: dict[int, SparseVec]
 
     @property
-    def n_h(self) -> int:
-        return self.ext.H.order
-
-    @property
     def n_g(self) -> int:
         return self.ext.G.order
 
@@ -52,10 +48,6 @@ class SectorDouble:
 
     def sector_unit(self, j: int) -> SparseVec:
         return {self.index(h, 0): ONE for h in self.ext.fiber(j)}
-
-    def conjugation_action(self) -> GroupAction:
-        """G acting on the elements of H through incl-conjugation."""
-        return action_via_hom(self.ext.H, self.ext.G, self.ext.incl.images)
 
     def ribbon_data(self) -> RibbonData:
         """Global quasitriangular + ribbon structure; trivial J only."""

@@ -1,10 +1,11 @@
 """Finite-dimensional Hopf algebras with a distinguished basis, kept sparse.
 
-Structure maps are tables over basis indices: products and antipodes are
-sparse vectors, coproducts sparse 2-tensors. Every axiom suite returns one
-report type, `VerifyReport`: `checks` maps each named identity to its
-verdict, the `all_passed` property is their conjunction, and `witnesses`
-holds the first tuple on which each failed check fails. A suite is a table
+Structure maps are tables over basis indices: the product is integer
+rows, antipodes are sparse vectors and coproducts sparse 2-tensors. Every
+axiom suite returns one report type, `VerifyReport`: `checks` maps each
+named identity to its verdict, the `all_passed` property is their
+conjunction, and `witnesses` holds the first tuple on which each failed
+check fails. A suite is a table
 of named predicates on basis tuples (`hopf_checks`, `quasitriangular_checks`,
 `ribbon_checks`); `run_checks` runs each on every basis tuple, or, in
 sampled mode, on a fixed number of random ones, and the report says which
@@ -15,22 +16,22 @@ a check with no more basis tuples than samples runs on every tuple.
 
 Every table here is monomial: a product of two basis elements is a scalar
 multiple of one basis element, or zero, and a coproduct of one is a sum of
-basis pairs with scalar coefficients. `TableHopf` stores the tables, and its
-integer view (`monomial_view`) takes every product: a row lookup times the
-coefficient, which is 1 unless the view stores it (no table the builders
-make has one stored). Reading the view of a table with a product of two or
-more terms raises UsageError. A suite hands the view it read to the suites
-after it on the same table (`Premises`). When every coefficient is 1
-(`MonomialView.ones`), associativity and comultiplication_multiplicative are
-integer predicates, which hold on exactly the tuples the definitional ones
-hold on, and a check that runs on every tuple is decided on a generating
-set of the table (module `rowscans`, loaded only then): associativity always
-(Light's test), and comultiplication_multiplicative, coassociativity,
-r_intertwines_coproducts and ribbon_central once the checks their proofs
-need (`REDUCTION_PREMISES`) have held on every tuple of the same table in
-the same run. A reduced check that fails runs on every tuple and reports
-that scan's first failure, so verdicts and witnesses are those of the
-predicate loops, which decide every other check.
+basis pairs with scalar coefficients. `TableHopf` derives its integer rows
+once, when it is built, and takes every product from them: a row lookup
+times the coefficient, which is 1 unless the table stores it (no table the
+builders make has one stored). Building a table with a product of two or
+more terms raises UsageError, and a built table is read-only. When every
+coefficient is 1 (`TableHopf.ones`), associativity and
+comultiplication_multiplicative are integer predicates, which hold on
+exactly the tuples the definitional ones hold on, and a check that runs on
+every tuple is decided on a generating set of the table (module
+`rowscans`, loaded only then): associativity always (Light's test), and
+comultiplication_multiplicative, coassociativity, r_intertwines_coproducts
+and ribbon_central once the checks their proofs need (`REDUCTION_PREMISES`)
+have held on every tuple of the same table in the same run (`Premises`). A
+reduced check that fails runs on every tuple and reports that scan's first
+failure, so verdicts and witnesses are those of the predicate loops, which
+decide every other check.
 
 The structure constants are Python ints, built from `scalars.ZERO` and
 `scalars.ONE`. No operation here, in `doubles` or in `orbifold` divides a
@@ -46,6 +47,7 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
+from types import MappingProxyType
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import UsageError
@@ -87,6 +89,15 @@ def outer(a: SparseVec, b: SparseVec) -> SparseTen:
     return clean({(i, j): ci * cj for i, ci in a.items() for j, cj in b.items()})
 
 
+def _frozen(a: dict) -> MappingProxyType:
+    """A read-only view of a without stored zeros: of a itself when it
+    stores none, not of a copy."""
+    return MappingProxyType(clean(a))
+
+
+_EMPTY: MappingProxyType = MappingProxyType({})
+
+
 def inverts(mul: Callable[[dict, dict], dict], x: dict, y: dict, one: dict) -> bool:
     """Whether y is a two-sided inverse of x for the product mul with unit
     one: mul(x, y) == one and mul(y, x) == one."""
@@ -94,10 +105,22 @@ def inverts(mul: Callable[[dict, dict], dict], x: dict, y: dict, one: dict) -> b
 
 
 class TableHopf:
-    """Hopf algebra defined by explicit sparse structure tables. It keeps
-    each vector and tensor it is given that stores no zero, not a copy, so
-    the builders in `doubles` and `orbifold` hand over fresh ones. Its
-    products are taken from its integer view (`monomial_view`)."""
+    """Hopf algebra defined by explicit structure tables, read-only once
+    built, so that nothing derived from a table can go stale.
+
+    The product is kept as integers: rows[i][j] is k when e_i e_j = c e_k
+    with c nonzero, and -1 when e_i e_j = 0. Every row ends in -1 and the
+    last row is all -1, so rows[rows[x][s]][y] and rows[x][rows[s][y]] read
+    zero through a zero product without a branch. coefficients holds each c
+    that is not exactly 1. A product of two or more terms, or one keyed off
+    the basis, raises UsageError naming the pair; a stored zero is no term.
+    The unit, counit, coproduct and antipode are a mapping, a tuple and
+    mappings of mappings, all read-only. pairs[k] is the sorted tuple of
+    pairs (x, y) with Delta(e_k) = sum of e_x (x) e_y, and pairs[-1] is
+    empty, when every nonzero product and coproduct coefficient is exactly 1
+    (`ones`); otherwise pairs is None. mul_vec and ten_mul are the products,
+    extended bilinearly; a key that is not a basis index has no product.
+    """
 
     def __init__(
         self,
@@ -112,26 +135,110 @@ class TableHopf:
         if len(counit_table) != dim:
             raise UsageError(f"a Hopf table of dimension {dim} needs {dim} counit values, got {len(counit_table)}")
         self.dim = dim
-        self.unit = clean(unit)
-        self._mul = {k: clean(v) for k, v in mul_table.items()}
-        self._comul = {i: clean(t) for i, t in comul_table.items()}
-        self._counit = tuple(counit_table)
-        self._antipode = {i: clean(v) for i, v in antipode_table.items()}
         self.name = name
+        basis = range(dim)
+        rows = [[-1] * (dim + 1) for _ in range(dim + 1)]
+        coefficients: dict[tuple[int, int], Scalar] = {}
+        for (i, j), vec in mul_table.items():
+            terms = clean(vec)
+            if not terms:
+                continue
+            ((k, c), *more) = terms.items()
+            if more or i not in basis or j not in basis or k not in basis:
+                raise UsageError(f"{self!r}: the product of the pair ({i}, {j}) is not a multiple of one basis element")
+            rows[i][j] = k
+            if c != 1:
+                coefficients[(i, j)] = c
+        self.rows = tuple(map(tuple, rows))
+        self.coefficients = MappingProxyType(coefficients)
+        self.unit = _frozen(unit)
+        self._comul = MappingProxyType({i: _frozen(t) for i, t in comul_table.items()})
+        self._counit = tuple(counit_table)
+        self._antipode = MappingProxyType({i: _frozen(v) for i, v in antipode_table.items()})
+        ones = not coefficients and all(
+            c == 1 and i in basis and x in basis and y in basis
+            for i, t in self._comul.items()
+            for (x, y), c in t.items()
+        )
+        self.pairs = tuple(tuple(sorted(self.comul_basis(i))) for i in basis) + ((),) if ones else None
+
+    @property
+    def ones(self) -> bool:
+        """Whether every nonzero product and coproduct coefficient is exactly 1."""
+        return self.pairs is not None
 
     def mul_basis(self, i: int, j: int) -> SparseVec:
-        return self._mul.get((i, j), {})
+        k = self.rows[i][j] if i in range(self.dim) and j in range(self.dim) else -1
+        return {k: self.coefficients.get((i, j), ONE)} if k >= 0 else {}
 
     def comul_basis(self, i: int) -> SparseTen:
-        return self._comul.get(i, {})
+        return self._comul.get(i, _EMPTY)
 
     def counit_basis(self, i: int) -> Scalar:
         return self._counit[i]
 
     def antipode_basis(self, i: int) -> SparseVec:
-        return self._antipode.get(i, {})
+        return self._antipode.get(i, _EMPTY)
 
     # -- linear extensions -------------------------------------------
+
+    def mul_vec(self, a: SparseVec, b: SparseVec) -> SparseVec:
+        """ab is the sum over terms i of a and j of b of a_i b_j e_i e_j, and
+        e_i e_j is c_ij e_k with k = rows[i][j] (c_ij is 1 unless stored), or
+        zero when k is -1 or i or j is not a basis index. So each term adds
+        (a_i b_j) c_ij to the coefficient of e_k, or nothing."""
+        rows, coefficients, basis = self.rows, self.coefficients or None, range(self.dim)
+        right = [(j, cb) for j, cb in b.items() if cb and j in basis]
+        out: SparseVec = {}
+        for i, ca in a.items():
+            if not ca or i not in basis:
+                continue
+            row = rows[i]
+            for j, cb in right:
+                k = row[j]
+                if k >= 0:
+                    c = ca * cb
+                    if coefficients:
+                        c = c * coefficients.get((i, j), ONE)
+                    out[k] = out.get(k, ZERO) + c
+        return clean(out)
+
+    def ten_mul(self, a: SparseTen, b: SparseTen) -> SparseTen:
+        """Componentwise product on H (tensor) H: as in mul_vec, each pair of
+        terms (i1, i2) of a and (j1, j2) of b adds (a_i b_j) c_i1j1 c_i2j2
+        to the coefficient of (rows[i1][j1], rows[i2][j2]), or nothing. The
+        terms are grouped by their first legs, so that a zero product of
+        first legs skips every pair of terms in the two groups at once."""
+        rows, coefficients = self.rows, self.coefficients or None
+        out: SparseTen = {}
+        right = self._by_first_leg(b)
+        for i1, a_terms in self._by_first_leg(a).items():
+            row1 = rows[i1]
+            for j1, b_terms in right.items():
+                k1 = row1[j1]
+                if k1 < 0:
+                    continue
+                for i2, ca in a_terms:
+                    row2 = rows[i2]
+                    for j2, cb in b_terms:
+                        k2 = row2[j2]
+                        if k2 >= 0:
+                            c = ca * cb
+                            if coefficients:
+                                c = c * coefficients.get((i1, j1), ONE) * coefficients.get((i2, j2), ONE)
+                            key = (k1, k2)
+                            out[key] = out.get(key, ZERO) + c
+        return clean(out)
+
+    def _by_first_leg(self, t: SparseTen) -> dict[int, list[tuple[int, Scalar]]]:
+        """The nonzero terms of t on pairs of basis indices, as lists of
+        (second leg, coefficient) keyed by first leg."""
+        basis = range(self.dim)
+        groups: dict[int, list[tuple[int, Scalar]]] = {}
+        for (x, y), c in t.items():
+            if c and x in basis and y in basis:
+                groups.setdefault(x, []).append((y, c))
+        return groups
 
     def comul_vec(self, a: SparseVec) -> SparseTen:
         out: SparseTen = {}
@@ -185,14 +292,12 @@ def first_failure(tuples: Iterable[tuple], holds: Callable[..., bool]) -> Option
 @dataclass
 class Premises:
     """What a run has established about one table, for the checks after it
-    to build on: `view`, its integer view, read by the run's first suite;
-    `held`, the checks that held on every tuple of the table; and
-    `generators`, a generating set of its integer rows once one was found
+    to build on: `held`, the checks that held on every tuple of the table,
+    and `generators`, a generating set of its rows once one was found
     (`rowscans.generating_set`). verify_all_axioms and verify_sector_double
     hand the Hopf suite's premises to the quasitriangular and ribbon suites
     of the same table."""
 
-    view: Optional[MonomialView] = None
     held: set[str] = field(default_factory=set)
     generators: Optional[list[int]] = None
 
@@ -320,125 +425,12 @@ def _coproduct_on_leg(h: TableHopf, t: SparseTen, leg: int) -> SparseTen3:
     return out
 
 
-# -- integer view of a monomial table: the one source of products, and
-# predicates for the two largest checks
-
-
-@dataclass(frozen=True)
-class MonomialView:
-    """The product and coproduct tables of a monomial TableHopf as integers.
-
-    rows[i][j] is k when e_i e_j = c e_k with c nonzero, and -1 when
-    e_i e_j = 0. Every row ends in -1 and the last row is all -1, so
-    rows[rows[x][s]][y] and rows[x][rows[s][y]] read zero through a zero
-    product without a branch. coefficients holds each c that is not exactly
-    1. ones says whether every nonzero coefficient of a product or a
-    coproduct is exactly 1; only then is pairs read: pairs[k] is the sorted
-    list of pairs (x, y) with Delta(e_k) = sum of e_x (x) e_y, and pairs[-1]
-    is empty. mul_vec and ten_mul are the table's products, extended
-    bilinearly; a key that is not a basis index has no product.
-    """
-
-    rows: list[tuple[int, ...]]
-    pairs: list[list[tuple[int, int]]]
-    coefficients: dict[tuple[int, int], Scalar]
-    ones: bool
-
-    def mul_vec(self, a: SparseVec, b: SparseVec) -> SparseVec:
-        """ab is the sum over terms i of a and j of b of a_i b_j e_i e_j, and
-        e_i e_j is c_ij e_k with k = rows[i][j] (c_ij is 1 unless stored), or
-        zero when k is -1 or i or j is not a basis index. So each term adds
-        (a_i b_j) c_ij to the coefficient of e_k, or nothing."""
-        rows, coefficients, basis = self.rows, self.coefficients, range(len(self.rows) - 1)
-        right = [(j, cb) for j, cb in b.items() if cb and j in basis]
-        out: SparseVec = {}
-        for i, ca in a.items():
-            if not ca or i not in basis:
-                continue
-            row = rows[i]
-            for j, cb in right:
-                k = row[j]
-                if k >= 0:
-                    c = ca * cb
-                    if coefficients:
-                        c = c * coefficients.get((i, j), ONE)
-                    out[k] = out.get(k, ZERO) + c
-        return clean(out)
-
-    def ten_mul(self, a: SparseTen, b: SparseTen) -> SparseTen:
-        """Componentwise product on H (tensor) H: as in mul_vec, each pair of
-        terms (i1, i2) of a and (j1, j2) of b adds (a_i b_j) c_i1j1 c_i2j2
-        to the coefficient of (rows[i1][j1], rows[i2][j2]), or nothing. The
-        terms are grouped by their first legs, so that a zero product of
-        first legs skips every pair of terms in the two groups at once."""
-        rows, coefficients = self.rows, self.coefficients
-        out: SparseTen = {}
-        right = self._by_first_leg(b)
-        for i1, a_terms in self._by_first_leg(a).items():
-            row1 = rows[i1]
-            for j1, b_terms in right.items():
-                k1 = row1[j1]
-                if k1 < 0:
-                    continue
-                for i2, ca in a_terms:
-                    row2 = rows[i2]
-                    for j2, cb in b_terms:
-                        k2 = row2[j2]
-                        if k2 >= 0:
-                            c = ca * cb
-                            if coefficients:
-                                c = c * coefficients.get((i1, j1), ONE) * coefficients.get((i2, j2), ONE)
-                            key = (k1, k2)
-                            out[key] = out.get(key, ZERO) + c
-        return clean(out)
-
-    def _by_first_leg(self, t: SparseTen) -> dict[int, list[tuple[int, Scalar]]]:
-        """The nonzero terms of t on pairs of basis indices, as lists of
-        (second leg, coefficient) keyed by first leg."""
-        basis = range(len(self.rows) - 1)
-        groups: dict[int, list[tuple[int, Scalar]]] = {}
-        for (x, y), c in t.items():
-            if c and x in basis and y in basis:
-                groups.setdefault(x, []).append((y, c))
-        return groups
-
-
-def monomial_view(h: TableHopf) -> MonomialView:
-    """The integer view of h's tables as they are now; a stored zero is no
-    term. UsageError names a pair whose stored product is not a multiple of
-    one basis element: it has two or more terms, or a key off the basis."""
-    basis = range(h.dim)
-    rows: list = [[-1] * (h.dim + 1) for _ in range(h.dim + 1)]
-    coefficients: dict[tuple[int, int], Scalar] = {}
-    for (i, j), vec in h._mul.items():
-        terms = clean(vec)
-        if not terms:
-            continue
-        ((k, c), *more) = terms.items()
-        if more or i not in basis or j not in basis or k not in basis:
-            raise UsageError(f"{h!r}: the product of the pair ({i}, {j}) is not a multiple of one basis element")
-        rows[i][j] = k
-        if c != 1:
-            coefficients[(i, j)] = c
-    ones = not coefficients
-    pairs: list[list[tuple[int, int]]] = [[] for _ in range(h.dim + 1)]
-    for i, ten in h._comul.items():
-        terms = clean(ten)
-        if i not in basis or any(c != 1 or x not in basis or y not in basis for (x, y), c in terms.items()):
-            ones = False
-        else:
-            pairs[i] = sorted(terms)
-    for i, row in enumerate(rows):
-        rows[i] = tuple(row)
-    return MonomialView(rows, pairs, coefficients, ones)
-
-
-def hopf_checks(h: TableHopf, products: MonomialView) -> Checks:
+def hopf_checks(h: TableHopf, products: TableHopf) -> Checks:
     """Bialgebra + antipode axioms as predicates on basis tuples, taking
-    their products from `products`: the integer view of h, or anything with
-    the same mul_vec and ten_mul. On a view whose coefficients are all 1,
-    associativity and comultiplication_multiplicative are the integer
-    predicates of `_monomial_checks`."""
+    their products from `products`: h itself, or anything with the same
+    mul_vec and ten_mul and `ones` false. When products is a table whose
+    coefficients are all 1, associativity and comultiplication_multiplicative
+    are the integer predicates of `_monomial_checks`."""
     p = products
 
     def unit(i):
@@ -487,14 +479,14 @@ def hopf_checks(h: TableHopf, products: MonomialView) -> Checks:
         "antipode": (1, antipode),
         "unit_comultiplication": (0, unit_comultiplication),
     }
-    if isinstance(p, MonomialView) and p.ones:
+    if p.ones:
         checks.update(_monomial_checks(p))
     return checks
 
 
-def _monomial_checks(view: MonomialView) -> Checks:
-    """associativity and comultiplication_multiplicative on the integer view
-    of a table whose coefficients are all 1.
+def _monomial_checks(h: TableHopf) -> Checks:
+    """associativity and comultiplication_multiplicative on the rows of a
+    table whose coefficients are all 1.
 
     Both sides of (e_x e_s) e_y = e_x (e_s e_y) are a basis element or zero,
     so they agree exactly when rows[rows[x][s]][y] == rows[x][rows[s][y]].
@@ -506,18 +498,18 @@ def _monomial_checks(view: MonomialView) -> Checks:
     its coefficient on a key is the number of times the key occurs. So the
     sides are equal exactly when those keys, sorted, are pairs[rows[a][b]].
     """
-    rows, pairs = view.rows, view.pairs
+    rows, pairs = h.rows, h.pairs
 
     def associativity(x, s, y):
         return rows[rows[x][s]][y] == rows[x][rows[s][y]]
 
     def comultiplication_multiplicative(a, b):
-        rhs = sorted(
+        rhs = tuple(sorted(
             (p, q)
             for x, y in pairs[a]
             for x2, y2 in pairs[b]
             if (p := rows[x][x2]) >= 0 and (q := rows[y][y2]) >= 0
-        )
+        ))
         return rhs == pairs[rows[a][b]]
 
     return {
@@ -537,9 +529,9 @@ REDUCTION_PREMISES = {
 }
 
 
-def _reduced_scans(view: MonomialView, checks: Checks) -> Scans:
+def _reduced_scans(h: TableHopf, checks: Checks) -> Scans:
     """The scans of module rowscans for the checks it reduces, each on a
-    generating set of the view's rows. The module is loaded, and the set
+    generating set of h's rows. The module is loaded, and the set
     found, when the first of them runs: a run in which none runs loads
     neither."""
 
@@ -547,28 +539,24 @@ def _reduced_scans(view: MonomialView, checks: Checks) -> Scans:
         from . import rowscans
 
         if premises.generators is None:
-            premises.generators = rowscans.generating_set(view.rows)
-        return rowscans.REDUCED[name](view, premises.generators, checks[name][1])
+            premises.generators = rowscans.generating_set(h.rows)
+        return rowscans.REDUCED[name](h, premises.generators, checks[name][1])
 
     return {name: (needs, partial(scan, name)) for name, needs in REDUCTION_PREMISES.items() if name in checks}
 
 
 def _run_suite(
     h: TableHopf,
-    checks_of: Callable[[MonomialView], Checks],
+    checks_of: Callable[[TableHopf], Checks],
     samples: int,
     sampled: bool,
     premises: Optional[Premises] = None,
 ) -> VerifyReport:
-    """The checks checks_of(view) on h, with the view of h that premises
-    carry, read here if none. When its coefficients are all 1, the checks
-    that run on every tuple have the reduced scans of `_reduced_scans`."""
-    premises = premises or Premises()
-    if premises.view is None:
-        premises.view = monomial_view(h)
-    view = premises.view
-    checks = checks_of(view)
-    scans = _reduced_scans(view, checks) if view.ones else None
+    """The checks checks_of(h), which take their products from h. When its
+    coefficients are all 1, the checks that run on every tuple have the
+    reduced scans of `_reduced_scans`."""
+    checks = checks_of(h)
+    scans = _reduced_scans(h, checks) if h.ones else None
     return run_checks(checks, h.dim, sampled=sampled, samples=samples, scans=scans, premises=premises)
 
 
@@ -578,7 +566,7 @@ def verify_hopf(h: TableHopf, *, sampled: bool = False) -> VerifyReport:
     return _run_suite(h, partial(hopf_checks, h), HOPF_SAMPLES, sampled)
 
 
-def _hexagon_rhs(p: MonomialView, unit: SparseVec, r: SparseTen, pair: str, out: SparseTen3) -> SparseTen3:
+def _hexagon_rhs(p: TableHopf, unit: SparseVec, r: SparseTen, pair: str, out: SparseTen3) -> SparseTen3:
     """out minus R13 R23 (pair "23") or R13 R12 (pair "12"), with the
     products of p; out is changed in place. A hexagon check passes its left
     side as out, so one 3-tensor holds the difference, and the sides agree
@@ -621,7 +609,7 @@ def _hexagon_rhs(p: MonomialView, unit: SparseVec, r: SparseTen, pair: str, out:
     return out
 
 
-def quasitriangular_checks(rd: RibbonData, products: MonomialView) -> Checks:
+def quasitriangular_checks(rd: RibbonData, products: TableHopf) -> Checks:
     """R-matrix axioms; only the intertwining is checked per basis element.
     Products are taken from `products`, as in hopf_checks."""
     h, p = rd.hopf, products
@@ -651,7 +639,7 @@ def verify_quasitriangular(
     return _run_suite(rd.hopf, partial(quasitriangular_checks, rd), RIBBON_SAMPLES, sampled, premises)
 
 
-def ribbon_checks(rd: RibbonData, products: MonomialView) -> Checks:
+def ribbon_checks(rd: RibbonData, products: TableHopf) -> Checks:
     """Ribbon element axioms; only centrality is checked per basis element.
     Products are taken from `products`, as in hopf_checks."""
     h, p = rd.hopf, products
@@ -682,7 +670,7 @@ def verify_ribbon(rd: RibbonData, *, sampled: bool = False, premises: Optional[P
 
 def verify_all_axioms(rd: RibbonData, *, sampled: bool = False) -> VerifyReport:
     """Union of the Hopf, quasitriangular and ribbon suites; the last two
-    build on what the first established about rd.hopf, its view included."""
+    build on what the first established about rd.hopf."""
     out = VerifyReport(mode="sampled" if sampled else "full")
     hopf = verify_hopf(rd.hopf, sampled=sampled)
     for part in (

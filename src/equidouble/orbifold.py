@@ -17,9 +17,9 @@ return a `hopf.VerifyReport` (checks, the `all_passed` property, and the
 first failing tuple of each failed check in `witnesses`).
 
 Every product here, in the builds, the certificates and the sector checks,
-is taken from the integer view of its table (`hopf.monomial_view`);
-psi_check's `product` and phi-hopf-map compare views
-(`rowscans.first_unmapped_product`).
+is taken from the integer rows of its table (`hopf.TableHopf`), which each
+table derives once, when it is built; psi_check's `product` and
+phi-hopf-map compare rows (`rowscans.first_unmapped_product`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import Optional, Sequence
 from .doubles import SectorDouble
 from .errors import NonInvertibleError, UsageError
 from .hopf import (
-    MonomialView,
     RibbonData,
     SparseTen,
     SparseVec,
@@ -39,7 +38,6 @@ from .hopf import (
     VerifyReport,
     clean,
     inverts,
-    monomial_view,
     outer,
     sparse_add,
     sparse_eq,
@@ -55,17 +53,15 @@ def _shift(vec: SparseVec, j: int, n_j: int) -> SparseVec:
     return {a * n_j + j: c for a, c in vec.items()}
 
 
-def orbifold_algebra(sd: SectorDouble, view: Optional[MonomialView] = None) -> TableHopf:
+def orbifold_algebra(sd: SectorDouble) -> TableHopf:
     """The crossed product A (x) K[J] of a graded double.
 
     Basis a (x) j with product (a (x) i)(b (x) j) = a phi_i(b) c_{ij} (x) ij,
     componentwise coproduct, and antipode
     S(a (x) j) = c_{j^{-1},j}^{-1} phi_{j^{-1}}(S_A(a)) (x) j^{-1}.
-    The products in A are taken from view, the integer view of A, read here
-    when not given.
+    A product a phi_i(b) that is zero in A is read off A's rows and skipped.
     """
     A = sd.hopf
-    p = monomial_view(A) if view is None else view
     J = sd.ext.J
     n_a, n_j = A.dim, J.order
     dim = n_a * n_j
@@ -80,11 +76,12 @@ def orbifold_algebra(sd: SectorDouble, view: Optional[MonomialView] = None) -> T
             ij = J.mul(i, j)
             coh = sd.coherence[(i, j)]
             for a in range(n_a):
+                row = A.rows[a]
                 for b in range(n_a):
-                    ab = A.mul_basis(a, phi_i[b])
-                    vec = p.mul_vec(ab, coh) if ab else ab
-                    if vec:
-                        mul_table[(idx(a, i), idx(b, j))] = _shift(vec, ij, n_j)
+                    if row[phi_i[b]] >= 0:
+                        vec = A.mul_vec(A.mul_basis(a, phi_i[b]), coh)
+                        if vec:
+                            mul_table[(idx(a, i), idx(b, j))] = _shift(vec, ij, n_j)
 
     comul_table: dict[int, SparseTen] = {}
     counit_table: list[Scalar] = [ZERO] * dim
@@ -96,7 +93,7 @@ def orbifold_algebra(sd: SectorDouble, view: Optional[MonomialView] = None) -> T
             }
             counit_table[idx(a, j)] = A.counit_basis(a)
             jinv = J.inv[j]
-            svec = p.mul_vec(sd.coherence_inv[(jinv, j)], _permute(A.antipode_basis(a), sd.phi[jinv]))
+            svec = A.mul_vec(sd.coherence_inv[(jinv, j)], _permute(A.antipode_basis(a), sd.phi[jinv]))
             antipode_table[idx(a, j)] = _shift(svec, jinv, n_j)
 
     unit = _shift(A.unit, 0, n_j)
@@ -113,20 +110,17 @@ def _grouplike(sd: SectorDouble, j: int) -> SparseVec:
     return _shift(sd.hopf.unit, j, sd.ext.J.order)
 
 
-def _grouplike_inverse(sd: SectorDouble, ohat: TableHopf, view: MonomialView, j: int) -> SparseVec:
+def _grouplike_inverse(sd: SectorDouble, ohat: TableHopf, j: int) -> SparseVec:
     """(1_A (x) j)^{-1}, which is the antipode of the grouplike 1_A (x) j
-    (orbifold_ribbon has the proof); certified by multiplication, with the
-    products of view, the integer view of ohat."""
+    (orbifold_ribbon has the proof); certified by multiplication in ohat."""
     g = _grouplike(sd, j)
     inv = ohat.antipode_vec(g)
-    if not inverts(view.mul_vec, g, inv, ohat.unit):
+    if not inverts(ohat.mul_vec, g, inv, ohat.unit):
         raise NonInvertibleError(f"the antipode of the grouplike 1 (x) {sd.ext.J.labels[j]} does not invert it")
     return inv
 
 
-def orbifold_ribbon(
-    sd: SectorDouble, ohat: Optional[TableHopf] = None, view: Optional[MonomialView] = None
-) -> RibbonData:
+def orbifold_ribbon(sd: SectorDouble, ohat: Optional[TableHopf] = None) -> RibbonData:
     """Braiding and ribbon elements of the crossed product.
 
     R-hat collects every sector piece R_{i,j}, with the second leg pushed
@@ -156,23 +150,21 @@ def orbifold_ribbon(
     The proof uses the sector axioms that verify_sector_double checks, so
     every closed form, and R-hat against the inverse braiding of the double,
     is still certified on both sides by multiplication; NonInvertibleError
-    names the element that failed. The products are taken from view, the
-    integer view of ohat, read here when not given.
+    names the element that failed.
     """
     if ohat is None:
         ohat = orbifold_algebra(sd)
-    p = monomial_view(ohat) if view is None else view
     ext = sd.ext
     J = ext.J
     n_j = J.order
-    inv_of_grouplike = {j: _grouplike_inverse(sd, ohat, p, J.inv[j]) for j in range(n_j)}
+    inv_of_grouplike = {j: _grouplike_inverse(sd, ohat, J.inv[j]) for j in range(n_j)}
 
     rhat: SparseTen = {}
     for (i, j), ten in sd.r_sector.items():
         carrier = inv_of_grouplike[i]
         for (k, l), c in ten.items():
             left = k * n_j + 0
-            right = p.mul_vec(carrier, {l * n_j + 0: ONE})
+            right = ohat.mul_vec(carrier, {l * n_j + 0: ONE})
             for r, cr in right.items():
                 key = (left, r)
                 rhat[key] = rhat.get(key, ZERO) + c * cr
@@ -191,15 +183,15 @@ def orbifold_ribbon(
         for b in range(H.order):
             right = sd.index(b, g) * n_j + j
             rhat_inv[(left, right)] = ONE
-    if not inverts(p.ten_mul, rhat, rhat_inv, outer(ohat.unit, ohat.unit)):
+    if not inverts(ohat.ten_mul, rhat, rhat_inv, outer(ohat.unit, ohat.unit)):
         raise NonInvertibleError("the assembled R-matrix is not inverted by the inverse braiding of the double")
 
     js = range(n_j)
-    twist_pieces = (p.mul_vec(inv_of_grouplike[j], _shift(sd.theta_inv[j], 0, n_j)) for j in js)
+    twist_pieces = (ohat.mul_vec(inv_of_grouplike[j], _shift(sd.theta_inv[j], 0, n_j)) for j in js)
     twist: SparseVec = reduce(sparse_add, twist_pieces, {})
-    ribbon_pieces = (p.mul_vec(_shift(sd.theta[j], 0, n_j), _grouplike(sd, J.inv[j])) for j in js)
+    ribbon_pieces = (ohat.mul_vec(_shift(sd.theta[j], 0, n_j), _grouplike(sd, J.inv[j])) for j in js)
     ribbon: SparseVec = reduce(sparse_add, ribbon_pieces, {})
-    if not inverts(p.mul_vec, ribbon, twist, ohat.unit):
+    if not inverts(ohat.mul_vec, ribbon, twist, ohat.unit):
         raise NonInvertibleError(
             "the ribbon element sum_j (theta_j (x) 1)(1 (x) j^{-1}) does not invert the assembled twist"
         )
@@ -231,7 +223,7 @@ def psi_check(
 
     The report's checks are `bijective` (witness: the two dimensions),
     `product` on every basis pair (witness: the first pair (x, y) whose
-    relabeled product differs; decided on the two integer views by
+    relabeled product differs; decided on the rows of the two tables by
     `rowscans.first_unmapped_product`),
     `coproduct` with the counit on every basis element (witness: (x,)), and
     `rmatrix` and `twist`, which compare the assembled braiding and inverse
@@ -259,7 +251,7 @@ def psi_check(
     rep.check("bijective", [(ohat.dim, big.dim)], lambda n, m: n == m and sorted(perm) == list(range(m)))
     from .rowscans import first_unmapped_product
 
-    rep.record("product", first_unmapped_product(monomial_view(ohat), monomial_view(big), perm))
+    rep.record("product", first_unmapped_product(ohat, big, perm))
     rep.check("coproduct", product(basis), coproduct)
     rep.check("rmatrix", [()], lambda: sparse_eq(map_ten(rib.r_matrix), dh.r_sector[(0, 0)]))
     rep.check("twist", [()], lambda: sparse_eq(map_vec(rib.ribbon_inverse), dh.theta_inv[0]))
@@ -282,10 +274,9 @@ def verify_sector_double(sd: SectorDouble, *, sampled: bool = False) -> VerifyRe
 
     sampled applies to the four Hopf, quasitriangular and ribbon sub-suites,
     which draw the samples their suites fix; the grading, twisted-action and
-    sector checks run on every tuple in either mode. They, phi-hopf-map's
-    product identity (`rowscans.first_unmapped_product`) and the crossed
-    product's build take the view hopf-axioms read, and the crossed
-    product's ribbon elements the view of its own Hopf suite.
+    sector checks run on every tuple in either mode. The crossed product's
+    quasitriangular and ribbon suites build on what its Hopf suite
+    established (`hopf.Premises`).
     """
     hopf = sd.hopf
     J = sd.ext.J
@@ -298,20 +289,18 @@ def verify_sector_double(sd: SectorDouble, *, sampled: bool = False) -> VerifyRe
 
     axioms = verify_hopf(hopf, sampled=sampled)
     rep.include("hopf-axioms", axioms)
-    p = axioms.premises.view
+    rows = hopf.rows
 
     def ideal_pair(a: int, b: int) -> bool:
-        prod = hopf.mul_basis(a, b)
-        if sector(a) != sector(b):
-            return not prod
-        return all(sector(k) == sector(a) for k in prod)
+        k = rows[a][b]
+        return k < 0 or sector(a) == sector(b) == sector(k)
 
     rep.check("sector-ideals", product(basis, basis), ideal_pair)
     rep.check("sector-ideals", [()], lambda: sparse_eq(hopf.unit, reduce(sparse_add, units, {})))
     rep.check(
         "sector-ideals",
         product(js, js),
-        lambda i, j: sparse_eq(p.mul_vec(units[i], units[j]), units[i] if i == j else {}),
+        lambda i, j: sparse_eq(hopf.mul_vec(units[i], units[j]), units[i] if i == j else {}),
     )
 
     rep.check(
@@ -342,15 +331,15 @@ def verify_sector_double(sd: SectorDouble, *, sampled: bool = False) -> VerifyRe
     rep.check("phi-hopf-map", product(js, basis), phi_on_element)
     from .rowscans import first_unmapped_product
 
-    unmapped = ((j, *w) for j in js if (w := first_unmapped_product(p, p, phi[j])) is not None)
+    unmapped = ((j, *w) for j in js if (w := first_unmapped_product(hopf, hopf, phi[j])) is not None)
     rep.record("phi-hopf-map", next(unmapped, None))
 
     def coherence_inverse(i: int, j: int) -> bool:
-        return inverts(p.mul_vec, sd.coherence[(i, j)], sd.coherence_inv[(i, j)], hopf.unit)
+        return inverts(hopf.mul_vec, sd.coherence[(i, j)], sd.coherence_inv[(i, j)], hopf.unit)
 
     def composition(i: int, j: int, a: int) -> bool:
-        twisted = p.mul_vec(sd.coherence[(i, j)], {phi[J.mul(i, j)][a]: ONE})
-        return sparse_eq({phi[i][phi[j][a]]: ONE}, p.mul_vec(twisted, sd.coherence_inv[(i, j)]))
+        twisted = hopf.mul_vec(sd.coherence[(i, j)], {phi[J.mul(i, j)][a]: ONE})
+        return sparse_eq({phi[i][phi[j][a]]: ONE}, hopf.mul_vec(twisted, sd.coherence_inv[(i, j)]))
 
     rep.check("phi-composition", product(js, js), coherence_inverse)
     rep.check("phi-composition", product(js, js, basis), composition)
@@ -364,29 +353,29 @@ def verify_sector_double(sd: SectorDouble, *, sampled: bool = False) -> VerifyRe
         "coherence-cocycle",
         product(js, js, js),
         lambda i, j, k: sparse_eq(
-            p.mul_vec(sd.coherence[(i, j)], sd.coherence[(J.mul(i, j), k)]),
-            p.mul_vec(_permute(sd.coherence[(j, k)], phi[i]), sd.coherence[(i, J.mul(j, k))]),
+            hopf.mul_vec(sd.coherence[(i, j)], sd.coherence[(J.mul(i, j), k)]),
+            hopf.mul_vec(_permute(sd.coherence[(j, k)], phi[i]), sd.coherence[(i, J.mul(j, k))]),
         ),
     )
 
     def r_sector(i: int, j: int) -> bool:
         r, r_inv = sd.r_sector[(i, j)], sd.r_sector_inv[(i, j)]
         return all(sector(a) == i and sector(b) == j for t in (r, r_inv) for (a, b) in t) and inverts(
-            p.ten_mul, r, r_inv, outer(units[i], units[j])
+            hopf.ten_mul, r, r_inv, outer(units[i], units[j])
         )
 
     def twist_sector(j: int) -> bool:
         t, t_inv = sd.theta[j], sd.theta_inv[j]
-        return all(sector(a) == j for v in (t, t_inv) for a in v) and inverts(p.mul_vec, t, t_inv, units[j])
+        return all(sector(a) == j for v in (t, t_inv) for a in v) and inverts(hopf.mul_vec, t, t_inv, units[j])
 
     rep.check("rmatrix-sectors", product(js, js), r_sector)
     rep.check("twist-sectors", product(js), twist_sector)
 
     try:
-        ohat = orbifold_algebra(sd, p)
+        ohat = orbifold_algebra(sd)
         crossed = verify_hopf(ohat, sampled=sampled)
         rep.include("orbifold-hopf", crossed)
-        rib = orbifold_ribbon(sd, ohat, crossed.premises.view)
+        rib = orbifold_ribbon(sd, ohat)
         rep.include("orbifold-quasitriangular", verify_quasitriangular(rib, sampled=sampled, premises=crossed.premises))
         rep.include("orbifold-ribbon", verify_ribbon(rib, sampled=sampled, premises=crossed.premises))
         rep.built = rib

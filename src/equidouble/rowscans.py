@@ -1,7 +1,6 @@
-"""Checks decided on the integer view of a table (`hopf.MonomialView`),
-which supplies every product the verifiers take.
+"""Checks decided on the integer rows of a table (`hopf.TableHopf.rows`).
 
-On a view whose coefficients are all 1 (`MonomialView.ones`), a full-mode
+On a table whose coefficients are all 1 (`TableHopf.ones`), a full-mode
 Hopf, quasitriangular or ribbon check is decided on a generating set of the
 table (`generating_set`) once the checks its proof needs have held on every
 tuple of the same table in the same run; `hopf.run_checks` keeps that
@@ -15,9 +14,9 @@ returns the first failing tuple in itertools.product order: the reduced
 tuples are some of those tuples, so that scan fails too, and the witness is
 the one the predicate loop finds.
 
-`first_unmapped_product` decides on two views, of any coefficients, whether
-a relabeling of the basis carries one table's products to another's
-(`orbifold.psi_check` and the `phi-hopf-map` check of
+`first_unmapped_product` decides on the rows of two tables, of any
+coefficients, whether a relabeling of the basis carries one table's
+products to another's (`orbifold.psi_check` and the `phi-hopf-map` check of
 `orbifold.verify_sector_double`).
 
 Only checks that run on every tuple import this module, so a sampled run
@@ -34,7 +33,7 @@ from .hopf import first_failure
 from .scalars import ONE
 
 if TYPE_CHECKING:
-    from .hopf import MonomialView
+    from .hopf import TableHopf
 
 Rows = Sequence[Sequence[int]]
 
@@ -98,11 +97,11 @@ def generating_set(rows: Rows) -> list[int]:
     return gens
 
 
-def associativity_scan(view: MonomialView) -> Optional[tuple]:
+def associativity_scan(h: TableHopf) -> Optional[tuple]:
     """The first (x, s, y) with rows[rows[x][s]][y] != rows[x][rows[s][y]]
     in product order, or None: for each (x, s) it compares the row of e_x e_s
     with row x read at the entries of row s."""
-    rows = view.rows
+    rows = h.rows
     read = [itemgetter(*row) for row in rows[:-1]]
     for x, row in enumerate(rows[:-1]):
         for s, xs in enumerate(row[:-1]):
@@ -112,7 +111,7 @@ def associativity_scan(view: MonomialView) -> Optional[tuple]:
     return None
 
 
-def associativity(view: MonomialView, gens: Sequence[int], holds: Callable[..., bool]) -> Optional[tuple]:
+def associativity(h: TableHopf, gens: Sequence[int], holds: Callable[..., bool]) -> Optional[tuple]:
     """Light's test on the generating set gens; it needs no premise.
 
     Let N be the set of t with (x t) y = x (t y) for all x and y. N is a
@@ -124,24 +123,24 @@ def associativity(view: MonomialView, gens: Sequence[int], holds: Callable[..., 
     gens the identity is one comparison per x: the row of e_x e_t against
     row x read at the entries of row t.
     """
-    rows = view.rows
+    rows = h.rows
     for t in gens:
         read = itemgetter(*rows[t])
         if any(rows[row[t]] != read(row) for row in rows[:-1]):
-            return associativity_scan(view)
+            return associativity_scan(h)
     return None
 
 
-def _decide(view: MonomialView, arity: int, holds: Callable[..., bool], reduced: Iterable[tuple]) -> Optional[tuple]:
+def _decide(h: TableHopf, arity: int, holds: Callable[..., bool], reduced: Iterable[tuple]) -> Optional[tuple]:
     """None if holds(*t) for every t in reduced, else the first failing
     tuple of all tuples of that arity, in product order."""
     if first_failure(reduced, holds) is None:
         return None
-    return first_failure(product(range(len(view.rows) - 1), repeat=arity), holds)
+    return first_failure(product(range(h.dim), repeat=arity), holds)
 
 
 def comultiplication_multiplicative(
-    view: MonomialView, gens: Sequence[int], holds: Callable[..., bool]
+    h: TableHopf, gens: Sequence[int], holds: Callable[..., bool]
 ) -> Optional[tuple]:
     """Delta(ab) = Delta(a) Delta(b) for a in gens and every b; it needs
     associativity.
@@ -155,10 +154,10 @@ def comultiplication_multiplicative(
     H (x) H (its product is componentwise), and a in M with c for b. So M
     contains every product of generators, which is every basis element.
     """
-    return _decide(view, 2, holds, product(gens, range(len(view.rows) - 1)))
+    return _decide(h, 2, holds, product(gens, range(h.dim)))
 
 
-def coassociativity(view: MonomialView, gens: Sequence[int], holds: Callable[..., bool]) -> Optional[tuple]:
+def coassociativity(h: TableHopf, gens: Sequence[int], holds: Callable[..., bool]) -> Optional[tuple]:
     """(Delta (x) id) Delta(a) = (id (x) Delta) Delta(a) for a in gens; it
     needs Delta to be multiplicative.
 
@@ -172,11 +171,11 @@ def coassociativity(view: MonomialView, gens: Sequence[int], holds: Callable[...
     and the same for id (x) Delta. The set where it holds is a subspace
     closed under products that contains gens, so it is everything.
     """
-    return _decide(view, 1, holds, product(gens))
+    return _decide(h, 1, holds, product(gens))
 
 
 def r_intertwines_coproducts(
-    view: MonomialView, gens: Sequence[int], holds: Callable[..., bool]
+    h: TableHopf, gens: Sequence[int], holds: Callable[..., bool]
 ) -> Optional[tuple]:
     """R Delta(a) = Delta^op(a) R for a in gens; it needs associativity and
     Delta to be multiplicative.
@@ -189,10 +188,10 @@ def r_intertwines_coproducts(
     that Delta^op, Delta followed by the flip, an algebra map of H (x) H, is
     multiplicative too. So I contains every product of generators.
     """
-    return _decide(view, 1, holds, product(gens))
+    return _decide(h, 1, holds, product(gens))
 
 
-def ribbon_central(view: MonomialView, gens: Sequence[int], holds: Callable[..., bool]) -> Optional[tuple]:
+def ribbon_central(h: TableHopf, gens: Sequence[int], holds: Callable[..., bool]) -> Optional[tuple]:
     """nu a = a nu for a in gens; it needs associativity.
 
     If nu commutes with a and with b, then
@@ -200,7 +199,7 @@ def ribbon_central(view: MonomialView, gens: Sequence[int], holds: Callable[...,
     so the centraliser of nu, a subspace, is closed under products, and it
     contains every product of generators.
     """
-    return _decide(view, 1, holds, product(gens))
+    return _decide(h, 1, holds, product(gens))
 
 
 # check name -> its reduced scan
@@ -213,23 +212,23 @@ REDUCED = {
 }
 
 
-def first_unmapped_product(src: MonomialView, dst: MonomialView, perm: Sequence[int]) -> Optional[tuple[int, int]]:
+def first_unmapped_product(src: TableHopf, dst: TableHopf, perm: Sequence[int]) -> Optional[tuple[int, int]]:
     """The first basis pair (x, y) of src, in product order, with
     perm(e_x e_y) != e_perm[x] e_perm[y] in dst, or None; perm maps c e_k to
     c e_perm[k], and zero to zero.
 
-    src and dst are the integer views of two tables, and perm sends basis
+    src and dst are two tables, read by their rows, and perm sends basis
     indices of src to labels; a label off dst's basis has no product in dst,
     and is read at dst's zero row and column -1. Each side is c e_k or zero,
     so the sides agree exactly when their rows entries agree (-1, relabeled
     to -1, for zero) and so do their coefficients, which are 1 on a zero
     product. Row x of src relabeled by perm is the left side for every y at
     once, and row perm[x] of dst read at perm the right side, so each x
-    costs one tuple comparison; when a view stores coefficients, each entry
+    costs one tuple comparison; when a table stores coefficients, each entry
     is paired with its coefficient, and the trailing -1 is dropped.
     """
     relabel = [*perm, -1]
-    inside = [p if p < len(dst.rows) - 1 else -1 for p in perm]
+    inside = [p if p < dst.dim else -1 for p in perm]
     read = itemgetter(*inside, -1)
     scaled = src.coefficients or dst.coefficients
     for x, row in enumerate(src.rows[:-1]):

@@ -9,6 +9,8 @@ import json
 import time
 from fractions import Fraction
 
+from sparse_oracle import rebuilt
+
 from equidouble import cli
 from equidouble.catalogue import (
     extension_by_name,
@@ -89,10 +91,13 @@ def test_criterion_2_hopf_axiom_suites_and_corruption_detection():
 
     # single corrupted structure constants must be caught
     d = double_algebra(group_by_name("Z2"))
-    pair = next(k for k, v in d.hopf._mul.items() if v)
-    target = next(iter(d.hopf._mul[pair]))
-    d.hopf._mul[pair][target] = Fraction(5)
-    report = verify_hopf(d.hopf)
+
+    def corrupt(tables):
+        pair = next(k for k, v in tables.mul.items() if v)
+        target = next(iter(tables.mul[pair]))
+        tables.mul[pair][target] = Fraction(5)
+
+    report = verify_hopf(rebuilt(d.hopf, corrupt))
     assert not report.all_passed
     assert set(report.witnesses) == set(report.failing())
 

@@ -8,7 +8,7 @@ from sparse_oracle import SparseProducts
 from equidouble.doubles import double_algebra, sector_double
 from equidouble.errors import UsageError
 from equidouble.groupoids import simple_objects
-from equidouble.groups import cyclic_group, extension_from_subgroup, symmetric_group
+from equidouble.groups import action_via_hom, cyclic_group, extension_from_subgroup, symmetric_group
 from equidouble.hopf import (
     TableHopf,
     sparse_eq,
@@ -84,7 +84,7 @@ def test_sampled_mode_reports_sampled():
 def test_sector_double_a3_s3_structure():
     sd = sector_double(a3_in_s3_extension())
     assert sd.hopf.dim == 18
-    assert sd.n_h == 6 and sd.n_g == 3
+    assert sd.ext.H.order == 6 and sd.n_g == 3
     # sectors are ideals: cross-sector basis products vanish
     for a in range(18):
         for b in range(18):
@@ -140,12 +140,12 @@ def test_global_ribbon_requires_trivial_sectors():
 
 def test_conjugation_groupoid_simple_counts():
     d = double_algebra(symmetric_group(3))
-    simples = simple_objects(d.conjugation_action())
+    simples = simple_objects(action_via_hom(d.ext.H, d.ext.G, d.ext.incl.images))
     assert len(simples) == 8
     assert sum(s.total_dim ** 2 for s in simples) == 36
 
     sd = sector_double(a3_in_s3_extension())
-    simples = simple_objects(sd.conjugation_action())
+    simples = simple_objects(action_via_hom(sd.ext.H, sd.ext.G, sd.ext.incl.images))
     assert len(simples) == 10
     assert sum(s.total_dim ** 2 for s in simples) == 18
     dims = sorted(s.total_dim for s in simples)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import chain, product
 
 import pytest
-from sparse_oracle import SparseProducts, count_views, take_sparse_products
+from sparse_oracle import SparseProducts, rebuilt, take_sparse_products
 
 import equidouble
 from equidouble.catalogue import extension_by_name, extension_names, group_by_name
@@ -16,7 +16,6 @@ from equidouble.errors import NonInvertibleError
 from equidouble.hopf import (
     first_failure,
     hopf_checks,
-    monomial_view,
     sparse_eq,
     verify_hopf,
     verify_quasitriangular,
@@ -162,7 +161,7 @@ def test_closed_form_inverses_match_the_linear_solve(name):
     sd = sector_double(ext)
     ohat = orbifold_algebra(sd)
     for j in range(ext.J.order):
-        assert _grouplike_inverse(sd, ohat, monomial_view(ohat), j) == solved_inverse(ohat, _grouplike(sd, j)), j
+        assert _grouplike_inverse(sd, ohat, j) == solved_inverse(ohat, _grouplike(sd, j)), j
     rib = orbifold_ribbon(sd, ohat)
     assert rib.ribbon == solved_inverse(ohat, rib.ribbon_inverse)
 
@@ -173,9 +172,12 @@ def coefficients(*sparse):
 
 
 def hopf_coefficients(hopf):
-    """The counit and every stored unit, product, coproduct and antipode coefficient."""
-    tables = (hopf._mul, hopf._comul, hopf._antipode)
-    return list(hopf._counit) + coefficients(hopf.unit, *chain.from_iterable(t.values() for t in tables))
+    """The counit and every stored unit, product, coproduct and antipode
+    coefficient; a product coefficient that is not stored is the int 1."""
+    tables = (hopf._comul, hopf._antipode)
+    return list(hopf._counit) + coefficients(
+        hopf.unit, hopf.coefficients, *chain.from_iterable(t.values() for t in tables)
+    )
 
 
 def sector_coefficients(sd):
@@ -210,10 +212,13 @@ def test_corrupted_closed_form_inputs_raise():
     sd = sector_double(extension_by_name("A3-S3"))
     ohat = orbifold_algebra(sd)
     k = min(_grouplike(sd, 1))
-    (old,) = ohat._antipode[k]
-    ohat._antipode[k] = {(old + 1) % ohat.dim: ONE}
+
+    def redirect_antipode(tables):
+        (old,) = tables.antipode[k]
+        tables.antipode[k] = {(old + 1) % ohat.dim: ONE}
+
     with pytest.raises(NonInvertibleError, match="grouplike"):
-        orbifold_ribbon(sd, ohat)
+        orbifold_ribbon(sd, rebuilt(ohat, redirect_antipode))
 
 
 def test_orbifold_ribbon_passes_quasitriangular_and_ribbon_axioms():
@@ -309,34 +314,39 @@ def z2_in_d6():
 
 
 def hopf_tables(h):
-    return h.dim, h.unit, h._mul, h._comul, h._counit, h._antipode
+    return h.dim, h.unit, h.rows, h.coefficients, h._comul, h._counit, h._antipode
 
 
 @pytest.mark.parametrize("name", [*extension_names(), "Z1-S3", "Z2-D6"])
-def test_crossed_product_from_the_integer_view_equals_the_sparse_one(name):
+def test_crossed_product_from_the_integer_view_equals_the_sparse_one(name, monkeypatch):
     """orbifold_algebra takes the products of a sector double, whose
-    coefficients are all 1, from its integer view, and builds the tables the
+    coefficients are all 1, from its integer rows, and builds the tables the
     sparse products build."""
     ext = {"Z1-S3": z1_in_s3, "Z2-D6": z2_in_d6}.get(name, lambda: extension_by_name(name))()
     sd = sector_double(ext)
-    assert monomial_view(sd.hopf).ones
-    from_view = orbifold_algebra(sd)
-    assert hopf_tables(from_view) == hopf_tables(orbifold_algebra(sd, SparseProducts(sd.hopf)))
+    assert sd.hopf.ones
+    from_rows = hopf_tables(orbifold_algebra(sd))
+    take_sparse_products(monkeypatch)
+    assert from_rows == hopf_tables(orbifold_algebra(sd))
 
 
-def test_crossed_product_of_a_sector_double_that_is_not_monomial_takes_the_sparse_products():
-    """Once one product has coefficient 2, the view stores that coefficient
-    and still takes every product: the crossed product built from it is the
-    one the sparse products build, and not the clean one."""
+def test_crossed_product_of_a_sector_double_that_is_not_monomial_takes_the_sparse_products(monkeypatch):
+    """Once one product has coefficient 2, the table stores that coefficient
+    and still takes every product from its rows: the crossed product built
+    from it is the one the sparse products build, and not the clean one."""
     sd = sector_double(z2_in_z4())
     clean_build = orbifold_algebra(sd)
-    pair = next(k for k, v in sd.hopf._mul.items() if v)
-    target = next(iter(sd.hopf._mul[pair]))
-    sd.hopf._mul[pair][target] = 2
-    view = monomial_view(sd.hopf)
-    assert view.coefficients == {pair: 2} and not view.ones
-    built = orbifold_algebra(sd)
-    assert hopf_tables(built) == hopf_tables(orbifold_algebra(sd, SparseProducts(sd.hopf))) != hopf_tables(clean_build)
+    pair = next((x, y) for x, y in product(range(sd.hopf.dim), repeat=2) if sd.hopf.mul_basis(x, y))
+
+    def double_one_product(tables):
+        target = next(iter(tables.mul[pair]))
+        tables.mul[pair][target] = 2
+
+    sd.hopf = rebuilt(sd.hopf, double_one_product)
+    assert sd.hopf.coefficients == {pair: 2} and not sd.hopf.ones
+    built = hopf_tables(orbifold_algebra(sd))
+    take_sparse_products(monkeypatch)
+    assert built == hopf_tables(orbifold_algebra(sd)) != hopf_tables(clean_build)
 
 
 def test_sector_axiom_suite_passes_for_catalogue_extensions():
@@ -387,13 +397,17 @@ def test_sector_axiom_suite_detects_single_entry_corruptions():
     assert not report.all_passed
 
     sd = sector_double(z2_in_z4())
-    pair = next(k for k, v in sd.hopf._mul.items() if v)
-    target = next(iter(sd.hopf._mul[pair]))
-    sd.hopf._mul[pair][target] = Fraction(5)
+
+    def corrupt(tables):
+        pair = next(k for k, v in tables.mul.items() if v)
+        target = next(iter(tables.mul[pair]))
+        tables.mul[pair][target] = Fraction(5)
+
+    sd.hopf = rebuilt(sd.hopf, corrupt)
     report = witnessed(verify_sector_double(sd))
     assert "hopf-axioms" in report.failing()
     failed_check = report.witnesses["hopf-axioms"][0]
-    assert failed_check in hopf_checks(sd.hopf, monomial_view(sd.hopf))
+    assert failed_check in hopf_checks(sd.hopf, sd.hopf)
 
 
 def test_untwist_corrupted_before_the_sector_double_fails_named_checks():
@@ -417,11 +431,15 @@ def test_redirected_product_in_the_z2_q8_crossed_product_is_witnessed():
     each witness is the first failing tuple of the sparse predicate loop."""
     hopf = orbifold_algebra(sector_double(extension_by_name("Z2-Q8")))
     assert hopf.dim == 64
-    nonzero = sorted(k for k, v in hopf._mul.items() if v)
-    key = nonzero[len(nonzero) // 2]
-    (old,) = hopf._mul[key]
-    hopf._mul[key] = {(old + 1) % hopf.dim: ONE}
-    assert monomial_view(hopf).ones
+
+    def redirect(tables):
+        nonzero = sorted(k for k, v in tables.mul.items() if v)
+        key = nonzero[len(nonzero) // 2]
+        (old,) = tables.mul[key]
+        tables.mul[key] = {(old + 1) % hopf.dim: ONE}
+
+    hopf = rebuilt(hopf, redirect)
+    assert hopf.ones
     report = verify_hopf(hopf)
     assert not report.checks["associativity"]
     assert not report.checks["comultiplication_multiplicative"]
@@ -462,20 +480,20 @@ except NonInvertibleError as exc:
 
 
 def test_sector_checks_of_a_monomial_sector_double_take_no_sparse_products(monkeypatch):
-    """On the Z4-D4 sector double every product of the suite comes from two
-    integer views, read once each: the sector double's, which its Hopf
-    axioms read and its sector checks and the crossed product's build reuse,
-    and the crossed product's. Once one product has coefficient 2, the view
-    serves that table with the verdicts and witnesses of the sparse
-    products."""
+    """On the Z4-D4 sector double every product of the suite comes from the
+    integer rows of its two tables, the sector double and the crossed
+    product. Once one product has coefficient 2, the rows serve that table
+    with the verdicts and witnesses of the sparse products."""
     sd = sector_double(z4_in_d4())
-    read = count_views(monkeypatch)
     report = verify_sector_double(sd)
     assert report.all_passed
-    assert [h is sd.hopf for h in read] == [True, False] and read[1] is report.built.hopf
-    (entry,) = sd.hopf._mul[(0, 0)]
-    sd.hopf._mul[(0, 0)] = {entry: 2}
-    assert not monomial_view(sd.hopf).ones
+
+    def double_product(tables):
+        (entry,) = tables.mul[(0, 0)]
+        tables.mul[(0, 0)] = {entry: 2}
+
+    sd.hopf = rebuilt(sd.hopf, double_product)
+    assert not sd.hopf.ones
     by_view = verify_sector_double(sd)
     take_sparse_products(monkeypatch)
     sparse = verify_sector_double(sd)
@@ -496,21 +514,25 @@ def corrupted_sector_inputs(kind: str):
         entry = next(iter(sd.coherence[(1, 1)]))
         sd.coherence[(1, 1)] = {(entry + 1) % sd.hopf.dim: ONE}
     elif kind == "sector-product":
-        key = sorted(k for k, v in sd.hopf._mul.items() if v)[5]
-        (old,) = sd.hopf._mul[key]
-        sd.hopf._mul[key] = {(old + 3) % sd.hopf.dim: ONE}
+        sd.hopf = rebuilt(sd.hopf, lambda tables: redirect_product(tables, 5, 3))
     else:
-        key = sorted(k for k, v in dh.hopf._mul.items() if v)[7]
-        (old,) = dh.hopf._mul[key]
-        dh.hopf._mul[key] = {(old + 1) % dh.hopf.dim: ONE}
+        dh.hopf = rebuilt(dh.hopf, lambda tables: redirect_product(tables, 7, 1))
     return sd, dh
+
+
+def redirect_product(tables, n: int, shift: int) -> None:
+    """Move the n-th nonzero product, in product order, shift basis
+    elements on."""
+    key = sorted(k for k, v in tables.mul.items() if v)[n]
+    (old,) = tables.mul[key]
+    tables.mul[key] = {(old + shift) % len(tables.counit): ONE}
 
 
 @pytest.mark.parametrize("kind", ["phi", "coherence", "sector-product", "big-product"])
 def test_sector_and_psi_checks_by_rows_give_the_sparse_witnesses(kind, monkeypatch):
     """verify_sector_double and psi_check decide phi-hopf-map and the psi
-    product on integer views; with the sparse products and the pair loop in
-    the views' place, both give the same report."""
+    product on integer rows; with the sparse products and the pair loop in
+    the rows' place, both give the same report."""
 
     def reports():
         sd, dh = corrupted_sector_inputs(kind)

@@ -13,8 +13,6 @@ PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 # COUNTERS entries whose functions were deleted from the package; their
 # counters read 0 until the harness drops them
 DEAD_COUNTERS = {
-    "TableHopf.mul_vec",
-    "TableHopf.ten_mul",
     "TableHopf.ten3_mul",
     "algebra_inverse",
     "scalar_eq",
