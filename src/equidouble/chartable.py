@@ -18,10 +18,9 @@ basis (one solve whose consistency check certifies that the ideal is stable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import NonInvertibleError, ResourceError, UsageError
 from .groups import ConjugacyData, FiniteGroup
@@ -68,8 +67,7 @@ def _root_of_unity_fp(p: int, e: int) -> int:
 # -- the table ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """Irreducible characters as rows over conjugacy classes.
 
     rows[r][l] is the value on the class with representative
@@ -96,7 +94,7 @@ def character_table(g: FiniteGroup) -> CharacterTable:
     if table is None:
         table = _character_table_uncached(g)
     elif table.group is not g:
-        table = replace(table, group=g)
+        table = table._replace(group=g)
     _TABLE_CACHE[g.table] = table
     return table
 
@@ -251,8 +249,7 @@ def _character_table_uncached(g: FiniteGroup) -> CharacterTable:
 # -- explicit matrices -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IrreducibleRep:
+class IrreducibleRep(NamedTuple):
     """Matrices of one irreducible representation, indexed by group element."""
 
     group: FiniteGroup

@@ -8,9 +8,10 @@ or parse errors, 3 a resource budget was exceeded.
 
 from __future__ import annotations
 
+import argparse
+import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -20,44 +21,57 @@ from .catalogue import catalogue_list, load_extension, load_group, load_presenta
 from .errors import DEFAULT_BUDGET, EquidoubleError, NonInvertibleError, ResourceError, UsageError
 from .scalars import Cyclotomic, Scalar
 
-# Imported after the package modules above, which compile groups.py, one of
-# the largest: argparse and json loaded first would be live while it compiles,
-# raising the peak memory of a `dw` run by about 0.3 MiB.
-import argparse
-import json
-
 if TYPE_CHECKING:
     from .hopf import VerifyReport
 
 SCHEMA = 1
 
 
-@dataclass(frozen=True)
 class RunConfig:
     """A fully parsed invocation; building one validates budgets and flags.
-    Its field defaults are the command line's defaults: the parser passes
+    Its keyword defaults are the command line's defaults: the parser passes
     only the flags that were given."""
 
-    command: str
-    group: Optional[str] = None
-    extension: Optional[str] = None
-    presentation: Optional[str] = None
-    monodromy: int = 0
-    check_psi: bool = False
-    budget_homs: int = DEFAULT_BUDGET
-    budget_dim: Optional[int] = None
-    sampled: bool = False
-    format: str = "json"
-    out: Optional[str] = None
+    __slots__ = (
+        "command", "group", "extension", "presentation", "monodromy", "check_psi",
+        "budget_homs", "budget_dim", "sampled", "format", "out",
+    )
 
-    def __post_init__(self):
-        if self.budget_homs <= 0:
+    def __init__(
+        self,
+        command: str,
+        group: Optional[str] = None,
+        extension: Optional[str] = None,
+        presentation: Optional[str] = None,
+        monodromy: int = 0,
+        check_psi: bool = False,
+        budget_homs: int = DEFAULT_BUDGET,
+        budget_dim: Optional[int] = None,
+        sampled: bool = False,
+        format: str = "json",
+        out: Optional[str] = None,
+    ):
+        if budget_homs <= 0:
             raise UsageError("--budget-homs must be positive")
-        if self.budget_dim is not None and self.budget_dim <= 0:
+        if budget_dim is not None and budget_dim <= 0:
             raise UsageError("--budget-dim must be positive")
-        tabular = [name for name, command in _COMMANDS.items() if command.csv]
-        if self.format == "csv" and self.command not in tabular:
+        tabular = [name for name, cmd in _COMMANDS.items() if cmd.csv]
+        if format == "csv" and command not in tabular:
             raise UsageError(f"csv output is only available for: {', '.join(tabular)}")
+        self.command = command
+        self.group = group
+        self.extension = extension
+        self.presentation = presentation
+        self.monodromy = monodromy
+        self.check_psi = check_psi
+        self.budget_homs = budget_homs
+        self.budget_dim = budget_dim
+        self.sampled = sampled
+        self.format = format
+        self.out = out
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, RunConfig) and all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
 # -- scalar and report encoding -------------------------------------------------

@@ -10,27 +10,40 @@ consumes. The trivial extension H = G recovers the ordinary ribbon double.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UsageError
 from .groups import FiniteGroup, GroupExtension, extension_from_subgroup
 from .hopf import RibbonData, SparseTen, SparseVec, TableHopf
 from .scalars import ONE, ZERO
 
 
-@dataclass
 class SectorDouble:
     """The double of an extension, with its sector-wise braided structure."""
 
-    ext: GroupExtension
-    hopf: TableHopf
-    phi: tuple[tuple[int, ...], ...]
-    coherence: dict[tuple[int, int], SparseVec]
-    coherence_inv: dict[tuple[int, int], SparseVec]
-    r_sector: dict[tuple[int, int], SparseTen]
-    r_sector_inv: dict[tuple[int, int], SparseTen]
-    theta: dict[int, SparseVec]
-    theta_inv: dict[int, SparseVec]
+    __slots__ = (
+        "ext", "hopf", "phi", "coherence", "coherence_inv", "r_sector", "r_sector_inv", "theta", "theta_inv"
+    )
+
+    def __init__(
+        self,
+        ext: GroupExtension,
+        hopf: TableHopf,
+        phi: tuple[tuple[int, ...], ...],
+        coherence: dict[tuple[int, int], SparseVec],
+        coherence_inv: dict[tuple[int, int], SparseVec],
+        r_sector: dict[tuple[int, int], SparseTen],
+        r_sector_inv: dict[tuple[int, int], SparseTen],
+        theta: dict[int, SparseVec],
+        theta_inv: dict[int, SparseVec],
+    ):
+        self.ext = ext
+        self.hopf = hopf
+        self.phi = phi
+        self.coherence = coherence
+        self.coherence_inv = coherence_inv
+        self.r_sector = r_sector
+        self.r_sector_inv = r_sector_inv
+        self.theta = theta
+        self.theta_inv = theta_inv
 
     @property
     def n_g(self) -> int:

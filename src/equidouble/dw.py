@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, NonInvertibleError, ResourceError, UsageError
 from .groups import FiniteGroup, GroupAction, GroupExtension, WeakAction
 
 
-@dataclass(frozen=True)
 class Presentation:
     """A finite presentation: generator count plus relator words.
 
@@ -32,16 +30,21 @@ class Presentation:
     (1, 2, -1, -2) is the commutator of the first two generators.
     """
 
-    generators: int
-    relations: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ("generators", "relations")
 
-    def __post_init__(self) -> None:
-        if type(self.generators) is not int or self.generators < 0:
+    def __init__(self, generators: int, relations: tuple[tuple[int, ...], ...] = ()):
+        if type(generators) is not int or generators < 0:
             raise UsageError("generator count must be a nonnegative integer")
-        for rel in self.relations:
+        for rel in relations:
             for letter in rel:
-                if type(letter) is not int or letter == 0 or abs(letter) > self.generators:
-                    raise UsageError(f"relator letter {letter} out of range for {self.generators} generators")
+                if type(letter) is not int or letter == 0 or abs(letter) > generators:
+                    raise UsageError(f"relator letter {letter} out of range for {generators} generators")
+        self.generators = generators
+        self.relations = relations
+
+    def __eq__(self, other: object) -> bool:
+        same = isinstance(other, Presentation) and self.generators == other.generators
+        return same and self.relations == other.relations
 
 
 def evaluate_word(group: FiniteGroup, images: Sequence[int], word: Iterable[int]) -> int:
@@ -273,24 +276,24 @@ def surface_state_dim(genus: int, group: FiniteGroup, budget: int = DEFAULT_BUDG
     return orbits
 
 
-@dataclass(frozen=True)
 class TwistHom:
     """A homomorphism from a presented group to the quotient group J,
     recorded by generator images and validated on every relator."""
 
-    presentation: Presentation
-    j_group: FiniteGroup
-    images: tuple[int, ...]
+    __slots__ = ("presentation", "j_group", "images")
 
-    def __post_init__(self) -> None:
-        if len(self.images) != self.presentation.generators:
+    def __init__(self, presentation: Presentation, j_group: FiniteGroup, images: tuple[int, ...]):
+        if len(images) != presentation.generators:
             raise UsageError("one J-image per generator required")
-        for j in self.images:
-            if not 0 <= j < self.j_group.order:
+        for j in images:
+            if not 0 <= j < j_group.order:
                 raise UsageError(f"J-image {j} out of range")
-        for rel in self.presentation.relations:
-            if evaluate_word(self.j_group, self.images, rel) != 0:
+        for rel in presentation.relations:
+            if evaluate_word(j_group, images, rel) != 0:
                 raise UsageError(f"relator {rel} does not map to the identity in J")
+        self.presentation = presentation
+        self.j_group = j_group
+        self.images = images
 
 
 def twisted_bundle_groupoid(
@@ -318,7 +321,6 @@ def twisted_bundle_groupoid(
     return action, points
 
 
-@dataclass(frozen=True)
 class CoverNerve:
     """Combinatorial nerve of an open cover carrying a J-valued 1-cocycle.
 
@@ -327,13 +329,21 @@ class CoverNerve:
     triple overlaps, on which the labels must compose: j_ab * j_bc = j_ac.
     """
 
-    j_group: FiniteGroup
-    vertices: int
-    edges: tuple[tuple[int, int], ...]
-    jlabels: tuple[int, ...]
-    triangles: tuple[tuple[int, int, int], ...] = ()
+    __slots__ = ("j_group", "vertices", "edges", "jlabels", "triangles")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        j_group: FiniteGroup,
+        vertices: int,
+        edges: tuple[tuple[int, int], ...],
+        jlabels: tuple[int, ...],
+        triangles: tuple[tuple[int, int, int], ...] = (),
+    ):
+        self.j_group = j_group
+        self.vertices = vertices
+        self.edges = edges
+        self.jlabels = jlabels
+        self.triangles = triangles
         if len(self.jlabels) != len(self.edges):
             raise UsageError("one J-label per edge required")
         seen = set()
@@ -373,8 +383,7 @@ def circle_nerve(j_group: FiniteGroup, monodromy: int) -> CoverNerve:
     return CoverNerve(j_group, 3, ((0, 1), (1, 2), (0, 2)), (0, 0, inv), ())
 
 
-@dataclass(frozen=True)
-class CechClasses:
+class CechClasses(NamedTuple):
     """Twisted nonabelian 1-cocycles on a nerve, up to coboundary."""
 
     count: int

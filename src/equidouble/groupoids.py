@@ -9,9 +9,8 @@ g.m = m and are orthonormal under the groupoid pairing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .chartable import CharacterTable, IrreducibleRep, character_table, irrep_matrices
 from .errors import NonInvertibleError, UsageError
@@ -20,8 +19,7 @@ from .linalg import ExactMatrix
 from .scalars import ZERO, Scalar
 
 
-@dataclass(frozen=True)
-class InertiaData:
+class InertiaData(NamedTuple):
     """Pairs (m, g) with g.m = m, plus the conjugation-style action on them."""
 
     base: GroupAction

@@ -8,11 +8,10 @@ automorphisms-up-to-inner with coherence elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iproduct
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import NonInvertibleError, UsageError
 from .scalars import ZERO
@@ -73,6 +72,9 @@ class FiniteGroup:
         self.labels = tuple(labels) if labels else tuple(str(i) for i in range(n))
         if len(self.labels) != n:
             raise UsageError(f"{len(self.labels)} labels for a group of order {n}")
+        # labels name the elements, and the modules built on them, in reports
+        if not all(type(x) is str for x in self.labels) or len(set(self.labels)) != n:
+            raise UsageError("group labels must be distinct strings")
         self._conjugacy: Optional[ConjugacyData] = None
 
     # -- element arithmetic -------------------------------------------
@@ -98,10 +100,6 @@ class FiniteGroup:
             return a * b // gcd(a, b)
 
         return reduce(lcm, (self.element_order(a) for a in range(self.order)), 1)
-
-    def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
 
     # -- subgroup machinery -------------------------------------------
 
@@ -166,8 +164,7 @@ class FiniteGroup:
         return f"FiniteGroup({self.name or self.order})"
 
 
-@dataclass(frozen=True)
-class ConjugacyData:
+class ConjugacyData(NamedTuple):
     """Conjugacy classes (identity's class first, then by smallest member)."""
 
     classes: tuple[tuple[int, ...], ...]
@@ -399,8 +396,7 @@ class WeakAction:
         return f"WeakAction(J={self.J.order}, G={self.G.order})"
 
 
-@dataclass(frozen=True)
-class WeakActionIso:
+class WeakActionIso(NamedTuple):
     """Witness h: J -> G transforming one weak action into another."""
 
     h: tuple[int, ...]
@@ -499,9 +495,6 @@ class GroupAction:
                     if self.act[g][self.act[h][m]] != self.act[gh][m]:
                         raise UsageError(f"action not compatible at (g,h,m)=({g},{h},{m})")
 
-    def apply(self, g: int, m: int) -> int:
-        return self.act[g][m]
-
     def orbits(self) -> list[tuple[int, ...]]:
         seen = [False] * self.num_points
         out = []
@@ -528,10 +521,6 @@ class GroupAction:
 
     def __repr__(self) -> str:
         return f"GroupAction({self.num_points} points, |G|={self.group.order})"
-
-
-def trivial_action(group: FiniteGroup, num_points: int = 1) -> GroupAction:
-    return GroupAction(group, num_points, [list(range(num_points))] * group.order)
 
 
 def conjugation_action(group: FiniteGroup) -> GroupAction:
@@ -609,7 +598,9 @@ def group_from_permutations(perms: Sequence[tuple[int, ...]], name: str = "") ->
     ordered = [ident] + sorted(e for e in elems if e != ident)
     pos = {e: i for i, e in enumerate(ordered)}
     table = [[pos[compose(p, q)] for q in ordered] for p in ordered]
-    labels = ["".join(map(str, e)) for e in ordered]
+    # digits run together while each point is one digit; past that a comma keeps labels distinct
+    sep = "" if deg <= 10 else ","
+    labels = [sep.join(map(str, e)) for e in ordered]
     return FiniteGroup(table, labels=labels, name=name)
 
 

@@ -44,7 +44,6 @@ Fraction, is argued once, in the `scalars` docstring.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
 from types import MappingProxyType
@@ -267,15 +266,19 @@ class TableHopf:
         return f"TableHopf({self.name or self.dim})"
 
 
-@dataclass
 class RibbonData:
     """Quasitriangular + ribbon structure attached to a TableHopf."""
 
-    hopf: TableHopf
-    r_matrix: SparseTen
-    r_inverse: SparseTen
-    ribbon: SparseVec
-    ribbon_inverse: SparseVec
+    __slots__ = ("hopf", "r_matrix", "r_inverse", "ribbon", "ribbon_inverse")
+
+    def __init__(
+        self, hopf: TableHopf, r_matrix: SparseTen, r_inverse: SparseTen, ribbon: SparseVec, ribbon_inverse: SparseVec
+    ):
+        self.hopf = hopf
+        self.r_matrix = r_matrix
+        self.r_inverse = r_inverse
+        self.ribbon = ribbon
+        self.ribbon_inverse = ribbon_inverse
 
 
 # -- verification -------------------------------------------------------------
@@ -289,7 +292,6 @@ def first_failure(tuples: Iterable[tuple], holds: Callable[..., bool]) -> Option
     return None
 
 
-@dataclass
 class Premises:
     """What a run has established about one table, for the checks after it
     to build on: `held`, the checks that held on every tuple of the table,
@@ -298,11 +300,13 @@ class Premises:
     hand the Hopf suite's premises to the quasitriangular and ribbon suites
     of the same table."""
 
-    held: set[str] = field(default_factory=set)
-    generators: Optional[list[int]] = None
+    __slots__ = ("held", "generators")
+
+    def __init__(self, held: Optional[set[str]] = None, generators: Optional[list[int]] = None):
+        self.held = set() if held is None else held
+        self.generators = generators
 
 
-@dataclass
 class VerifyReport:
     """Outcome of an axiom suite.
 
@@ -315,11 +319,14 @@ class VerifyReport:
     premises is what the run established about its table (`Premises`).
     """
 
-    mode: str
-    checks: dict[str, bool] = field(default_factory=dict)
-    witnesses: dict[str, tuple] = field(default_factory=dict)
-    built: Optional[RibbonData] = None
-    premises: Premises = field(default_factory=Premises)
+    __slots__ = ("mode", "checks", "witnesses", "built", "premises")
+
+    def __init__(self, mode: str, premises: Optional[Premises] = None):
+        self.mode = mode
+        self.checks: dict[str, bool] = {}
+        self.witnesses: dict[str, tuple] = {}
+        self.built: Optional[RibbonData] = None
+        self.premises = Premises() if premises is None else premises
 
     @property
     def all_passed(self) -> bool:
@@ -386,7 +393,7 @@ def run_checks(
     loop, which decides the check when a premise does not hold. Each check
     that held on every tuple is added to the premises, which the report
     carries."""
-    rep = VerifyReport(mode="sampled" if sampled else "full", premises=premises or Premises())
+    rep = VerifyReport("sampled" if sampled else "full", premises)
     scans = scans or {}
     everywhere = {name for name, (arity, _) in checks.items() if not (sampled and samples < dim**arity)}
     decided: dict[str, Optional[tuple]] = {}

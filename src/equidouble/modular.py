@@ -28,16 +28,17 @@ comparison once per pair, on the direct sum of the sample in the last slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .doubles import SectorDouble, sector_double
 from .errors import ResourceError, UsageError
 from .groupoids import GroupoidSimple, simple_objects
 from .groups import FiniteGroup, GroupExtension, action_via_hom, extension_from_subgroup
 from .linalg import ExactMatrix, mat_rank_det_kernel
 from .scalars import ZERO, Scalar
+
+if TYPE_CHECKING:
+    from .doubles import SectorDouble
 
 
 _UNREAD = object()  # a module's degree before it is first read
@@ -370,8 +371,7 @@ def _module_from_groupoid_simple(ext: GroupExtension, s: GroupoidSimple) -> Grad
 # -- S-matrix -----------------------------------------------------------------
 
 
-@dataclass
-class SMatrix:
+class SMatrix(NamedTuple):
     """Unnormalized matrix of double-braiding traces between the simples of
     the double of a single group (orbit label, character row)."""
 
@@ -447,12 +447,14 @@ def s_matrix_character_formula(h_group: FiniteGroup) -> SMatrix:
 # -- diagram checks -----------------------------------------------------------
 
 
-@dataclass
 class DiagramReport:
     """Outcome of the categorical coherence checks on a sample of modules."""
 
-    counts: dict[str, int] = field(default_factory=dict)
-    failures: list[tuple[str, tuple[str, ...]]] = field(default_factory=list)
+    __slots__ = ("counts", "failures")
+
+    def __init__(self):
+        self.counts: dict[str, int] = {}
+        self.failures: list[tuple[str, tuple[str, ...]]] = []
 
     def record(self, diagram: str, labels: tuple[str, ...], ok: bool) -> None:
         self.counts[diagram] = self.counts.get(diagram, 0) + 1
@@ -619,6 +621,8 @@ def check_equivariant_diagrams(
         if v.degree() is None:
             raise UsageError("diagram checks need homogeneous sample modules")
     if sd is None:
+        from .doubles import sector_double
+
         sd = sector_double(ext)
     elif sd.ext is not ext:
         raise UsageError("the sector double is of another extension")

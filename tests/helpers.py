@@ -1,0 +1,23 @@
+"""Small test-only helpers: group predicates and actions no program path
+needs, and a changed copy of a record."""
+
+import copy
+
+from equidouble.groups import FiniteGroup, GroupAction
+
+
+def is_abelian(group: FiniteGroup) -> bool:
+    t = group.table
+    return all(t[a][b] == t[b][a] for a in range(group.order) for b in range(a))
+
+
+def trivial_action(group: FiniteGroup, num_points: int = 1) -> GroupAction:
+    return GroupAction(group, num_points, [list(range(num_points))] * group.order)
+
+
+def replaced(record, **changes):
+    """A shallow copy of record with the given attributes set."""
+    out = copy.copy(record)
+    for name, value in changes.items():
+        setattr(out, name, value)
+    return out

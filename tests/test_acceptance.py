@@ -9,6 +9,7 @@ import json
 import time
 from fractions import Fraction
 
+from helpers import trivial_action
 from sparse_oracle import rebuilt
 
 from equidouble import cli
@@ -41,7 +42,6 @@ from equidouble.groups import (
     extension_to_weak_action,
     find_isomorphism,
     groupoid_cardinality,
-    trivial_action,
     weak_action_to_extension,
     weak_actions_isomorphic,
 )

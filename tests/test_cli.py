@@ -1,5 +1,6 @@
 """Command-line interface: parsing, exit codes, rendering, file inputs."""
 
+import ast
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from equidouble import cli, doubles, dw, modular, orbifold
+from equidouble import cli, doubles, dw, orbifold
 from equidouble.catalogue import catalogue_list
 from equidouble.errors import UsageError
 from equidouble.groups import dihedral_group, symmetric_group
@@ -304,6 +305,9 @@ def test_catalogue_names_win_over_files_of_the_same_name(tmp_path, monkeypatch, 
         ("--group", {"order": True, "table": [[0]]}),
         ("--presentation", {"generators": True, "relations": [[1, 1]]}),
         ("--presentation", {"generators": 1, "relations": [[True]]}),
+        # labels must be distinct strings: they name elements and modules in reports
+        ("--group", {"order": 2, "table": [[0, 1], [1, 0]], "labels": [None, {"a": 1}]}),
+        ("--group", {"order": 2, "table": [[0, 1], [1, 0]], "labels": ["e", "e"]}),
     ],
 )
 def test_malformed_json_inputs_exit_with_usage_code(tmp_path, capsys, flag, payload):
@@ -370,8 +374,7 @@ def test_each_sector_double_is_built_once(monkeypatch, capsys, command, builds):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for module in (doubles, modular):
-        monkeypatch.setattr(module, "sector_double", counting)
+    monkeypatch.setattr(doubles, "sector_double", counting)
     assert cli.main([command, "--extension", "Z2-Z4"]) == 0
     capsys.readouterr()
     assert len(calls) == builds
@@ -379,6 +382,9 @@ def test_each_sector_double_is_built_once(monkeypatch, capsys, command, builds):
 
 NO_HOPF_LAYER = {"hopf", "modular", "orbifold", "chartable"}
 NO_MODULE_LAYER = {"modular", "chartable", "dw"}
+NO_DOUBLES = {"hopf", "doubles", "orbifold", "dw"}
+# records are NamedTuples or slotted classes, so no run loads these
+NO_STDLIB = {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize(
@@ -391,24 +397,40 @@ NO_MODULE_LAYER = {"modular", "chartable", "dw"}
         (["jdouble", "--extension", "Z2-Z4"], "orbifold", NO_MODULE_LAYER),
         (["orbifold", "--extension", "Z2-Z4"], "orbifold", NO_MODULE_LAYER),
         (["orbifold", "--extension", "V4-A4", "--sampled"], "orbifold", NO_MODULE_LAYER | {"rowscans"}),
+        (["smatrix", "--group", "A4"], "modular", NO_DOUBLES),
+        (["simples", "--group", "S3"], "modular", NO_DOUBLES),
     ],
-    ids=["dw", "cech", "sectors", "double", "jdouble", "orbifold", "orbifold-sampled"],
+    ids=["dw", "cech", "sectors", "double", "jdouble", "orbifold", "orbifold-sampled", "smatrix", "simples"],
 )
 def test_each_subcommand_imports_only_its_layers(argv, runs, unloaded):
     """In a fresh interpreter, a subcommand loads the layer it runs and none
     of the layers it does not: the enumerations no Hopf layer or character
     table, the axiom suites no module category and no presentations (`dw`),
-    and a sampled suite whose checks are all drawn or lack their premises
-    none of the full-mode row scans."""
+    a sampled suite whose checks are all drawn or lack their premises none
+    of the full-mode row scans, and the S-matrix and the simples of a group's
+    double no Hopf table. No run loads `dataclasses` or `inspect`."""
     script = "import sys\nfrom equidouble import cli\ncode = cli.main(sys.argv[1:])\nprint(*sorted(sys.modules))\nsys.exit(code)"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", script, *argv, "--out", os.devnull], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    loaded = {name.split(".")[1] for name in out.stdout.split() if name.startswith("equidouble.")}
+    modules = set(out.stdout.split())
+    loaded = {name.split(".")[1] for name in modules if name.startswith("equidouble.")}
     assert runs in loaded
     assert loaded & unloaded == set()
+    assert modules & NO_STDLIB == set()
+
+
+def test_no_module_imports_dataclasses():
+    """Importing dataclasses loads inspect, ast, dis and tokenize into every
+    run, and generating each record at import costs more start-up."""
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert all(alias.name != "dataclasses" for alias in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name
 
 
 def test_readme_flag_table_lists_each_subcommand_flags():

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from helpers import trivial_action
 
 import equidouble
 from equidouble.errors import UsageError
@@ -22,7 +23,6 @@ from equidouble.groups import (
     cyclic_group,
     groupoid_cardinality,
     symmetric_group,
-    trivial_action,
 )
 
 
@@ -172,7 +172,7 @@ def test_bad_arguments_raise_usage_errors():
     with pytest.raises(UsageError, match="not a permutation"):
         GroupAction(s3, -1, [[]] * 6)
     simples = simple_objects(natural_s3_action())
-    moving = next(g for g in range(6) if natural_s3_action().apply(g, 0) != 0)
+    moving = next(g for g in range(6) if natural_s3_action().act[g][0] != 0)
     with pytest.raises(UsageError, match="inertia pairs"):
         simples[0].character_at(0, moving)
 
@@ -189,7 +189,7 @@ from equidouble.groups import conjugation_action, symmetric_group
 
 c = conjugation_action(symmetric_group(3))
 simples = gp.simple_objects(c)
-moving = next(g for g in range(6) if c.apply(g, 1) != 1)
+moving = next(g for g in range(6) if c.act[g][1] != 1)
 try:
     simples[0].character_at(1, moving)
 except UsageError as exc:

@@ -1,6 +1,7 @@
 """Groups, extensions, weak actions: constructions plus round-trip laws."""
 
 import pytest
+from helpers import is_abelian
 
 from equidouble.errors import NonInvertibleError, UsageError
 from equidouble.groups import (
@@ -31,7 +32,7 @@ def test_cyclic_basics():
     assert z6.mul(4, 5) == 3
     assert z6.inv[2] == 4
     assert z6.element_order(2) == 3
-    assert z6.is_abelian()
+    assert is_abelian(z6)
     assert z6.exponent() == 6
 
 
@@ -56,7 +57,7 @@ def test_table_validation_rejects_non_associative():
 def test_symmetric_group_s3():
     s3 = symmetric_group(3)
     assert s3.order == 6
-    assert not s3.is_abelian()
+    assert not is_abelian(s3)
     cd = s3.conjugacy()
     sizes = sorted(len(c) for c in cd.classes)
     assert sizes == [1, 2, 3]
@@ -79,7 +80,7 @@ def test_dihedral_group_d4():
     d4 = dihedral_group(4)
     assert d4.order == 8
     assert len(d4.conjugacy().classes) == 5
-    assert not d4.is_abelian()
+    assert not is_abelian(d4)
     # D4 and Q8 are not isomorphic (element order multisets differ)
     assert find_isomorphism(d4, quaternion_group()) is None
 
@@ -214,7 +215,7 @@ def test_weak_action_iso_depends_on_section_choice_only():
     assert witness is not None and witness.verify(wa_a, wa_b)
 
 
-def test_conjugacy_data_is_dataclass_with_consistent_fields():
+def test_conjugacy_data_is_a_record_with_consistent_fields():
     g = dihedral_group(3)
     cd = g.conjugacy()
     assert isinstance(cd, ConjugacyData)
@@ -267,6 +268,16 @@ def _short_weak_action():
 def test_malformed_group_arguments_are_usage_errors(build, message):
     with pytest.raises(UsageError, match=message):
         build()
+
+
+def test_permutation_labels_stay_distinct_past_one_digit_points():
+    """(2 11) and (1 11 2) on 12 points both read 01113456789102 with their
+    images run together; the labels must tell them apart."""
+    swap = (0, 1, 11, 3, 4, 5, 6, 7, 8, 9, 10, 2)
+    cycle = (0, 11, 1, 3, 4, 5, 6, 7, 8, 9, 10, 2)
+    g = group_from_permutations([swap, cycle])
+    assert g.order == 6 and len(set(g.labels)) == 6
+    assert symmetric_group(3).labels == ("012", "021", "102", "120", "201", "210")
 
 
 def test_failed_class_equation_is_a_certification_error():

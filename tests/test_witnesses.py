@@ -2,7 +2,6 @@
 and that tuple alone reproduces the failure."""
 
 import ast
-import dataclasses
 import pathlib
 from collections import Counter
 from fractions import Fraction
@@ -12,6 +11,7 @@ from operator import setitem
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import replaced
 from sparse_oracle import SparseProducts, first_unmapped_product, rebuilt, take_sparse_products
 
 import equidouble
@@ -339,13 +339,13 @@ def test_relabeled_products_by_rows_are_the_pair_loop(hopf, data):
     product under a drawn relabeling of the corrupted table."""
     (group,) = (g for g in map(group_by_name, ("Z2", "Z3", "S3")) if g.order**2 == hopf.dim)
     clean = double_algebra(group)
-    corrupted = dataclasses.replace(clean, hopf=hopf)
+    corrupted = replaced(clean, hopf=hopf)
     rib = orbifold_ribbon(clean)
     perm = psi_permutation(clean)
     psi = psi_check(clean, rib, corrupted)
     assert psi.witnesses.get("product") == first_unmapped_product(rib.hopf, hopf, perm)
     source = orbifold_algebra(corrupted)
-    psi = psi_check(clean, dataclasses.replace(rib, hopf=source), clean)
+    psi = psi_check(clean, replaced(rib, hopf=source), clean)
     assert psi.witnesses.get("product") == first_unmapped_product(source, clean.hopf, perm)
     shuffled = data.draw(st.permutations(range(hopf.dim)))
     for relabeling in (range(hopf.dim), shuffled):
@@ -504,7 +504,7 @@ def with_fractions(x):
     else:
         fields = ("coherence", "coherence_inv", "r_sector", "r_sector_inv", "theta", "theta_inv")
         sparse = {f: {k: fractions(v) for k, v in getattr(x, f).items()} for f in fields}
-    return dataclasses.replace(x, hopf=with_fractions(x.hopf), **sparse)
+    return replaced(x, hopf=with_fractions(x.hopf), **sparse)
 
 
 def assert_fractions_change_nothing(suite, *args):
@@ -535,7 +535,7 @@ def test_corrupted_mixed_tables_give_the_same_reports_with_fractions(hopf):
     Fraction: in the axiom suites and as the target of psi_check."""
     (group,) = (g for g in map(group_by_name, ("Z2", "Z3", "S3")) if g.order**2 == hopf.dim)
     clean = double_algebra(group)
-    corrupted = dataclasses.replace(clean, hopf=hopf)
+    corrupted = replaced(clean, hopf=hopf)
     assert not verify_hopf(hopf).all_passed
     assert_fractions_change_nothing(verify_all_axioms, corrupted.ribbon_data())
     assert_fractions_change_nothing(verify_sector_double, corrupted)
