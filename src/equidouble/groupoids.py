@@ -136,12 +136,6 @@ def simple_objects(action: GroupAction) -> list[GroupoidSimple]:
     return out
 
 
-def regular_character(inert: InertiaData) -> list[Scalar]:
-    """chi(m, g) = |G| when g = 1 and 0 otherwise."""
-    n = inert.base.group.order
-    return [n if g == 0 else ZERO for (_m, g) in inert.pairs]
-
-
 def character_pairing(
     inert: InertiaData, f: Sequence[Scalar], f2: Sequence[Scalar]
 ) -> Scalar:

@@ -68,6 +68,15 @@ class ExactMatrix:
         return m
 
     @staticmethod
+    def from_positions(rows: int, cols: int, entries: dict[int, Scalar]) -> "ExactMatrix":
+        """The matrix with entries[p] at row-major position p = i * cols + j
+        and the int zero elsewhere, built in one pass: the dict becomes the
+        store, so the caller hands it over and keeps no reference to change."""
+        if entries and not (0 <= min(entries) and max(entries) < rows * cols):
+            raise UsageError(f"an entry position lies outside a {rows}x{cols} matrix")
+        return ExactMatrix._of(rows, cols, entries)
+
+    @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]]) -> "ExactMatrix":
         r = len(rows)
         c = len(rows[0]) if r else 0

@@ -29,13 +29,14 @@ comparison once per pair, on the direct sum of the sample in the last slot.
 from __future__ import annotations
 
 from functools import reduce
+from math import lcm
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .errors import ResourceError, UsageError
 from .groupoids import GroupoidSimple, simple_objects
 from .groups import FiniteGroup, GroupExtension, action_via_hom, extension_from_subgroup
 from .linalg import ExactMatrix, mat_rank_det_kernel
-from .scalars import ZERO, Scalar
+from .scalars import ZERO, Cyclotomic, Scalar, narrowed
 
 if TYPE_CHECKING:
     from .doubles import SectorDouble
@@ -291,11 +292,14 @@ def braid(v: GradedModule, w: GradedModule) -> ModuleMap:
     s(j^{-1})h in G."""
     j = _require_homogeneous(v, "braiding")
     untwist = v.ext.untwist
-    mat = ExactMatrix.zeros(w.dim * v.dim, v.dim * w.dim)
-    for r in range(v.dim):
-        for s_out, s_in, c in w.act(untwist[v.grades[r]]).nonzeros():
-            mat[s_out * v.dim + r, r * w.dim + s_in] = c
-    return ModuleMap(fuse(v, w), fuse(j_act(j, w), v), mat)
+    vd, wd = v.dim, w.dim
+    width = vd * wd
+    entries: dict[int, Scalar] = {}
+    for r, h in enumerate(v.grades):
+        col = r * wd
+        for s_out, s_in, c in w.act(untwist[h]).nonzeros():
+            entries[(s_out * vd + r) * width + col + s_in] = c
+    return ModuleMap(fuse(v, w), fuse(j_act(j, w), v), ExactMatrix.from_positions(width, width, entries))
 
 
 def twist(v: GradedModule) -> ModuleMap:
@@ -303,13 +307,14 @@ def twist(v: GradedModule) -> ModuleMap:
     untwist[h].v, untwist[h] being s(j^{-1})h in G."""
     j = _require_homogeneous(v, "twist")
     target = j_act(j, v)
-    mat = ExactMatrix.zeros(v.dim, v.dim)
+    n = v.dim
     acting = [v.ext.untwist[h] for h in v.grades]
+    entries: dict[int, Scalar] = {}
     for u in sorted(set(acting)):
         for r, c, x in v.act(u).nonzeros():
             if acting[c] == u:
-                mat[r, c] = x
-    return ModuleMap(v, target, mat)
+                entries[r * n + c] = x
+    return ModuleMap(v, target, ExactMatrix.from_positions(n, n, entries))
 
 
 def compositor(i: int, j: int, v: GradedModule) -> ModuleMap:
@@ -361,9 +366,19 @@ def simples_of_double(ext: GroupExtension) -> list[GradedModule]:
 
 
 def _module_from_groupoid_simple(ext: GroupExtension, s: GroupoidSimple) -> GradedModule:
+    """The simple of the groupoid simple s, its action matrices read from
+    s.total_matrix and normalized once, here: a rational entry becomes an int,
+    or a Fraction if it is not an integer, and an irrational one keeps the
+    conductor chartable gave it, exponent(stabilizer). No zero is stored.
+    So every map the suite builds from the simples multiplies ints wherever
+    the value is rational; the `scalars` docstring has why that is exact."""
     d = s.stab_degree
     grades = tuple(m for m in s.orbit for _ in range(d))
-    mats = tuple(s.total_matrix(g) for g in range(ext.G.order))
+    n = s.total_dim
+    mats = [
+        ExactMatrix.from_positions(n, n, {r * n + c: narrowed(x) for r, c, x in s.total_matrix(g).nonzeros()})
+        for g in range(ext.G.order)
+    ]
     name = f"[{s.orbit[0]}]x{s.row}"
     return GradedModule(ext, grades, mats, name=name)
 
@@ -403,26 +418,49 @@ def _trivial_double_simples(h_group: FiniteGroup) -> tuple[GroupExtension, list[
     return ext, gsimples, tuple((s.orbit[0], s.row) for s in gsimples)
 
 
+def _table_conductor(s: GroupoidSimple) -> Optional[int]:
+    """The conductor chartable writes the values of s's stabilizer at,
+    exponent(stabilizer); None for the trivial group, whose one value it
+    writes as the int 1."""
+    x = s.stab_table.rows[s.row][0]
+    return x.n if isinstance(x, Cyclotomic) else None
+
+
 def s_matrix(h_group: FiniteGroup) -> SMatrix:
     """Traces of double braidings between all simples of the double of the
     group, computed from the explicit braiding matrices: tr(B F) is the sum
     of B[i, j] F[j, i] over the pairs where both entries are nonzero, without
     forming B F. Each braiding is built once: the backward braiding of
-    (a, b) is the forward one of (b, a)."""
+    (a, b) is the forward one of (b, a).
+
+    Entry (a, b) is the int 0 when no product term exists. Otherwise it is
+    written at the conductor n = lcm(n_a, n_b) of the two simples' tables
+    (`_table_conductor`): promoted to n if irrational, Cyclotomic.from_rational
+    at n if rational. That is the form the trace takes when every entry of the
+    simples is a Cyclotomic at its table's conductor, and each term's product
+    then lies at n, so the printed entries do not depend on the simples
+    carrying their rational entries as ints and Fractions. The trivial
+    group's table holds the int 1, so its one entry stays an int."""
     ext, gsimples, labels = _trivial_double_simples(h_group)
     modules = [_module_from_groupoid_simple(ext, s) for s in gsimples]
+    conductors = [_table_conductor(s) for s in gsimples]
     n = len(modules)
     mat = ExactMatrix.zeros(n, n)
 
-    def trace(backward: ExactMatrix, forward: ExactMatrix) -> Scalar:
-        return sum((x * y for i, j, x in backward.nonzeros() if (y := forward[j, i])), ZERO)
+    def trace(backward: ExactMatrix, forward: ExactMatrix, a: int, b: int) -> Scalar:
+        terms = [x * y for i, j, x in backward.nonzeros() if (y := forward[j, i])]
+        t = sum(terms, ZERO)
+        if not terms or conductors[a] is None or conductors[b] is None:
+            return t
+        m = lcm(conductors[a], conductors[b])
+        return t.promote(m) if isinstance(t, Cyclotomic) else Cyclotomic.from_rational(t, m)
 
     for a, v in enumerate(modules):
         for b, w in enumerate(modules[a:], start=a):
             forward = braid(v, w).matrix
             backward = braid(w, v).matrix if b > a else forward
-            mat[a, b] = trace(backward, forward)
-            mat[b, a] = trace(forward, backward)
+            mat[a, b] = trace(backward, forward, a, b)
+            mat[b, a] = trace(forward, backward, b, a)
     return SMatrix(labels, mat, h_group.order)
 
 
@@ -568,13 +606,14 @@ def _direct_sum(ext: GroupExtension, mods: Sequence[GradedModule]) -> tuple[Grad
     dim = len(block_of)
     acts = []
     for g in range(ext.G.order):
-        mat = ExactMatrix.zeros(dim, dim)
+        entries: dict[int, Scalar] = {}
         start = 0
         for m in mods:
+            corner = start * dim + start
             for r, c, x in m.act(g).nonzeros():
-                mat[start + r, start + c] = x
+                entries[corner + r * dim + c] = x
             start += m.dim
-        acts.append(mat)
+        acts.append(ExactMatrix.from_positions(dim, dim, entries))
     grades = tuple(h for m in mods for h in m.grades)
     return GradedModule._derived(ext, grades, "sum", acts), block_of
 

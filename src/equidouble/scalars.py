@@ -32,6 +32,22 @@ below, the package's only zero and one. That stays exact:
   as one written with Fractions throughout.
 - Reports write every rational through Fraction(x) (`cli.encode_scalar`,
   `cli.scalar_string`), so an int prints exactly as a Fraction did.
+
+The module layer holds this too. `chartable` writes every character value
+and irrep entry as a Cyclotomic at conductor exponent(G), which its pinned
+tables print; `modular` takes each simple's entries through `narrowed` once,
+where it builds the simple, so a rational entry is an int or a Fraction and
+an irrational one keeps that conductor. The verdicts do not move:
+
+- bool() and == agree across int, Fraction and Cyclotomic: a Cyclotomic is
+  zero, or equal to a rational, exactly when its value is. Every diagram and
+  matrix comparison is decided by them, so it is decided on values alone.
+- A product or a sum of a rational and a Cyclotomic keeps the Cyclotomic's
+  conductor (the rational is read at it), and a product or sum of two
+  rationals is the exact rational. So each entry the suite computes has the
+  value the conductor-form simples give; only its type or conductor may
+  differ, and only `modular.s_matrix` prints such entries, at the conductor
+  it fixes for them.
 """
 
 from __future__ import annotations
@@ -317,6 +333,15 @@ def reciprocal(x: Scalar) -> Scalar:
     """The exact inverse: a Cyclotomic's own, or Fraction(1, x) for a
     rational, so an int is never divided into a float."""
     return x.inverse() if isinstance(x, Cyclotomic) else Fraction(1, x)
+
+
+def narrowed(x: Scalar) -> Scalar:
+    """A rational Cyclotomic as an int, or as a Fraction when it is not an
+    integer; any other value as it is, so an irrational Cyclotomic keeps its
+    conductor."""
+    if x.__class__ is not Cyclotomic or not x.is_rational():
+        return x
+    return x.num[0] if x.den == 1 else Fraction(x.num[0], x.den)
 
 
 def sort_key(x: Scalar) -> tuple:

@@ -1,8 +1,9 @@
-"""Small test-only helpers: group predicates and actions no program path
-needs, and a changed copy of a record."""
+"""Small test-only helpers: group predicates, actions and characters no
+program path needs, and a changed copy of a record."""
 
 import copy
 
+from equidouble.groupoids import InertiaData
 from equidouble.groups import FiniteGroup, GroupAction
 
 
@@ -13,6 +14,12 @@ def is_abelian(group: FiniteGroup) -> bool:
 
 def trivial_action(group: FiniteGroup, num_points: int = 1) -> GroupAction:
     return GroupAction(group, num_points, [list(range(num_points))] * group.order)
+
+
+def regular_character(inert: InertiaData) -> list[int]:
+    """chi(m, g) = |G| when g = 1 and 0 otherwise."""
+    n = inert.base.group.order
+    return [n if g == 0 else 0 for (_m, g) in inert.pairs]
 
 
 def replaced(record, **changes):

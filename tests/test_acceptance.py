@@ -9,7 +9,7 @@ import json
 import time
 from fractions import Fraction
 
-from helpers import trivial_action
+from helpers import regular_character, trivial_action
 from sparse_oracle import rebuilt
 
 from equidouble import cli
@@ -33,7 +33,6 @@ from equidouble.groupoids import (
     character_pairing,
     decompose_character,
     inertia,
-    regular_character,
     simple_objects,
 )
 from equidouble.groups import (

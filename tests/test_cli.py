@@ -492,6 +492,9 @@ CATEGORY_REPORT_SHA256 = {
     ("Z4-D4", True): "92a3b701fb384e409a45b4ed7c64b05e40790ec3fd805bc72af3b4c8bce99965",
     # recorded at e3d9502, from the dense matrices and eagerly graded fusions
     ("Z2-Q8", False): "a7e56bdf078b4482f5a1fde1cd904d88cde042c4b6745cc7f1872a8b2b12a289",
+    # recorded at 0f162cb, from the simples whose every entry was a cyclotomic
+    # at the conductor exponent(stabilizer)
+    ("A4-S4", False): "47075dae172af635cda4b1e14bc119f4724590ee3ae5e69b28f2de422f6dd62c",
 }
 
 

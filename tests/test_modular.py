@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from equidouble import cli, modular
-from equidouble.catalogue import extension_by_name
+from equidouble.catalogue import extension_by_name, extension_names
 from equidouble.doubles import sector_double
 from equidouble.errors import ResourceError, UsageError
+from equidouble.groupoids import simple_objects
 from equidouble.groups import (
     GroupExtension,
+    action_via_hom,
     cyclic_group,
     dihedral_group,
     extension_from_subgroup,
@@ -691,3 +693,93 @@ def test_the_suite_keeps_no_composite_past_its_step():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# -- normalized simples against the conductor-form build ------------------------
+
+
+def conductor_form_simples(ext):
+    """The simples as built before their entries were normalized: each action
+    matrix is s.total_matrix(g) as it is, every entry a cyclotomic at the
+    conductor exponent(stabilizer), stored zeros included."""
+    action = action_via_hom(ext.H, ext.G, ext.incl.images)
+    return [
+        GradedModule(
+            ext,
+            tuple(m for m in s.orbit for _ in range(s.stab_degree)),
+            [s.total_matrix(g) for g in range(ext.G.order)],
+            name=f"[{s.orbit[0]}]x{s.row}",
+        )
+        for s in simple_objects(action)
+    ]
+
+
+def sampled(mods):
+    """The first, middle and last module, as verify-category --sampled picks."""
+    return [mods[i] for i in sorted({0, len(mods) // 2, len(mods) - 1})]
+
+
+SMALL_CATALOGUE = [name for name in extension_names() if extension_by_name(name).H.order <= 12]
+
+
+@pytest.mark.parametrize("name", SMALL_CATALOGUE + ["A4-S4"])
+def test_normalized_simples_give_the_conductor_form_reports(name):
+    """On every catalogue extension with |H| <= 12, and on A4-S4's sample, the
+    normalized simples equal the conductor-form ones and the diagram suite
+    gives both the same counts and failures."""
+    ext = extension_by_name(name)
+    sd = sector_double(ext)
+    normalized, oracle = simples_of_double(ext), conductor_form_simples(ext)
+    assert [v.name for v in normalized] == [v.name for v in oracle]
+    assert normalized == oracle
+    if ext.H.order > 12:
+        normalized, oracle = sampled(normalized), sampled(oracle)
+    got, want = check_equivariant_diagrams(ext, normalized, sd), check_equivariant_diagrams(ext, oracle, sd)
+    assert got.counts == want.counts and got.failures == want.failures == []
+
+
+def negated(v, g, r, c):
+    mats = [m.copy() for m in v.matrices]
+    mats[g][r, c] = -mats[g][r, c]
+    return GradedModule(v.ext, v.grades, mats, name="bad")
+
+
+@pytest.mark.parametrize("make", [a3_in_s3, lambda: extension_by_name("Z4-D4")], ids=["A3-S3", "Z4-D4"])
+def test_corruption_controls_fail_alike_on_normalized_and_conductor_form_simples(make):
+    """Negating each nonzero entry of the action of g = 1 on the first simple
+    of dimension at least two, and corrupting untwist after the sector
+    double, fail the same diagrams on both builds of the simples. Z4-D4's
+    simples hold entries of Q(i) as well as ints."""
+    ext = make()
+    sd = sector_double(ext)
+    builds = [simples_of_double(ext), conductor_form_simples(ext)]
+    pick = next(k for k, v in enumerate(builds[0]) if v.dim >= 2)
+    reports = []
+    for simples in builds:
+        v = simples[pick]
+        runs = [
+            check_equivariant_diagrams(ext, [simples[0], negated(v, 1, r, c), simples[-1]], sd)
+            for r, c, _ in v.act(1).nonzeros()
+        ]
+        reports.append([(rep.counts, rep.failures) for rep in runs])
+    assert reports[0] == reports[1] and all(failures for _, failures in reports[0])
+    corrupt_untwist(ext)
+    untwisted = [check_equivariant_diagrams(ext, simples, sd) for simples in builds]
+    assert untwisted[0].counts == untwisted[1].counts
+    assert untwisted[0].failures == untwisted[1].failures != []
+
+
+@pytest.mark.parametrize("name", extension_names())
+def test_simples_store_no_rational_cyclotomic_and_no_zero(name):
+    """Every stored entry of every simple's action matrices is nonzero, and a
+    rational one is an int or a Fraction; an irrational one keeps the
+    conductor of its stabilizer's table, exponent(stabilizer)."""
+    ext = extension_by_name(name)
+    action = action_via_hom(ext.H, ext.G, ext.incl.images)
+    for v, s in zip(simples_of_double(ext), simple_objects(action)):
+        entries = [x for m in v.matrices for x in m._store.values()]
+        assert all(entries)
+        assert {type(x) for x in entries} <= {int, Fraction, Cyclotomic}
+        cyclotomics = [x for x in entries if isinstance(x, Cyclotomic)]
+        assert not any(x.is_rational() for x in cyclotomics)
+        assert {x.n for x in cyclotomics} <= {s.stab_group.exponent()}

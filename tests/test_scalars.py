@@ -24,6 +24,7 @@ from equidouble.scalars import (
     cyclotomic_polynomial,
     euler_phi,
     is_prime,
+    narrowed,
     sort_key,
 )
 
@@ -144,6 +145,27 @@ def test_sort_key_is_total_order_on_equal_conductor():
     xs = [rand_cyclotomic(rng, 8) for _ in range(10)]
     keys = [sort_key(x) for x in xs]
     assert sorted(keys) == sorted(keys, key=lambda k: k)  # comparable tuples
+
+
+def test_narrowed_reads_a_rational_cyclotomic_as_an_int_or_a_fraction():
+    """A rational value leaves its conductor as an int, or a Fraction when it
+    is not an integer; an irrational value, an int and a Fraction stay as
+    they are, and the value never moves."""
+    cases = [
+        (Cyclotomic.from_rational(-3, 12), int),
+        (Cyclotomic.from_rational(0, 4), int),
+        (Cyclotomic.from_rational(Fraction(-2, 6), 3), Fraction),
+        (Cyclotomic.zeta(4), Cyclotomic),
+        (Cyclotomic.zeta(3) + Cyclotomic.zeta(3, 2), int),
+        (Fraction(5, 2), Fraction),
+        (7, int),
+    ]
+    for x, kind in cases:
+        y = narrowed(x)
+        assert type(y) is kind and y == x and bool(y) == bool(x)
+    z = Cyclotomic.zeta(12, 5)
+    assert narrowed(z) is z
+    assert narrowed(Cyclotomic.from_rational(Fraction(-2, 6), 3)) == Fraction(-1, 3)
 
 
 def test_is_prime():
