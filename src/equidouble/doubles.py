@@ -156,7 +156,7 @@ def sector_double(ext: GroupExtension, name: str = "") -> SectorDouble:
     return SectorDouble(ext, hopf, phi, coherence, coherence_inv, r_sector, r_sector_inv, theta, theta_inv)
 
 
-def double_algebra(h_group: FiniteGroup, name: str = "") -> SectorDouble:
+def double_algebra(h_group: FiniteGroup) -> SectorDouble:
     """The ordinary double of a finite group (trivial sector grading)."""
     ext = extension_from_subgroup(h_group, range(h_group.order))
-    return sector_double(ext, name=name or f"D({h_group.name or h_group.order})")
+    return sector_double(ext, name=f"D({h_group.name or h_group.order})")

@@ -99,18 +99,16 @@ class GroupoidSimple:
 
     def total_matrix(self, g: int) -> ExactMatrix:
         """Matrix of g on the sum of the orbit blocks (points ascending)."""
-        d = self.stab_degree
+        d, n = self.stab_degree, self.total_dim
         rep = self.rep()
         pos = {m: i for i, m in enumerate(self.orbit)}
-        out = ExactMatrix.zeros(self.total_dim, self.total_dim)
+        entries: dict[int, Scalar] = {}
         for m in self.orbit:
-            m2 = self.action.act[g][m]
-            block = rep.matrix(self._stab_conj(m, g))
-            r0, c0 = pos[m2] * d, pos[m] * d
-            for i in range(d):
-                for j in range(d):
-                    out[r0 + i, c0 + j] = block[i, j]
-        return out
+            corner = pos[self.action.act[g][m]] * d * n + pos[m] * d
+            for p, x in enumerate(rep.matrix(self._stab_conj(m, g)).data):
+                if x.__class__ is not int or x:
+                    entries[corner + p // d * n + p % d] = x
+        return ExactMatrix.from_positions(n, n, entries)
 
     def __repr__(self) -> str:
         return (

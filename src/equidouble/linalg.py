@@ -2,16 +2,19 @@
 row-reduction kernel behind every rank, determinant, kernel and solve.
 
 ExactMatrix is the one place that multiplies, tensors (Kronecker product),
-walks (nonzero entries) and compares exact matrices. It stores every entry
-that was set to something other than the int zero, keyed by its row-major
-position; an entry never set reads as the int zero. So zeros, identity,
-kron, @, ==, transpose, nonzeros, is_zero and trace cost the stored entries,
-not rows * cols. A stored zero of another type (Fraction(0), a Cyclotomic
-zero) is kept as it was set, so `data`, the dense view, reproduces every
-entry a dense list would hold, with its type. Zero tests and equality use
-the scalars' own bool() and ==; products and Kronecker products multiply
-only pairs of nonzero entries, so an entry no nonzero pair reaches stays the
-int zero whatever the field of the others. A product with the int 1 as one
+walks (nonzero entries) and compares exact matrices. A matrix is read-only
+once built: the constructor, from_rows, from_positions, identity, zeros or
+an operation builds it whole, and assigning an entry raises TypeError, so a
+matrix a check has judged, and whatever is derived from it and cached, stays
+as judged. It stores every entry given as something other than the int
+zero, keyed by its row-major position; an entry not given reads as the int
+zero. So zeros, identity, kron, @, ==, transpose, nonzeros, is_zero and
+trace cost the stored entries, not rows * cols. A stored zero of another
+type (Fraction(0), a Cyclotomic zero) is kept as it was given, so `data`,
+the dense view, reproduces every entry a dense list would hold, with its
+type. Zero tests and equality use the scalars' own bool() and ==; products
+and Kronecker products multiply only pairs of nonzero entries, so an entry
+no nonzero pair reaches stays the int zero whatever the field of the others. A product with the int 1 as one
 factor is the other factor itself, and a product written into an entry still
 unset is written, not added to the int zero: both give the value, type and
 conductor that the arithmetic gives.
@@ -40,13 +43,9 @@ from .errors import NonInvertibleError, UsageError
 from .scalars import ONE, ZERO, Scalar, reciprocal
 
 
-def _is_int_zero(x: Scalar) -> bool:
-    return x.__class__ is int and not x
-
-
 class ExactMatrix:
-    """Matrix of exact scalars, kept as one dict from row-major position
-    i * cols + j to every entry that was set to something other than the
+    """Read-only matrix of exact scalars, kept as one dict from row-major
+    position i * cols + j to every entry given as something other than the
     int zero. nonzeros() walks it in row-major order; no other result
     depends on the order of the dict, since exact sums do not."""
 
@@ -57,7 +56,7 @@ class ExactMatrix:
             raise UsageError(f"a {rows}x{cols} matrix needs rows*cols entries, got {len(data)}")
         self.rows = rows
         self.cols = cols
-        self._store = {p: x for p, x in enumerate(data) if not _is_int_zero(x)}
+        self._store = {p: x for p, x in enumerate(data) if x.__class__ is not int or x}
 
     @staticmethod
     def _of(rows: int, cols: int, store: dict[int, Scalar]) -> "ExactMatrix":
@@ -70,8 +69,9 @@ class ExactMatrix:
     @staticmethod
     def from_positions(rows: int, cols: int, entries: dict[int, Scalar]) -> "ExactMatrix":
         """The matrix with entries[p] at row-major position p = i * cols + j
-        and the int zero elsewhere, built in one pass: the dict becomes the
-        store, so the caller hands it over and keeps no reference to change."""
+        and the int zero elsewhere, built in one pass: the dict, which holds
+        no int zero, becomes the store, so the caller hands it over and keeps
+        no reference to change."""
         if entries and not (0 <= min(entries) and max(entries) < rows * cols):
             raise UsageError(f"an entry position lies outside a {rows}x{cols} matrix")
         return ExactMatrix._of(rows, cols, entries)
@@ -95,37 +95,21 @@ class ExactMatrix:
     @property
     def data(self) -> list[Scalar]:
         """The entries in row-major order, as a new list: each stored entry
-        as it was set, the int zero everywhere else."""
+        as it was given, the int zero everywhere else."""
         out: list[Scalar] = [ZERO] * (self.rows * self.cols)
         for p, x in self._store.items():
             out[p] = x
         return out
 
-    def _position(self, i: int, j: int) -> int:
+    def __getitem__(self, key: tuple[int, int]) -> Scalar:
+        i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
-        return i * self.cols + j
-
-    def __getitem__(self, key: tuple[int, int]) -> Scalar:
-        return self._store.get(self._position(*key), ZERO)
-
-    def __setitem__(self, key: tuple[int, int], value: Scalar) -> None:
-        p = self._position(*key)
-        if _is_int_zero(value):
-            self._store.pop(p, None)
-        else:
-            self._store[p] = value
-
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix._of(self.rows, self.cols, dict(self._store))
+        return self._store.get(i * self.cols + j, ZERO)
 
     def transpose(self) -> "ExactMatrix":
         rows, cols = self.rows, self.cols
         return ExactMatrix._of(cols, rows, {p % cols * rows + p // cols: x for p, x in self._store.items()})
-
-    def scale(self, s: Scalar) -> "ExactMatrix":
-        """s times every entry, the unset int zeros included."""
-        return ExactMatrix(self.rows, self.cols, [s * a for a in self.data])
 
     def nonzeros(self) -> Iterator[tuple[int, int, Scalar]]:
         """(row, column, entry) for every nonzero entry, in row-major order."""

@@ -19,11 +19,13 @@ composites, and the S-matrix and the diagram suite take their braidings from
 the one function braid.
 
 Checking happens once, at GradedModule(...), where the simples' and callers'
-matrices come in. Fusions, shifts and duals are built unchecked, and each
-builder's docstring proves that the block condition carries over. Maps are
-judged by the diagrams of check_equivariant_diagrams, which name the modules;
-it builds the hexagons, the action-braiding square and the braid-R
-comparison once per pair, on the direct sum of the sample in the last slot.
+grades and matrices come in; a matrix is read-only once built, so nothing
+derived from a checked one and cached can go stale. Fusions, shifts and
+duals are built unchecked, and each builder's docstring proves that the
+block condition carries over. Maps are judged by the diagrams of
+check_equivariant_diagrams, which name the modules; it builds the hexagons,
+the action-braiding square and the braid-R comparison once per pair, on the
+direct sum of the sample in the last slot.
 """
 
 from __future__ import annotations
@@ -64,6 +66,10 @@ class GradedModule:
     ):
         grades = tuple(grades)
         self._attach(ext, len(grades), (self,), grades, name, list(matrices))
+        for h in grades:
+            # type(h) is int, not isinstance: a bool is no element index
+            if type(h) is not int or not 0 <= h < ext.H.order:
+                raise UsageError(f"grade {h!r} is not an element index 0..{ext.H.order - 1} of H")
         if len(self._acts) != ext.G.order:
             raise UsageError("one matrix per G-element required")
         if self._acts[0] != ExactMatrix.identity(self.dim):
@@ -334,28 +340,36 @@ def r_action_map(sd: SectorDouble, v: GradedModule, w: GradedModule) -> ModuleMa
 
     The double's basis element delta_h (x) g acts on a module by g followed
     by the projection onto the rows graded by h, so each leg of a term walks
-    the nonzero entries of the action of g whose row grade is h; each
-    (module, basis index) leg is read once per call."""
+    the nonzero entries of the action of g whose row grade is h. The action
+    of each g on each module is walked once per call, its entries split by
+    row grade, and every leg with that g reads its grade's part. Terms add
+    into each entry in the order of sd.r_sector; an entry whose sum is the
+    int zero is not stored."""
     j = _require_homogeneous(v, "R-matrix action")
-    mat = ExactMatrix.zeros(w.dim * v.dim, v.dim * w.dim)
-    legs: dict[tuple[int, int], list[tuple[int, int, Scalar]]] = {}
+    split: dict[tuple[int, int], dict[int, list[tuple[int, int, Scalar]]]] = {}
 
     def leg(mod: GradedModule, idx: int) -> list[tuple[int, int, Scalar]]:
-        key = (id(mod), idx)
-        if key not in legs:
-            h, g = sd.label_of(idx)
-            legs[key] = [(r, c, x) for r, c, x in mod.act(g).nonzeros() if mod.grades[r] == h]
-        return legs[key]
+        h, g = sd.label_of(idx)
+        key = (id(mod), g)
+        if key not in split:
+            by_grade: dict[int, list[tuple[int, int, Scalar]]] = {}
+            for r, c, x in mod.act(g).nonzeros():
+                by_grade.setdefault(mod.grades[r], []).append((r, c, x))
+            split[key] = by_grade
+        return split[key].get(h, [])
 
+    vd, wd = v.dim, w.dim
+    width = vd * wd
+    sums: dict[int, Scalar] = {}
     for ten in sd.r_sector.values():
         for (a1, a2), coef in ten.items():
             right = leg(w, a2)
             for r_out, r_in, c1 in leg(v, a1):
                 for s_out, s_in, c2 in right:
-                    row = s_out * v.dim + r_out
-                    col = r_in * w.dim + s_in
-                    mat[row, col] = mat[row, col] + coef * c1 * c2
-    return ModuleMap(fuse(v, w), fuse(j_act(j, w), v), mat)
+                    q = (s_out * vd + r_out) * width + r_in * wd + s_in
+                    sums[q] = sums.get(q, ZERO) + coef * c1 * c2
+    entries = {q: x for q, x in sums.items() if x.__class__ is not int or x}
+    return ModuleMap(fuse(v, w), fuse(j_act(j, w), v), ExactMatrix.from_positions(width, width, entries))
 
 
 def simples_of_double(ext: GroupExtension) -> list[GradedModule]:
@@ -445,7 +459,7 @@ def s_matrix(h_group: FiniteGroup) -> SMatrix:
     modules = [_module_from_groupoid_simple(ext, s) for s in gsimples]
     conductors = [_table_conductor(s) for s in gsimples]
     n = len(modules)
-    mat = ExactMatrix.zeros(n, n)
+    entries: dict[int, Scalar] = {}
 
     def trace(backward: ExactMatrix, forward: ExactMatrix, a: int, b: int) -> Scalar:
         terms = [x * y for i, j, x in backward.nonzeros() if (y := forward[j, i])]
@@ -459,9 +473,10 @@ def s_matrix(h_group: FiniteGroup) -> SMatrix:
         for b, w in enumerate(modules[a:], start=a):
             forward = braid(v, w).matrix
             backward = braid(w, v).matrix if b > a else forward
-            mat[a, b] = trace(backward, forward, a, b)
-            mat[b, a] = trace(forward, backward, b, a)
-    return SMatrix(labels, mat, h_group.order)
+            entries[a * n + b] = trace(backward, forward, a, b)
+            entries[b * n + a] = trace(forward, backward, b, a)
+    entries = {p: x for p, x in entries.items() if x.__class__ is not int or x}
+    return SMatrix(labels, ExactMatrix.from_positions(n, n, entries), h_group.order)
 
 
 def s_matrix_character_formula(h_group: FiniteGroup) -> SMatrix:
@@ -469,7 +484,7 @@ def s_matrix_character_formula(h_group: FiniteGroup) -> SMatrix:
     characters over commuting pairs drawn from the two orbits."""
     ext, gsimples, labels = _trivial_double_simples(h_group)
     n = len(gsimples)
-    mat = ExactMatrix.zeros(n, n)
+    entries: dict[int, Scalar] = {}
     for a in range(n):
         for b in range(n):
             acc: Scalar = ZERO
@@ -478,8 +493,9 @@ def s_matrix_character_formula(h_group: FiniteGroup) -> SMatrix:
                     if h_group.mul(x, y) != h_group.mul(y, x):
                         continue
                     acc = acc + gsimples[a].character_at(x, ext.g_of(y)) * gsimples[b].character_at(y, ext.g_of(x))
-            mat[a, b] = acc
-    return SMatrix(labels, mat, h_group.order)
+            if acc.__class__ is not int or acc:
+                entries[a * n + b] = acc
+    return SMatrix(labels, ExactMatrix.from_positions(n, n, entries), h_group.order)
 
 
 # -- diagram checks -----------------------------------------------------------
@@ -505,7 +521,8 @@ class DiagramReport:
 
 
 def _hexagon_one_sides(u: GradedModule, v: GradedModule, w: GradedModule) -> tuple[ModuleMap, ModuleMap]:
-    """The two sides of hexagon_one_holds; w may be any module."""
+    """The two sides of the first hexagon: c_{U,V(x)W}, and (id (x) c_{U,W})
+    after (c_{U,V} (x) id); w may be any module."""
     i = _require_homogeneous(u, "hexagon")
     lhs = braid(u, fuse(v, w))
     rhs = tensor_map(braid(u, v), identity_map(w)).then(
@@ -515,7 +532,8 @@ def _hexagon_one_sides(u: GradedModule, v: GradedModule, w: GradedModule) -> tup
 
 
 def _hexagon_two_sides(u: GradedModule, v: GradedModule, w: GradedModule) -> tuple[ModuleMap, ModuleMap]:
-    """The two sides of hexagon_two_holds; w may be any module."""
+    """The two sides of the second hexagon: c_{U(x)V,W}, and the
+    compositor-corrected two-step braiding; w may be any module."""
     i = _require_homogeneous(u, "hexagon")
     j = _require_homogeneous(v, "hexagon")
     lhs = braid(fuse(u, v), w)
@@ -528,7 +546,9 @@ def _hexagon_two_sides(u: GradedModule, v: GradedModule, w: GradedModule) -> tup
 
 
 def _action_braiding_sides(i: int, u: GradedModule, v: GradedModule) -> tuple[ModuleMap, ModuleMap]:
-    """The two sides of action_braiding_holds; v may be any module."""
+    """The two sides of the action-braiding square: the sector shift of the
+    braiding, and the braiding of the shifted modules, each followed by a
+    compositor; v may be any module."""
     j = _require_homogeneous(u, "action-braiding")
     J = u.ext.J
     lhs = j_act_map(i, braid(u, v)).then(
@@ -539,22 +559,6 @@ def _action_braiding_sides(i: int, u: GradedModule, v: GradedModule) -> tuple[Mo
         tensor_map(compositor(iji, i, v), identity_map(j_act(i, u)))
     )
     return lhs, rhs
-
-
-def hexagon_one_holds(u: GradedModule, v: GradedModule, w: GradedModule) -> bool:
-    """c_{U,V(x)W} equals (id (x) c_{U,W}) after (c_{U,V} (x) id)."""
-    return ModuleMap.equals(*_hexagon_one_sides(u, v, w))
-
-
-def hexagon_two_holds(u: GradedModule, v: GradedModule, w: GradedModule) -> bool:
-    """c_{U(x)V,W} equals the compositor-corrected two-step braiding."""
-    return ModuleMap.equals(*_hexagon_two_sides(u, v, w))
-
-
-def action_braiding_holds(i: int, u: GradedModule, v: GradedModule) -> bool:
-    """The sector shift of the braiding matches the braiding of the shifted
-    modules, up to compositors."""
-    return ModuleMap.equals(*_action_braiding_sides(i, u, v))
 
 
 def twist_product_holds(u: GradedModule, v: GradedModule) -> bool:

@@ -198,12 +198,12 @@ def orbifold_ribbon(sd: SectorDouble, ohat: Optional[TableHopf] = None) -> Ribbo
     return RibbonData(hopf=ohat, r_matrix=rhat, r_inverse=rhat_inv, ribbon=ribbon, ribbon_inverse=twist)
 
 
-def psi_permutation(sd: SectorDouble, section: Optional[Sequence[int]] = None) -> list[int]:
+def psi_permutation(sd: SectorDouble) -> list[int]:
     """Basis relabeling (delta_m (x) g) (x) j |-> delta_m (x) incl(g)s(j),
     from the crossed product onto the double of H."""
     ext = sd.ext
     H, J = ext.H, ext.J
-    s = ext.section if section is None else tuple(section)
+    s = ext.section
     n_j = J.order
     perm = [0] * (sd.hopf.dim * n_j)
     for m in range(H.order):
@@ -214,9 +214,7 @@ def psi_permutation(sd: SectorDouble, section: Optional[Sequence[int]] = None) -
     return perm
 
 
-def psi_check(
-    sd: SectorDouble, rib: RibbonData, dh: SectorDouble, section: Optional[Sequence[int]] = None
-) -> VerifyReport:
+def psi_check(sd: SectorDouble, rib: RibbonData, dh: SectorDouble) -> VerifyReport:
     """Exhaustive comparison of the crossed product of the graded double sd,
     with its braiding and ribbon elements rib (from orbifold_ribbon), and the
     ordinary double dh of H (from double_algebra) under the basis relabeling.
@@ -227,12 +225,11 @@ def psi_check(
     `rowscans.first_unmapped_product`),
     `coproduct` with the counit on every basis element (witness: (x,)), and
     `rmatrix` and `twist`, which compare the assembled braiding and inverse
-    twist with their counterparts in the double of H (witness: ()). A
-    non-left-normalized section is accepted for negative controls.
+    twist with their counterparts in the double of H (witness: ()).
     """
     big = dh.hopf
     ohat = rib.hopf
-    perm = psi_permutation(sd, section)
+    perm = psi_permutation(sd)
     basis = range(ohat.dim)
 
     def map_vec(vec: SparseVec) -> SparseVec:

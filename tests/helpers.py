@@ -1,10 +1,11 @@
 """Small test-only helpers: group predicates, actions and characters no
-program path needs, and a changed copy of a record."""
+program path needs, and changed copies of a record and of a matrix."""
 
 import copy
 
 from equidouble.groupoids import InertiaData
 from equidouble.groups import FiniteGroup, GroupAction
+from equidouble.linalg import ExactMatrix
 
 
 def is_abelian(group: FiniteGroup) -> bool:
@@ -28,3 +29,15 @@ def replaced(record, **changes):
     for name, value in changes.items():
         setattr(out, name, value)
     return out
+
+
+def with_entries(m: ExactMatrix, entries: dict) -> ExactMatrix:
+    """A new matrix with m's entries and entries[i, j] at each (i, j) given;
+    m itself is unchanged. As in every built matrix, an int zero is not
+    stored and a zero of another type is."""
+    data = m.data
+    for (i, j), x in entries.items():
+        if not (0 <= i < m.rows and 0 <= j < m.cols):
+            raise IndexError(f"entry ({i}, {j}) outside a {m.rows}x{m.cols} matrix")
+        data[i * m.cols + j] = x
+    return ExactMatrix(m.rows, m.cols, data)

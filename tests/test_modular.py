@@ -1,10 +1,12 @@
 """Graded modules, braiding and twist diagrams, S-matrix."""
 
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from helpers import with_entries
 
 from equidouble import cli, modular
 from equidouble.catalogue import extension_by_name, extension_names
@@ -24,15 +26,12 @@ from equidouble.modular import (
     DiagramReport,
     GradedModule,
     ModuleMap,
-    action_braiding_holds,
     braid,
     check_equivariant_diagrams,
     compositor,
     dual_map,
     dual_module,
     fuse,
-    hexagon_one_holds,
-    hexagon_two_holds,
     identity_map,
     j_act,
     j_act_map,
@@ -230,14 +229,9 @@ def test_mixed_degree_module_has_no_twist():
     grades = a.grades + b.grades
     mats = []
     for g in range(ext.G.order):
-        m = ExactMatrix.zeros(a.dim + b.dim, a.dim + b.dim)
-        for r in range(a.dim):
-            for c in range(a.dim):
-                m[r, c] = a.act(g)[r, c]
-        for r in range(b.dim):
-            for c in range(b.dim):
-                m[a.dim + r, a.dim + c] = b.act(g)[r, c]
-        mats.append(m)
+        top = [[a.act(g)[r, c] for c in range(a.dim)] + [0] * b.dim for r in range(a.dim)]
+        bottom = [[0] * a.dim + [b.act(g)[r, c] for c in range(b.dim)] for r in range(b.dim)]
+        mats.append(ExactMatrix.from_rows(top + bottom))
     mixed = GradedModule(ext, grades, mats)
     assert mixed.degree() is None
     with pytest.raises(UsageError):
@@ -247,14 +241,18 @@ def test_mixed_degree_module_has_no_twist():
 def test_module_constructors_reject_bad_data():
     ext = a3_in_s3()
     v = simples_of_double(ext)[-1]
-    bad = [m.copy() for m in v.matrices]
-    bad[0][0, 0] = Fraction(2)
+    bad = list(v.matrices)
+    bad[0] = with_entries(bad[0], {(0, 0): Fraction(2)})
     with pytest.raises(UsageError):
         GradedModule(ext, v.grades, bad)
     with pytest.raises(UsageError):
         GradedModule(ext, (ext.section[1],), [ExactMatrix.identity(1)] * ext.G.order)
     with pytest.raises(UsageError):
         ModuleMap(v, v, ExactMatrix.zeros(2, v.dim))
+    z = z2_in_z4()
+    for grade in (99, "a", True, -1):
+        with pytest.raises(UsageError, match=re.escape(f"grade {grade!r} is not an element index")):
+            GradedModule(z, (grade,), [ExactMatrix.identity(1)] * z.G.order)
 
 
 def test_braid_twist_compositor_are_invertible_intertwiners():
@@ -315,7 +313,7 @@ def test_negative_control_sign_flipped_braiding_breaks_a_hexagon():
     u, v, w = simples[-1], simples[2], simples[5]
     assert hexagon_one_holds(u, v, w)
     good = braid(u, fuse(v, w))
-    flipped = ModuleMap(good.source, good.target, good.matrix.scale(Fraction(-1)))
+    flipped = ModuleMap(good.source, good.target, with_entries(good.matrix, {(r, c): -x for r, c, x in good.matrix.nonzeros()}))
     i = u.degree()
     rhs = tensor_map(braid(u, v), identity_map(w)).then(
         tensor_map(identity_map(j_act(i, v)), braid(u, w))
@@ -338,9 +336,8 @@ def test_negative_control_inverted_grade_braiding_fails_r_comparison():
     v = w = cycles[0]
     source = fuse(v, w)
     target = fuse(j_act(v.degree(), w), v)
-    mat = ExactMatrix.zeros(target.dim, source.dim)
     u = ext.g_of(H.inv[v.grades[0]])
-    mat[0, 0] = w.act(u)[0, 0]
+    mat = with_entries(ExactMatrix.zeros(target.dim, source.dim), {(0, 0): w.act(u)[0, 0]})
     wrong = ModuleMap(source, target, mat)
     assert not wrong.equals(braid(v, w))
     assert not wrong.equals(r_action_map(sd, v, w))
@@ -399,9 +396,9 @@ def test_negative_control_sign_flipped_action_entry_fails_two_diagrams():
     simples = simples_of_double(ext)
     v = next(s for s in simples if s.dim >= 2)
     for g in (1, 2):
-        mats = [m.copy() for m in v.matrices]
+        mats = list(v.matrices)
         r, c, x = next(mats[g].nonzeros())
-        mats[g][r, c] = -x
+        mats[g] = with_entries(mats[g], {(r, c): -x})
         bad = GradedModule(ext, v.grades, mats, name="bad")
         report = check_equivariant_diagrams(ext, [simples[0], bad, simples[-1]])
         last = simples[-1].name
@@ -558,6 +555,22 @@ def test_single_diagram_helpers_accept_shifted_modules():
 # -- the diagram suite against its per-tuple oracle -----------------------------
 
 
+def hexagon_one_holds(u, v, w):
+    """c_{U,V(x)W} equals (id (x) c_{U,W}) after (c_{U,V} (x) id)."""
+    return ModuleMap.equals(*modular._hexagon_one_sides(u, v, w))
+
+
+def hexagon_two_holds(u, v, w):
+    """c_{U(x)V,W} equals the compositor-corrected two-step braiding."""
+    return ModuleMap.equals(*modular._hexagon_two_sides(u, v, w))
+
+
+def action_braiding_holds(i, u, v):
+    """The sector shift of the braiding matches the braiding of the shifted
+    modules, up to compositors."""
+    return ModuleMap.equals(*modular._action_braiding_sides(i, u, v))
+
+
 def per_tuple_report(ext, mods, sd):
     """The diagram suite with one composite per tuple, in the order of its
     nested loops: the oracle for check_equivariant_diagrams, which decides
@@ -604,13 +617,19 @@ def z1_in_s3():
     return extension_from_subgroup(symmetric_group(3), [0], name="Z1-S3")
 
 
-@pytest.mark.parametrize(
-    "make",
-    [a3_in_s3, z2_in_z4, z2_in_d6, z1_in_s3, lambda: extension_by_name("Z2-Q8"), lambda: extension_by_name("Z4-D4")],
-    ids=["A3-S3", "Z2-Z4", "Z2-D6", "Z1-S3", "Z2-Q8", "Z4-D4"],
-)
-def test_the_suite_on_direct_sums_matches_the_per_tuple_oracle(make):
-    ext = make()
+DIRECT_SUM_EXTENSIONS = {
+    "A3-S3": a3_in_s3,
+    "Z2-Z4": z2_in_z4,
+    "Z2-D6": z2_in_d6,
+    "Z1-S3": z1_in_s3,
+    "Z2-Q8": lambda: extension_by_name("Z2-Q8"),
+    "Z4-D4": lambda: extension_by_name("Z4-D4"),
+}
+
+
+@pytest.mark.parametrize("name", list(DIRECT_SUM_EXTENSIONS))
+def test_the_suite_on_direct_sums_matches_the_per_tuple_oracle(name):
+    ext = DIRECT_SUM_EXTENSIONS[name]()
     assert agrees_with_the_oracle(ext, simples_of_double(ext), sector_double(ext)) == []
 
 
@@ -641,6 +660,54 @@ def test_corrupted_weak_actions_fail_the_suite_as_they_fail_the_oracle(make, cor
     assert agrees_with_the_oracle(ext, simples, sd)
 
 
+def r_action_oracle(sd, v, w):
+    """r_action_map as it was built entry by entry: each (module, basis
+    index) leg walks the action of its g and keeps the rows graded by its h,
+    and each term of the R-matrix adds into its entry."""
+    legs = {}
+
+    def leg(mod, idx):
+        if (id(mod), idx) not in legs:
+            h, g = sd.label_of(idx)
+            legs[id(mod), idx] = [(r, c, x) for r, c, x in mod.act(g).nonzeros() if mod.grades[r] == h]
+        return legs[id(mod), idx]
+
+    sums = {}
+    for ten in sd.r_sector.values():
+        for (a1, a2), coef in ten.items():
+            for r_out, r_in, c1 in leg(v, a1):
+                for s_out, s_in, c2 in leg(w, a2):
+                    key = (s_out * v.dim + r_out, r_in * w.dim + s_in)
+                    sums[key] = sums.get(key, 0) + coef * c1 * c2
+    matrix = with_entries(ExactMatrix.zeros(w.dim * v.dim, v.dim * w.dim), sums)
+    return ModuleMap(fuse(v, w), fuse(j_act(v.degree(), w), v), matrix)
+
+
+@pytest.mark.parametrize(
+    "name, corrupt",
+    [(name, None) for name in DIRECT_SUM_EXTENSIONS]
+    # corrupt_untwist needs a second element of G, corrupt_rho a J of order 2
+    + [(name, corrupt_untwist) for name in DIRECT_SUM_EXTENSIONS if name != "Z1-S3"]
+    + [(name, corrupt_rho) for name in ("A3-S3", "Z2-Z4", "Z4-D4")],
+    ids=lambda x: x.__name__ if callable(x) else str(x),
+)
+def test_the_one_pass_r_action_map_equals_the_entry_by_entry_oracle(name, corrupt):
+    """r_action_map walks each action once, split by row grade; on each
+    simple against the direct sum of them all, as the suite calls it, it
+    stores the oracle's entries with their types, also once untwist or rho
+    is corrupted after the sector double."""
+    ext = DIRECT_SUM_EXTENSIONS[name]()
+    sd = sector_double(ext)
+    simples = simples_of_double(ext)
+    if corrupt is not None:
+        corrupt(ext)
+    total, _ = modular._direct_sum(ext, simples)
+    for u in simples:
+        got, want = r_action_map(sd, u, total), r_action_oracle(sd, u, total)
+        assert got.equals(want)
+        assert [type(x) for x in got.matrix.data] == [type(x) for x in want.matrix.data]
+
+
 def test_each_negated_entry_of_an_action_matrix_fails_as_in_the_oracle():
     """Negate each nonzero entry of the action of g = 1 on A3-S3's
     three-dimensional simple in turn; a sample holding the corrupted module
@@ -652,8 +719,8 @@ def test_each_negated_entry_of_an_action_matrix_fails_as_in_the_oracle():
     entries = list(v.act(1).nonzeros())
     assert len(entries) >= 3
     for r, c, x in entries:
-        mats = [m.copy() for m in v.matrices]
-        mats[1][r, c] = -x
+        mats = list(v.matrices)
+        mats[1] = with_entries(mats[1], {(r, c): -x})
         bad = GradedModule(ext, v.grades, mats, name="bad")
         assert agrees_with_the_oracle(ext, [simples[0], bad, simples[-1]], sd)
         failures = agrees_with_the_oracle(ext, [bad, bad, simples[-1]], sd)
@@ -739,8 +806,8 @@ def test_normalized_simples_give_the_conductor_form_reports(name):
 
 
 def negated(v, g, r, c):
-    mats = [m.copy() for m in v.matrices]
-    mats[g][r, c] = -mats[g][r, c]
+    mats = list(v.matrices)
+    mats[g] = with_entries(mats[g], {(r, c): -mats[g][r, c]})
     return GradedModule(v.ext, v.grades, mats, name="bad")
 
 

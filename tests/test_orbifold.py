@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import chain, product
 
 import pytest
+from helpers import with_entries
 from sparse_oracle import SparseProducts, rebuilt, take_sparse_products
 
 import equidouble
@@ -139,13 +140,10 @@ def solved_inverse(hopf, x):
     """The inverse of x in the table algebra by an exact linear solve of
     x y = 1: the oracle for the closed forms of orbifold_ribbon."""
     n = hopf.dim
-    lmul = ExactMatrix.zeros(n, n)
-    for k in range(n):
-        for r, c in SparseProducts(hopf).mul_vec(x, {k: ONE}).items():
-            lmul[r, k] = c
-    rhs = ExactMatrix.zeros(n, 1)
-    for r, c in hopf.unit.items():
-        rhs[r, 0] = c
+    products = SparseProducts(hopf)
+    columns = {(r, k): c for k in range(n) for r, c in products.mul_vec(x, {k: ONE}).items()}
+    lmul = with_entries(ExactMatrix.zeros(n, n), columns)
+    rhs = with_entries(ExactMatrix.zeros(n, 1), {(r, 0): c for r, c in hopf.unit.items()})
     sol = solve(lmul, rhs)
     return {k: sol[k, 0] for k in range(n) if sol[k, 0]}
 
@@ -254,13 +252,15 @@ def test_psi_negative_control_bad_section_fails_product_with_witness():
     ext = z2_in_z4()
     bad_section = (2, 1)
     sd = sector_double(ext)
-    report = psi_check(sd, orbifold_ribbon(sd), double_algebra(ext.H), section=bad_section)
+    rib, dh = orbifold_ribbon(sd), double_algebra(ext.H)
+    ext.section = bad_section
+    report = psi_check(sd, rib, dh)
     assert report.checks["bijective"]
     assert not report.checks["product"]
     assert "product" in report.witnesses
     # the witness pair alone shows the relabeled products differ
     x, y = report.witnesses["product"]
-    perm = psi_permutation(sd, bad_section)
+    perm = psi_permutation(sd)
     got = {perm[k]: c for k, c in orbifold_algebra(sd).mul_basis(x, y).items()}
     assert not sparse_eq(got, double_algebra(ext.H).hopf.mul_basis(perm[x], perm[y]))
 
@@ -275,22 +275,18 @@ def test_module_converter_round_trip_on_regular_module():
     n_j = ext.J.order
 
     def rho_tilde(x: int) -> ExactMatrix:
-        mat = ExactMatrix.zeros(n, n)
+        entries = {}
         for col in range(n):
             prod = dh.hopf.mul_basis(perm[x], perm[col])
-            back = {perm.index(k): c for k, c in prod.items()}
-            for row, c in back.items():
-                mat[row, col] = c
-        return mat
+            for k, c in prod.items():
+                entries[perm.index(k), col] = c
+        return with_entries(ExactMatrix.zeros(n, n), entries)
 
     def matrix_of(vec) -> ExactMatrix:
-        mat = ExactMatrix.zeros(n, n)
+        sums = [0] * (n * n)
         for x, cx in vec.items():
-            block = rho_tilde(x)
-            for r in range(n):
-                for c in range(n):
-                    mat[r, c] = mat[r, c] + cx * block[r, c]
-        return mat
+            sums = [s + cx * b for s, b in zip(sums, rho_tilde(x).data)]
+        return ExactMatrix(n, n, sums)
 
     psi_maps = []
     for j in range(n_j):
