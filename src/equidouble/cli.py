@@ -271,18 +271,23 @@ def _cmd_simples(config: RunConfig) -> tuple[dict, bool]:
     return report, True
 
 
-def _category_payload(ext, config: RunConfig, sd=None) -> dict:
-    """Diagram suite on the simples within --budget-dim; --sampled keeps the
-    first, middle and last of them. sd is the extension's sector double, when
-    the caller has built it."""
-    from .modular import check_equivariant_diagrams, simples_of_double
-
-    simples = simples_of_double(ext)
+def _category_sample(simples: list, config: RunConfig) -> list:
+    """The simples within --budget-dim; --sampled keeps the first, middle
+    and last of them."""
     if config.budget_dim is not None:
         simples = [v for v in simples if v.dim <= config.budget_dim]
     if config.sampled and len(simples) > 3:
         picks = sorted({0, len(simples) // 2, len(simples) - 1})
         simples = [simples[i] for i in picks]
+    return simples
+
+
+def _category_payload(ext, config: RunConfig, sd=None) -> dict:
+    """Diagram suite on the sample of simples; sd is the extension's sector
+    double, when the caller has built it."""
+    from .modular import check_equivariant_diagrams, simples_of_double
+
+    simples = _category_sample(simples_of_double(ext), config)
     rep = check_equivariant_diagrams(ext, simples, sd)
     return {
         "sample_size": len(simples),

@@ -23,13 +23,15 @@ grades and matrices come in; a matrix is read-only once built, so nothing
 derived from a checked one and cached can go stale. Fusions, shifts and
 duals are built unchecked, and each builder's docstring proves that the
 block condition carries over. Maps are judged by the diagrams of
-check_equivariant_diagrams, which name the modules; it builds the hexagons,
-the action-braiding square and the braid-R comparison once per pair, on the
-direct sum of the sample in the last slot.
+check_equivariant_diagrams, which name the modules; it builds each of its
+seven diagram families once per tuple of fixed slots, on a direct sum in the
+last slot: the sum of the sample, or of its modules of one sector where the
+slot must be homogeneous.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
 from math import lcm
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
@@ -45,6 +47,7 @@ if TYPE_CHECKING:
 
 
 _UNREAD = object()  # a module's degree before it is first read
+_EXACT = (int, Fraction, Cyclotomic)  # the classes of the exact scalars
 
 
 class GradedModule:
@@ -76,11 +79,17 @@ class GradedModule:
             raise UsageError("identity of G must act as the identity matrix")
         H = ext.H
         for g, mat in enumerate(self._acts):
+            if not isinstance(mat, ExactMatrix):
+                raise UsageError(f"action of g={g} is not an ExactMatrix")
             if mat.rows != self.dim or mat.cols != self.dim:
                 raise UsageError("action matrices must be square of the module dimension")
             hg = ext.incl(g)
-            if any(grades[r] != H.conj(hg, grades[c]) for r, c, _ in mat.nonzeros()):
-                raise UsageError(f"action of g={g} violates the grade-conjugation block condition")
+            for r, c, x in mat.nonzeros():
+                # the class, not isinstance: a bool is no exact scalar
+                if x.__class__ not in _EXACT:
+                    raise UsageError(f"action of g={g} has the inexact entry {x!r}")
+                if grades[r] != H.conj(hg, grades[c]):
+                    raise UsageError(f"action of g={g} violates the grade-conjugation block condition")
 
     def _attach(
         self, ext: GroupExtension, dim: int, factors: tuple, grades: Optional[tuple], name: Optional[str], acts: list
@@ -561,9 +570,10 @@ def _action_braiding_sides(i: int, u: GradedModule, v: GradedModule) -> tuple[Mo
     return lhs, rhs
 
 
-def twist_product_holds(u: GradedModule, v: GradedModule) -> bool:
-    """The twist of a product factors through the two twists, two braidings
-    and two compositors."""
+def _twist_product_sides(u: GradedModule, v: GradedModule) -> tuple[ModuleMap, ModuleMap]:
+    """The two sides of the twist-product diagram: the twist of U (x) V, and
+    the two twists followed by two braidings and two compositors; v must be
+    homogeneous, but may be a sum of modules of one sector."""
     i = _require_homogeneous(u, "twist diagram")
     j = _require_homogeneous(v, "twist diagram")
     J = u.ext.J
@@ -577,28 +587,30 @@ def twist_product_holds(u: GradedModule, v: GradedModule) -> bool:
         .then(braid(j_act(ij, v), j_act(i, u)))
         .then(tensor_map(compositor(iji, i, u), identity_map(j_act(ij, v))))
     )
-    return lhs.equals(rhs)
+    return lhs, rhs
 
 
-def twist_duality_holds(v: GradedModule) -> bool:
-    """The dual of the twist equals the twist of the shifted dual followed by
-    the compositor down to the plain dual."""
+def _twist_duality_sides(v: GradedModule) -> tuple[ModuleMap, ModuleMap]:
+    """The two sides of the twist-duality diagram: the dual of the twist, and
+    the twist of the shifted dual followed by the compositor down to the
+    plain dual."""
     j = _require_homogeneous(v, "twist diagram")
     J = v.ext.J
     dv = dual_module(v)
     lhs = dual_map(twist(v))
     rhs = twist(j_act(j, dv)).then(compositor(J.inv[j], j, dv))
-    return lhs.equals(rhs)
+    return lhs, rhs
 
 
-def twist_action_holds(i: int, v: GradedModule) -> bool:
-    """Shifting the twist and twisting the shift agree through compositors."""
+def _twist_action_sides(i: int, v: GradedModule) -> tuple[ModuleMap, ModuleMap]:
+    """The two sides of the twist-action diagram: the shift of the twist and
+    the twist of the shift, each followed by a compositor."""
     j = _require_homogeneous(v, "twist diagram")
     J = v.ext.J
     iji = J.mul(J.mul(i, j), J.inv[i])
     lhs = j_act_map(i, twist(v)).then(compositor(i, j, v))
     rhs = twist(j_act(i, v)).then(compositor(iji, i, v))
-    return lhs.equals(rhs)
+    return lhs, rhs
 
 
 def _direct_sum(ext: GroupExtension, mods: Sequence[GradedModule]) -> tuple[GradedModule, list[int]]:
@@ -624,7 +636,8 @@ def _direct_sum(ext: GroupExtension, mods: Sequence[GradedModule]) -> tuple[Grad
 
 def _failing_blocks(lhs: ModuleMap, rhs: ModuleMap, block_of: list[int]) -> set[int]:
     """The blocks of the direct sum in the last source leg whose columns
-    differ between the two sides; all of them if the modules differ."""
+    differ between the two sides, all of them if the modules differ; block
+    labels are read from block_of, one per vector of the sum."""
     if not (lhs.source == rhs.source and lhs.target == rhs.target):
         return set(block_of)
     if lhs.matrix == rhs.matrix:
@@ -647,18 +660,30 @@ def check_equivariant_diagrams(
     built here unless the caller passes the one it has. Verdicts are
     recorded per tuple, in the order of nested loops.
 
-    The hexagons, the action-braiding square and the braid-R comparison are
-    built once per (u, v), (i, u) or u, with S, the direct sum of the
-    sample, in the last slot: the last leg of the source. Their maps are
-    sums (the R-matrix) of maps that permute legs and act on each leg by an
-    action matrix, its rows of one grade, or the identity. On S, and on each
-    shift of S, these are block-diagonal, block c being the same matrix for
-    mods[c], so their sums and composites are too: the column at a source
-    vector whose S coordinate lies in block c is the composite's for
+    Each diagram is built once per tuple of its fixed slots, with a direct
+    sum in its last slot, the last leg of the source. The hexagons, the
+    action-braiding square and the braid-R comparison take S, the direct sum
+    of the sample, once per (u, v), (i, u) or u. The twist diagrams need
+    that slot homogeneous, so they take S_j, the direct sum of the sample
+    modules of sector j in sample order, once per (u, j), (i, j) or j.
+
+    Their maps are sums (the R-matrix) and composites of maps of four
+    kinds: maps that permute legs and act on each leg by an action matrix,
+    its rows of one grade, or the identity; the twist, whose column at a
+    vector of grade h is that of the action matrix of untwist[h]; the dual
+    of a map, its transpose; and the compositors, one action matrix each.
+    On a sum T of modules mods[c] (S or S_j), on each shift and the dual of
+    T, and on fusions with one of them last, every action matrix is
+    block-diagonal in the last leg, block c being the matrix for mods[c]:
+    shifts and duals act block by block, and a vector's grade is its grade
+    in the module with mods[c] in place of T. So all four kinds, and their
+    sums and composites, are block-diagonal too: the column at a source
+    vector whose T coordinate lies in block c is the composite's for
     mods[c], that coordinate renumbered, and zero outside the block. Both
-    sides' sources and targets are fusions of the same modules. So the tuple
-    with mods[c] last fails exactly when the sides differ in a column of
-    block c."""
+    sides' sources and targets are the same modules: fusions of the same
+    factors, equal shifts (the shift by the unit of J changes nothing), or
+    dual(j.T) and j.(dual T), equal because rho_y(g^-1) = rho_y(g)^-1. So the tuple with mods[c] last fails exactly
+    when the sides differ in a column of block c."""
     mods = list(sample) if sample is not None else simples_of_double(ext)
     for v in mods:
         if v.degree() is None:
@@ -673,6 +698,16 @@ def check_equivariant_diagrams(
     names = [m.name for m in mods]
     J = ext.J
     total, block_of = _direct_sum(ext, mods)
+    sector_sums = []
+    for j in dict.fromkeys(m.degree() for m in mods):
+        members = [a for a, m in enumerate(mods) if m.degree() == j]
+        part, blocks = _direct_sum(ext, [mods[a] for a in members])
+        sector_sums.append((part, [members[c] for c in blocks]))
+
+    def failing_in_sectors(sides) -> set[int]:
+        """The sample positions at which the diagram with sides(S_j) fails."""
+        return set().union(*(_failing_blocks(*sides(part), blocks) for part, blocks in sector_sums))
+
     for a, u in enumerate(mods):
         for b, v in enumerate(mods):
             one = _failing_blocks(*_hexagon_one_sides(u, v, total), block_of)
@@ -687,14 +722,17 @@ def check_equivariant_diagrams(
             for b, name in enumerate(names):
                 report.record("action-braiding", (J.labels[i], names[a], name), b not in failing)
     for a, u in enumerate(mods):
+        product = failing_in_sectors(lambda part: _twist_product_sides(u, part))
         failing = _failing_blocks(braid(u, total), r_action_map(sd, u, total), block_of)
-        for b, v in enumerate(mods):
-            labels = (names[a], names[b])
-            report.record("twist-product", labels, twist_product_holds(u, v))
+        for b, name in enumerate(names):
+            labels = (names[a], name)
+            report.record("twist-product", labels, b not in product)
             report.record("braid-equals-r-action", labels, b not in failing)
     for i in range(J.order):
-        for a, v in enumerate(mods):
-            report.record("twist-action", (J.labels[i], names[a]), twist_action_holds(i, v))
-    for a, v in enumerate(mods):
-        report.record("twist-duality", (names[a],), twist_duality_holds(v))
+        failing = failing_in_sectors(lambda part: _twist_action_sides(i, part))
+        for a, name in enumerate(names):
+            report.record("twist-action", (J.labels[i], name), a not in failing)
+    failing = failing_in_sectors(_twist_duality_sides)
+    for a, name in enumerate(names):
+        report.record("twist-duality", (name,), a not in failing)
     return report

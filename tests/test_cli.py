@@ -433,6 +433,46 @@ def test_no_module_imports_dataclasses():
                 assert node.module != "dataclasses", path.name
 
 
+# The library API of ROADMAP item 2: module-level names no src/ code reaches.
+UNREFERENCED_LIBRARY_API = {
+    "conjugation_action",
+    "decompose_character",
+    "dw_invariant",
+    "find_isomorphism",
+    "hom_groupoid",
+    "homomorphisms",
+    "surface_state_dim",
+    "weak_action_to_extension",
+    "weak_actions_isomorphic",
+}
+
+
+def test_src_holds_no_test_only_code():
+    """Every module-level function and class of the package is referenced by
+    name, attribute or import from some other top-level statement of the
+    package, or is listed library API: a helper only the tests call belongs
+    in the tests."""
+    defined = {}
+    referenced = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for k, stmt in enumerate(ast.parse(path.read_text(encoding="utf-8")).body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(stmt.name, set()).add((path.name, k))
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names.update(alias.name.rpartition(".")[2] for alias in node.names)
+            referenced.append(((path.name, k), names))
+    unreferenced = {
+        name for name, where in defined.items() if not any(name in names for at, names in referenced if at not in where)
+    }
+    assert unreferenced == UNREFERENCED_LIBRARY_API
+
+
 def test_readme_flag_table_lists_each_subcommand_flags():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `--([a-z-]+)[^`]*` \| ([^|]+) \|", readme, re.MULTILINE)

@@ -2,6 +2,7 @@
 
 import json
 import re
+from collections import Counter
 import tracemalloc
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from equidouble.groupoids import simple_objects
 from equidouble.groups import (
     GroupExtension,
     action_via_hom,
+    conjugacy_data,
     cyclic_group,
     dihedral_group,
     extension_from_subgroup,
@@ -42,9 +44,6 @@ from equidouble.modular import (
     tensor_map,
     trivial_extension,
     twist,
-    twist_action_holds,
-    twist_duality_holds,
-    twist_product_holds,
 )
 from equidouble.scalars import Cyclotomic
 
@@ -253,6 +252,11 @@ def test_module_constructors_reject_bad_data():
     for grade in (99, "a", True, -1):
         with pytest.raises(UsageError, match=re.escape(f"grade {grade!r} is not an element index")):
             GradedModule(z, (grade,), [ExactMatrix.identity(1)] * z.G.order)
+    with pytest.raises(UsageError, match="g=1 is not an ExactMatrix"):
+        GradedModule(z, (0,), [ExactMatrix.identity(1), [[1]]])
+    for entry in (1.5, True):
+        with pytest.raises(UsageError, match=re.escape(f"inexact entry {entry!r}")):
+            GradedModule(z, (0,), [ExactMatrix.identity(1), ExactMatrix.from_rows([[entry]])])
 
 
 def test_braid_twist_compositor_are_invertible_intertwiners():
@@ -571,11 +575,27 @@ def action_braiding_holds(i, u, v):
     return ModuleMap.equals(*modular._action_braiding_sides(i, u, v))
 
 
+def twist_product_holds(u, v):
+    """The twist of a product factors through the two twists, two braidings
+    and two compositors."""
+    return ModuleMap.equals(*modular._twist_product_sides(u, v))
+
+
+def twist_duality_holds(v):
+    """The dual of the twist equals the twist of the shifted dual followed by
+    the compositor down to the plain dual."""
+    return ModuleMap.equals(*modular._twist_duality_sides(v))
+
+
+def twist_action_holds(i, v):
+    """Shifting the twist and twisting the shift agree through compositors."""
+    return ModuleMap.equals(*modular._twist_action_sides(i, v))
+
+
 def per_tuple_report(ext, mods, sd):
     """The diagram suite with one composite per tuple, in the order of its
     nested loops: the oracle for check_equivariant_diagrams, which decides
-    the hexagons, the action-braiding square and the braid-R comparison on
-    the direct sum of the sample."""
+    every family on direct sums, the sample's or its sector parts."""
     report = DiagramReport()
     names = [m.name for m in mods]
     J = ext.J
@@ -658,6 +678,34 @@ def test_corrupted_weak_actions_fail_the_suite_as_they_fail_the_oracle(make, cor
     simples = simples_of_double(ext)
     corrupt(ext)
     assert agrees_with_the_oracle(ext, simples, sd)
+
+
+def v4_in_s4():
+    """The Klein four-group in S4, J = S3: 30 simples of dimension 1, 2 or 4,
+    two sectors holding one four-dimensional simple each."""
+    s4 = symmetric_group(4)
+    klein = next(c for c in conjugacy_data(s4).classes if len(c) == 3)
+    return extension_from_subgroup(s4, [0, *klein], name="V4-S4")
+
+
+@pytest.mark.parametrize(
+    "make, flags, per_sector",
+    [
+        (lambda: extension_by_name("A4-S4"), {"sampled": True}, {0: 2, 1: 1}),
+        (lambda: extension_by_name("V4-A4"), {"sampled": True}, {0: 3}),
+        (v4_in_s4, {"budget_dim": 2, "sampled": True}, {0: 2, 5: 1}),
+    ],
+    ids=["A4-S4-sampled", "V4-A4-sampled", "V4-S4-budget-dim"],
+)
+def test_the_suite_matches_the_oracle_on_the_samples_the_cli_draws(make, flags, per_sector):
+    """verify-category's samples leave sectors with one module or none, the
+    sector sums' edge cases: A4-S4's --sampled picks hold one module of
+    sector 1, V4-A4's none of sectors 1 and 2, and V4-S4's --budget-dim 2
+    --sampled picks one of sector 5 and none of sectors 1 to 4."""
+    ext = make()
+    mods = cli._category_sample(simples_of_double(ext), cli.RunConfig("verify-category", **flags))
+    assert Counter(v.degree() for v in mods) == per_sector
+    assert agrees_with_the_oracle(ext, mods, sector_double(ext)) == []
 
 
 def r_action_oracle(sd, v, w):
@@ -783,7 +831,7 @@ def conductor_form_simples(ext):
 
 def sampled(mods):
     """The first, middle and last module, as verify-category --sampled picks."""
-    return [mods[i] for i in sorted({0, len(mods) // 2, len(mods) - 1})]
+    return cli._category_sample(mods, cli.RunConfig("verify-category", sampled=True))
 
 
 SMALL_CATALOGUE = [name for name in extension_names() if extension_by_name(name).H.order <= 12]
