@@ -20,18 +20,19 @@ basis pairs with scalar coefficients. `TableHopf` derives its integer rows
 once, when it is built, and takes every product from them: a row lookup
 times the coefficient, which is 1 unless the table stores it (no table the
 builders make has one stored). Building a table with a product of two or
-more terms raises UsageError, and a built table is read-only. When every
-coefficient is 1 (`TableHopf.ones`), associativity and
-comultiplication_multiplicative are integer predicates, which hold on
-exactly the tuples the definitional ones hold on, and a check that runs on
-every tuple is decided on a generating set of the table (module
-`rowscans`, loaded only then): associativity always (Light's test), and
+more terms, or a unit, coproduct or antipode term keyed off the basis,
+raises UsageError, and a built table is read-only. When every coefficient
+is 1 (`TableHopf.ones`), associativity and comultiplication_multiplicative
+are integer predicates, which hold on exactly the tuples the definitional
+ones hold on, and each check of `REDUCTION_PREMISES` that runs on every
+tuple is decided on a generating set of the table by
+`rowscans.reduced_check` (the module is loaded only then) once the checks
+its proof needs have held on every tuple of the same table in the same run
+(`VerifyReport.held`): associativity always (Light's test), and
 comultiplication_multiplicative, coassociativity, r_intertwines_coproducts
-and ribbon_central once the checks their proofs need (`REDUCTION_PREMISES`)
-have held on every tuple of the same table in the same run (`Premises`). A
-reduced check that fails runs on every tuple and reports that scan's first
-failure, so verdicts and witnesses are those of the predicate loops, which
-decide every other check.
+and ribbon_central after their premises. A reduced check that fails runs
+on every tuple and reports that run's first failure, so verdicts and
+witnesses are those of the predicate loops, which decide every other check.
 
 The structure constants are Python ints, built from `scalars.ZERO` and
 `scalars.ONE`. No operation here, in `doubles` or in `orbifold` divides a
@@ -112,13 +113,16 @@ class TableHopf:
     last row is all -1, so rows[rows[x][s]][y] and rows[x][rows[s][y]] read
     zero through a zero product without a branch. coefficients holds each c
     that is not exactly 1. A product of two or more terms, or one keyed off
-    the basis, raises UsageError naming the pair; a stored zero is no term.
-    The unit, counit, coproduct and antipode are a mapping, a tuple and
-    mappings of mappings, all read-only. pairs[k] is the sorted tuple of
-    pairs (x, y) with Delta(e_k) = sum of e_x (x) e_y, and pairs[-1] is
-    empty, when every nonzero product and coproduct coefficient is exactly 1
-    (`ones`); otherwise pairs is None. mul_vec and ten_mul are the products,
-    extended bilinearly; a key that is not a basis index has no product.
+    the basis, raises UsageError naming the pair, and a unit, coproduct or
+    antipode term keyed off the basis raises UsageError naming the map and
+    the key; a stored zero is no term. The unit, counit, coproduct and
+    antipode are a mapping, a tuple and mappings of mappings, all read-only.
+    pairs[k] is the sorted tuple of pairs (x, y) with
+    Delta(e_k) = sum of e_x (x) e_y, and pairs[-1] is empty, when every
+    nonzero product and coproduct coefficient is exactly 1 (`ones`);
+    otherwise pairs is None. mul_vec, ten_mul and counit_vec are the
+    products and the counit, extended linearly; a key that is not a basis
+    index has no product and no counit.
     """
 
     def __init__(
@@ -154,17 +158,29 @@ class TableHopf:
         self._comul = MappingProxyType({i: _frozen(t) for i, t in comul_table.items()})
         self._counit = tuple(counit_table)
         self._antipode = MappingProxyType({i: _frozen(v) for i, v in antipode_table.items()})
-        ones = not coefficients and all(
-            c == 1 and i in basis and x in basis and y in basis
-            for i, t in self._comul.items()
-            for (x, y), c in t.items()
-        )
+        on_basis = set(basis).issuperset
+        off = [("unit", k) for k in self.unit if not on_basis((k,))]
+        off += [(f"coproduct of {i}", key) for i, t in self._comul.items() for key in t if not on_basis((i, *key))]
+        off += [(f"antipode of {i}", k) for i, v in self._antipode.items() for k in v if not on_basis((i, k))]
+        if off:
+            raise UsageError("%r: the %s has a term keyed off the basis, at %r" % (self, *off[0]))
+        ones = not coefficients and all(c == 1 for t in self._comul.values() for c in t.values())
         self.pairs = tuple(tuple(sorted(self.comul_basis(i))) for i in basis) + ((),) if ones else None
+        self._generators: Optional[tuple[int, ...]] = None
 
     @property
     def ones(self) -> bool:
         """Whether every nonzero product and coproduct coefficient is exactly 1."""
         return self.pairs is not None
+
+    def generators(self) -> tuple[int, ...]:
+        """A generating set of the rows (`rowscans.generating_set`), found
+        on first use: the rows are read-only, so it never goes stale."""
+        if self._generators is None:
+            from .rowscans import generating_set
+
+            self._generators = tuple(generating_set(self.rows))
+        return self._generators
 
     def mul_basis(self, i: int, j: int) -> SparseVec:
         k = self.rows[i][j] if i in range(self.dim) and j in range(self.dim) else -1
@@ -174,7 +190,7 @@ class TableHopf:
         return self._comul.get(i, _EMPTY)
 
     def counit_basis(self, i: int) -> Scalar:
-        return self._counit[i]
+        return self._counit[i] if i in range(self.dim) else ZERO
 
     def antipode_basis(self, i: int) -> SparseVec:
         return self._antipode.get(i, _EMPTY)
@@ -249,7 +265,7 @@ class TableHopf:
     def counit_vec(self, a: SparseVec) -> Scalar:
         acc: Scalar = ZERO
         for i, c in a.items():
-            acc = acc + c * self._counit[i]
+            acc = acc + c * self.counit_basis(i)
         return acc
 
     def antipode_vec(self, a: SparseVec) -> SparseVec:
@@ -292,21 +308,6 @@ def first_failure(tuples: Iterable[tuple], holds: Callable[..., bool]) -> Option
     return None
 
 
-class Premises:
-    """What a run has established about one table, for the checks after it
-    to build on: `held`, the checks that held on every tuple of the table,
-    and `generators`, a generating set of its rows once one was found
-    (`rowscans.generating_set`). verify_all_axioms and verify_sector_double
-    hand the Hopf suite's premises to the quasitriangular and ribbon suites
-    of the same table."""
-
-    __slots__ = ("held", "generators")
-
-    def __init__(self, held: Optional[set[str]] = None, generators: Optional[list[int]] = None):
-        self.held = set() if held is None else held
-        self.generators = generators
-
-
 class VerifyReport:
     """Outcome of an axiom suite.
 
@@ -316,17 +317,21 @@ class VerifyReport:
     the error that stopped a construction under test. built is ribbon data
     a suite constructed, for its caller to reuse: verify_sector_double sets
     it to the crossed product once that has been built and checked.
-    premises is what the run established about its table (`Premises`).
+    held names the checks that held on every tuple of the run's table, with
+    those of earlier runs on the same table that it was handed: the
+    premises of the reduced checks (`REDUCTION_PREMISES`). verify_all_axioms
+    and verify_sector_double hand the Hopf suite's held to the
+    quasitriangular and ribbon suites of the same table.
     """
 
-    __slots__ = ("mode", "checks", "witnesses", "built", "premises")
+    __slots__ = ("mode", "checks", "witnesses", "built", "held")
 
-    def __init__(self, mode: str, premises: Optional[Premises] = None):
+    def __init__(self, mode: str, held: Optional[set[str]] = None):
         self.mode = mode
         self.checks: dict[str, bool] = {}
         self.witnesses: dict[str, tuple] = {}
         self.built: Optional[RibbonData] = None
-        self.premises = Premises() if premises is None else premises
+        self.held = set() if held is None else held
 
     @property
     def all_passed(self) -> bool:
@@ -361,11 +366,18 @@ class VerifyReport:
 
 # name -> (arity, predicate on a basis tuple of that arity); arity 0 is one identity
 Checks = dict[str, tuple[int, Callable[..., bool]]]
-# name -> (premises, scan): the names of the checks that must hold on every
-# tuple of the same table before the scan may decide the check of that name,
-# and a procedure that, given the run's Premises, returns the first basis
-# tuple in itertools.product order on which that check fails, or None
-Scans = dict[str, tuple[tuple[str, ...], Callable[[Premises], Optional[tuple]]]]
+
+# the checks decided by `rowscans.reduced_check` on a table whose
+# coefficients are all 1, each with the checks that must have held on every
+# tuple of the same table before it may be; that routine's docstring has
+# the proofs
+REDUCTION_PREMISES = {
+    "associativity": (),
+    "comultiplication_multiplicative": ("associativity",),
+    "coassociativity": ("comultiplication_multiplicative",),
+    "r_intertwines_coproducts": ("associativity", "comultiplication_multiplicative"),
+    "ribbon_central": ("associativity",),
+}
 
 
 def run_checks(
@@ -374,8 +386,8 @@ def run_checks(
     *,
     sampled: bool,
     samples: int,
-    scans: Optional[Scans] = None,
-    premises: Optional[Premises] = None,
+    reduce: Optional[Callable[[str, int, Callable[..., bool]], Optional[tuple]]] = None,
+    held: Optional[set[str]] = None,
 ) -> VerifyReport:
     """Run each check on every basis tuple of its arity in full mode. In
     sampled mode the k-th check of positive arity (k = 0, 1, ...) runs on
@@ -385,35 +397,34 @@ def run_checks(
     could find is found there too: the full product can only make a verdict
     stricter, and it costs no more tuples.
 
-    A check that runs on every tuple and has a scan in `scans` is decided by
-    the scan once each of its premises holds on every tuple of the table:
-    is in `premises`, the run's earlier findings about the same table, or is
-    a check of this run that runs on every tuple, decided first if it comes
-    later. The scan finds the same first failing tuple as the predicate
-    loop, which decides the check when a premise does not hold. Each check
-    that held on every tuple is added to the premises, which the report
-    carries."""
-    rep = VerifyReport("sampled" if sampled else "full", premises)
-    scans = scans or {}
+    When reduce is given, a check of REDUCTION_PREMISES that runs on every
+    tuple is decided by reduce(name, arity, predicate) once each of its
+    premises holds on every tuple of the table: is in `held`, the run's
+    earlier findings about the same table, or is a check of this run that
+    runs on every tuple, decided first if it comes later. reduce returns the
+    same first failing tuple as the predicate loop, which decides the check
+    when a premise does not hold. Each check that held on every tuple is
+    added to held, which the report carries."""
+    rep = VerifyReport("sampled" if sampled else "full", held)
     everywhere = {name for name, (arity, _) in checks.items() if not (sampled and samples < dim**arity)}
     decided: dict[str, Optional[tuple]] = {}
 
-    def held(name: str) -> bool:
+    def held_everywhere(name: str) -> bool:
         if name in everywhere and name not in decided:
             arity, holds = checks[name]
-            needs, scan = scans.get(name, ((), None))
-            if scan is not None and all(map(held, needs)):
-                decided[name] = scan(rep.premises)
+            needs = REDUCTION_PREMISES.get(name)
+            if reduce is not None and needs is not None and all(map(held_everywhere, needs)):
+                decided[name] = reduce(name, arity, holds)
             else:
                 decided[name] = first_failure(product(range(dim), repeat=arity), holds)
             if decided[name] is None:
-                rep.premises.held.add(name)
-        return name in rep.premises.held
+                rep.held.add(name)
+        return name in rep.held
 
     k = 0
     for name, (arity, holds) in checks.items():
         if name in everywhere:
-            held(name)
+            held_everywhere(name)
             rep.record(name, decided[name])
         else:
             rng = random.Random(k)
@@ -525,46 +536,26 @@ def _monomial_checks(h: TableHopf) -> Checks:
     }
 
 
-# the checks each reduced scan of module rowscans needs to have held on every
-# tuple of the same table; each scan's docstring has the proof
-REDUCTION_PREMISES = {
-    "associativity": (),
-    "comultiplication_multiplicative": ("associativity",),
-    "coassociativity": ("comultiplication_multiplicative",),
-    "r_intertwines_coproducts": ("associativity", "comultiplication_multiplicative"),
-    "ribbon_central": ("associativity",),
-}
-
-
-def _reduced_scans(h: TableHopf, checks: Checks) -> Scans:
-    """The scans of module rowscans for the checks it reduces, each on a
-    generating set of h's rows. The module is loaded, and the set
-    found, when the first of them runs: a run in which none runs loads
-    neither."""
-
-    def scan(name: str, premises: Premises) -> Optional[tuple]:
-        from . import rowscans
-
-        if premises.generators is None:
-            premises.generators = rowscans.generating_set(h.rows)
-        return rowscans.REDUCED[name](h, premises.generators, checks[name][1])
-
-    return {name: (needs, partial(scan, name)) for name, needs in REDUCTION_PREMISES.items() if name in checks}
-
-
 def _run_suite(
     h: TableHopf,
     checks_of: Callable[[TableHopf], Checks],
     samples: int,
     sampled: bool,
-    premises: Optional[Premises] = None,
+    held: Optional[set[str]] = None,
 ) -> VerifyReport:
     """The checks checks_of(h), which take their products from h. When its
-    coefficients are all 1, the checks that run on every tuple have the
-    reduced scans of `_reduced_scans`."""
-    checks = checks_of(h)
-    scans = _reduced_scans(h, checks) if h.ones else None
-    return run_checks(checks, h.dim, sampled=sampled, samples=samples, scans=scans, premises=premises)
+    coefficients are all 1, the reduced checks are decided by
+    `rowscans.reduced_check` on h; the module is loaded when the first of
+    them runs, so a run in which none runs loads none of it."""
+
+    def reduce(name: str, arity: int, holds: Callable[..., bool]) -> Optional[tuple]:
+        from .rowscans import reduced_check
+
+        return reduced_check(h, name, arity, holds)
+
+    return run_checks(
+        checks_of(h), h.dim, sampled=sampled, samples=samples, reduce=reduce if h.ones else None, held=held
+    )
 
 
 def verify_hopf(h: TableHopf, *, sampled: bool = False) -> VerifyReport:
@@ -638,12 +629,10 @@ def quasitriangular_checks(rd: RibbonData, products: TableHopf) -> Checks:
     }
 
 
-def verify_quasitriangular(
-    rd: RibbonData, *, sampled: bool = False, premises: Optional[Premises] = None
-) -> VerifyReport:
-    """The R-matrix axioms. premises are what the same run established about
-    rd.hopf, the report of verify_hopf(rd.hopf) included."""
-    return _run_suite(rd.hopf, partial(quasitriangular_checks, rd), RIBBON_SAMPLES, sampled, premises)
+def verify_quasitriangular(rd: RibbonData, *, sampled: bool = False, held: Optional[set[str]] = None) -> VerifyReport:
+    """The R-matrix axioms. held names the checks that held on every tuple
+    of rd.hopf earlier in the same run, as in verify_hopf(rd.hopf).held."""
+    return _run_suite(rd.hopf, partial(quasitriangular_checks, rd), RIBBON_SAMPLES, sampled, held)
 
 
 def ribbon_checks(rd: RibbonData, products: TableHopf) -> Checks:
@@ -670,9 +659,9 @@ def ribbon_checks(rd: RibbonData, products: TableHopf) -> Checks:
     }
 
 
-def verify_ribbon(rd: RibbonData, *, sampled: bool = False, premises: Optional[Premises] = None) -> VerifyReport:
-    """The ribbon axioms. premises are as for verify_quasitriangular."""
-    return _run_suite(rd.hopf, partial(ribbon_checks, rd), RIBBON_SAMPLES, sampled, premises)
+def verify_ribbon(rd: RibbonData, *, sampled: bool = False, held: Optional[set[str]] = None) -> VerifyReport:
+    """The ribbon axioms. held is as for verify_quasitriangular."""
+    return _run_suite(rd.hopf, partial(ribbon_checks, rd), RIBBON_SAMPLES, sampled, held)
 
 
 def verify_all_axioms(rd: RibbonData, *, sampled: bool = False) -> VerifyReport:
@@ -682,8 +671,8 @@ def verify_all_axioms(rd: RibbonData, *, sampled: bool = False) -> VerifyReport:
     hopf = verify_hopf(rd.hopf, sampled=sampled)
     for part in (
         hopf,
-        verify_quasitriangular(rd, sampled=sampled, premises=hopf.premises),
-        verify_ribbon(rd, sampled=sampled, premises=hopf.premises),
+        verify_quasitriangular(rd, sampled=sampled, held=hopf.held),
+        verify_ribbon(rd, sampled=sampled, held=hopf.held),
     ):
         out.checks.update(part.checks)
         out.witnesses.update(part.witnesses)

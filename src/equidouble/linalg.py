@@ -335,9 +335,3 @@ def solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     aug = [ra + rb for ra, rb in zip(_row_lists(a), _row_lists(b))]
     x = solve_rows(aug, a.cols)
     return ExactMatrix(a.cols, b.cols, [v for row in x for v in row])
-
-
-def inverse(a: ExactMatrix) -> ExactMatrix:
-    if a.rows != a.cols:
-        raise UsageError(f"inverse of a non-square {a.rows}x{a.cols} matrix")
-    return solve(a, ExactMatrix.identity(a.rows))

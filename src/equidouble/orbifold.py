@@ -272,8 +272,8 @@ def verify_sector_double(sd: SectorDouble, *, sampled: bool = False) -> VerifyRe
     sampled applies to the four Hopf, quasitriangular and ribbon sub-suites,
     which draw the samples their suites fix; the grading, twisted-action and
     sector checks run on every tuple in either mode. The crossed product's
-    quasitriangular and ribbon suites build on what its Hopf suite
-    established (`hopf.Premises`).
+    quasitriangular and ribbon suites build on the checks its Hopf suite
+    found to hold on every tuple (`hopf.VerifyReport.held`).
     """
     hopf = sd.hopf
     J = sd.ext.J
@@ -373,8 +373,8 @@ def verify_sector_double(sd: SectorDouble, *, sampled: bool = False) -> VerifyRe
         crossed = verify_hopf(ohat, sampled=sampled)
         rep.include("orbifold-hopf", crossed)
         rib = orbifold_ribbon(sd, ohat)
-        rep.include("orbifold-quasitriangular", verify_quasitriangular(rib, sampled=sampled, premises=crossed.premises))
-        rep.include("orbifold-ribbon", verify_ribbon(rib, sampled=sampled, premises=crossed.premises))
+        rep.include("orbifold-quasitriangular", verify_quasitriangular(rib, sampled=sampled, held=crossed.held))
+        rep.include("orbifold-ribbon", verify_ribbon(rib, sampled=sampled, held=crossed.held))
         rep.built = rib
     except (UsageError, NonInvertibleError, KeyError) as exc:
         for name in ("orbifold-hopf", "orbifold-quasitriangular", "orbifold-ribbon"):

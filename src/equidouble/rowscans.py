@@ -1,18 +1,15 @@
 """Checks decided on the integer rows of a table (`hopf.TableHopf.rows`).
 
-On a table whose coefficients are all 1 (`TableHopf.ones`), a full-mode
-Hopf, quasitriangular or ribbon check is decided on a generating set of the
-table (`generating_set`) once the checks its proof needs have held on every
-tuple of the same table in the same run; `hopf.run_checks` keeps that
-order, and `hopf.REDUCTION_PREMISES` names each check's premises.
-Each reduced scan below proves in its docstring that it decides its check.
-They all rest on one closure argument: the set of elements on which the
-identity holds is a subspace closed under products, so if it contains the
-generating set it contains every basis element, and the identity holds on
-every tuple. When a reduced scan fails, the scan on every tuple runs and
-returns the first failing tuple in itertools.product order: the reduced
-tuples are some of those tuples, so that scan fails too, and the witness is
-the one the predicate loop finds.
+On a table whose coefficients are all 1 (`TableHopf.ones`), each check of
+`hopf.REDUCTION_PREMISES` that runs on every tuple is decided by one
+routine, `reduced_check`, once the checks its proof needs have held on
+every tuple of the same table in the same run; `hopf.run_checks` keeps that
+order. The routine runs the check on a generating set of the table
+(`generating_set`, found once per table by `TableHopf.generators`), and on
+every tuple only when that fails, so its witness is the predicate loop's;
+its docstring holds the five closure proofs. Associativity is compared row
+by row (`first_nonassociative`), on the generators for Light's test and on
+every basis element when that fails.
 
 `first_unmapped_product` decides on the rows of two tables, of any
 coefficients, whether a relabeling of the basis carries one table's
@@ -25,6 +22,7 @@ loads none of it.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
@@ -97,119 +95,86 @@ def generating_set(rows: Rows) -> list[int]:
     return gens
 
 
-def associativity_scan(h: TableHopf) -> Optional[tuple]:
-    """The first (x, s, y) with rows[rows[x][s]][y] != rows[x][rows[s][y]]
-    in product order, or None: for each (x, s) it compares the row of e_x e_s
-    with row x read at the entries of row s."""
-    rows = h.rows
-    read = [itemgetter(*row) for row in rows[:-1]]
+def first_nonassociative(rows: Rows, middles: Iterable[int]) -> Optional[tuple]:
+    """The first (x, s, y), with x and y in basis order and s in the order
+    of middles, such that rows[rows[x][s]][y] != rows[x][rows[s][y]], or
+    None. For each x and s one tuple comparison decides every y: the row of
+    e_x e_s against row x read at the entries of row s."""
+    reads = [(s, itemgetter(*rows[s])) for s in middles]
     for x, row in enumerate(rows[:-1]):
-        for s, xs in enumerate(row[:-1]):
-            lhs, rhs = rows[xs], read[s](row)
+        for s, read in reads:
+            lhs, rhs = rows[row[s]], read(row)
             if lhs != rhs:
                 return (x, s, next(y for y, (a, b) in enumerate(zip(lhs, rhs)) if a != b))
     return None
 
 
-def associativity(h: TableHopf, gens: Sequence[int], holds: Callable[..., bool]) -> Optional[tuple]:
-    """Light's test on the generating set gens; it needs no premise.
+def reduced_check(h: TableHopf, name: str, arity: int, holds: Callable[..., bool]) -> Optional[tuple]:
+    """The first tuple of that arity, in product order, on which the check
+    of that name fails on h, or None. The check is one of
+    `hopf.REDUCTION_PREMISES`, and its premises there have held on every
+    tuple of h.
 
-    Let N be the set of t with (x t) y = x (t y) for all x and y. N is a
-    subspace. If t and u lie in N, so does tu: for all x and y,
+    holds runs first on the tuples whose first slot lies in the generating
+    set S of h (`TableHopf.generators`); associativity is compared row by
+    row on the tuples whose middle slot lies in S (`first_nonassociative`,
+    which reads the integer predicate of `hopf._monomial_checks` a row at a
+    time).
+    If none of those fails, the check holds on every tuple, by the proofs
+    below. Otherwise it runs again on every tuple: the reduced tuples are
+    some of those, so it fails there too, and it returns the witness of the
+    predicate loop. Each proof shows that the elements a at which the
+    identity holds form a subspace closed under products; it contains S,
+    and every basis element is a product of elements of S.
+
+    associativity (no premise; Light's test). Let N be the set of t with
+    (x t) y = x (t y) for all x and y. If t and u lie in N, so does tu:
         (x (tu)) y = ((x t) u) y = (x t) (u y) = x (t (u y)) = x ((tu) y),
     using t in N, then u in N with x t for x, then t in N with u y for y,
-    then u in N with t for x. So N contains every product of generators,
-    which is every basis element, and the table is associative. For t in
-    gens the identity is one comparison per x: the row of e_x e_t against
-    row x read at the entries of row t.
-    """
-    rows = h.rows
-    for t in gens:
-        read = itemgetter(*rows[t])
-        if any(rows[row[t]] != read(row) for row in rows[:-1]):
-            return associativity_scan(h)
-    return None
+    then u in N with t for x.
 
-
-def _decide(h: TableHopf, arity: int, holds: Callable[..., bool], reduced: Iterable[tuple]) -> Optional[tuple]:
-    """None if holds(*t) for every t in reduced, else the first failing
-    tuple of all tuples of that arity, in product order."""
-    if first_failure(reduced, holds) is None:
-        return None
-    return first_failure(product(range(h.dim), repeat=arity), holds)
-
-
-def comultiplication_multiplicative(
-    h: TableHopf, gens: Sequence[int], holds: Callable[..., bool]
-) -> Optional[tuple]:
-    """Delta(ab) = Delta(a) Delta(b) for a in gens and every b; it needs
-    associativity.
-
-    Let M be the set of a with Delta(ab) = Delta(a) Delta(b) for all b. M is
-    a subspace. If a and c lie in M, then for all b
+    comultiplication_multiplicative (needs associativity). Let M be the set
+    of a with Delta(ab) = Delta(a) Delta(b) for all b. If a and c lie in M,
+    then for all b
         Delta((ac) b) = Delta(a (c b)) = Delta(a) Delta(c b)
                       = Delta(a) (Delta(c) Delta(b)) = (Delta(a) Delta(c)) Delta(b)
                       = Delta(ac) Delta(b),
     by associativity of H, a in M with cb for b, c in M, associativity of
-    H (x) H (its product is componentwise), and a in M with c for b. So M
-    contains every product of generators, which is every basis element.
-    """
-    return _decide(h, 2, holds, product(gens, range(h.dim)))
+    H (x) H (its product is componentwise), and a in M with c for b.
 
-
-def coassociativity(h: TableHopf, gens: Sequence[int], holds: Callable[..., bool]) -> Optional[tuple]:
-    """(Delta (x) id) Delta(a) = (id (x) Delta) Delta(a) for a in gens; it
-    needs Delta to be multiplicative.
-
-    Then Delta (x) id and id (x) Delta are algebra maps H (x) H -> H^(x)3:
+    coassociativity (needs comultiplication_multiplicative). Then
+    Delta (x) id and id (x) Delta are algebra maps H (x) H -> H^(x)3:
     (Delta (x) id)((x (x) y)(x' (x) y')) = Delta(x x') (x) y y'
     = (Delta(x) (x) y)(Delta(x') (x) y'), and the same on the other leg. So
-    if the identity holds at a and at b, then at ab both sides are the
-    product of their values at a and at b:
+    if (Delta (x) id) Delta(a) = (id (x) Delta) Delta(a) at a and at b,
+    then at ab both sides are the product of their values at a and at b:
         (Delta (x) id) Delta(ab) = (Delta (x) id)(Delta(a) Delta(b))
                                  = [(Delta (x) id) Delta(a)] [(Delta (x) id) Delta(b)],
-    and the same for id (x) Delta. The set where it holds is a subspace
-    closed under products that contains gens, so it is everything.
-    """
-    return _decide(h, 1, holds, product(gens))
+    and the same for id (x) Delta.
 
-
-def r_intertwines_coproducts(
-    h: TableHopf, gens: Sequence[int], holds: Callable[..., bool]
-) -> Optional[tuple]:
-    """R Delta(a) = Delta^op(a) R for a in gens; it needs associativity and
-    Delta to be multiplicative.
-
-    Let I be the set of a where it holds, a subspace. For a and b in I,
+    r_intertwines_coproducts (needs associativity and
+    comultiplication_multiplicative). If R Delta(a) = Delta^op(a) R at a
+    and at b, then
         R Delta(ab) = (R Delta(a)) Delta(b) = (Delta^op(a) R) Delta(b)
                     = Delta^op(a) (R Delta(b)) = Delta^op(a) Delta^op(b) R
                     = Delta^op(ab) R,
     using that Delta is multiplicative, that H (x) H is associative, and
     that Delta^op, Delta followed by the flip, an algebra map of H (x) H, is
-    multiplicative too. So I contains every product of generators.
+    multiplicative too.
+
+    ribbon_central (needs associativity). If nu commutes with a and with b,
+    then
+        nu (ab) = (nu a) b = (a nu) b = a (nu b) = a (b nu) = (ab) nu.
     """
-    return _decide(h, 1, holds, product(gens))
+    basis = range(h.dim)
+    if name == "associativity":
+        scan = partial(first_nonassociative, h.rows)
+    else:
 
+        def scan(firsts: Iterable[int]) -> Optional[tuple]:
+            return first_failure(product(firsts, *[basis] * (arity - 1)), holds)
 
-def ribbon_central(h: TableHopf, gens: Sequence[int], holds: Callable[..., bool]) -> Optional[tuple]:
-    """nu a = a nu for a in gens; it needs associativity.
-
-    If nu commutes with a and with b, then
-        nu (ab) = (nu a) b = (a nu) b = a (nu b) = a (b nu) = (ab) nu,
-    so the centraliser of nu, a subspace, is closed under products, and it
-    contains every product of generators.
-    """
-    return _decide(h, 1, holds, product(gens))
-
-
-# check name -> its reduced scan
-REDUCED = {
-    "associativity": associativity,
-    "comultiplication_multiplicative": comultiplication_multiplicative,
-    "coassociativity": coassociativity,
-    "r_intertwines_coproducts": r_intertwines_coproducts,
-    "ribbon_central": ribbon_central,
-}
+    return None if scan(h.generators()) is None else scan(basis)
 
 
 def first_unmapped_product(src: TableHopf, dst: TableHopf, perm: Sequence[int]) -> Optional[tuple[int, int]]:

@@ -1,11 +1,13 @@
 """Small test-only helpers: group predicates, actions and characters no
-program path needs, and changed copies of a record and of a matrix."""
+program path needs, a matrix inverse, and changed copies of a record and of
+a matrix."""
 
 import copy
 
+from equidouble.errors import UsageError
 from equidouble.groupoids import InertiaData
 from equidouble.groups import FiniteGroup, GroupAction
-from equidouble.linalg import ExactMatrix
+from equidouble.linalg import ExactMatrix, solve
 
 
 def is_abelian(group: FiniteGroup) -> bool:
@@ -41,3 +43,11 @@ def with_entries(m: ExactMatrix, entries: dict) -> ExactMatrix:
             raise IndexError(f"entry ({i}, {j}) outside a {m.rows}x{m.cols} matrix")
         data[i * m.cols + j] = x
     return ExactMatrix(m.rows, m.cols, data)
+
+
+def inverse(a: ExactMatrix) -> ExactMatrix:
+    """The inverse of a square matrix, by an exact solve against the
+    identity; NonInvertibleError when a is singular."""
+    if a.rows != a.cols:
+        raise UsageError(f"inverse of a non-square {a.rows}x{a.cols} matrix")
+    return solve(a, ExactMatrix.identity(a.rows))

@@ -89,7 +89,7 @@ def first_unmapped_product(src: TableHopf, dst: TableHopf, perm) -> "tuple[int, 
 
 def take_sparse_products(monkeypatch) -> None:
     """Let every table take its products from the sparse kernels, with no
-    integer predicate or reduced scan (ones is False), and decide relabeled
+    integer predicate or reduced check (ones is False), and decide relabeled
     products by the pair loop: the path that the integer rows replaced, for
     a test to compare reports with."""
     monkeypatch.setattr(TableHopf, "mul_vec", mul_vec)

@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from helpers import with_entries
+from helpers import inverse, with_entries
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +24,6 @@ from equidouble.groups import action_via_hom, cyclic_group
 from equidouble.linalg import (
     ExactMatrix,
     echelon_kernel,
-    inverse,
     mat_rank_det_kernel,
     row_reduce,
     solve,

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import chain, product
 
 import pytest
-from helpers import with_entries
+from helpers import inverse, with_entries
 from sparse_oracle import SparseProducts, rebuilt, take_sparse_products
 
 import equidouble
@@ -28,7 +28,7 @@ from equidouble.groups import (
     extension_from_subgroup,
     symmetric_group,
 )
-from equidouble.linalg import ExactMatrix, inverse, solve
+from equidouble.linalg import ExactMatrix, solve
 from equidouble.orbifold import (
     _grouplike,
     _grouplike_inverse,

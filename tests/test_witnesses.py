@@ -15,6 +15,7 @@ from helpers import replaced
 from sparse_oracle import SparseProducts, first_unmapped_product, rebuilt, take_sparse_products
 
 import equidouble
+from equidouble import cli
 from equidouble import hopf as hopf_module
 from equidouble import rowscans
 from equidouble.catalogue import extension_by_name, group_by_name
@@ -22,7 +23,6 @@ from equidouble.doubles import double_algebra, sector_double
 from equidouble.hopf import (
     HOPF_SAMPLES,
     RIBBON_SAMPLES,
-    Premises,
     RibbonData,
     TableHopf,
     VerifyReport,
@@ -400,6 +400,46 @@ def test_a_product_of_two_terms_is_refused_at_construction():
         rebuilt(hopf, add_a_term)
 
 
+@pytest.mark.parametrize(
+    "store, moved, named",
+    [
+        ("comul", lambda key, dim: (key[0], dim), r"the coproduct of 1 has a term keyed off the basis, at \(1, 4\)"),
+        ("comul", lambda key, dim: (-1, key[1]), r"the coproduct of 1 has a term keyed off the basis, at \(-1, 1\)"),
+        ("unit", lambda key, dim: dim, r"the unit has a term keyed off the basis, at 4"),
+        ("antipode", lambda key, dim: dim, r"the antipode of 1 has a term keyed off the basis, at 4"),
+    ],
+)
+def test_a_term_keyed_off_the_basis_is_refused_at_construction(store, moved, named):
+    """A unit, coproduct or antipode term of D(Z2) moved off its basis, past
+    the end or to a negative index, raises UsageError naming the map and the
+    key: no check reads it, as an IndexError or through Python's negative
+    indexing."""
+    hopf = double_algebra(group_by_name("Z2")).hopf
+    assert hopf.dim == 4
+
+    def move_a_term(tables):
+        terms = tables.unit if store == "unit" else getattr(tables, store)[1]
+        key = min(terms)
+        terms[moved(key, hopf.dim)] = terms.pop(key)
+
+    with pytest.raises(UsageError, match=named):
+        rebuilt(hopf, move_a_term)
+
+
+@pytest.mark.parametrize("shift", [-4, 4])
+def test_a_ribbon_element_keyed_off_the_basis_has_no_counit(shift):
+    """The ribbon element of D(Z2) with every key shifted off the basis has
+    no counit, as it has no product, so ribbon_counit_one fails with witness
+    () instead of reading a counit through a negative index or raising
+    IndexError."""
+    rib = double_algebra(group_by_name("Z2")).ribbon_data()
+    assert rib.hopf.dim == 4
+    shifted = replaced(rib, ribbon={k + shift: c for k, c in rib.ribbon.items()})
+    report = verify_ribbon(shifted)
+    assert not report.checks["ribbon_counit_one"]
+    assert report.witnesses["ribbon_counit_one"] == ()
+
+
 @pytest.mark.parametrize("store", ["rows", "coefficients", "coproduct", "antipode", "counit", "unit"])
 def test_a_built_table_is_read_only(store):
     """Every structure map of a built table refuses an edit, so that its
@@ -566,7 +606,7 @@ def reduced_scan_corruptions(draw):
     """An oracle table with one monomial corruption of its product or
     coproduct, or, for ribbon data, one term of R or of the ribbon element
     moved or negated: then the Hopf checks hold and the R-matrix and ribbon
-    checks fail on their reduced scans."""
+    checks fail in rowscans.reduced_check."""
     built = ORACLE_ALGEBRAS[draw(st.sampled_from(sorted(ORACLE_ALGEBRAS)))]()
     if isinstance(built, TableHopf):
         return corrupt_monomially(draw, built)
@@ -631,7 +671,7 @@ def test_generating_sets_reach_every_basis_element_and_none_is_redundant(name):
 
 def count_predicates(monkeypatch):
     """Count the calls of every predicate of the three suites, by name, and
-    of each reduced scan of rowscans, by name with a "reduced:" prefix."""
+    of rowscans.reduced_check, by check name with a "reduced:" prefix."""
     calls = Counter()
 
     def counting(name, holds):
@@ -648,14 +688,19 @@ def count_predicates(monkeypatch):
             return {name: (arity, counting(name, holds)) for name, (arity, holds) in real(*args).items()}
 
         monkeypatch.setattr(hopf_module, suite, counted)
-    for name, scan in rowscans.REDUCED.items():
-        monkeypatch.setitem(rowscans.REDUCED, name, counting("reduced:" + name, scan))
+    real_reduced_check = rowscans.reduced_check
+
+    def reduced_check(h, name, arity, holds):
+        calls["reduced:" + name] += 1
+        return real_reduced_check(h, name, arity, holds)
+
+    monkeypatch.setattr(rowscans, "reduced_check", reduced_check)
     return calls
 
 
 def assert_on_every_tuple(calls, report, name, arity, dim):
     """The check of that name ran its predicate in product order, up to its
-    witness or over every tuple, and not its reduced scan."""
+    witness or over every tuple, and not rowscans.reduced_check."""
     tuples = list(product(range(dim), repeat=arity))
     witness = report.witnesses.get(name)
     assert calls["reduced:" + name] == 0, name
@@ -667,8 +712,8 @@ def test_premised_checks_run_on_generators_only_after_their_premises_held(monkey
     corruption of one coproduct, associativity still holds but Delta fails,
     so ribbon_central alone stays on the generators; after one that breaks
     associativity, Delta and coassociativity run on every tuple in product
-    order, without their reduced scans."""
-    assert set(hopf_module.REDUCTION_PREMISES) == set(rowscans.REDUCED) == REDUCED_CHECKS
+    order, without rowscans.reduced_check."""
+    assert set(hopf_module.REDUCTION_PREMISES) == REDUCED_CHECKS
     rib = double_algebra(group_by_name("S3")).ribbon_data()
     h, dim = rib.hopf, rib.hopf.dim
     gens = rowscans.generating_set(h.rows)
@@ -709,6 +754,51 @@ def test_premised_checks_run_on_generators_only_after_their_premises_held(monkey
     assert_on_every_tuple(calls, report, "coassociativity", 1, dim)
 
 
+def test_an_associativity_failure_off_the_generators_has_the_predicate_loops_witness(monkeypatch):
+    """Redirecting the product e_3 e_0 of D(S3) breaks associativity first
+    at (1, 3, 0), whose middle slot is not a generator. Light's test fails
+    on the generators, and the row-wise run over every middle element
+    returns the witness of the predicate loop, without calling the
+    predicate."""
+    h = double_algebra(group_by_name("S3")).hopf
+
+    def redirect_product(tables):
+        (old,) = tables.mul[(3, 0)]
+        tables.mul[(3, 0)] = {(old + 1) % h.dim: ONE}
+
+    h = rebuilt(h, redirect_product)
+    calls = count_predicates(monkeypatch)
+    report = verify_hopf(h)
+    assert calls["reduced:associativity"] == 1 and calls["associativity"] == 0
+    arity, holds = hopf_checks(h, SparseProducts(h))["associativity"]
+    witness = first_failure(product(range(h.dim), repeat=arity), holds)
+    assert report.witnesses["associativity"] == witness == (1, 3, 0)
+    assert witness[1] not in h.generators()
+
+
+def test_each_table_finds_its_generating_set_once_and_a_sampled_run_none(monkeypatch, tmp_path):
+    """verify-all on A3-S3 finds one generating set for each table whose
+    checks it reduces: the sector double (dim 18), the crossed product and
+    D(S3) (dim 36). A sampled run on the V4-A4 crossed product, whose
+    reduced checks are drawn or lack their premises, finds none."""
+    found = []
+    real_generating_set = rowscans.generating_set
+
+    def generating_set(rows):
+        found.append(len(rows) - 1)
+        return real_generating_set(rows)
+
+    monkeypatch.setattr(rowscans, "generating_set", generating_set)
+    assert cli.main(["verify-all", "--extension", "A3-S3", "--out", str(tmp_path / "report.json")]) == 0
+    assert sorted(found) == [18, 36, 36]
+
+    found.clear()
+    rib = orbifold_ribbon(sector_double(extension_by_name("V4-A4")))
+    assert rib.hopf.dim == 144
+    assert verify_all_axioms(rib, sampled=True).all_passed
+    assert found == []
+
+
 @pytest.mark.parametrize(
     "held, reduced",
     [
@@ -727,9 +817,8 @@ def test_r_matrix_and_ribbon_checks_take_the_generators_only_with_their_premises
     dim = rib.hopf.dim
     gens = rowscans.generating_set(rib.hopf.rows)
     calls = count_predicates(monkeypatch)
-    premises = Premises(held=set(held)) if held else None
-    assert verify_quasitriangular(rib, premises=premises).all_passed
-    assert verify_ribbon(rib, premises=premises).all_passed
+    assert verify_quasitriangular(rib, held=set(held)).all_passed
+    assert verify_ribbon(rib, held=set(held)).all_passed
     for name in ("r_intertwines_coproducts", "ribbon_central"):
         assert calls["reduced:" + name] == (name in reduced), name
         assert calls[name] == (len(gens) if name in reduced else dim), name
